@@ -4,9 +4,9 @@
 
 GO ?= go
 
-.PHONY: check build vet test race race-short bench bench-compare bench-trajectory alloc-guard trajectory-check golden nmr-golden telemetry-golden trace-golden farm-golden profile-golden farm-soak fuzz-smoke offload-roundtrip
+.PHONY: check build vet test race race-short bench bench-harness alloc-guard golden nmr-golden telemetry-golden trace-golden farm-golden profile-golden farm-soak fuzz-smoke offload-roundtrip loc
 
-check: vet golden nmr-golden telemetry-golden trace-golden farm-golden profile-golden alloc-guard trajectory-check fuzz-smoke race
+check: vet golden nmr-golden telemetry-golden trace-golden farm-golden profile-golden alloc-guard bench-harness fuzz-smoke race
 
 build:
 	$(GO) build ./...
@@ -97,10 +97,11 @@ offload-roundtrip:
 bench:
 	$(GO) test -bench=. -benchmem ./...
 
-# Comparison-subsystem microbenchmark (ns/op, B/op, allocs/op of the
-# segment-compare path under dirty tracking and the full-memory ablation).
-bench-compare:
-	$(GO) test -run '^$$' -bench BenchmarkCompareSegment -benchmem -benchtime 2x .
+# The host-performance benchmark (BENCHMARK.json, benchmark/README.md) is a
+# module of its own, outside `go test ./...`; this keeps the yardstick's own
+# unit tests and its tiny-size smoke of every workload inside the gate.
+bench-harness:
+	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Zero-allocation pins for the hot paths (interpreter dispatch, the
 # steady-state comparator, and tracing's disabled path). Run without -race:
@@ -109,24 +110,7 @@ bench-compare:
 alloc-guard:
 	$(GO) test ./internal/proc ./internal/compare ./internal/telemetry ./internal/telemetry/profile -run 'AllocFree' -v
 
-# Validate the pinned benchmark-trajectory files: every BENCH_NNN.json must
-# exist, parse against the parallaft-bench-trajectory/v1 schema, contain the
-# headline fullmem benchmark on both sides, and back its PR's claim — the
-# recorded speedup for PR 6, within-noise parity (observability is free) for
-# PR 10.
-trajectory-check:
-	$(GO) test -run TestBenchTrajectory .
-
-# Refresh the "current" side of the benchmark trajectory. Baselines are
-# captured once per PR from the pre-PR tree under interleaved paired
-# conditions (see cmd/benchtrend's doc comment) and are not overwritten
-# here; pipe a pre-PR run through `benchtrend -set baseline` to redo one.
-bench-trajectory:
-	($(GO) test -run '^$$' -bench BenchmarkCompareSegment -benchmem -benchtime 3x . && \
-	 $(GO) test -run '^$$' -bench BenchmarkInterpreterDispatch -benchmem -benchtime 200x .) \
-	| $(GO) run ./cmd/benchtrend -json BENCH_010.json -pr 10 -set current
-
-# Cross-PR view of every pinned trajectory file: current ns/op per PR with
-# each file's own paired baseline speedup.
-bench-trend:
-	$(GO) run ./cmd/benchtrend -trend 'BENCH_*.json'
+# The tracked size figure (ROADMAP: it should go down): non-test Go lines
+# outside benchmark/, which is counted on its own.
+loc:
+	@git ls-files '*.go' | grep -v -e '^benchmark/' -e '_test\.go$$' | xargs cat | wc -l

@@ -9,14 +9,11 @@ package parallaft
 import (
 	"testing"
 
-	"parallaft/internal/asm"
 	"parallaft/internal/core"
 	"parallaft/internal/inject"
 	"parallaft/internal/lang"
 	"parallaft/internal/machine"
-	"parallaft/internal/mem"
 	"parallaft/internal/oskernel"
-	"parallaft/internal/proc"
 	"parallaft/internal/sim"
 	"parallaft/internal/stats"
 	"parallaft/internal/workload"
@@ -300,103 +297,6 @@ func BenchmarkAblationFullCompare(b *testing.B) {
 		b.ReportMetric(float64(full.DirtyPagesHashed)/float64(full.Slices+1), "full-pages/boundary")
 		b.ReportMetric(float64(full.BytesHashed)/float64(dirty.BytesHashed+1), "hash-bytes-ratio")
 	}
-}
-
-// BenchmarkCompareSegment measures the segment-end state-comparison hot
-// path on a compare-heavy workload: an 8 MiB read-mostly table with a small
-// per-segment write window, sliced short so boundaries (and therefore
-// comparisons) are frequent. "dirty" uses the paper's dirty-page tracking;
-// "fullmem" is the exhaustive ablation, where nearly every hashed page is
-// COW-shared between the checker and the end checkpoint and a frame-aware
-// comparison can skip host-side hashing entirely. The simulated outputs
-// (DirtyPagesHashed, BytesHashed, wall times) are identical no matter how
-// the host executes the comparison — see the golden tests.
-func BenchmarkCompareSegment(b *testing.B) {
-	prog := lang.MustCompile("comparevictim", `
-		var table[1048576];  // 8 MiB, written once
-		var out[512];        // the per-segment dirty set
-		var i = 0;
-		while (i < 1048576) { table[i] = i * 2654435761; i = i + 1; }
-		var acc = 0;
-		i = 0;
-		while (i < 400000) {
-			acc = acc + table[(i * 40503) & 1048575];
-			out[i & 511] = acc;
-			i = i + 1;
-		}
-		exit(acc & 255);
-	`)
-	cases := []struct {
-		name  string
-		tweak func(*core.Config)
-	}{
-		{"dirty", func(c *core.Config) {}},
-		{"fullmem", func(c *core.Config) { c.CompareFullMemory = true }},
-	}
-	for _, bc := range cases {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				e := newBenchEngine()
-				cfg := core.DefaultConfig()
-				cfg.SlicePeriodCycles = 100_000
-				bc.tweak(&cfg)
-				rt := core.NewRuntime(e, cfg)
-				st, err := rt.Run(prog)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if st.Detected != nil {
-					b.Fatalf("false positive: %v", st.Detected)
-				}
-				b.ReportMetric(float64(st.DirtyPagesHashed)/float64(st.Slices+1), "pages/boundary")
-			}
-		})
-	}
-}
-
-// BenchmarkInterpreterDispatch measures the raw interpreter hot loop — the
-// predecoded dispatch path every simulated instruction takes — on a tight
-// compute+memory kernel, without segmentation or comparison on top. The
-// process is warmed once so predecode, timing tables and TLB/cache state are
-// steady; the measured region is pure dispatch (expected 0 allocs/op, pinned
-// by TestRunAllocFree).
-func BenchmarkInterpreterDispatch(b *testing.B) {
-	ab := asm.NewBuilder("dispatch")
-	ab.MovI(1, 0) // always < x2: the loop never exits
-	ab.MovI(2, 1)
-	ab.MovI(3, 0) // accumulator
-	ab.MovI(4, 0) // arena pointer
-	ab.Label("loop")
-	ab.AddI(3, 3, 7)
-	ab.AndI(5, 3, 4095)
-	ab.ShlI(5, 5, 3)
-	ab.Add(5, 4, 5)
-	ab.Ld(6, 5, 0)
-	ab.Add(6, 6, 3)
-	ab.St(5, 0, 6)
-	ab.Blt(1, 2, "loop")
-	prog := ab.MustBuild()
-
-	m := machine.New(machine.AppleM2Like())
-	as := mem.NewAddressSpace(m.PageSize)
-	if err := as.Map(0, 4*m.PageSize, mem.ProtRW, "arena"); err != nil {
-		b.Fatal(err)
-	}
-	p := proc.New(1, 1, "bench", prog.Code, as, 99)
-	env := proc.ExecEnv{Machine: m, Core: m.BigCores()[0], Contention: 1, Fabric: 1}
-	if s := p.Run(env, 50_000); s.Reason != proc.StopBudget {
-		b.Fatalf("warm-up stop = %v", s)
-	}
-
-	const instrsPerOp = 100_000
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if s := p.Run(env, instrsPerOp); s.Reason != proc.StopBudget {
-			b.Fatalf("stop = %v", s)
-		}
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(b.N)*instrsPerOp/b.Elapsed().Seconds()/1e6, "Minstr/s")
 }
 
 // newBenchEngine builds a fresh engine for direct runtime benches.

@@ -67,7 +67,7 @@ func main() {
 	cfg.EnableRecovery = true
 	injected := false
 	primesAddr := prog.Symbols["u_primes"] // the compiled `primes` variable
-	cfg.CheckerHook = func(seg int, c *proc.Process, _ float64) {
+	cfg.ReplicaHook = func(seg, _ int, c *proc.Process, _ float64) {
 		if injected || seg != 1 {
 			return
 		}

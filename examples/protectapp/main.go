@@ -72,9 +72,9 @@ func newStack() *sim.Engine {
 }
 
 // seuHook flips bit 23 of x8 in the checker once it is past the write.
-func seuHook(tail uint64) func(int, *proc.Process, float64) {
+func seuHook(tail uint64) func(int, int, *proc.Process, float64) {
 	injected := false
-	return func(_ int, c *proc.Process, _ float64) {
+	return func(_, _ int, c *proc.Process, _ float64) {
 		if injected || c.PC < tail {
 			return
 		}
@@ -98,7 +98,7 @@ func main() {
 
 	fmt.Println("faulty run under Parallaft:")
 	cfg := core.DefaultConfig()
-	cfg.CheckerHook = seuHook(tail)
+	cfg.ReplicaHook = seuHook(tail)
 	rt = core.NewRuntime(newStack(), cfg)
 	st, err = rt.Run(prog)
 	if err != nil {
@@ -111,7 +111,7 @@ func main() {
 
 	fmt.Println("same faulty run under the RAFT baseline:")
 	raftCfg := core.RAFTConfig()
-	raftCfg.CheckerHook = seuHook(tail)
+	raftCfg.ReplicaHook = seuHook(tail)
 	rt = core.NewRuntime(newStack(), raftCfg)
 	st, err = rt.Run(prog)
 	if err != nil {

@@ -90,10 +90,10 @@ type Executor struct {
 	wg      sync.WaitGroup
 	reorder sync.WaitGroup
 
-	mu     sync.Mutex
-	digest uint64
-	pinned bool
-	seq    int
+	mu      sync.Mutex
+	digest  uint64
+	pinned  bool
+	seq     int
 	closed  bool
 	spans   map[int]telemetry.StageSpan // retained remote-verify spans by seq
 	ledgers map[int]profile.Slice       // retained ledger slices by seq
@@ -140,35 +140,19 @@ func NewExecutor(store *pagestore.Store, opts Options) *Executor {
 func (x *Executor) Verdicts() <-chan Verdict { return x.out }
 
 // Submit validates a packet and enqueues it. Validation is synchronous so
-// typed rejections (ErrVersion, ErrConfigDigest) surface immediately and a
-// rejected packet never consumes a verdict slot. A full queue blocks.
+// typed rejections (ErrVersion, ErrConfigDigest, ErrUnrunnable) surface
+// immediately and a rejected packet never consumes a verdict slot. A full
+// queue blocks.
 func (x *Executor) Submit(pkt *packet.CheckPacket) error {
 	x.mu.Lock()
 	if x.closed {
 		x.mu.Unlock()
 		return ErrClosed
 	}
-	if pkt.Version < packet.MinVersion || pkt.Version > packet.Version {
+	if err := x.admit(pkt); err != nil {
 		x.mu.Unlock()
 		x.tm.rejections.Inc()
-		return fmt.Errorf("%w: packet v%d, daemon speaks v%d..v%d",
-			ErrVersion, pkt.Version, packet.MinVersion, packet.Version)
-	}
-	if d := pkt.Config.Digest(); d != pkt.ConfigDigest {
-		x.mu.Unlock()
-		x.tm.rejections.Inc()
-		return fmt.Errorf("%w: packet carries %#x but its config digests to %#x",
-			ErrConfigDigest, pkt.ConfigDigest, d)
-	}
-	if x.pinned && pkt.ConfigDigest != x.digest {
-		x.mu.Unlock()
-		x.tm.rejections.Inc()
-		return fmt.Errorf("%w: stream pinned to %#x, packet carries %#x",
-			ErrConfigDigest, x.digest, pkt.ConfigDigest)
-	}
-	if !x.pinned {
-		x.digest = pkt.ConfigDigest
-		x.pinned = true
+		return err
 	}
 	j := job{seq: x.seq, pkt: pkt}
 	x.seq++
@@ -180,6 +164,35 @@ func (x *Executor) Submit(pkt *packet.CheckPacket) error {
 	x.tm.submitted.Inc()
 	x.tm.queueDepth.Add(1)
 	x.intake <- j
+	return nil
+}
+
+// admit is Submit's validation; on success it pins the stream's digest.
+// Called with x.mu held.
+func (x *Executor) admit(pkt *packet.CheckPacket) error {
+	if pkt.Version < packet.MinVersion || pkt.Version > packet.Version {
+		return fmt.Errorf("%w: packet v%d, daemon speaks v%d..v%d",
+			ErrVersion, pkt.Version, packet.MinVersion, packet.Version)
+	}
+	if d := pkt.Config.Digest(); d != pkt.ConfigDigest {
+		return fmt.Errorf("%w: packet carries %#x but its config digests to %#x",
+			ErrConfigDigest, pkt.ConfigDigest, d)
+	}
+	if x.pinned && pkt.ConfigDigest != x.digest {
+		return fmt.Errorf("%w: stream pinned to %#x, packet carries %#x",
+			ErrConfigDigest, x.digest, pkt.ConfigDigest)
+	}
+	// A self-consistent digest says nothing about whether the values can be
+	// run: these two would take a worker down (mem.NewAddressSpace panics)
+	// or hold it forever (no instruction ceiling on a guest that spins).
+	if ps := pkt.Config.PageSize; ps == 0 || ps&(ps-1) != 0 {
+		return fmt.Errorf("%w: page size %d is not a power of two", ErrUnrunnable, ps)
+	}
+	if pkt.InstrLimit == 0 {
+		return fmt.Errorf("%w: no instruction limit", ErrUnrunnable)
+	}
+	x.digest = pkt.ConfigDigest
+	x.pinned = true
 	return nil
 }
 

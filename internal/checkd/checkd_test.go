@@ -3,6 +3,7 @@ package checkd
 import (
 	"errors"
 	"testing"
+	"time"
 
 	"parallaft/internal/asm"
 	"parallaft/internal/core"
@@ -40,6 +41,16 @@ func runExported(t *testing.T, cfg core.Config, prog *asm.Program) (*core.RunSta
 // victimProgram is a multi-segment compute+memory loop whose checksum
 // register and data buffer give fault injections something to corrupt.
 func victimProgram(iters int64) *asm.Program {
+	b := victimLoop(iters)
+	b.AndI(1, 1, 255)
+	b.MovI(0, int64(oskernel.SysExit))
+	b.Syscall()
+	return b.MustBuild()
+}
+
+// victimLoop is victimProgram up to the end of its loop: checksum in x1,
+// counter in x2, bound in x3, buffer base in x4.
+func victimLoop(iters int64) *asm.Builder {
 	b := asm.NewBuilder("victim")
 	b.Space("buf", 32*1024)
 	b.MovI(1, 0)
@@ -57,10 +68,7 @@ func victimProgram(iters int64) *asm.Program {
 	b.Add(1, 1, 6)
 	b.AddI(2, 2, 1)
 	b.Blt(2, 3, "loop")
-	b.AndI(1, 1, 255)
-	b.MovI(0, int64(oskernel.SysExit))
-	b.Syscall()
-	return b.MustBuild()
+	return b
 }
 
 func smallSliceConfig() core.Config {
@@ -126,6 +134,68 @@ func TestSubmitTypedRejections(t *testing.T) {
 			t.Fatalf("Submit after Close = %v, want ErrClosed", err)
 		}
 	})
+}
+
+// unrunnablePackets are well-formed, digest-consistent packets no checker
+// can be built on or bounded by. Before Submit rejected them, the page-size
+// ones panicked a worker goroutine in mem.NewAddressSpace and took the whole
+// daemon down; the spinning one (no instruction ceiling, a loop bound and an
+// end point it never reaches) held its worker forever.
+func unrunnablePackets(pkts []*packet.CheckPacket) map[string]*packet.CheckPacket {
+	pageSize := func(ps uint64) *packet.CheckPacket {
+		bad := *pkts[1]
+		bad.Config.PageSize = ps
+		bad.ConfigDigest = bad.Config.Digest()
+		return &bad
+	}
+	spin := *pkts[1] // starts mid-loop
+	spin.Start.Regs.X[3] = 1 << 62
+	spin.End.Branches = 1 << 62
+	spin.InstrLimit = 0
+	return map[string]*packet.CheckPacket{
+		"page size zero":             pageSize(0),
+		"page size not a power of 2": pageSize(3 << 12),
+		"no instruction limit":       &spin,
+	}
+}
+
+func TestUnrunnablePacketsRejected(t *testing.T) {
+	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(120_000))
+	if len(pkts) < 2 {
+		t.Fatalf("run exported %d packets, need 2", len(pkts))
+	}
+	for name, bad := range unrunnablePackets(pkts) {
+		bad := bad
+		t.Run(name, func(t *testing.T) {
+			reg := telemetry.NewRegistry()
+			type result struct {
+				verdicts []Verdict
+				err      error
+			}
+			done := make(chan result, 1)
+			go func() {
+				v, err := CheckAll(store, []*packet.CheckPacket{bad}, Options{Workers: 1, Metrics: reg})
+				done <- result{v, err}
+			}()
+			// A regression is a stuck worker, so the test must not wait for it.
+			select {
+			case r := <-done:
+				if !errors.Is(r.err, ErrUnrunnable) || !errors.Is(r.err, packet.ErrCorrupt) {
+					t.Fatalf("CheckAll = %v, want ErrUnrunnable wrapping packet.ErrCorrupt", r.err)
+				}
+				if len(r.verdicts) != 0 {
+					t.Fatalf("rejected packet still produced verdicts: %v", r.verdicts)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("no rejection within 10s: the packet was admitted and its worker is stuck")
+			}
+			for _, m := range reg.Snapshot() {
+				if m.Name == "paft_checkd_rejections_total" && m.Value != 1 {
+					t.Errorf("rejections counter = %v, want 1", m.Value)
+				}
+			}
+		})
+	}
 }
 
 func TestMissingChunkBecomesInfraVerdict(t *testing.T) {

@@ -1,6 +1,11 @@
 package checkd
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+
+	"parallaft/internal/packet"
+)
 
 // Typed intake rejections. Submit returns these synchronously so a client
 // learns immediately — before any replay work is queued — that a packet can
@@ -17,6 +22,12 @@ var (
 	// comparable across identical verdict-relevant configs, so mixing
 	// digests in one stream is rejected rather than silently checked.
 	ErrConfigDigest = errors.New("checkd: packet config digest mismatch")
+
+	// ErrUnrunnable: the packet is well-formed and self-consistent but names
+	// a substrate no checker can be built on or bounded by (a page size that
+	// is not a power of two, no instruction limit). It wraps
+	// packet.ErrCorrupt: such values can only come from outside the exporter.
+	ErrUnrunnable = fmt.Errorf("checkd: unrunnable packet: %w", packet.ErrCorrupt)
 
 	// ErrMissingChunk: a content-addressed chunk referenced by a packet is
 	// not (yet) in the store. Transient under a streaming transport — the

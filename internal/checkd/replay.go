@@ -6,11 +6,14 @@
 // A checker is a pure function of (start checkpoint, record/replay log,
 // config): the packet carries all three, so an external daemon can produce
 // the exact verdict the in-process checker would have produced — pass/fail,
-// the mismatching segment, and the error kind. The replay state machine
-// here deliberately mirrors internal/core/replay.go line for line (target
-// steering via branch counter + breakpoint, syscall class dispatch, nondet
-// value injection, signal disposition checks) so that verdict parity is a
-// structural property, pinned by the golden parity tests.
+// the mismatching segment, and the error kind. This package owns what is
+// genuinely different about checking from a packet: rebuilding the start
+// state from content-addressed chunks onto a private machine and kernel
+// (newRunner), comparing the end state against wire hashes instead of a
+// live checkpoint's frames (finishAtEnd), and the executor and transport
+// around them. The replay in between — steering, per-event validation,
+// every replay-raised detection and its wording — is core's engine, entered
+// through core.ReplayPacket; there is no second copy to keep in step.
 package checkd
 
 import (
@@ -105,12 +108,15 @@ func RunPacketSlice(store *pagestore.Store, pkt *packet.CheckPacket) (Verdict, p
 	if err != nil {
 		return v, profile.Slice{}, err
 	}
-	r.run()
-	if r.detected == nil {
+	d := core.ReplayPacket(r.e, r.task, pkt)
+	if d == nil {
+		d = r.finishAtEnd()
+	}
+	if d == nil {
 		v.OK = true
 	} else {
-		v.ErrorKind = r.detected.Kind.String()
-		v.Detail = r.detected.Detail
+		v.ErrorKind = d.Kind.String()
+		v.Detail = d.Detail
 	}
 	sl := profile.Slice{
 		TraceID: pkt.TraceID,
@@ -120,25 +126,11 @@ func RunPacketSlice(store *pagestore.Store, pkt *packet.CheckPacket) (Verdict, p
 	return v, sl, nil
 }
 
-// runner replays one packet. Field-for-field it plays the role of the
-// (Runtime, Segment) pair in core's replay: the packet is always "sealed"
-// (its record is complete by construction), which removes core's
-// wait-for-the-main states and leaves a straight-line state machine.
+// runner is one packet's checker substrate.
 type runner struct {
-	pkt   *packet.CheckPacket
-	e     *sim.Engine
-	c     *proc.Process
-	task  *sim.Task
-	skid  uint64
-	quant uint64
-
-	replayIdx    int
-	target       packet.ExecPoint
-	targetIsEnd  bool
-	targetActive bool
-
-	detected *core.DetectedError
-	done     bool
+	pkt  *packet.CheckPacket
+	e    *sim.Engine
+	task *sim.Task
 }
 
 // newRunner reconstructs the checker substrate from the packet: a
@@ -178,14 +170,7 @@ func newRunner(store *pagestore.Store, pkt *packet.CheckPacket) (*runner, error)
 		c.Handlers[proc.Signal(h.Sig)] = h.PC
 	}
 
-	return &runner{
-		pkt:   pkt,
-		e:     e,
-		c:     c,
-		task:  e.NewTask(c, m.BigCores()[0], 0),
-		skid:  cfg.SkidBuffer,
-		quant: cfg.Quantum,
-	}, nil
+	return &runner{pkt: pkt, e: e, task: e.NewTask(c, m.BigCores()[0], 0)}, nil
 }
 
 // rebuildAddressSpace reconstructs a checkpointed address space from page
@@ -233,341 +218,27 @@ func rebuildAddressSpace(store *pagestore.Store, pageSize uint64, st *packet.Sta
 	return as, nil
 }
 
-// fail latches the first detection; replay stops at the first divergence,
-// exactly as in-process detection terminates the application.
-func (r *runner) fail(kind core.ErrorKind, format string, args ...any) {
-	if r.detected == nil {
-		r.detected = &core.DetectedError{
-			Kind: kind, Segment: r.pkt.Segment, Detail: fmt.Sprintf(format, args...),
-		}
-	}
-	r.done = true
-}
-
-func (r *runner) failSig(sig proc.Signal, format string, args ...any) {
-	if r.detected == nil {
-		r.detected = &core.DetectedError{
-			Kind: core.ErrCheckerException, Segment: r.pkt.Segment, Sig: sig,
-			Detail: fmt.Sprintf(format, args...),
-		}
-	}
-	r.done = true
-}
-
-// nextEvent returns the next unconsumed log event, or nil.
-func (r *runner) nextEvent() *packet.Event {
-	if r.replayIdx >= len(r.pkt.Events) {
-		return nil
-	}
-	return &r.pkt.Events[r.replayIdx]
-}
-
-// run drives the replay to a verdict.
-func (r *runner) run() {
-	for !r.done {
-		r.step()
-	}
-}
-
-// step mirrors core's stepChecker against an always-sealed record.
-func (r *runner) step() {
-	r.ensureTarget()
-	if r.atTarget() {
-		r.reachedTarget()
-		return
-	}
-
-	// Same deliberate quantum offset as in-process checkers: budget stops
-	// must not align with the main's slicing positions, or the steering
-	// protocol never does its job.
-	stop := r.e.Run(r.task, r.quant+37)
-
-	if r.atTarget() {
-		r.reachedTarget()
-		return
-	}
-	switch stop.Reason {
-	case proc.StopBudget:
-		// keep going
-	case proc.StopSyscall:
-		r.replaySyscall()
-	case proc.StopNondet:
-		r.replayNondet()
-	case proc.StopSignal:
-		r.replayFault(stop.Sig)
-	case proc.StopCounter:
-		r.enterStepped()
-	case proc.StopBreakpoint:
-		rel := r.c.Branches
-		switch {
-		case r.atTarget():
-			r.reachedTarget()
-		case r.targetActive && rel > r.target.Branches:
-			r.fail(core.ErrExecPointOverrun,
-				"checker at %d branches, target %d", rel, r.target.Branches)
-		default:
-			// Same PC, earlier iteration: continue to the next hit.
-		}
-	case proc.StopInstrLimit:
-		r.fail(core.ErrCheckerTimeout,
-			"checker executed %d instructions, budget %d (main %d x %.2f)",
-			r.c.Instrs, r.c.InstrLimit, r.pkt.MainInstrs, r.pkt.Config.TimeoutScale)
-	case proc.StopHalt:
-		r.checkerHalted()
-	}
-}
-
-// ensureTarget mirrors core's steering: the next recorded external signal's
-// delivery point takes priority; otherwise the segment end point (unless
-// the segment ends with the program exiting, which the final replayed event
-// produces).
-func (r *runner) ensureTarget() {
-	var want packet.ExecPoint
-	var isEnd, active bool
-	if ev := r.nextEvent(); ev != nil && ev.Kind == packet.EvSignalExternal {
-		want, isEnd, active = ev.Signal.Point, false, true
-	} else if !r.pkt.EndIsExit {
-		want, isEnd, active = r.pkt.End, true, true
-	}
-	if !active {
-		if r.targetActive {
-			r.c.DisarmBranchCounter()
-			r.c.ClearAllBreakpoints()
-			r.targetActive = false
-		}
-		return
-	}
-	if r.targetActive && r.target == want && r.targetIsEnd == isEnd {
-		return // already armed at this target
-	}
-	r.target = want
-	r.targetIsEnd = isEnd
-	r.targetActive = true
-
-	c := r.c
-	c.DisarmBranchCounter()
-	c.ClearAllBreakpoints()
-	rel := c.Branches
-	if want.Branches > rel && want.Branches-rel > r.skid {
-		c.ArmBranchCounter(want.Branches - r.skid)
-	} else {
-		c.SetBreakpoint(want.PC)
-	}
-}
-
-// enterStepped switches from counting to breakpointing on the target PC.
-func (r *runner) enterStepped() {
-	r.c.DisarmBranchCounter()
-	r.c.SetBreakpoint(r.target.PC)
-}
-
-// atTarget reports whether the checker is exactly at the active target.
-func (r *runner) atTarget() bool {
-	return r.targetActive &&
-		r.c.Branches == r.target.Branches &&
-		r.c.PC == r.target.PC
-}
-
-// reachedTarget consumes the active target: deliver an external signal, or
-// finish the segment at its end point.
-func (r *runner) reachedTarget() {
-	if r.targetIsEnd {
-		if r.replayIdx < len(r.pkt.Events) {
-			r.fail(core.ErrEventOrderMismatch,
-				"checker reached segment end with %d unreplayed events",
-				len(r.pkt.Events)-r.replayIdx)
-			return
-		}
-		r.finishAtEnd()
-		return
-	}
-	ev := r.nextEvent()
-	r.replayIdx++
-	r.targetActive = false
-	r.c.DisarmBranchCounter()
-	r.c.ClearAllBreakpoints()
-	alive := r.c.DeliverSignal(proc.Signal(ev.Signal.Sig))
-	if ev.Signal.Fatal == alive {
-		r.failSig(proc.Signal(ev.Signal.Sig), "checker signal disposition differs from main's")
-		return
-	}
-	if !alive {
-		r.checkerHalted()
-	}
-}
-
-// replaySyscall validates the checker's syscall against the record and
-// applies the class-appropriate behaviour.
-func (r *runner) replaySyscall() {
-	c := r.c
-	ev := r.nextEvent()
-	if ev == nil {
-		r.fail(core.ErrSyscallMismatch,
-			"checker issued syscall %v past the end of the record", oskernel.Decode(c).Nr)
-		return
-	}
-	if ev.Kind != packet.EvSyscall {
-		r.fail(core.ErrEventOrderMismatch,
-			"checker at a syscall, record expects %v", eventKindString(ev.Kind))
-		return
-	}
-	rec := ev.Syscall
-	info := oskernel.Decode(c)
-	recInfo := oskernel.Info{Nr: oskernel.Sys(rec.Nr), Args: oskernel.Args(rec.Args)}
-	if info != recInfo {
-		r.fail(core.ErrSyscallMismatch,
-			"checker %v%v vs recorded %v%v", info.Nr, info.Args, recInfo.Nr, recInfo.Args)
-		return
-	}
-
-	model := oskernel.ModelOf(info.Nr)
-	chkIn := captureRegions(c, model.In(r.e.K, c, info.Args))
-	if !regionsEqual(chkIn, rec.In) {
-		r.fail(core.ErrSyscallMismatch, "%v input data differs", info.Nr)
-		return
-	}
-
-	r.replayIdx++
-
-	switch oskernel.Class(rec.Class) {
-	case oskernel.ClassLocal:
-		// Both sides execute; pin ASLR'd mmaps to the recorded address with
-		// MAP_FIXED. Only the kernel-visible arguments are rewritten — the
-		// architectural registers keep the original values.
-		if info.Nr == oskernel.SysMmap && rec.MmapFixedAddr != 0 {
-			info.Args[0] = rec.MmapFixedAddr
-			info.Args[3] |= oskernel.MapFixed
-		}
-		res := r.e.ExecSyscall(r.task, info)
-		if res.Ret != rec.Ret {
-			r.fail(core.ErrSyscallMismatch,
-				"%v local result %d differs from recorded %d", info.Nr, res.Ret, rec.Ret)
-			return
-		}
-		if res.Exited {
-			c.Exited = true
-			r.checkerHalted()
-			return
-		}
-		oskernel.Finish(c, res.Ret)
-		if res.SelfSignal != proc.SigNone {
-			if !c.DeliverSignal(res.SelfSignal) {
-				r.checkerHalted()
-			}
-		}
-
-	case oskernel.ClassGlobal, oskernel.ClassNonEffectful:
-		// Replay outputs and result without touching the OS, so the external
-		// effect happens exactly once.
-		if info.Nr == oskernel.SysExit {
-			c.Exited = true
-			c.ExitCode = int64(info.Args[0])
-			r.checkerHalted()
-			return
-		}
-		for _, out := range rec.Out {
-			if f := c.AS.Write(out.Addr, out.Data); f != nil {
-				r.fail(core.ErrSyscallMismatch,
-					"replaying %v output into checker faulted at %#x", info.Nr, f.Addr)
-				return
-			}
-		}
-		oskernel.ReplayFinish(c, rec.Ret)
-	}
-}
-
-// replayNondet feeds the recorded value of a nondeterministic instruction
-// to the checker.
-func (r *runner) replayNondet() {
-	c := r.c
-	ev := r.nextEvent()
-	if ev == nil {
-		r.fail(core.ErrEventOrderMismatch, "checker nondet instruction past end of record")
-		return
-	}
-	if ev.Kind != packet.EvNondet {
-		r.fail(core.ErrEventOrderMismatch,
-			"checker at nondet instruction, record expects %v", eventKindString(ev.Kind))
-		return
-	}
-	if ev.Nondet.PC != c.PC {
-		r.fail(core.ErrEventOrderMismatch,
-			"nondet at pc %d, recorded pc %d", c.PC, ev.Nondet.PC)
-		return
-	}
-	r.replayIdx++
-	ins := c.CurrentInstr()
-	c.Regs.X[ins.Rd] = ev.Nondet.Value
-	c.PC++
-	c.Instrs++
-}
-
-// replayFault checks a checker fault against the record: the main must have
-// taken the identical signal at the identical PC.
-func (r *runner) replayFault(sig proc.Signal) {
-	c := r.c
-	ev := r.nextEvent()
-	if ev == nil || ev.Kind != packet.EvSignalInternal ||
-		proc.Signal(ev.Signal.Sig) != sig || ev.Signal.PC != c.PC {
-		r.failSig(sig, "checker fault %v at pc %d diverges from record", sig, c.PC)
-		return
-	}
-	r.replayIdx++
-	alive := c.DeliverSignal(sig)
-	if ev.Signal.Fatal != !alive {
-		r.failSig(sig, "checker signal disposition differs from main's")
-		return
-	}
-	if !alive {
-		r.checkerHalted()
-	}
-}
-
-// checkerHalted handles the checker finishing execution (exit syscall,
-// halt, or fatal signal). For an exit-ending segment this is the expected
-// end; anywhere else it is a divergence.
-func (r *runner) checkerHalted() {
-	if !r.pkt.EndIsExit {
-		r.fail(core.ErrCheckerExited, "checker exited mid-segment")
-		return
-	}
-	if r.replayIdx < len(r.pkt.Events) {
-		r.fail(core.ErrEventOrderMismatch,
-			"checker exited with %d unreplayed events", len(r.pkt.Events)-r.replayIdx)
-		return
-	}
-	r.finishAtEnd()
-}
-
 // finishAtEnd runs the end-of-segment comparison: registers first (a
 // register mismatch wins over any memory mismatch, matching core), then the
 // PC, then the expected page hashes against the reconstructed checker's
 // full page set.
-func (r *runner) finishAtEnd() {
-	c := r.c
-	c.DisarmBranchCounter()
-	c.ClearAllBreakpoints()
-	r.done = true
-
+func (r *runner) finishAtEnd() *core.DetectedError {
+	c := r.task.P
 	if !r.pkt.Config.CompareStates {
-		return // RAFT model: no state comparison at segment ends
+		return nil // RAFT model: no state comparison at segment ends
+	}
+	mismatch := func(kind core.ErrorKind, format string, args ...any) *core.DetectedError {
+		return &core.DetectedError{Kind: kind, Segment: r.pkt.Segment, Detail: fmt.Sprintf(format, args...)}
 	}
 
 	ref := r.pkt.EndState.Regs.Regs()
 	if !c.Regs.Equal(&ref) {
-		r.detected = &core.DetectedError{
-			Kind: core.ErrRegMismatch, Segment: r.pkt.Segment,
-			Detail: fmt.Sprintf("registers differ at segment end (checker/checkpoint):%s",
-				c.Regs.Diff(&ref)),
-		}
-		return
+		return mismatch(core.ErrRegMismatch,
+			"registers differ at segment end (checker/checkpoint):%s", c.Regs.Diff(&ref))
 	}
 	if c.PC != r.pkt.EndState.PC {
-		r.detected = &core.DetectedError{
-			Kind: core.ErrRegMismatch, Segment: r.pkt.Segment,
-			Detail: fmt.Sprintf("pc %d differs from checkpoint pc %d", c.PC, r.pkt.EndState.PC),
-		}
-		return
+		return mismatch(core.ErrRegMismatch,
+			"pc %d differs from checkpoint pc %d", c.PC, r.pkt.EndState.PC)
 	}
 
 	expected := make([]compare.ExpectedPage, len(r.pkt.EndState.Pages))
@@ -577,63 +248,10 @@ func (r *runner) finishAtEnd() {
 	if m := compare.RunAgainstHashes(expected, c.AS, r.pkt.Config.HashSeed); m != nil {
 		switch m.Kind {
 		case compare.MismatchStructural:
-			r.detected = &core.DetectedError{
-				Kind: core.ErrStructuralMismatch, Segment: r.pkt.Segment,
-				Detail: fmt.Sprintf("page %#x mapped on only one side", m.VPN),
-			}
+			return mismatch(core.ErrStructuralMismatch, "page %#x mapped on only one side", m.VPN)
 		case compare.MismatchContent:
-			r.detected = &core.DetectedError{
-				Kind: core.ErrMemMismatch, Segment: r.pkt.Segment,
-				Detail: fmt.Sprintf("page %#x content hash differs", m.VPN),
-			}
+			return mismatch(core.ErrMemMismatch, "page %#x content hash differs", m.VPN)
 		}
 	}
-}
-
-// eventKindString names a wire event kind with the same strings core's
-// EventKind uses in detection details.
-func eventKindString(k uint8) string {
-	switch k {
-	case packet.EvSyscall:
-		return "syscall"
-	case packet.EvNondet:
-		return "nondet"
-	case packet.EvSignalInternal:
-		return "signal-internal"
-	case packet.EvSignalExternal:
-		return "signal-external"
-	}
-	return fmt.Sprintf("event(%d)", k)
-}
-
-// captureRegions snapshots guest memory regions (core's rrlog helper,
-// duplicated here to keep the wire types decoupled from core's).
-func captureRegions(p *proc.Process, regions []oskernel.Region) []packet.Region {
-	out := make([]packet.Region, 0, len(regions))
-	for _, reg := range regions {
-		buf := make([]byte, reg.Len)
-		if f := p.AS.Read(reg.Addr, buf); f != nil {
-			buf = nil
-		}
-		out = append(out, packet.Region{Addr: reg.Addr, Data: buf})
-	}
-	return out
-}
-
-// regionsEqual compares two captures byte-for-byte.
-func regionsEqual(a, b []packet.Region) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Addr != b[i].Addr || len(a[i].Data) != len(b[i].Data) {
-			return false
-		}
-		for j := range a[i].Data {
-			if a[i].Data[j] != b[i].Data[j] {
-				return false
-			}
-		}
-	}
-	return true
+	return nil
 }

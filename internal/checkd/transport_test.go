@@ -10,8 +10,10 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"parallaft/internal/packet"
+	"parallaft/internal/pagestore"
 )
 
 // startServer serves on a fresh Unix socket under the test's temp dir and
@@ -274,5 +276,50 @@ func TestSocketRejectsBadDigest(t *testing.T) {
 	}
 	if !strings.Contains(remote.Msg, "digest") {
 		t.Fatalf("remote error %q does not mention the digest", remote.Msg)
+	}
+}
+
+// TestSocketRejectsUnrunnablePackets: the same rejections end to end — an
+// 'E' frame naming the problem, with the daemon still serving afterwards.
+// The session is driven frame by frame: the rejection closes the connection,
+// so CheckOver's trailing 'D' write would race it for EPIPE.
+func TestSocketRejectsUnrunnablePackets(t *testing.T) {
+	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(120_000))
+	_, sock := startServer(t, Options{Workers: 1})
+	for name, bad := range unrunnablePackets(pkts) {
+		bad := bad
+		t.Run(name, func(t *testing.T) {
+			conn, err := net.Dial("unix", sock)
+			if err != nil {
+				t.Fatalf("dial: %v", err)
+			}
+			defer conn.Close()
+			// Chunks first, so nothing but the intake check stands between
+			// the packet and a worker.
+			store.Each(func(k pagestore.Key, data []byte) {
+				payload := binary.LittleEndian.AppendUint64(nil, uint64(k))
+				if err := WriteFrame(conn, FrameChunk, append(payload, data...)); err != nil {
+					t.Fatalf("send chunk: %v", err)
+				}
+			})
+			if err := WriteFrame(conn, FramePacket, packet.Encode(bad)); err != nil {
+				t.Fatalf("send packet: %v", err)
+			}
+			// A regression is a stuck worker and no frame at all.
+			conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+			typ, payload, err := ReadFrame(conn)
+			if err != nil || typ != FrameError || !strings.Contains(string(payload), "unrunnable packet") {
+				t.Fatalf("reply = %q %q, err %v; want an 'E' frame naming the unrunnable packet", typ, payload, err)
+			}
+		})
+	}
+	conn, err := net.Dial("unix", sock)
+	if err != nil {
+		t.Fatalf("dial after rejections: %v", err)
+	}
+	defer conn.Close()
+	verdicts, err := CheckOver(conn, store, pkts[:1])
+	if err != nil || len(verdicts) != 1 || !verdicts[0].OK {
+		t.Fatalf("healthy packet after rejections: verdicts=%v err=%v", verdicts, err)
 	}
 }

@@ -46,8 +46,8 @@ func TestLedgerReconcilesUnderRecovery(t *testing.T) {
 	ledger := profile.NewLedger()
 	cfg.Ledger = ledger
 	fired := false
-	cfg.CheckerHook = func(seg int, c *proc.Process, _ float64) {
-		if fired || seg < 1 {
+	cfg.ReplicaHook = func(seg, rep int, c *proc.Process, _ float64) {
+		if fired || seg < 1 || rep != 0 {
 			return
 		}
 		c.FlipRegisterBit(proc.GPRClass, 1, 0, 40)

@@ -35,10 +35,15 @@ func loopProgram(iters int64) *asm.Program {
 	return b.MustBuild()
 }
 
-// runWithHook runs the program under Parallaft with a checker hook.
+// runWithHook runs the program under Parallaft with a hook on replica 0 —
+// the single-fault model: under NMR the fault lands in exactly one replica.
 func runWithHook(t *testing.T, cfg Config, prog *asm.Program, hook func(int, *proc.Process, float64)) *RunStats {
 	t.Helper()
-	cfg.CheckerHook = hook
+	cfg.ReplicaHook = func(seg, rep int, c *proc.Process, elapsedNs float64) {
+		if rep == 0 {
+			hook(seg, c, elapsedNs)
+		}
+	}
 	e := newTestEngine(13)
 	rt := NewRuntime(e, cfg)
 	stats, err := rt.Run(prog)

@@ -3,12 +3,19 @@ package core
 import (
 	"sort"
 
+	"parallaft/internal/machine"
 	"parallaft/internal/mem"
+	"parallaft/internal/oskernel"
 	"parallaft/internal/packet"
 	"parallaft/internal/pagestore"
 	"parallaft/internal/proc"
+	"parallaft/internal/sim"
 	"parallaft/internal/telemetry"
 )
+
+// This file owns the core↔wire mapping: exportSegment/exportEvent turn a
+// sealed segment into a check packet, importEvent/ReplayPacket turn a packet
+// back into a record the replay engine runs.
 
 // PageHashSeed is the seed of the end-of-segment page hashes. Exported so
 // packet tooling can build pagestores whose keys share the comparison
@@ -46,18 +53,18 @@ func (r *Runtime) exportSegment(seg *Segment) error {
 		// Deterministic per-segment causal-trace ID: the same packet gets
 		// the same ID on every run, so trace goldens stay stable and remote
 		// checkers tag their spans onto the chain opened at seal time.
-		TraceID: telemetry.NewTraceID(r.main.Name, seg.Index),
-		Config:       cfg,
-		Benchmark:    r.stats.Benchmark,
-		ProgName:     r.main.Name,
-		Segment:      seg.Index,
-		End:          packet.ExecPoint{Branches: seg.End.Branches, PC: seg.End.PC},
-		EndIsExit:    seg.EndIsExit,
-		InstrLimit:   seg.chk().Checker.InstrLimit,
-		MainInstrs:   seg.MainInstrs,
-		CheckerPID:   seg.chk().Checker.PID,
-		PMUSeed:      r.e.L.PMUSeed(seg.chk().Checker.PID),
-		MaxSkid:      int(seg.chk().Checker.MaxSkid()),
+		TraceID:    telemetry.NewTraceID(r.main.Name, seg.Index),
+		Config:     cfg,
+		Benchmark:  r.stats.Benchmark,
+		ProgName:   r.main.Name,
+		Segment:    seg.Index,
+		End:        packet.ExecPoint(seg.End),
+		EndIsExit:  seg.EndIsExit,
+		InstrLimit: seg.chk().Checker.InstrLimit,
+		MainInstrs: seg.MainInstrs,
+		CheckerPID: seg.chk().Checker.PID,
+		PMUSeed:    r.e.L.PMUSeed(seg.chk().Checker.PID),
+		MaxSkid:    int(seg.chk().Checker.MaxSkid()),
 		// Program text is content-addressed like any page: interning it
 		// per segment costs one hash and dedups to a single stored copy.
 		CodeKey: exp.Store.Put(packet.EncodeCode(r.main.Code)),
@@ -135,9 +142,9 @@ func exportEvent(ev *Event) packet.Event {
 			Nr:            uint16(rec.Info.Nr),
 			Args:          rec.Info.Args,
 			Class:         uint8(rec.Class),
-			In:            exportRegions(rec.In),
+			In:            rec.In,
 			Ret:           rec.Ret,
-			Out:           exportRegions(rec.Out),
+			Out:           rec.Out,
 			MmapFixedAddr: rec.MmapFixedAddr,
 		}
 	case EvNondet:
@@ -147,20 +154,88 @@ func exportEvent(ev *Event) packet.Event {
 		out.Signal = &packet.SignalEvent{
 			Sig:   uint8(rec.Sig),
 			PC:    rec.PC,
-			Point: packet.ExecPoint{Branches: rec.Point.Branches, PC: rec.Point.PC},
+			Point: packet.ExecPoint(rec.Point),
 			Fatal: rec.Fatal,
 		}
 	}
 	return out
 }
 
-func exportRegions(rs []RegionData) []packet.Region {
-	if len(rs) == 0 {
-		return nil
-	}
-	out := make([]packet.Region, 0, len(rs))
-	for _, r := range rs {
-		out = append(out, packet.Region{Addr: r.Addr, Data: r.Data})
+// importEvent is exportEvent's inverse: one wire entry back to rrlog form.
+func importEvent(ev *packet.Event) Event {
+	out := Event{Kind: EventKind(ev.Kind)}
+	switch out.Kind {
+	case EvSyscall:
+		rec := ev.Syscall
+		out.Syscall = &SyscallRecord{
+			Info:          oskernel.Info{Nr: oskernel.Sys(rec.Nr), Args: rec.Args},
+			Class:         oskernel.Class(rec.Class),
+			In:            rec.In,
+			Ret:           rec.Ret,
+			Out:           rec.Out,
+			MmapFixedAddr: rec.MmapFixedAddr,
+		}
+	case EvNondet:
+		out.Nondet = &NondetRecord{PC: ev.Nondet.PC, Value: ev.Nondet.Value}
+	case EvSignalInternal, EvSignalExternal:
+		rec := ev.Signal
+		out.Signal = &SignalRecord{
+			Sig:   proc.Signal(rec.Sig),
+			PC:    rec.PC,
+			Point: ExecPoint(rec.Point),
+			Fatal: rec.Fatal,
+		}
 	}
 	return out
+}
+
+// packetHost is the replay host of a packet re-check: it latches the first
+// divergence. Tracer work costs a daemon nothing — its verdict is the whole
+// product, and its simulated books (the per-verdict ledger slice) hold guest
+// execution only.
+type packetHost struct{ detected *DetectedError }
+
+func (h *packetHost) charge(machine.Activity, float64) {}
+func (h *packetHost) reached()                         {}
+func (h *packetHost) diverged(d *DetectedError) {
+	if h.detected == nil {
+		h.detected = d
+	}
+}
+
+// ReplayPacket drives task — a checker substrate the caller rebuilt from
+// pkt's start state — through the packet's record with the in-process replay
+// engine. It returns nil once the checker stands at the recorded segment end
+// with every event replayed (the end-state comparison is the caller's), or
+// the divergence exactly as the in-process runtime words it. A packet's
+// record is complete by construction, so the engine's wait-for-the-main
+// states are never entered.
+func ReplayPacket(e *sim.Engine, task *sim.Task, pkt *packet.CheckPacket) *DetectedError {
+	cfg := Config{
+		Quantum:      pkt.Config.Quantum,
+		SkidBuffer:   pkt.Config.SkidBuffer,
+		TimeoutScale: pkt.Config.TimeoutScale,
+	}
+	seg := Segment{
+		Index:      pkt.Segment,
+		End:        ExecPoint(pkt.End),
+		EndIsExit:  pkt.EndIsExit,
+		MainInstrs: pkt.MainInstrs,
+		sealed:     true,
+	}
+	seg.Log.Events = make([]Event, len(pkt.Events))
+	for i := range pkt.Events {
+		seg.Log.Events[i] = importEvent(&pkt.Events[i])
+	}
+	var h packetHost
+	en := replayEngine{host: &h, cfg: &cfg, e: e, seg: &seg,
+		Checker: task.P, Task: task, skid: cfg.SkidBuffer}
+	for h.detected == nil && en.phase != phaseReached {
+		if en.begin() {
+			continue
+		}
+		// Same deliberate quantum offset as in-process checkers (stepChecker).
+		en.handleStop(e.Run(task, cfg.Quantum+37))
+	}
+	return h.detected
 }

@@ -154,7 +154,7 @@ func (r *Runtime) checkerAheadOfMain(rep *replica) bool {
 	}
 	mainRel := r.main.Branches - rep.seg.mainStartBranches
 	margin := uint64(r.cfg.Quantum) // conservative: one quantum of branches
-	return rep.relBranches()+margin >= mainRel
+	return rep.Checker.Branches+margin >= mainRel
 }
 
 // stepMain dispatches the main process for one quantum and handles its stop.
@@ -234,7 +234,7 @@ func (r *Runtime) startSegmentWith(cp *checkpoint) {
 			name = fmt.Sprintf("checker%d.%d", seg.Index, i)
 		}
 		r.chargeSysMain(machine.ActFork, r.cfg.ForkBaseNs+float64(r.main.AS.PageCount())*r.cfg.ForkPerPageNs)
-		rep := &replica{seg: seg, idx: i, Checker: r.e.L.Fork(r.main, name)}
+		rep := r.newReplica(seg, i, r.e.L.Fork(r.main, name))
 		rep.Checker.AS.ClearSoftDirty()
 		rep.forkNs = r.mainTask.Clock
 		r.applyDiversity(rep)
@@ -344,12 +344,15 @@ func (r *Runtime) onSeal(seg *Segment) {
 		limit = 64
 	}
 	for _, rep := range seg.Replicas {
+		// Budgeted even when already terminal (an NMR replica that dissented
+		// before the seal): replica 0's limit is what an exported packet
+		// carries, and a packet without one is unrunnable.
+		rep.Checker.InstrLimit = rep.checkerInstrs + limit
 		if rep.terminal() {
 			continue
 		}
-		rep.Checker.InstrLimit = rep.checkerInstrs + limit
 		rep.waiting = false
-		r.ensureTarget(rep)
+		rep.ensureTarget()
 	}
 
 	if r.cfg.Tracer != nil && !seg.arb {

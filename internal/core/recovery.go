@@ -138,7 +138,7 @@ func (r *Runtime) arbitrate(seg *Segment) arbVerdict {
 		arb:        true,
 		pos:        -1, // never on the live list
 	}
-	ref := &replica{seg: shadow, Checker: referee, skid: r.cfg.SkidBuffer}
+	ref := r.newReplica(shadow, 0, referee)
 	shadow.Replicas = []*replica{ref}
 	// Run on a big core at the current wall position; arbitration is rare
 	// and latency matters more than energy here.

@@ -375,11 +375,11 @@ func TestExternalSignalDeliveredAtExecPoint(t *testing.T) {
 	// Inject the signal once the main is some way in: hook into the
 	// checker path is not available for main-side timing, so use the
 	// public API between construction and Run via a goroutine-free trick:
-	// wrap Run by injecting from a CheckerHook the first time any checker
+	// wrap Run by injecting from a ReplicaHook the first time any checker
 	// runs (the main is mid-execution by construction then).
 	injected := false
 	cfg2 := cfg
-	cfg2.CheckerHook = func(int, *proc.Process, float64) {
+	cfg2.ReplicaHook = func(int, int, *proc.Process, float64) {
 		if !injected {
 			injected = true
 			rt.InjectExternalSignal(proc.SIGUSR1)

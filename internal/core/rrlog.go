@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 
 	"parallaft/internal/oskernel"
+	"parallaft/internal/packet"
 	"parallaft/internal/proc"
 )
 
@@ -56,11 +58,9 @@ func (k EventKind) String() string {
 	return fmt.Sprintf("event(%d)", uint8(k))
 }
 
-// RegionData is captured guest memory.
-type RegionData struct {
-	Addr uint64
-	Data []byte
-}
+// RegionData is captured guest memory. It is the wire type itself, so a
+// record's captures cross into a check packet and back without copying.
+type RegionData = packet.Region
 
 // SyscallRecord captures one syscall made by the main process.
 type SyscallRecord struct {
@@ -151,13 +151,8 @@ func regionsEqual(a, b []RegionData) bool {
 		return false
 	}
 	for i := range a {
-		if a[i].Addr != b[i].Addr || len(a[i].Data) != len(b[i].Data) {
+		if a[i].Addr != b[i].Addr || !bytes.Equal(a[i].Data, b[i].Data) {
 			return false
-		}
-		for j := range a[i].Data {
-			if a[i].Data[j] != b[i].Data[j] {
-				return false
-			}
 		}
 	}
 	return true

@@ -99,17 +99,12 @@ type Config struct {
 	// every experiment output are identical for any value.
 	CompareWorkers int
 
-	// CheckerHook, when set, is invoked before every dispatch of replica 0
-	// with the segment index, the checker process, and the checker's
-	// elapsed segment time. The fault injector uses it to flip register
-	// bits at a chosen instant (§5.6). Only the first replica fires the
-	// hook, so a single-checker injector keeps its exact semantics under
-	// NMR (the injected SEU lands in one replica); use ReplicaHook to
-	// observe every replica. Arbitration referees are exempt.
-	CheckerHook func(segment int, checker *proc.Process, elapsedNs float64)
-	// ReplicaHook is the replica-aware counterpart of CheckerHook: it is
-	// invoked before every dispatch of every checker replica, carrying the
-	// replica index. Both hooks may be set; CheckerHook fires first.
+	// ReplicaHook, when set, is invoked before every dispatch of every
+	// checker replica with the segment index, the replica index, the checker
+	// process, and the checker's elapsed segment time. The fault injector
+	// uses it to flip register bits at a chosen instant (§5.6); a
+	// single-checker injector guards on replica == 0 so that under NMR the
+	// injected SEU lands in one replica. Arbitration referees are exempt.
 	ReplicaHook func(segment, replica int, checker *proc.Process, elapsedNs float64)
 	// MainHook is the main-process counterpart, used to model faults in
 	// the main execution for the recovery experiments.
@@ -286,40 +281,21 @@ type checkpoint struct {
 	refs int
 }
 
-type checkerPhase uint8
-
-const (
-	phaseEvents  checkerPhase = iota // consuming recorded events; end unknown or far
-	phaseCounted                     // branch counter armed toward target-skid
-	phaseStepped                     // breakpoint at target PC, checking counts
-	phaseReached                     // at the end point, awaiting comparison
-)
-
-// replica is one checker replica's replay state. The paper's design has
-// exactly one per segment; under NMR (Config.Checkers > 1) each segment
-// carries a replica set and the segment verdict is decided by majority vote
-// over the replicas plus the end checkpoint.
+// replica is one checker replica: its replay engine (replay.go) plus the
+// in-process runtime's books about it. The paper's design has exactly one
+// per segment; under NMR (Config.Checkers > 1) each segment carries a
+// replica set and the segment verdict is decided by majority vote over the
+// replicas plus the end checkpoint.
 type replica struct {
-	seg *Segment
+	replayEngine
 	idx int
-
-	Checker *proc.Process
-	Task    *sim.Task
-
-	// End-point steering state (§4.2.2).
-	replayIdx    int
-	phase        checkerPhase
-	target       ExecPoint // active steering target (signal point or segment end)
-	targetIsEnd  bool
-	targetActive bool
 
 	forkNs  float64 // when the checker was forked (main clock)
 	startNs float64 // when the checker began executing
 	doneNs  float64 // when the checker reached the end point (or failed)
 
-	queued  bool
-	waiting bool // waiting for the main to record more events
-	onBig   bool
+	queued bool
+	onBig  bool
 
 	littleNs      float64
 	bigNs         float64
@@ -331,14 +307,11 @@ type replica struct {
 	// replica becomes a dissenting voter instead of terminating the run.
 	failed *DetectedError
 
-	// Diversity substrate (per-replica; defaults match the config).
-	skid       uint64 // effective skid buffer
+	// Diversity substrate (per-replica; defaults match the config). The
+	// effective skid buffer is the engine's skid.
 	quantumOff uint64 // dispatch-quantum offset
 	preferBig  bool   // placement prefers a big core
 }
-
-// relBranches reports the replica's segment-relative branch count.
-func (rep *replica) relBranches() uint64 { return rep.Checker.Branches }
 
 // terminal reports whether the replica has nothing left to execute: it
 // reached the segment end point, or it failed replay (NMR dissent).
@@ -650,7 +623,6 @@ func ValidateDiversity(presets []string) error {
 // warmth); the replayed instruction stream and the voted end state are
 // substrate-independent, which is what makes diverse replicas comparable.
 func (r *Runtime) applyDiversity(rep *replica) {
-	rep.skid = r.cfg.SkidBuffer
 	if len(r.cfg.Diversity) == 0 {
 		return
 	}
@@ -680,33 +652,11 @@ func (r *Runtime) chargeRuntimeMain(act machine.Activity, ns float64) {
 	r.stats.RuntimeNs += ns
 }
 
-// chargeRuntimeChecker charges tracer work to a checker replica's clock. An
-// arbitration referee's work is recovery machinery, whatever its mechanism.
-func (r *Runtime) chargeRuntimeChecker(rep *replica, act machine.Activity, ns float64) {
-	if rep.Task == nil {
-		return
-	}
-	if rep.seg.arb {
-		act = machine.ActRecovery
-	}
-	prev := rep.Task.Core.SetActivity(act)
-	r.e.ChargeRuntime(rep.Task, ns)
-	rep.Task.Core.SetActivity(prev)
-}
-
 // chargeSysMain charges classed system time (fork costs) to the main.
 func (r *Runtime) chargeSysMain(act machine.Activity, ns float64) {
 	prev := r.mainTask.Core.SetActivity(act)
 	r.e.ChargeSys(r.mainTask, ns)
 	r.mainTask.Core.SetActivity(prev)
-}
-
-// guestClass is the activity a replica's own guest execution is charged to.
-func guestClass(rep *replica) machine.Activity {
-	if rep.seg.arb {
-		return machine.ActRecovery
-	}
-	return machine.ActGuestChecker
 }
 
 // attachSampler gives p the run profiler's sampler for the named actor;
@@ -719,7 +669,12 @@ func (r *Runtime) attachSampler(p *proc.Process, name string) {
 }
 
 func (r *Runtime) fail(seg int, kind ErrorKind, format string, args ...any) {
-	d := &DetectedError{Kind: kind, Segment: seg, Detail: fmt.Sprintf(format, args...)}
+	r.detect(&DetectedError{Kind: kind, Segment: seg, Detail: fmt.Sprintf(format, args...)})
+}
+
+// detect latches d as the run's first detection — or, while arbitrating, as
+// the referee's verdict, which is not a detection.
+func (r *Runtime) detect(d *DetectedError) {
 	if r.arbitrating {
 		if r.arbErr == nil {
 			r.arbErr = d
@@ -729,48 +684,11 @@ func (r *Runtime) fail(seg int, kind ErrorKind, format string, args ...any) {
 	if r.detected == nil {
 		r.detected = d
 		r.tm.detections.Inc()
-		r.cfg.Trace.Emit(r.mainTask.Clock, trace.Detect, d.Segment, "%s: %s", d.Kind, d.Detail)
-	}
-}
-
-func (r *Runtime) failSig(seg int, sig proc.Signal, format string, args ...any) {
-	d := &DetectedError{Kind: ErrCheckerException, Segment: seg, Sig: sig,
-		Detail: fmt.Sprintf(format, args...)}
-	if r.arbitrating {
-		if r.arbErr == nil {
-			r.arbErr = d
+		// Checker exceptions have never been traced; -trace output is pinned.
+		if d.Kind != ErrCheckerException {
+			r.cfg.Trace.Emit(r.mainTask.Clock, trace.Detect, d.Segment, "%s: %s", d.Kind, d.Detail)
 		}
-		return
 	}
-	if r.detected == nil {
-		r.detected = d
-		r.tm.detections.Inc()
-	}
-}
-
-// replicaFail records a replay divergence for one replica. With a single
-// replica (the paper's design, and arbitration referees) this is exactly
-// the global detection path; under NMR the replica becomes a dissenting
-// voter instead — the segment's verdict waits for the majority vote.
-func (r *Runtime) replicaFail(rep *replica, kind ErrorKind, format string, args ...any) {
-	seg := rep.seg
-	if seg.arb || len(seg.Replicas) <= 1 {
-		r.fail(seg.Index, kind, format, args...)
-		return
-	}
-	r.markDissent(rep, &DetectedError{Kind: kind, Segment: seg.Index,
-		Detail: fmt.Sprintf(format, args...)})
-}
-
-// replicaFailSig is the signal-carrying counterpart of replicaFail.
-func (r *Runtime) replicaFailSig(rep *replica, sig proc.Signal, format string, args ...any) {
-	seg := rep.seg
-	if seg.arb || len(seg.Replicas) <= 1 {
-		r.failSig(seg.Index, sig, format, args...)
-		return
-	}
-	r.markDissent(rep, &DetectedError{Kind: ErrCheckerException, Segment: seg.Index,
-		Sig: sig, Detail: fmt.Sprintf(format, args...)})
 }
 
 // markDissent retires a diverged NMR replica as a dissenting voter: it is

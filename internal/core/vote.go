@@ -169,11 +169,8 @@ func (r *Runtime) voteSegment(seg *Segment) {
 func (r *Runtime) voteDetect(seg *Segment, vres *compare.VoteResult) {
 	for _, rep := range seg.Replicas {
 		if d := rep.failed; d != nil {
-			if d.Kind == ErrCheckerException {
-				r.failSig(seg.Index, d.Sig, "replica %d: %s", rep.idx, d.Detail)
-			} else {
-				r.fail(seg.Index, d.Kind, "replica %d: %s", rep.idx, d.Detail)
-			}
+			r.detect(&DetectedError{Kind: d.Kind, Segment: seg.Index, Sig: d.Sig,
+				Detail: fmt.Sprintf("replica %d: %s", rep.idx, d.Detail)})
 			return
 		}
 	}

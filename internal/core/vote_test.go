@@ -56,7 +56,7 @@ func TestNMRVoteAbsorbsCheckerSEU(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// CheckerHook fires only for replica 0: the SEU lands in exactly one
+	// runWithHook fires only for replica 0: the SEU lands in exactly one
 	// replica, the single-fault model.
 	stats := runWithHook(t, nmrConfig(), prog,
 		onceInSegment(1, func(c *proc.Process) {
@@ -227,14 +227,11 @@ func TestNMRNoQuorumArbitratedWithRecovery(t *testing.T) {
 	}
 }
 
-// TestNMRHookReplicaIndices pins the hook compatibility contract:
-// CheckerHook (the legacy single-checker signature) fires only for replica
-// 0, ReplicaHook fires for every replica with its index.
+// TestNMRHookReplicaIndices pins the hook contract: ReplicaHook fires for
+// every replica with its index.
 func TestNMRHookReplicaIndices(t *testing.T) {
 	cfg := nmrConfig()
-	checkerHookCalls := 0
 	replicaCalls := map[int]int{}
-	cfg.CheckerHook = func(seg int, c *proc.Process, _ float64) { checkerHookCalls++ }
 	cfg.ReplicaHook = func(seg, rep int, c *proc.Process, _ float64) { replicaCalls[rep]++ }
 	e := newTestEngine(13)
 	rt := NewRuntime(e, cfg)
@@ -248,10 +245,6 @@ func TestNMRHookReplicaIndices(t *testing.T) {
 	}
 	if len(replicaCalls) != 3 {
 		t.Errorf("ReplicaHook saw indices %v, want exactly {0,1,2}", replicaCalls)
-	}
-	if checkerHookCalls != replicaCalls[0] {
-		t.Errorf("CheckerHook fired %d times, replica 0 dispatched %d times — the legacy hook must track replica 0 exactly",
-			checkerHookCalls, replicaCalls[0])
 	}
 }
 

@@ -238,8 +238,8 @@ func (c *Campaign) runOne(segment int, atNs float64, target Target, prof *core.R
 
 	landed := false
 	cfg := c.Config
-	cfg.CheckerHook = func(segIdx int, checker *proc.Process, elapsed float64) {
-		if landed || segIdx != segment || elapsed < atNs {
+	cfg.ReplicaHook = func(segIdx, rep int, checker *proc.Process, elapsed float64) {
+		if landed || rep != 0 || segIdx != segment || elapsed < atNs {
 			return
 		}
 		checker.FlipRegisterBit(target.Class, target.Index, target.Lane, target.Bit)

@@ -186,7 +186,7 @@ func TestCampaignRejectsPhantomConfig(t *testing.T) {
 	// campaign at the profile stage rather than report garbage.
 	cfg := core.DefaultConfig()
 	cfg.SlicePeriodCycles = 150_000
-	cfg.CheckerHook = func(_ int, c *proc.Process, _ float64) {
+	cfg.ReplicaHook = func(_, _ int, c *proc.Process, _ float64) {
 		c.Regs.X[1] ^= 1 // sabotage the profile run itself
 	}
 	camp := &Campaign{NewEngine: newEngine, Program: testProgram(), Config: cfg, Seed: 1}

@@ -93,7 +93,7 @@ func TestDetectsSyscallVisibleError(t *testing.T) {
 	msg := p.Symbols["msg"]
 	cfg := Config()
 	fired := false
-	cfg.CheckerHook = func(_ int, c *proc.Process, _ float64) {
+	cfg.ReplicaHook = func(_, _ int, c *proc.Process, _ float64) {
 		if fired {
 			return
 		}
@@ -117,7 +117,7 @@ func TestDetectsSyscallVisibleError(t *testing.T) {
 func TestMissesSyscallInvisibleError(t *testing.T) {
 	cfg := Config()
 	fired := false
-	cfg.CheckerHook = func(_ int, c *proc.Process, _ float64) {
+	cfg.ReplicaHook = func(_, _ int, c *proc.Process, _ float64) {
 		if fired {
 			return
 		}

@@ -71,10 +71,10 @@ func (r *Runner) RunNMR() ([]NMRRow, error) {
 	scenarios := []scenario{
 		{"clean", func(*core.Config) {}},
 		{"checker-seu", func(cfg *core.Config) {
-			// CheckerHook fires only for replica 0: the single-fault model.
+			// Replica 0 only: the single-fault model.
 			fired := false
-			cfg.CheckerHook = func(seg int, c *proc.Process, _ float64) {
-				if fired || seg < 1 {
+			cfg.ReplicaHook = func(seg, rep int, c *proc.Process, _ float64) {
+				if fired || seg < 1 || rep != 0 {
 					return
 				}
 				c.FlipRegisterBit(proc.GPRClass, 8, 0, 17)

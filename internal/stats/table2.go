@@ -85,10 +85,10 @@ func (r *Runner) RunTable2() (*Table2Result, error) {
 	res := &Table2Result{ParallaftSilentSegment: -1}
 
 	// silentHook flips a bit in x8 once the checker is past the write.
-	silentHook := func() func(int, *proc.Process, float64) {
+	silentHook := func() func(int, int, *proc.Process, float64) {
 		done := false
-		return func(_ int, c *proc.Process, _ float64) {
-			if done || c.PC < postwrite {
+		return func(_, rep int, c *proc.Process, _ float64) {
+			if done || rep != 0 || c.PC < postwrite {
 				return
 			}
 			c.FlipRegisterBit(proc.GPRClass, 8, 0, 17)
@@ -96,10 +96,10 @@ func (r *Runner) RunTable2() (*Table2Result, error) {
 		}
 	}
 	// syscallHook corrupts the message buffer before the checker's write.
-	syscallHook := func() func(int, *proc.Process, float64) {
+	syscallHook := func() func(int, int, *proc.Process, float64) {
 		done := false
-		return func(_ int, c *proc.Process, _ float64) {
-			if done {
+		return func(_, rep int, c *proc.Process, _ float64) {
+			if done || rep != 0 {
 				return
 			}
 			addr := prog.Symbols["msg"]
@@ -115,7 +115,7 @@ func (r *Runner) RunTable2() (*Table2Result, error) {
 	}
 
 	type scenario struct {
-		hook     func() func(int, *proc.Process, float64)
+		hook     func() func(int, int, *proc.Process, float64)
 		raftMode bool
 	}
 	scenarios := []scenario{
@@ -140,7 +140,7 @@ func (r *Runner) RunTable2() (*Table2Result, error) {
 		if r.ConfigTweak != nil {
 			r.ConfigTweak(&cfg)
 		}
-		cfg.CheckerHook = sc.hook()
+		cfg.ReplicaHook = sc.hook()
 		e := r.newEngine()
 		rt := core.NewRuntime(e, cfg)
 		stats, err := rt.Run(prog)
