@@ -77,10 +77,12 @@ profile-golden:
 	$(GO) test ./cmd/parallaft -run 'TestProfileGolden'
 	$(GO) test ./internal/core ./internal/stats -run 'Reconcile' -short
 
-# Race-enabled kill/restart soak of the farm dispatcher: repeated node
-# crashes and rejoins mid-campaign with exactly-once, in-order verdicts.
+# Race-enabled soak of the offload path, daemon and dispatcher: every checkd
+# and checkfarm test ten times over, the kill/restart/rejoin campaigns with
+# their exactly-once, in-order verdicts included. It has to stay green beside
+# a CPU hog; a test that passes only on an idle box is a bug in the test.
 farm-soak:
-	$(GO) test -race ./internal/checkfarm -run 'TestFarmSoak' -count 5
+	$(GO) test -race -count=10 -timeout 30m ./internal/checkd ./internal/checkfarm
 
 # Short fuzz of the check-packet codec: Decode must never panic, and every
 # accepted input must re-encode byte-identically (canonical wire format).
@@ -103,12 +105,13 @@ bench:
 bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-# Zero-allocation pins for the hot paths (interpreter dispatch, the
-# steady-state comparator, and tracing's disabled path). Run without -race:
+# Allocation pins for the hot paths: zero for interpreter dispatch, the
+# steady-state comparator and tracing's disabled path, and no page-sized
+# buffers in a warm checkd worker's start-state rebuild. Run without -race:
 # the detector's own instrumentation allocates, so the guard tests carry a
 # !race build tag.
 alloc-guard:
-	$(GO) test ./internal/proc ./internal/compare ./internal/telemetry ./internal/telemetry/profile -run 'AllocFree' -v
+	$(GO) test ./internal/proc ./internal/compare ./internal/checkd ./internal/telemetry ./internal/telemetry/profile -run 'AllocFree' -v
 
 # The tracked size figure (ROADMAP: it should go down): non-test Go lines
 # outside benchmark/, which is counted on its own.

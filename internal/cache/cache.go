@@ -54,15 +54,20 @@ type Geometry struct {
 // SizeBytes returns the cache capacity for a given line size.
 func (g Geometry) SizeBytes(lineSize int) int { return g.Sets * g.Ways * lineSize }
 
+// A line is valid iff its gen equals its cache's: invalidating one line
+// writes gen 0 (never a live generation), invalidating all of them bumps the
+// cache's generation — the trick mem's TLB uses, so a reset costs no memclr
+// of the tag array.
 type line struct {
-	tag   uint64 // (asid << 40) | lineAddr — see key()
-	valid bool
-	lru   uint64
+	tag uint64 // (asid << 40) | lineAddr — see key()
+	gen uint32
+	lru uint64
 }
 
 type setAssoc struct {
 	geom  Geometry
 	lines []line // Sets*Ways, set-major
+	gen   uint32 // current generation, never 0
 	clock uint64
 	mask  uint64
 
@@ -89,6 +94,7 @@ func newSetAssoc(g Geometry) *setAssoc {
 	return &setAssoc{
 		geom:  g,
 		lines: make([]line, g.Sets*g.Ways),
+		gen:   1,
 		mask:  uint64(g.Sets - 1),
 		mru:   make([]uint16, g.Sets),
 	}
@@ -111,7 +117,7 @@ func (c *setAssoc) countLine(asid uint64, d int32) {
 func (c *setAssoc) fastHit(tag uint64) bool {
 	setIdx := int(tag & c.mask)
 	w := &c.lines[setIdx*c.geom.Ways+int(c.mru[setIdx])]
-	if w.valid && w.tag == tag {
+	if w.gen == c.gen && w.tag == tag {
 		c.clock++
 		w.lru = c.clock
 		c.hits++
@@ -123,11 +129,12 @@ func (c *setAssoc) fastHit(tag uint64) bool {
 // access probes the cache and fills on miss; returns true on hit.
 func (c *setAssoc) access(tag uint64) bool {
 	c.clock++
+	gen := c.gen
 	setIdx := int(tag & c.mask)
 	set := setIdx * c.geom.Ways
 	ways := c.lines[set : set+c.geom.Ways]
 	if m := c.mru[setIdx]; int(m) < len(ways) {
-		if w := &ways[m]; w.valid && w.tag == tag {
+		if w := &ways[m]; w.gen == gen && w.tag == tag {
 			w.lru = c.clock
 			c.hits++
 			return true
@@ -136,13 +143,14 @@ func (c *setAssoc) access(tag uint64) bool {
 	victim := 0
 	var victimLRU uint64 = ^uint64(0)
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		valid := ways[i].gen == gen
+		if valid && ways[i].tag == tag {
 			ways[i].lru = c.clock
 			c.hits++
 			c.mru[setIdx] = uint16(i)
 			return true
 		}
-		if !ways[i].valid {
+		if !valid {
 			victim = i
 			victimLRU = 0
 		} else if ways[i].lru < victimLRU {
@@ -150,10 +158,10 @@ func (c *setAssoc) access(tag uint64) bool {
 			victimLRU = ways[i].lru
 		}
 	}
-	if v := &ways[victim]; v.valid {
+	if v := &ways[victim]; v.gen == gen {
 		c.countLine(v.tag>>asidShift, -1)
 	}
-	ways[victim] = line{tag: tag, valid: true, lru: c.clock}
+	ways[victim] = line{tag: tag, gen: gen, lru: c.clock}
 	c.mru[setIdx] = uint16(victim)
 	c.countLine(tag>>asidShift, 1)
 	c.misses++
@@ -173,8 +181,8 @@ func (c *setAssoc) flush(asid uint64) {
 		return
 	}
 	for i := range c.lines {
-		if c.lines[i].valid && c.lines[i].tag>>asidShift == asid {
-			c.lines[i].valid = false
+		if c.lines[i].gen == c.gen && c.lines[i].tag>>asidShift == asid {
+			c.lines[i].gen = 0
 			remaining--
 			if remaining == 0 {
 				break
@@ -182,6 +190,22 @@ func (c *setAssoc) flush(asid uint64) {
 		}
 	}
 	c.asidLines[asid] = 0
+}
+
+// reset invalidates every line by generation and clears the small side
+// arrays, the LRU clock and the counters: the next access sequence hits,
+// misses and evicts exactly as on a new cache.
+func (c *setAssoc) reset() {
+	c.gen++
+	if c.gen == 0 {
+		// Generation counter wrapped: hard-clear so lines filled under an
+		// ancient generation cannot come back to life.
+		clear(c.lines)
+		c.gen = 1
+	}
+	clear(c.mru)
+	clear(c.asidLines)
+	c.clock, c.hits, c.misses = 0, 0, 0
 }
 
 // Config describes the whole hierarchy.
@@ -343,6 +367,19 @@ func (h *Hierarchy) ResetStats() {
 	for i := range h.stats {
 		h.stats[i] = LevelStats{}
 	}
+}
+
+// Reset leaves the hierarchy indistinguishable from a newly built one without
+// paying New's allocation and clearing of the tag arrays again: what a
+// long-lived owner calls between runs.
+func (h *Hierarchy) Reset() {
+	for _, c := range h.l1 {
+		c.reset()
+	}
+	for _, c := range h.l2 {
+		c.reset()
+	}
+	h.ResetStats()
 }
 
 // LineSize returns the configured line size in bytes.

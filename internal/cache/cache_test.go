@@ -190,3 +190,109 @@ func TestWorkingSetBehaviourMatchesCapacity(t *testing.T) {
 		t.Errorf("little core should hit L1 less: %v vs %v", littleL1, bigL1)
 	}
 }
+
+// driveTrace runs a seeded pseudo-random access trace — a few ASIDs over a
+// working set a little larger than the L2s, both cores, single accesses and
+// line-straddling ranges, an ASID flush now and then — and returns the level
+// every access was satisfied at.
+func driveTrace(h *Hierarchy, seed uint64, n int) []Level {
+	out := make([]Level, 0, n)
+	x := seed
+	next := func() uint64 { // xorshift64
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		return x
+	}
+	for i := 0; i < n; i++ {
+		r := next()
+		core := int(r & 1)
+		asid := 1 + (r>>1)%3
+		addr := (r >> 8) % (16 * 1024)
+		switch {
+		case r>>60 == 0:
+			h.FlushASID(asid)
+		case r>>59&1 == 0:
+			out = append(out, h.Access(core, asid, addr))
+		default:
+			out = append(out, h.AccessRange(core, asid, addr, 16))
+		}
+	}
+	return out
+}
+
+func allCaches(h *Hierarchy) []*setAssoc {
+	return append(append([]*setAssoc(nil), h.l1...), h.l2...)
+}
+
+// TestResetEqualsNew: a hierarchy that has been used and Reset must decide
+// every hit, miss and eviction of the next trace exactly as a newly built
+// one does — across repeated resets, with ASID flushes in the trace, and
+// across the generation counter's wrap.
+func TestResetEqualsNew(t *testing.T) {
+	const n = 20_000
+	fresh := newTestHierarchy()
+	want := driveTrace(fresh, 42, n)
+
+	check := func(t *testing.T, h *Hierarchy) {
+		t.Helper()
+		got := driveTrace(h, 42, n)
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("access %d satisfied at %v on the reset hierarchy, %v on a new one", i, got[i], want[i])
+			}
+		}
+		for core := 0; core < 2; core++ {
+			if g, w := h.CoreStats(core), fresh.CoreStats(core); g != w {
+				t.Errorf("core %d stats %+v after reset, %+v on a new hierarchy", core, g, w)
+			}
+		}
+		for i, c := range allCaches(h) {
+			f := allCaches(fresh)[i]
+			if c.hits != f.hits || c.misses != f.misses || c.clock != f.clock {
+				t.Errorf("cache %d: hits/misses/clock %d/%d/%d after reset, %d/%d/%d new",
+					i, c.hits, c.misses, c.clock, f.hits, f.misses, f.clock)
+			}
+		}
+	}
+
+	h := newTestHierarchy()
+	t.Run("after use", func(t *testing.T) {
+		driveTrace(h, 7, n) // a different trace leaves different lines behind
+		h.Reset()
+		check(t, h)
+	})
+	t.Run("again", func(t *testing.T) {
+		h.Reset()
+		check(t, h)
+	})
+	t.Run("across the generation wrap", func(t *testing.T) {
+		for _, c := range allCaches(h) {
+			// Stamp the resident lines with the last generation before the
+			// wrap, then reset over it.
+			for i := range c.lines {
+				if c.lines[i].gen == c.gen {
+					c.lines[i].gen = ^uint32(0)
+				}
+			}
+			c.gen = ^uint32(0)
+		}
+		h.Reset()
+		for _, c := range allCaches(h) {
+			if c.gen != 1 {
+				t.Fatalf("generation after the wrap is %d, want 1", c.gen)
+			}
+		}
+		check(t, h)
+		// Lines filled in generation 1 before a wrap must not come back to
+		// life when the counter reaches 1 again: the wrap cleared them.
+		h.Reset()
+		check(t, h)
+	})
+	t.Run("after a flush", func(t *testing.T) {
+		h.FlushASID(1)
+		h.FlushASID(2)
+		h.Reset()
+		check(t, h)
+	})
+}

@@ -215,18 +215,23 @@ func (x *Executor) Close() {
 func (x *Executor) worker() {
 	defer x.wg.Done()
 	defer x.tm.workers.Add(-1)
+	var c *checker // built for the first packet: an idle worker costs no machine
 	for j := range x.intake {
+		if c == nil {
+			c = newChecker()
+		}
 		x.tm.queueDepth.Add(-1)
 		x.tm.busyWorkers.Add(1)
-		v := x.check(j)
+		v := x.check(c, j)
 		x.tm.busyWorkers.Add(-1)
 		x.results <- verdictTimed{v: v, submitted: j.submitted}
 	}
 }
 
-// check runs one packet, retrying chunk misses: with a streaming transport
-// the pages may be in flight while the packet is already queued.
-func (x *Executor) check(j job) Verdict {
+// check runs one packet on the worker's checker, retrying chunk misses: with
+// a streaming transport the pages may be in flight while the packet is
+// already queued.
+func (x *Executor) check(c *checker, j job) Verdict {
 	var start time.Time
 	traced := j.pkt.TraceID != 0 && (x.opts.Tracer != nil || x.opts.RetainSpans)
 	ledgered := j.pkt.TraceID != 0 && x.opts.RetainLedger
@@ -237,11 +242,11 @@ func (x *Executor) check(j job) Verdict {
 	var sl profile.Slice
 	var err error
 	for attempt := 0; ; attempt++ {
-		v, sl, err = RunPacketSlice(x.store, j.pkt)
+		v, sl, err = c.check(x.store, j.pkt)
 		if err == nil || !errors.Is(err, ErrMissingChunk) || attempt >= x.opts.Retries {
 			break
 		}
-		// One retry == one more RunPacket attempt, regardless of how many
+		// One retry == one more check attempt, regardless of how many
 		// chunks that attempt found missing (rebuild fails at the first).
 		x.tm.retries.Inc()
 		time.Sleep(x.opts.RetryDelay)
@@ -287,7 +292,7 @@ func (x *Executor) check(j job) Verdict {
 	}
 	if ledgered && err == nil {
 		// The slice's host cost is the whole replay effort including chunk
-		// retries; the sim cost came out of the runner's private substrate.
+		// retries; the sim cost came out of the checker's private substrate.
 		sl.HostNs = time.Since(start).Nanoseconds()
 		x.mu.Lock()
 		if x.ledgers == nil {

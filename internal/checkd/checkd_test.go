@@ -21,6 +21,14 @@ import (
 func runExported(t *testing.T, cfg core.Config, prog *asm.Program) (*core.RunStats, *pagestore.Store, []*packet.CheckPacket) {
 	t.Helper()
 	store := pagestore.New(core.PageHashSeed)
+	stats, pkts := runExportedInto(t, store, cfg, prog)
+	return stats, store, pkts
+}
+
+// runExportedInto is runExported into a store the caller shares between
+// several programs' packets.
+func runExportedInto(t *testing.T, store *pagestore.Store, cfg core.Config, prog *asm.Program) (*core.RunStats, []*packet.CheckPacket) {
+	t.Helper()
 	var pkts []*packet.CheckPacket
 	cfg.Export = &packet.Exporter{
 		Store: store,
@@ -35,7 +43,7 @@ func runExported(t *testing.T, cfg core.Config, prog *asm.Program) (*core.RunSta
 	if err != nil {
 		t.Fatalf("protected run: %v", err)
 	}
-	return stats, store, pkts
+	return stats, pkts
 }
 
 // victimProgram is a multi-segment compute+memory loop whose checksum

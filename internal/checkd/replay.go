@@ -1,19 +1,33 @@
 // Package checkd implements the offloaded checking service: an executor
 // that accepts portable check packets (internal/packet) and independently
-// re-runs Parallaft's replay-and-compare protocol against a fresh simulated
-// substrate, with no access to the originating runtime's state.
+// re-runs Parallaft's replay-and-compare protocol on a simulated substrate of
+// its own, with no access to the originating runtime's state.
 //
 // A checker is a pure function of (start checkpoint, record/replay log,
 // config): the packet carries all three, so an external daemon can produce
 // the exact verdict the in-process checker would have produced — pass/fail,
 // the mismatching segment, and the error kind. This package owns what is
-// genuinely different about checking from a packet: rebuilding the start
-// state from content-addressed chunks onto a private machine and kernel
-// (newRunner), comparing the end state against wire hashes instead of a
-// live checkpoint's frames (finishAtEnd), and the executor and transport
-// around them. The replay in between — steering, per-event validation,
-// every replay-raised detection and its wording — is core's engine, entered
-// through core.ReplayPacket; there is no second copy to keep in step.
+// genuinely different about checking from a packet: the start state rebuilt
+// from content-addressed chunks (rebuildAddressSpace), the end state compared
+// against wire hashes instead of a live checkpoint's frames
+// (endStateMismatch), and the executor and transport around them. The replay
+// in between — steering, per-event validation, every replay-raised detection
+// and its wording — is core's engine, entered through core.ReplayPacket;
+// there is no second copy to keep in step.
+//
+// Becoming a checker is cheap the way it is in process, where a checker is a
+// copy-on-write fork: each executor worker owns one long-lived checker whose
+// machine is reset between packets, and a packet's start pages enter its
+// address space by reference, as frames over the store's chunk bytes that the
+// first guest store copies — a packet costs what its segment dirties, not
+// what it maps. Two rules keep that safe. The checker holds a reference of
+// its own on every frame it maps (mem.NewSharedFrame), so chunk bytes are
+// never written. And a frame's content hash is computed from its bytes on the
+// worker that uses it — kept on the frame from packet to packet, never taken
+// from the chunk's key — so a chunk that does not hold what its key promises
+// fails the end-state comparison like any other wrong byte. The simulated
+// books see none of it: verdicts and ledger slices are those of a checker
+// built from scratch with private pages.
 package checkd
 
 import (
@@ -82,35 +96,94 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("%s seg %d: %s: %s", v.ProgName, v.Segment, v.ErrorKind, v.Detail)
 }
 
-// RunPacket checks one packet against a fresh substrate and returns its
-// verdict. The returned error is infrastructural only (a chunk missing from
-// the store — possibly transient under a streaming transport — or a
-// malformed packet); detections are reported in the Verdict, never as an
-// error.
-func RunPacket(store *pagestore.Store, pkt *packet.CheckPacket) (Verdict, error) {
-	v, _, err := RunPacketSlice(store, pkt)
-	return v, err
+// RunPacketSlice checks one packet on a checker built for the occasion — the
+// code every executor worker runs on its own long-lived one — and returns the
+// verdict plus the replay's ledger slice: the simulated time and modeled
+// energy the checker's substrate spent reproducing the segment, keyed by the
+// packet's trace ID. The slice's HostNs is zero — wall-clock cost belongs to
+// whoever drove the replay (the executor measures it around its retry loop).
+// The returned error is infrastructural only (a chunk missing from the store
+// — possibly transient under a streaming transport — or a packet no
+// substrate can be built from) and comes with a zero slice; detections are
+// reported in the Verdict, never as an error.
+func RunPacketSlice(store *pagestore.Store, pkt *packet.CheckPacket) (Verdict, profile.Slice, error) {
+	return newChecker().check(store, pkt)
 }
 
-// RunPacketSlice is RunPacket plus the replay's ledger slice: the simulated
-// time and modeled energy this daemon's private substrate spent reproducing
-// the segment, keyed by the packet's trace ID. The slice's HostNs is zero —
-// wall-clock cost belongs to whoever drove the replay (the executor measures
-// it around its retry loop). On an infrastructure error the slice is zero:
-// nothing was replayed, so there is nothing to attribute.
-func RunPacketSlice(store *pagestore.Store, pkt *packet.CheckPacket) (Verdict, profile.Slice, error) {
+// checker is one worker's long-lived substrate: what of a packet's checker
+// does not depend on the packet, plus what the next packet is likely to share
+// with this one. It belongs to one goroutine.
+type checker struct {
+	// m is a big-core-only machine (the daemon has no reason to model little
+	// cores — verdicts are frequency-independent), reset between packets.
+	m    *machine.Machine
+	core *machine.Core
+
+	// frames holds the previous packet's start-state frames, and only those,
+	// by chunk key: consecutive segments share most of their pages, and a
+	// reused frame brings the content hash this worker computed for it.
+	// Replacing the set after every rebuild bounds it to one address space
+	// of frame headers. The map's reference is the one mem.NewSharedFrame
+	// asks its creator to hold.
+	frames map[pagestore.Key]*mem.Frame
+}
+
+func newChecker() *checker {
+	m := machine.New(machine.BigOnly())
+	return &checker{m: m, core: m.BigCores()[0]}
+}
+
+// check runs one packet: start state rebuilt onto the reset machine with a
+// fresh kernel, loader, engine and process (they carry per-run state and cost
+// little), the record replayed by core's engine, the end state compared
+// against the wire hashes.
+func (c *checker) check(store *pagestore.Store, pkt *packet.CheckPacket) (Verdict, profile.Slice, error) {
 	v := Verdict{
 		Benchmark: pkt.Benchmark,
 		ProgName:  pkt.ProgName,
 		Segment:   pkt.Segment,
 	}
-	r, err := newRunner(store, pkt)
+	cfg := &pkt.Config
+
+	codeBytes := store.Get(pkt.CodeKey)
+	if codeBytes == nil {
+		return v, profile.Slice{}, fmt.Errorf("%w: code chunk %#x", ErrMissingChunk, uint64(pkt.CodeKey))
+	}
+	code, err := packet.DecodeCode(codeBytes, pkt.CodeLen)
+	if err != nil {
+		return v, profile.Slice{}, fmt.Errorf("checkd: packet %s seg %d: %w", pkt.ProgName, pkt.Segment, err)
+	}
+
+	as, err := c.rebuildAddressSpace(store, cfg.PageSize, &pkt.Start)
 	if err != nil {
 		return v, profile.Slice{}, err
 	}
-	d := core.ReplayPacket(r.e, r.task, pkt)
+	// Dropping the page table's references returns every adopted frame the
+	// replay did not copy to MapCount 1 — the checker's own.
+	defer as.Release()
+
+	c.m.Reset()
+	k := oskernel.NewKernel(cfg.PageSize, 0)
+	l := oskernel.NewLoader(k, cfg.PageSize, 0)
+	e := sim.New(c.m, k, l)
+
+	p := proc.New(pkt.CheckerPID, 1, pkt.ProgName, code, as, pkt.PMUSeed)
+	k.Register(p.PID)
+	// The packet's checker owns its pages; that they arrive as shared frames
+	// is this daemon's economy and must not show in the simulated books.
+	p.PrivatePages = true
+	p.Regs = pkt.Start.Regs.Regs()
+	p.PC = pkt.Start.PC
+	p.InstrLimit = pkt.InstrLimit
+	p.SetMaxSkid(uint64(pkt.MaxSkid))
+	for _, h := range pkt.Start.Handlers {
+		p.Handlers[proc.Signal(h.Sig)] = h.PC
+	}
+	task := e.NewTask(p, c.core, 0)
+
+	d := core.ReplayPacket(e, task, pkt)
 	if d == nil {
-		d = r.finishAtEnd()
+		d = endStateMismatch(pkt, p)
 	}
 	if d == nil {
 		v.OK = true
@@ -120,132 +193,94 @@ func RunPacketSlice(store *pagestore.Store, pkt *packet.CheckPacket) (Verdict, p
 	}
 	sl := profile.Slice{
 		TraceID: pkt.TraceID,
-		SimNs:   r.task.Clock,
-		SimJ:    r.e.M.EnergyJ(r.task.Clock),
+		SimNs:   task.Clock,
+		SimJ:    c.m.EnergyJ(task.Clock),
 	}
 	return v, sl, nil
 }
 
-// runner is one packet's checker substrate.
-type runner struct {
-	pkt  *packet.CheckPacket
-	e    *sim.Engine
-	task *sim.Task
-}
-
-// newRunner reconstructs the checker substrate from the packet: a
-// big-core-only machine (the daemon has no reason to model little cores —
-// verdicts are frequency-independent), a fresh kernel at the recorded page
-// size, and a process whose address space, registers, handlers and PMU seed
-// match the start checkpoint exactly.
-func newRunner(store *pagestore.Store, pkt *packet.CheckPacket) (*runner, error) {
-	cfg := &pkt.Config
-
-	codeBytes := store.Get(pkt.CodeKey)
-	if codeBytes == nil {
-		return nil, fmt.Errorf("%w: code chunk %#x", ErrMissingChunk, uint64(pkt.CodeKey))
-	}
-	code, err := packet.DecodeCode(codeBytes, pkt.CodeLen)
-	if err != nil {
-		return nil, fmt.Errorf("checkd: packet %s seg %d: %w", pkt.ProgName, pkt.Segment, err)
-	}
-
-	as, err := rebuildAddressSpace(store, cfg.PageSize, &pkt.Start)
-	if err != nil {
-		return nil, err
-	}
-
-	m := machine.New(machine.BigOnly())
-	k := oskernel.NewKernel(cfg.PageSize, 0)
-	l := oskernel.NewLoader(k, cfg.PageSize, 0)
-	e := sim.New(m, k, l)
-
-	c := proc.New(pkt.CheckerPID, 1, pkt.ProgName, code, as, pkt.PMUSeed)
-	k.Register(c.PID)
-	c.Regs = pkt.Start.Regs.Regs()
-	c.PC = pkt.Start.PC
-	c.InstrLimit = pkt.InstrLimit
-	c.SetMaxSkid(uint64(pkt.MaxSkid))
-	for _, h := range pkt.Start.Handlers {
-		c.Handlers[proc.Signal(h.Sig)] = h.PC
-	}
-
-	return &runner{pkt: pkt, e: e, task: e.NewTask(c, m.BigCores()[0], 0)}, nil
-}
-
 // rebuildAddressSpace reconstructs a checkpointed address space from page
-// refs. Pages are materialised under RW protection first (writes into
-// non-writable pages fault), then VMA- and page-level protections are
-// restored: a whole-VMA Protect for every non-RW VMA fixes both the VMA
-// record and its pages, and a per-page fixup handles pages whose individual
-// protection diverged from their VMA's (an mprotect of a sub-range).
-func rebuildAddressSpace(store *pagestore.Store, pageSize uint64, st *packet.StartState) (*mem.AddressSpace, error) {
+// refs at a cost independent of the pages' size: every page enters by
+// reference, as a shared frame over its chunk's bytes under its recorded
+// protection, and the replay's first store to it copies. A chunk is trusted
+// for nothing but its bytes (see the package comment). A start state no
+// address space can be built from — overlapping or unaligned VMAs, a chunk
+// that is not one page long, a page outside every VMA or listed twice — is
+// ErrUnrunnable.
+func (c *checker) rebuildAddressSpace(store *pagestore.Store, pageSize uint64, st *packet.StartState) (_ *mem.AddressSpace, err error) {
 	as := mem.NewAddressSpace(pageSize)
-	vmaProt := make(map[uint64]mem.Prot) // VPN -> owning VMA's final prot
+	defer func() {
+		if err != nil {
+			as.Release() // a retry must find the cached frames unshared
+		}
+	}()
+	var vmaPages uint64
 	for _, v := range st.VMAs {
-		if err := as.Map(v.Base, v.Length, mem.ProtRW, v.Name); err != nil {
-			return nil, fmt.Errorf("checkd: rebuilding vma %#x+%#x: %v", v.Base, v.Length, err)
+		if err := as.Reserve(v.Base, v.Length, mem.Prot(v.Prot), v.Name); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrUnrunnable, err)
 		}
-		for vpn := v.Base / pageSize; vpn < (v.Base+v.Length)/pageSize; vpn++ {
-			vmaProt[vpn] = mem.Prot(v.Prot)
-		}
+		vmaPages += v.Length / pageSize
 	}
+	used := make(map[pagestore.Key]*mem.Frame, len(st.Pages))
 	for _, pg := range st.Pages {
-		data := store.Get(pg.Key)
-		if data == nil {
-			return nil, fmt.Errorf("%w: page %#x chunk %#x", ErrMissingChunk, pg.VPN*pageSize, uint64(pg.Key))
+		f := c.frames[pg.Key]
+		if f == nil {
+			f = used[pg.Key]
 		}
-		if f := as.Write(pg.VPN*pageSize, data); f != nil {
-			return nil, fmt.Errorf("checkd: restoring page %#x faulted: %v", pg.VPN*pageSize, f)
-		}
-	}
-	for _, v := range st.VMAs {
-		if mem.Prot(v.Prot) != mem.ProtRW {
-			if err := as.Protect(v.Base, v.Length, mem.Prot(v.Prot)); err != nil {
-				return nil, fmt.Errorf("checkd: restoring vma prot %#x+%#x: %v", v.Base, v.Length, err)
+		if f == nil {
+			data := store.Get(pg.Key)
+			if data == nil {
+				return nil, fmt.Errorf("%w: page %#x chunk %#x", ErrMissingChunk, pg.VPN*pageSize, uint64(pg.Key))
 			}
+			f = mem.NewSharedFrame(data)
+		}
+		used[pg.Key] = f
+		if err := as.AdoptFrame(pg.VPN, f, mem.Prot(pg.Prot)); err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrUnrunnable, err)
 		}
 	}
-	for _, pg := range st.Pages {
-		if p := mem.Prot(pg.Prot); p != vmaProt[pg.VPN] {
-			if err := as.Protect(pg.VPN*pageSize, pageSize, p); err != nil {
-				return nil, fmt.Errorf("checkd: restoring page prot %#x: %v", pg.VPN*pageSize, err)
+	if uint64(as.PageCount()) != vmaPages {
+		// A mapped page the packet lists no chunk for reads as zeroes. The
+		// exporter lists every page, so this is for foreign packets only.
+		for _, v := range st.VMAs {
+			for vpn := v.Base / pageSize; vpn < (v.Base+v.Length)/pageSize; vpn++ {
+				if as.FrameAt(vpn) == nil {
+					as.AdoptFrame(vpn, mem.NewSharedFrame(make([]byte, pageSize)), mem.Prot(v.Prot)) //nolint:errcheck // an empty page of a reserved VMA
+				}
 			}
 		}
 	}
 	as.RestoreBrk(st.BrkBase, st.Brk)
-	as.ClearSoftDirty()
+	c.frames = used
 	return as, nil
 }
 
-// finishAtEnd runs the end-of-segment comparison: registers first (a
+// endStateMismatch runs the end-of-segment comparison: registers first (a
 // register mismatch wins over any memory mismatch, matching core), then the
-// PC, then the expected page hashes against the reconstructed checker's
-// full page set.
-func (r *runner) finishAtEnd() *core.DetectedError {
-	c := r.task.P
-	if !r.pkt.Config.CompareStates {
+// PC, then the expected page hashes against the checker's full page set.
+func endStateMismatch(pkt *packet.CheckPacket, p *proc.Process) *core.DetectedError {
+	if !pkt.Config.CompareStates {
 		return nil // RAFT model: no state comparison at segment ends
 	}
 	mismatch := func(kind core.ErrorKind, format string, args ...any) *core.DetectedError {
-		return &core.DetectedError{Kind: kind, Segment: r.pkt.Segment, Detail: fmt.Sprintf(format, args...)}
+		return &core.DetectedError{Kind: kind, Segment: pkt.Segment, Detail: fmt.Sprintf(format, args...)}
 	}
 
-	ref := r.pkt.EndState.Regs.Regs()
-	if !c.Regs.Equal(&ref) {
+	ref := pkt.EndState.Regs.Regs()
+	if !p.Regs.Equal(&ref) {
 		return mismatch(core.ErrRegMismatch,
-			"registers differ at segment end (checker/checkpoint):%s", c.Regs.Diff(&ref))
+			"registers differ at segment end (checker/checkpoint):%s", p.Regs.Diff(&ref))
 	}
-	if c.PC != r.pkt.EndState.PC {
+	if p.PC != pkt.EndState.PC {
 		return mismatch(core.ErrRegMismatch,
-			"pc %d differs from checkpoint pc %d", c.PC, r.pkt.EndState.PC)
+			"pc %d differs from checkpoint pc %d", p.PC, pkt.EndState.PC)
 	}
 
-	expected := make([]compare.ExpectedPage, len(r.pkt.EndState.Pages))
-	for i, ph := range r.pkt.EndState.Pages {
+	expected := make([]compare.ExpectedPage, len(pkt.EndState.Pages))
+	for i, ph := range pkt.EndState.Pages {
 		expected[i] = compare.ExpectedPage{VPN: ph.VPN, Sum: ph.Sum}
 	}
-	if m := compare.RunAgainstHashes(expected, c.AS, r.pkt.Config.HashSeed); m != nil {
+	if m := compare.RunAgainstHashes(expected, p.AS, pkt.Config.HashSeed); m != nil {
 		switch m.Kind {
 		case compare.MismatchStructural:
 			return mismatch(core.ErrStructuralMismatch, "page %#x mapped on only one side", m.VPN)

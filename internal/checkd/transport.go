@@ -9,6 +9,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"time"
 
 	"parallaft/internal/packet"
 	"parallaft/internal/pagestore"
@@ -382,8 +383,36 @@ func FetchMetrics(conn io.ReadWriter) ([]byte, error) {
 // flight (the dispatcher's cue to evict the node and re-send elsewhere),
 // while a *RemoteError carries the server's own rejection of the session
 // content (re-sending the same packets elsewhere would be rejected again).
+// A server that rejects a session closes it, so the client's next write may
+// fail before it has read the rejection: a failed write is classified only
+// after what the server already sent has been read, and an 'E' frame among
+// it wins.
 func CheckOver(conn io.ReadWriter, store *pagestore.Store, pkts []*packet.CheckPacket) ([]Verdict, error) {
 	addr := connAddr(conn)
+	sendErr := sendSession(conn, addr, store, pkts)
+	if sendErr != nil {
+		// The drain must end even if the peer is alive and silent (a write
+		// deadline expired against a wedged node): no read bound, no drain.
+		d, ok := conn.(interface{ SetReadDeadline(time.Time) error })
+		if !ok || d.SetReadDeadline(time.Now().Add(drainTimeout)) != nil {
+			return nil, sendErr
+		}
+		defer d.SetReadDeadline(time.Time{})
+	}
+	verdicts, err := readSession(conn, addr)
+	var rejected *RemoteError
+	if sendErr != nil && !errors.As(err, &rejected) {
+		err = sendErr
+	}
+	return verdicts, err
+}
+
+// drainTimeout bounds CheckOver's read of a session whose sending failed.
+const drainTimeout = 2 * time.Second
+
+// sendSession writes CheckOver's half of a session; a failure is a
+// *ConnError naming the write that failed.
+func sendSession(conn io.Writer, addr string, store *pagestore.Store, pkts []*packet.CheckPacket) error {
 	var sendErr error
 	store.Each(func(k pagestore.Key, data []byte) {
 		if sendErr != nil {
@@ -397,17 +426,22 @@ func CheckOver(conn io.ReadWriter, store *pagestore.Store, pkts []*packet.CheckP
 		}
 	})
 	if sendErr != nil {
-		return nil, sendErr
+		return sendErr
 	}
 	for i, p := range pkts {
 		if err := WriteFrame(conn, FramePacket, packet.Encode(p)); err != nil {
-			return nil, &ConnError{Addr: addr, Op: "send packet", Packet: i, Err: err}
+			return &ConnError{Addr: addr, Op: "send packet", Packet: i, Err: err}
 		}
 	}
 	if err := WriteFrame(conn, FrameDone, nil); err != nil {
-		return nil, &ConnError{Addr: addr, Op: "send done", Packet: -1, Err: err}
+		return &ConnError{Addr: addr, Op: "send done", Packet: -1, Err: err}
 	}
+	return nil
+}
 
+// readSession collects verdicts until the server's 'D' (nil error), its 'E'
+// (*RemoteError) or a broken stream (*ConnError), returning what arrived.
+func readSession(conn io.Reader, addr string) ([]Verdict, error) {
 	var verdicts []Verdict
 	for {
 		typ, payload, err := ReadFrame(conn)

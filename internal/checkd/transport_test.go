@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"parallaft/internal/packet"
-	"parallaft/internal/pagestore"
 )
 
 // startServer serves on a fresh Unix socket under the test's temp dir and
@@ -279,10 +278,10 @@ func TestSocketRejectsBadDigest(t *testing.T) {
 	}
 }
 
-// TestSocketRejectsUnrunnablePackets: the same rejections end to end — an
-// 'E' frame naming the problem, with the daemon still serving afterwards.
-// The session is driven frame by frame: the rejection closes the connection,
-// so CheckOver's trailing 'D' write would race it for EPIPE.
+// TestSocketRejectsUnrunnablePackets: the same rejections end to end — a
+// *RemoteError naming the problem, with the daemon still serving afterwards.
+// The rejection closes the connection while CheckOver still has its 'D' to
+// write; the rejection must win over the broken pipe.
 func TestSocketRejectsUnrunnablePackets(t *testing.T) {
 	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(120_000))
 	_, sock := startServer(t, Options{Workers: 1})
@@ -294,22 +293,12 @@ func TestSocketRejectsUnrunnablePackets(t *testing.T) {
 				t.Fatalf("dial: %v", err)
 			}
 			defer conn.Close()
-			// Chunks first, so nothing but the intake check stands between
-			// the packet and a worker.
-			store.Each(func(k pagestore.Key, data []byte) {
-				payload := binary.LittleEndian.AppendUint64(nil, uint64(k))
-				if err := WriteFrame(conn, FrameChunk, append(payload, data...)); err != nil {
-					t.Fatalf("send chunk: %v", err)
-				}
-			})
-			if err := WriteFrame(conn, FramePacket, packet.Encode(bad)); err != nil {
-				t.Fatalf("send packet: %v", err)
-			}
 			// A regression is a stuck worker and no frame at all.
-			conn.SetReadDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
-			typ, payload, err := ReadFrame(conn)
-			if err != nil || typ != FrameError || !strings.Contains(string(payload), "unrunnable packet") {
-				t.Fatalf("reply = %q %q, err %v; want an 'E' frame naming the unrunnable packet", typ, payload, err)
+			conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck
+			_, err = CheckOver(conn, store, []*packet.CheckPacket{bad})
+			var remote *RemoteError
+			if !errors.As(err, &remote) || !strings.Contains(remote.Msg, "unrunnable packet") {
+				t.Fatalf("CheckOver = %v, want a RemoteError naming the unrunnable packet", err)
 			}
 		})
 	}

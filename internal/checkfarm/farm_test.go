@@ -132,9 +132,9 @@ func TestFarmNodeDiesMidChunkUpload(t *testing.T) {
 			if err != nil || spec != flaky.Spec {
 				return conn, err
 			}
-			// Enough budget to get partway into the first packet's chunk
-			// stream (pages are PageSize-sized), nowhere near all of it.
-			return &limitedConn{Conn: conn, left: 20_000}, nil
+			// Enough budget to get into the first packet's one full-page
+			// chunk (pages are PageSize-sized), not through it.
+			return &limitedConn{Conn: conn, left: 10_000}, nil
 		},
 	}
 	farm := New(store, opts)
@@ -158,6 +158,9 @@ func TestFarmNodeDiesMidChunkUpload(t *testing.T) {
 	stats := farm.NodeStats()
 	if stats[0].Live || stats[0].EvictReason == "" {
 		t.Errorf("flaky node not evicted: %+v", stats[0])
+	}
+	if chunks := len(pkts[0].ChunkKeys(nil)); stats[0].Uploads >= chunks {
+		t.Errorf("flaky node took %d chunk uploads; it was to die inside the first packet's %d", stats[0].Uploads, chunks)
 	}
 	if stats[0].Verdicts != 0 {
 		t.Errorf("flaky node produced %d verdicts after dying mid-upload", stats[0].Verdicts)
@@ -186,7 +189,10 @@ func TestFarmNodeDiesAfterVerdict(t *testing.T) {
 	flight := telemetry.NewFlightRecorder(0)
 	flight.SetDir(flightDir)
 	tracer := telemetry.NewTraceRecorder(0)
-	farm := New(store, Options{Tracer: tracer, Flight: flight})
+	// Node A is handed packet 0 and nothing after it, so what it still owes
+	// when it dies does not depend on how fast it checks.
+	gate := newGate(1)
+	farm := New(store, Options{Tracer: tracer, Flight: flight, Dial: gate.dial(a.Spec)})
 	if err := farm.AddNode(a.Spec); err != nil {
 		t.Fatal(err)
 	}
@@ -195,12 +201,13 @@ func TestFarmNodeDiesAfterVerdict(t *testing.T) {
 			t.Fatalf("Submit: %v", err)
 		}
 	}
-	// The first verdict proves node A answered; it dies before acking the
-	// rest, after the elastic join of node B.
+	// The first verdict proves node A answered; it dies owing the rest,
+	// after the elastic join of node B.
 	first := <-farm.Verdicts()
 	if err := farm.AddNode(b.Spec); err != nil {
 		t.Fatal(err)
 	}
+	gate.waitHeld(t)
 	a.Kill()
 	rest := collect(farm)
 	farm.Close()

@@ -85,7 +85,10 @@ func TestGoldenFarmParityAllWorkloads(t *testing.T) {
 		startKillableNode(t, checkd.Options{Workers: 2}),
 		startKillableNode(t, checkd.Options{Workers: 2}),
 	}
-	farm := New(store, Options{Metrics: reg})
+	// The node to be killed stops taking packets after its first few, so the
+	// kill finds work in flight on it however fast the nodes check.
+	gate := newGate(8)
+	farm := New(store, Options{Metrics: reg, Dial: gate.dial(nodes[0].Spec)})
 	for _, n := range nodes {
 		if err := farm.AddNode(n.Spec); err != nil {
 			t.Fatal(err)
@@ -100,6 +103,7 @@ func TestGoldenFarmParityAllWorkloads(t *testing.T) {
 	}
 	// Mid-campaign chaos: one node dies with work in flight, a fresh node
 	// joins cold.
+	gate.waitHeld(t)
 	nodes[0].Kill()
 	joined := startKillableNode(t, checkd.Options{Workers: 2})
 	if err := farm.AddNode(joined.Spec); err != nil {

@@ -1,9 +1,11 @@
 package checkfarm
 
 import (
+	"encoding/binary"
 	"net"
 	"sync"
 	"testing"
+	"time"
 
 	"parallaft/internal/asm"
 	"parallaft/internal/checkd"
@@ -84,6 +86,7 @@ func smallSliceConfig() core.Config {
 type killableNode struct {
 	Spec string
 	srv  *checkd.Server
+	t    *testing.T
 
 	mu     sync.Mutex
 	ln     net.Listener
@@ -124,6 +127,7 @@ func startKillableNode(t *testing.T, opts checkd.Options) *killableNode {
 	n := &killableNode{
 		Spec: "tcp:" + ln.Addr().String(),
 		srv:  checkd.NewServer(opts),
+		t:    t,
 		ln:   ln,
 		done: make(chan struct{}),
 	}
@@ -137,9 +141,22 @@ func startKillableNode(t *testing.T, opts checkd.Options) *killableNode {
 
 // KillConns hard-closes every live session but keeps the listener: the node
 // process "crashed and restarted" at the same address, ready for a rejoin
-// with per-connection state (the chunk store) gone.
+// with per-connection state (the chunk store) gone. The caller has dialled a
+// session since the last kill; a session still in the listen backlog cannot
+// be closed from here (the server would accept it afterwards and the node
+// would never be seen to die), so wait for it to be accepted first.
 func (n *killableNode) KillConns() {
+	n.t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
 	n.mu.Lock()
+	for len(n.conns) == 0 {
+		n.mu.Unlock()
+		if time.Now().After(deadline) {
+			n.t.Fatalf("node %s never accepted the session it is to crash", n.Spec)
+		}
+		time.Sleep(time.Millisecond)
+		n.mu.Lock()
+	}
 	conns := n.conns
 	n.conns = nil
 	n.mu.Unlock()
@@ -165,6 +182,86 @@ func (n *killableNode) Kill() {
 		c.Close()
 	}
 	<-n.done
+}
+
+// gatedConn is a farm-side connection to a node that forwards the session's
+// frames until a set number of packet frames have gone through whole, then
+// swallows every later write as if the node had taken it. The node holds
+// exactly that many checkable packets however fast it checks them, and
+// whatever the dispatcher sends it afterwards stays in flight until the node
+// is evicted. The first swallowed write closes held.
+type gatedConn struct {
+	net.Conn
+	held chan struct{}
+
+	mu       sync.Mutex
+	packets  int  // packet frames still to forward
+	body     int  // payload bytes of the frame being forwarded still to come
+	inPacket bool // that frame is a packet frame
+	shut     bool
+}
+
+func newGate(packets int) *gatedConn {
+	return &gatedConn{held: make(chan struct{}), packets: packets}
+}
+
+// dial is an Options.Dial that puts the gate on the session to node and
+// leaves every other session alone.
+func (c *gatedConn) dial(node string) func(string) (net.Conn, error) {
+	return func(spec string) (net.Conn, error) {
+		conn, err := Dial(spec)
+		if err != nil || spec != node {
+			return conn, err
+		}
+		c.Conn = conn
+		return c, nil
+	}
+}
+
+// Write relies on checkd.WriteFrame handing over a frame's header in one
+// piece.
+func (c *gatedConn) Write(p []byte) (int, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.shut {
+		return len(p), nil
+	}
+	n := 0 // the prefix of p to forward
+	for n < len(p) {
+		if c.body == 0 {
+			if c.packets == 0 {
+				break
+			}
+			c.inPacket = p[n] == checkd.FramePacket
+			c.body = int(binary.LittleEndian.Uint32(p[n+1:]))
+			n += 5
+			continue
+		}
+		take := min(c.body, len(p)-n)
+		n += take
+		c.body -= take
+		if c.body == 0 && c.inPacket {
+			c.packets--
+		}
+	}
+	if n < len(p) {
+		c.shut = true
+		close(c.held)
+	}
+	if _, err := c.Conn.Write(p[:n]); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+// waitHeld blocks until the gate has swallowed its first write.
+func (c *gatedConn) waitHeld(t *testing.T) {
+	t.Helper()
+	select {
+	case <-c.held:
+	case <-time.After(15 * time.Second):
+		t.Fatal("the dispatcher never sent the gated node more than it forwards")
+	}
 }
 
 // metricValue reads one instrument's value from a registry snapshot, so

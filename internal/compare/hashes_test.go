@@ -95,3 +95,39 @@ func TestRunAgainstHashesReportsLowestVPN(t *testing.T) {
 		t.Fatalf("mismatch = %+v, want lowest page %#x", m, (0x10000+1*4096)/4096)
 	}
 }
+
+// TestRunAgainstHashesEqualCountsStillStructural: equal page counts must not
+// let the passing-case shortcut accept a reference that differs as a set —
+// one page swapped for another, or a page listed twice in place of a missing
+// one — and the page reported stays the union walk's.
+func TestRunAgainstHashesEqualCountsStillStructural(t *testing.T) {
+	as := newHashesTestAS(t)
+	expected := snapshotHashes(as)
+	base := uint64(0x10000 / 4096)
+
+	// Same count, different set: the checker lost page 0 and grew a stray
+	// page above; page 0 is the lowest page on one side only.
+	swapped := mem.NewAddressSpace(4096)
+	if err := swapped.Map(0x10000+4096, 3*4096, mem.ProtRW, "data"); err != nil {
+		t.Fatal(err)
+	}
+	for i := uint64(1); i < 4; i++ {
+		if f := swapped.Write(0x10000+i*4096, []byte{byte(i + 1)}); f != nil {
+			t.Fatal(f)
+		}
+	}
+	if err := swapped.Map(0x90000, 4096, mem.ProtRW, "stray"); err != nil {
+		t.Fatal(err)
+	}
+	if m := RunAgainstHashes(expected, swapped, hashesTestSeed); m == nil || m.Kind != MismatchStructural || m.VPN != base {
+		t.Fatalf("swapped page: mismatch = %+v, want structural at %#x", m, base)
+	}
+
+	// A reference naming page 1 twice instead of page 2: every lookup finds
+	// a matching page, but page 2 of the checker is in nobody's list.
+	dup := append([]ExpectedPage(nil), expected...)
+	dup[2] = dup[1]
+	if m := RunAgainstHashes(dup, as, hashesTestSeed); m == nil || m.Kind != MismatchStructural {
+		t.Fatalf("duplicated reference page: mismatch = %+v, want structural", m)
+	}
+}

@@ -261,6 +261,18 @@ func (m *Machine) ResetEnergy() {
 	m.dramAccesses = 0
 }
 
+// Reset returns the machine to the state New left it in — empty books, every
+// core at the top of its ladder, cold caches — without reallocating or
+// clearing the cache tag arrays. Activity classes and sinks are left to
+// whoever attached them.
+func (m *Machine) Reset() {
+	m.ResetEnergy()
+	for _, c := range m.Cores {
+		c.SetMaxFreq()
+	}
+	m.Caches.Reset()
+}
+
 // EnergyJ integrates total energy over a run of wallNs nanoseconds: dynamic
 // core energy at each operating point, idle core power, SoC and DRAM static
 // power, and per-access DRAM energy. This mirrors the paper's SMC / RAPL

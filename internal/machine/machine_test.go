@@ -203,3 +203,44 @@ func TestMachineString(t *testing.T) {
 		t.Error("empty machine description")
 	}
 }
+
+// TestResetEqualsNew: a machine that has run at scaled-down frequencies,
+// booked time and DRAM traffic and warmed its caches must, after Reset, keep
+// the same books for the next run as a newly built one — bit for bit.
+func TestResetEqualsNew(t *testing.T) {
+	run := func(m *Machine, salt uint64) {
+		for i, c := range m.Cores {
+			c.AccountActive(1000 + float64(salt) + float64(i)/3)
+			for a := uint64(0); a < 4096; a++ {
+				if m.Caches.Access(c.ID, 1+salt, a*64*(1+salt)) == cache.DRAM {
+					m.CountDRAMAccess()
+				}
+			}
+		}
+	}
+	used := New(BigOnly())
+	for _, c := range used.Cores {
+		c.SetFreqIndex(1)
+	}
+	run(used, 3)
+	used.Reset()
+
+	fresh := New(BigOnly())
+	run(used, 0)
+	run(fresh, 0)
+	const wallNs = 1e6
+	if g, w := used.EnergyJ(wallNs), fresh.EnergyJ(wallNs); math.Float64bits(g) != math.Float64bits(w) {
+		t.Errorf("EnergyJ %v after Reset, %v on a new machine", g, w)
+	}
+	if g, w := used.DRAMAccesses(), fresh.DRAMAccesses(); g != w {
+		t.Errorf("DRAMAccesses %d after Reset, %d on a new machine", g, w)
+	}
+	for i, c := range used.Cores {
+		if c.FreqIndex() != fresh.Cores[i].FreqIndex() {
+			t.Errorf("core %d at ladder point %d after Reset, %d on a new machine", i, c.FreqIndex(), fresh.Cores[i].FreqIndex())
+		}
+		if g, w := used.Caches.CoreStats(i), fresh.Caches.CoreStats(i); g != w {
+			t.Errorf("core %d cache stats %+v after Reset, %+v on a new machine", i, g, w)
+		}
+	}
+}

@@ -108,7 +108,20 @@ func newFrame(size uint64) *Frame {
 	return &Frame{data: make([]byte, size), ref: 1, id: frameIDs.Add(1)}
 }
 
-// MapCount returns the number of address spaces mapping this frame.
+// NewSharedFrame wraps caller-owned bytes that will never be mutated again
+// — a content-addressed chunk — as a frame, without copying them. The frame
+// starts with one reference, the creator's, and the creator keeps it for as
+// long as any address space maps the frame (AdoptFrame adds the page
+// table's own). A mapped shared frame therefore always has MapCount > 1 and
+// is never written in place: the first guest store to it copies, exactly as
+// after a fork, and the memoized content hash stays valid for the bytes'
+// lifetime.
+func NewSharedFrame(data []byte) *Frame {
+	return &Frame{data: data, ref: 1, id: frameIDs.Add(1)}
+}
+
+// MapCount returns the number of address spaces mapping this frame, plus the
+// creator's reference on a NewSharedFrame frame.
 func (f *Frame) MapCount() int { return f.ref }
 
 // ID returns the frame's stable identity. IDs are unique process-wide and
@@ -246,11 +259,8 @@ func (as *AddressSpace) invalidateTLB() {
 // zero frames. base and length must be page-aligned, the range must not
 // overlap an existing VMA, and length must be nonzero.
 func (as *AddressSpace) Map(base, length uint64, prot Prot, name string) error {
-	if base%as.pageSize != 0 || length%as.pageSize != 0 || length == 0 {
-		return fmt.Errorf("mem: map [%#x,+%#x): not page-aligned or empty", base, length)
-	}
-	if as.overlaps(base, length) {
-		return fmt.Errorf("mem: map [%#x,+%#x): overlaps existing mapping", base, length)
+	if err := as.Reserve(base, length, prot, name); err != nil {
+		return err
 	}
 	for vpn := base >> as.pageShift; vpn < (base+length)>>as.pageShift; vpn++ {
 		as.pages[vpn] = &pte{
@@ -260,7 +270,42 @@ func (as *AddressSpace) Map(base, length uint64, prot Prot, name string) error {
 		}
 		as.stats.PagesAlloc++
 	}
+	as.invalidateTLB()
+	return nil
+}
+
+// Reserve is Map without the pages: it records the mapping, under the same
+// alignment and overlap rules, and leaves every page of it for AdoptFrame to
+// back. An address space rebuilt from a snapshot starts this way instead of
+// allocating zero frames it is about to replace.
+func (as *AddressSpace) Reserve(base, length uint64, prot Prot, name string) error {
+	if base%as.pageSize != 0 || length%as.pageSize != 0 || length == 0 {
+		return fmt.Errorf("mem: map [%#x,+%#x): not page-aligned or empty", base, length)
+	}
+	if as.overlaps(base, length) {
+		return fmt.Errorf("mem: map [%#x,+%#x): overlaps existing mapping", base, length)
+	}
 	as.insertVMA(VMA{Base: base, Length: length, Prot: prot, Name: name})
+	return nil
+}
+
+// AdoptFrame backs the still-empty page vpn of a reserved mapping with an
+// existing frame, by reference, under prot and with a clean soft-dirty bit —
+// the page-table half of a fork, one page at a time. The frame must be one
+// page long and stay referenced from outside this address space (see
+// NewSharedFrame), so the guest's first store to the page copies it.
+func (as *AddressSpace) AdoptFrame(vpn uint64, f *Frame, prot Prot) error {
+	addr := vpn << as.pageShift
+	switch {
+	case uint64(len(f.data)) != as.pageSize:
+		return fmt.Errorf("mem: adopt page %#x: frame is %d bytes, page size is %d", addr, len(f.data), as.pageSize)
+	case addr>>as.pageShift != vpn || as.findVMA(addr) == nil:
+		return fmt.Errorf("mem: adopt page number %#x: outside every mapping", vpn)
+	case as.pages[vpn] != nil:
+		return fmt.Errorf("mem: adopt page %#x: already backed", addr)
+	}
+	f.ref++
+	as.pages[vpn] = &pte{frame: f, prot: prot}
 	as.invalidateTLB()
 	return nil
 }

@@ -526,3 +526,95 @@ func TestContentHashSeedIsPartOfTheMemoKey(t *testing.T) {
 		t.Error("seed-2 memo not installed")
 	}
 }
+
+// TestAdoptFrameSharesUntilWritten: a page adopted by reference reads the
+// borrowed bytes, starts clean, and is copied — never written in place — by
+// the first store, however many pages and address spaces share the frame.
+func TestAdoptFrameSharesUntilWritten(t *testing.T) {
+	chunk := make([]byte, pg)
+	chunk[8] = 0x5a
+	f := NewSharedFrame(chunk)
+	sum, _ := f.ContentHash(testSeed)
+
+	as := newAS(t)
+	if err := as.Reserve(0x10000, 2*pg, ProtRW, "data"); err != nil {
+		t.Fatal(err)
+	}
+	if as.PageCount() != 0 {
+		t.Fatalf("Reserve backed %d pages, want none", as.PageCount())
+	}
+	for vpn := uint64(0x10000 / pg); vpn < 0x10000/pg+2; vpn++ {
+		if err := as.AdoptFrame(vpn, f, ProtRW); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if f.MapCount() != 3 {
+		t.Fatalf("MapCount = %d, want 3 (two pages and the creator)", f.MapCount())
+	}
+	if d := as.DirtyPages(DirtySoft); len(d) != 0 {
+		t.Fatalf("adopted pages start soft-dirty: %v", d)
+	}
+	if v, fault := as.LoadU64(0x10000 + pg + 8); fault != nil || v != 0x5a {
+		t.Fatalf("load through an adopted page = %#x, %v", v, fault)
+	}
+
+	cow, fault := as.StoreU64(0x10000+8, 0xbeef)
+	if fault != nil || !cow {
+		t.Fatalf("first store to an adopted page: cow=%v fault=%v, want a copy", cow, fault)
+	}
+	if chunk[8] != 0x5a {
+		t.Fatal("the store reached the borrowed bytes")
+	}
+	if v, _ := as.LoadU64(0x10000 + pg + 8); v != 0x5a {
+		t.Fatalf("the store leaked into the other page sharing the frame: %#x", v)
+	}
+	if got, cached := f.ContentHash(testSeed); got != sum || !cached {
+		t.Errorf("shared frame's hash memo did not survive the copy: %#x cached=%v, want %#x", got, cached, sum)
+	}
+	if d := as.DirtyPages(DirtySoft); len(d) != 1 || d[0] != 0x10000/pg {
+		t.Errorf("dirty pages after one store = %v", d)
+	}
+
+	as.Release()
+	if f.MapCount() != 1 {
+		t.Errorf("MapCount after Release = %d, want 1 (the creator's)", f.MapCount())
+	}
+}
+
+func TestAdoptFrameRejections(t *testing.T) {
+	as := newAS(t)
+	if err := as.Reserve(0x10000, pg, ProtRW, "data"); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.Reserve(0x10000, pg, ProtRW, "again"); err == nil {
+		t.Error("overlapping Reserve accepted")
+	}
+	page := NewSharedFrame(make([]byte, pg))
+	cases := []struct {
+		name string
+		vpn  uint64
+		f    *Frame
+	}{
+		{"short frame", 0x10000 / pg, NewSharedFrame(make([]byte, pg-1))},
+		{"long frame", 0x10000 / pg, NewSharedFrame(make([]byte, pg+1))},
+		{"outside every mapping", 0x10000/pg + 1, page},
+		{"page number that wraps into a mapping", 0x10000/pg + 1<<50, page},
+	}
+	for _, tc := range cases {
+		if err := as.AdoptFrame(tc.vpn, tc.f, ProtRW); err == nil {
+			t.Errorf("%s: adopted", tc.name)
+		}
+	}
+	if err := as.AdoptFrame(0x10000/pg, page, ProtRead); err != nil {
+		t.Fatal(err)
+	}
+	if err := as.AdoptFrame(0x10000/pg, page, ProtRead); err == nil {
+		t.Error("second frame adopted at a backed page")
+	}
+	if page.MapCount() != 2 || as.PageCount() != 1 {
+		t.Errorf("rejections left references behind: MapCount %d, %d pages", page.MapCount(), as.PageCount())
+	}
+	if _, fault := as.StoreU64(0x10000, 1); fault == nil || fault.Kind != FaultProt {
+		t.Errorf("store to a page adopted read-only: %v, want a protection fault", fault)
+	}
+}
