@@ -429,7 +429,7 @@ func runOne(prog *asm.Program, mcfg machine.Config, o options, exportDir string,
 		}
 		if tracer != nil {
 			// Written after the farm has drained, so remote-verify spans that
-			// arrived over 'T' frames are in the merge.
+			// arrived in the nodes' verdict frames are in the merge.
 			f, err := os.Create(o.traceOut)
 			if err != nil {
 				return err

@@ -101,7 +101,7 @@ func TestTraceOutLocalRun(t *testing.T) {
 // TestTraceOutFarmRun drives -farm with -trace-out and checks the merged
 // timeline: every sealed segment's chain runs seal through delivery, with
 // main, the farm dispatcher, and each node on their own tracks — including
-// the remote-verify spans shipped back over 'T' frames.
+// the remote-verify spans shipped back in the nodes' verdict frames.
 func TestTraceOutFarmRun(t *testing.T) {
 	a, b := startFarmNode(t), startFarmNode(t)
 	out := filepath.Join(t.TempDir(), "trace.json")

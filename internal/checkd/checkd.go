@@ -35,25 +35,17 @@ type Options struct {
 	// into daemon-wide totals.
 	Metrics *telemetry.Registry
 	// Tracer, when set, receives a remote-verify stage span for every
-	// checked packet that carries a trace ID. Nil disables local recording;
-	// span capture for the wire (RetainSpans) is independent.
+	// checked packet that carries a trace ID. Nil disables local recording.
 	Tracer *telemetry.TraceRecorder
-	// RetainSpans makes the executor keep each packet's remote-verify span
-	// until TakeSpan collects it — the socket server sets this to ship
-	// spans back to the submitter over 'T' frames. Off by default so
-	// in-process users don't accumulate spans they never collect.
-	RetainSpans bool
-	// RetainLedger makes the executor keep each packet's ledger slice — the
-	// simulated replay time and modeled energy this daemon spent on the
-	// segment, plus the wall-clock time around the replay — until
-	// TakeLedgerSlice collects it. The socket server sets this to ship
-	// slices back to the submitter over 'L' frames, where the originating
-	// runtime's overhead ledger merges them by trace ID. Like RetainSpans,
-	// only packets carrying a trace ID produce a slice.
-	RetainLedger bool
 	// Flight, when set, is the black-box ring the executor notes abnormal
 	// events into (poison packets, infra verdicts).
 	Flight *telemetry.FlightRecorder
+
+	// observe makes each verdict of a packet that carries a trace ID bring
+	// its remote-verify span and ledger slice along (Verdict.observed). Only
+	// the socket server sets it, to put them in the verdict's Reply;
+	// in-process users neither pay for nor see them.
+	observe bool
 }
 
 func (o *Options) fill() {
@@ -90,13 +82,11 @@ type Executor struct {
 	wg      sync.WaitGroup
 	reorder sync.WaitGroup
 
-	mu      sync.Mutex
-	digest  uint64
-	pinned  bool
-	seq     int
-	closed  bool
-	spans   map[int]telemetry.StageSpan // retained remote-verify spans by seq
-	ledgers map[int]profile.Slice       // retained ledger slices by seq
+	mu     sync.Mutex
+	digest uint64
+	pinned bool
+	seq    int
+	closed bool
 }
 
 type job struct {
@@ -233,9 +223,9 @@ func (x *Executor) worker() {
 // already queued.
 func (x *Executor) check(c *checker, j job) Verdict {
 	var start time.Time
-	traced := j.pkt.TraceID != 0 && (x.opts.Tracer != nil || x.opts.RetainSpans)
-	ledgered := j.pkt.TraceID != 0 && x.opts.RetainLedger
-	if traced || ledgered {
+	observe := j.pkt.TraceID != 0 && x.opts.observe
+	spanned := observe || (j.pkt.TraceID != 0 && x.opts.Tracer != nil)
+	if spanned {
 		start = time.Now()
 	}
 	var v Verdict
@@ -262,12 +252,10 @@ func (x *Executor) check(c *checker, j job) Verdict {
 		v.OK = false
 		v.Infra = err.Error()
 		v.infraErr = err
-	}
-	if err != nil {
 		x.opts.Flight.Note("infra-verdict",
 			fmt.Sprintf("%s seg %d: %v", j.pkt.ProgName, j.pkt.Segment, err))
 	}
-	if traced {
+	if spanned {
 		span := telemetry.StageSpan{
 			TraceID:     j.pkt.TraceID,
 			Stage:       telemetry.StageRemoteVerify,
@@ -281,25 +269,15 @@ func (x *Executor) check(c *checker, j job) Verdict {
 		}
 		x.opts.Tracer.Record(span)
 		x.opts.Flight.RecordSpan(span)
-		if x.opts.RetainSpans {
-			x.mu.Lock()
-			if x.spans == nil {
-				x.spans = make(map[int]telemetry.StageSpan)
-			}
-			x.spans[j.seq] = span
-			x.mu.Unlock()
+		if observe {
+			v.observed.Span = &span
 		}
 	}
-	if ledgered && err == nil {
+	if observe && err == nil {
 		// The slice's host cost is the whole replay effort including chunk
 		// retries; the sim cost came out of the checker's private substrate.
 		sl.HostNs = time.Since(start).Nanoseconds()
-		x.mu.Lock()
-		if x.ledgers == nil {
-			x.ledgers = make(map[int]profile.Slice)
-		}
-		x.ledgers[j.seq] = sl
-		x.mu.Unlock()
+		v.observed.Ledger = &sl
 	}
 	return v
 }
@@ -315,34 +293,6 @@ func verdictClass(v Verdict) string {
 	default:
 		return v.ErrorKind
 	}
-}
-
-// TakeSpan removes and returns the retained remote-verify span for one
-// verdict seq. The span exists once the verdict has been delivered (it is
-// recorded before the verdict enters the reorder stage) and only when the
-// executor runs with RetainSpans and the packet carried a trace ID.
-func (x *Executor) TakeSpan(seq int) (telemetry.StageSpan, bool) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	s, ok := x.spans[seq]
-	if ok {
-		delete(x.spans, seq)
-	}
-	return s, ok
-}
-
-// TakeLedgerSlice removes and returns the retained ledger slice for one
-// verdict seq. Like TakeSpan, the slice exists once the verdict has been
-// delivered, and only when the executor runs with RetainLedger and the
-// packet carried a trace ID.
-func (x *Executor) TakeLedgerSlice(seq int) (profile.Slice, bool) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	s, ok := x.ledgers[seq]
-	if ok {
-		delete(x.ledgers, seq)
-	}
-	return s, ok
 }
 
 // reorderLoop restores submission order: workers finish out of order, the

@@ -18,7 +18,7 @@ import (
 // runExported runs a program under the in-process runtime with packet
 // export enabled and returns the run's stats alongside the exported store
 // and packets — the raw material for every offload test.
-func runExported(t *testing.T, cfg core.Config, prog *asm.Program) (*core.RunStats, *pagestore.Store, []*packet.CheckPacket) {
+func runExported(t testing.TB, cfg core.Config, prog *asm.Program) (*core.RunStats, *pagestore.Store, []*packet.CheckPacket) {
 	t.Helper()
 	store := pagestore.New(core.PageHashSeed)
 	stats, pkts := runExportedInto(t, store, cfg, prog)
@@ -27,7 +27,7 @@ func runExported(t *testing.T, cfg core.Config, prog *asm.Program) (*core.RunSta
 
 // runExportedInto is runExported into a store the caller shares between
 // several programs' packets.
-func runExportedInto(t *testing.T, store *pagestore.Store, cfg core.Config, prog *asm.Program) (*core.RunStats, []*packet.CheckPacket) {
+func runExportedInto(t testing.TB, store *pagestore.Store, cfg core.Config, prog *asm.Program) (*core.RunStats, []*packet.CheckPacket) {
 	t.Helper()
 	var pkts []*packet.CheckPacket
 	cfg.Export = &packet.Exporter{

@@ -12,8 +12,16 @@
 // against wire hashes instead of a live checkpoint's frames
 // (endStateMismatch), and the executor and transport around them. The replay
 // in between — steering, per-event validation, every replay-raised detection
-// and its wording — is core's engine, entered through core.ReplayPacket;
-// there is no second copy to keep in step.
+// and its wording — is core's engine, entered through core.ReplayPacket, and
+// the end-state detections are worded by core too (core.EndRegMismatch,
+// core.EndMemMismatch); there is no second copy of either to keep in step.
+//
+// The transport is a frame protocol (transport.go has the table) with one
+// implementation of each half: Server takes a connection's chunks and
+// packets into an Executor of its own and answers each packet with one 'V'
+// frame, a Reply — the verdict plus, for a traced packet, the span and ledger
+// slice the node observed; Session is the client (its contract is on the
+// type), and CheckOver and internal/checkfarm are both written over it.
 //
 // Becoming a checker is cheap the way it is in process, where a checker is a
 // copy-on-write fork: each executor worker owns one long-lived checker whose
@@ -63,6 +71,10 @@ type Verdict struct {
 	// string-matching. It deliberately stays off the wire (unexported):
 	// Verdicts round-tripped through JSON keep only the Infra text.
 	infraErr error
+
+	// observed is what the executor saw while producing this verdict, for the
+	// socket server to put in the Reply; zero unless Options.observe.
+	observed Observed
 }
 
 // InfraErr returns the typed infrastructure error behind Infra, or nil. For
@@ -262,31 +274,13 @@ func endStateMismatch(pkt *packet.CheckPacket, p *proc.Process) *core.DetectedEr
 	if !pkt.Config.CompareStates {
 		return nil // RAFT model: no state comparison at segment ends
 	}
-	mismatch := func(kind core.ErrorKind, format string, args ...any) *core.DetectedError {
-		return &core.DetectedError{Kind: kind, Segment: pkt.Segment, Detail: fmt.Sprintf(format, args...)}
-	}
-
 	ref := pkt.EndState.Regs.Regs()
-	if !p.Regs.Equal(&ref) {
-		return mismatch(core.ErrRegMismatch,
-			"registers differ at segment end (checker/checkpoint):%s", p.Regs.Diff(&ref))
+	if d := core.EndRegMismatch(pkt.Segment, p, &ref, pkt.EndState.PC); d != nil {
+		return d
 	}
-	if p.PC != pkt.EndState.PC {
-		return mismatch(core.ErrRegMismatch,
-			"pc %d differs from checkpoint pc %d", p.PC, pkt.EndState.PC)
-	}
-
 	expected := make([]compare.ExpectedPage, len(pkt.EndState.Pages))
 	for i, ph := range pkt.EndState.Pages {
 		expected[i] = compare.ExpectedPage{VPN: ph.VPN, Sum: ph.Sum}
 	}
-	if m := compare.RunAgainstHashes(expected, p.AS, pkt.Config.HashSeed); m != nil {
-		switch m.Kind {
-		case compare.MismatchStructural:
-			return mismatch(core.ErrStructuralMismatch, "page %#x mapped on only one side", m.VPN)
-		case compare.MismatchContent:
-			return mismatch(core.ErrMemMismatch, "page %#x content hash differs", m.VPN)
-		}
-	}
-	return nil
+	return core.EndMemMismatch(pkt.Segment, compare.RunAgainstHashes(expected, p.AS, pkt.Config.HashSeed))
 }

@@ -23,9 +23,7 @@ import (
 //	                  'M' metrics request            ask for a telemetry snapshot
 //	                  'H' heartbeat ping             liveness probe (opaque payload)
 //	                  'D' done                       no more frames; drain and report
-//	server → client:  'V' verdict                    JSON-encoded Verdict, in submit order
-//	                  'T' trace span                 JSON StageSpan for the preceding verdict
-//	                  'L' ledger slice               JSON profile.Slice for the preceding verdict
+//	server → client:  'V' verdict                    JSON-encoded Reply, in submit order
 //	                  'M' metrics reply              Prometheus text exposition
 //	                  'H' heartbeat pong             the ping's payload, echoed
 //	                  'E' error                      intake rejection or protocol error (fatal)
@@ -33,20 +31,19 @@ import (
 //
 // Chunks for a packet must precede it on the stream (the executor's retry
 // loop tolerates slight reordering). Each connection gets its own store and
-// executor: connections are independent verdict streams. A metrics request
-// is answered immediately with the daemon-wide registry (empty payload when
-// the server runs without one). Heartbeats are optional — a client that
-// never pings sees exactly the pre-heartbeat protocol — and are echoed
-// verbatim, so round-trip pairing is the client's concern. A trace frame
-// follows a verdict only when that verdict's packet carried a trace ID, so
-// pre-tracing clients and servers interoperate unchanged; clients that
-// don't care may discard 'T' frames. A ledger frame works the same way: it
-// rides directly behind its verdict (after the trace frame, when both are
-// present) and carries the remote replay's simulated time, modeled energy
-// and host wall time, so the submitting runtime's overhead ledger can merge
-// the remote cost back by trace ID; clients that keep no ledger discard 'L'
-// frames. The same framing runs unchanged over Unix sockets and TCP;
-// internal/checkfarm drives many TCP sessions at once.
+// executor: connections are independent verdict streams. There is one frame
+// per verdict: a Reply is the Verdict's own JSON object plus, for a packet
+// that carried a trace ID, the node's remote-verify span and the replay's
+// ledger slice (simulated time, modeled energy, host wall time) as two
+// optional members — so a client with no tracer or ledger pays for nothing
+// it discards, and for an untraced packet the payload is json.Marshal of the
+// Verdict byte for byte. A metrics request is answered immediately with the
+// daemon-wide registry (empty payload when the server runs without one); 'M'
+// is the only side frame. Heartbeats are optional and echoed verbatim, so
+// round-trip pairing is the client's concern. The same framing runs unchanged
+// over Unix sockets and TCP. Session (session.go) is the client half — every
+// 'C', 'P', 'H' and 'D' a client sends is written there — and
+// internal/checkfarm drives many sessions at once.
 const (
 	FrameChunk     = 'C'
 	FramePacket    = 'P'
@@ -55,8 +52,6 @@ const (
 	FrameDone      = 'D'
 	FrameMetrics   = 'M'
 	FrameHeartbeat = 'H'
-	FrameTrace     = 'T'
-	FrameLedger    = 'L'
 )
 
 // MaxFrameLen bounds a single frame so a corrupt length prefix cannot
@@ -188,11 +183,10 @@ func (s *Server) serveConn(conn net.Conn) {
 	store := pagestore.New(0)
 	store.SetMetrics(s.opts.Metrics)
 	xopts := s.opts
-	xopts.RetainSpans = true  // ship remote-verify spans back over 'T' frames
-	xopts.RetainLedger = true // ship replay cost slices back over 'L' frames
+	xopts.observe = true // each Reply carries the span and ledger slice back
 	x := NewExecutor(store, xopts)
 
-	var wmu sync.Mutex // 'V'/'T'/'E'/'M'/'D' frames interleave from two goroutines
+	var wmu sync.Mutex // 'V'/'E'/'M'/'H'/'D' frames interleave from two goroutines
 	send := func(typ byte, payload []byte) error {
 		wmu.Lock()
 		defer wmu.Unlock()
@@ -206,51 +200,26 @@ func (s *Server) serveConn(conn net.Conn) {
 	go func() {
 		defer close(writerDone)
 		for v := range x.Verdicts() {
-			b, err := json.Marshal(v)
+			b, err := json.Marshal(Reply{Verdict: v, Observed: v.observed})
 			if err != nil {
 				return
 			}
 			if send(FrameVerdict, b) != nil {
 				return
 			}
-			// The trace frame rides directly behind its verdict, under the
-			// same writer, so a client never sees a span for a verdict it
-			// does not yet have.
-			if span, ok := x.TakeSpan(v.Seq); ok {
-				sb, err := json.Marshal(span)
-				if err != nil {
-					return
-				}
-				if send(FrameTrace, sb) != nil {
-					return
-				}
-			}
-			// The ledger slice rides behind the same verdict, after the span.
-			if sl, ok := x.TakeLedgerSlice(v.Seq); ok {
-				lb, err := json.Marshal(sl)
-				if err != nil {
-					return
-				}
-				if send(FrameLedger, lb) != nil {
-					return
-				}
-			}
 		}
 	}()
-
-	fail := func(msg string) {
-		send(FrameError, []byte(msg))
+	// Every way out stops intake and lets the writer finish what was accepted.
+	defer func() {
 		x.Close()
 		<-writerDone
-	}
+	}()
+	fail := func(msg string) { send(FrameError, []byte(msg)) } //nolint:errcheck // the session ends either way
 
 	for {
 		typ, payload, err := ReadFrame(conn)
 		if err != nil {
-			// A vanished client: drop the session, nothing to report to.
-			x.Close()
-			<-writerDone
-			return
+			return // a vanished client: drop the session, nothing to report to
 		}
 		s.tm.framesRead.Inc()
 		s.tm.bytesRead.Add(uint64(5 + len(payload)))
@@ -282,8 +251,6 @@ func (s *Server) serveConn(conn net.Conn) {
 				}
 			}
 			if send(FrameMetrics, buf.Bytes()) != nil {
-				x.Close()
-				<-writerDone
 				return
 			}
 		case FrameHeartbeat:
@@ -291,14 +258,12 @@ func (s *Server) serveConn(conn net.Conn) {
 			// an opaque payload lets the client correlate pings however it
 			// likes (checkfarm sends a monotone sequence number).
 			if send(FrameHeartbeat, payload) != nil {
-				x.Close()
-				<-writerDone
 				return
 			}
 		case FrameDone:
 			x.Close()
 			<-writerDone
-			send(FrameDone, nil)
+			send(FrameDone, nil) //nolint:errcheck // the session is over
 			return
 		default:
 			fail(fmt.Sprintf("unexpected frame type %q", typ))
@@ -320,8 +285,9 @@ func (e *RemoteError) Error() string { return "checkd: remote: " + e.Msg }
 // the retryable class — the packets in flight were (as far as the client
 // knows) never judged, so a dispatcher may safely re-send them elsewhere.
 // Addr names the node ("" when the conn carries no address) and Packet is
-// the index of the packet being sent or awaited when the failure hit (-1
-// when the failure predates packet traffic).
+// the index of the packet being sent (a chunk belongs to the packet it was
+// uploaded for) or awaited when the failure hit, -1 for a frame that belongs
+// to no packet (a heartbeat, the closing 'D').
 type ConnError struct {
 	Addr   string
 	Op     string // "send chunk", "send packet", "read verdict", ...
@@ -374,9 +340,10 @@ func FetchMetrics(conn io.ReadWriter) ([]byte, error) {
 	}
 }
 
-// CheckOver runs a full client session on conn: stream every chunk of the
-// store, then every packet, then collect the ordered verdicts. It is the
-// socket analogue of CheckAll (Unix or TCP — the framing is identical).
+// CheckOver runs a full client session on conn: every packet through one
+// Session (each chunk just ahead of the first packet that needs it), then the
+// ordered verdicts. It is the socket analogue of CheckAll (Unix or TCP — the
+// framing is identical).
 //
 // Failures come back in two distinguishable classes: a *ConnError wraps any
 // transport-level failure with the node's address and the packet index in
@@ -388,8 +355,17 @@ func FetchMetrics(conn io.ReadWriter) ([]byte, error) {
 // after what the server already sent has been read, and an 'E' frame among
 // it wins.
 func CheckOver(conn io.ReadWriter, store *pagestore.Store, pkts []*packet.CheckPacket) ([]Verdict, error) {
-	addr := connAddr(conn)
-	sendErr := sendSession(conn, addr, store, pkts)
+	var verdicts []Verdict
+	s := OpenSession(conn, store, func(r Reply) { verdicts = append(verdicts, r.Verdict) }, 0)
+	var sendErr error
+	for _, p := range pkts {
+		if _, sendErr = s.Send(p); sendErr != nil {
+			break
+		}
+	}
+	if sendErr == nil {
+		sendErr = s.Finish()
+	}
 	if sendErr != nil {
 		// The drain must end even if the peer is alive and silent (a write
 		// deadline expired against a wedged node): no read bound, no drain.
@@ -397,9 +373,9 @@ func CheckOver(conn io.ReadWriter, store *pagestore.Store, pkts []*packet.CheckP
 		if !ok || d.SetReadDeadline(time.Now().Add(drainTimeout)) != nil {
 			return nil, sendErr
 		}
-		defer d.SetReadDeadline(time.Time{})
+		defer d.SetReadDeadline(time.Time{}) //nolint:errcheck
 	}
-	verdicts, err := readSession(conn, addr)
+	err := s.Wait()
 	var rejected *RemoteError
 	if sendErr != nil && !errors.As(err, &rejected) {
 		err = sendErr
@@ -409,67 +385,3 @@ func CheckOver(conn io.ReadWriter, store *pagestore.Store, pkts []*packet.CheckP
 
 // drainTimeout bounds CheckOver's read of a session whose sending failed.
 const drainTimeout = 2 * time.Second
-
-// sendSession writes CheckOver's half of a session; a failure is a
-// *ConnError naming the write that failed.
-func sendSession(conn io.Writer, addr string, store *pagestore.Store, pkts []*packet.CheckPacket) error {
-	var sendErr error
-	store.Each(func(k pagestore.Key, data []byte) {
-		if sendErr != nil {
-			return
-		}
-		payload := make([]byte, 8+len(data))
-		binary.LittleEndian.PutUint64(payload, uint64(k))
-		copy(payload[8:], data)
-		if err := WriteFrame(conn, FrameChunk, payload); err != nil {
-			sendErr = &ConnError{Addr: addr, Op: "send chunk", Packet: -1, Err: err}
-		}
-	})
-	if sendErr != nil {
-		return sendErr
-	}
-	for i, p := range pkts {
-		if err := WriteFrame(conn, FramePacket, packet.Encode(p)); err != nil {
-			return &ConnError{Addr: addr, Op: "send packet", Packet: i, Err: err}
-		}
-	}
-	if err := WriteFrame(conn, FrameDone, nil); err != nil {
-		return &ConnError{Addr: addr, Op: "send done", Packet: -1, Err: err}
-	}
-	return nil
-}
-
-// readSession collects verdicts until the server's 'D' (nil error), its 'E'
-// (*RemoteError) or a broken stream (*ConnError), returning what arrived.
-func readSession(conn io.Reader, addr string) ([]Verdict, error) {
-	var verdicts []Verdict
-	for {
-		typ, payload, err := ReadFrame(conn)
-		if err != nil {
-			// The verdict being awaited is the first one not yet received.
-			return verdicts, &ConnError{Addr: addr, Op: "read verdict", Packet: len(verdicts), Err: err}
-		}
-		switch typ {
-		case FrameVerdict:
-			var v Verdict
-			if err := json.Unmarshal(payload, &v); err != nil {
-				return verdicts, fmt.Errorf("%w: bad verdict frame: %v", ErrProtocol, err)
-			}
-			verdicts = append(verdicts, v)
-		case FrameHeartbeat:
-			// A pong from an earlier ping on a shared conn; not ours to pair.
-		case FrameTrace:
-			// Remote-verify span for the previous verdict; this plain client
-			// has no tracer to merge it into.
-		case FrameLedger:
-			// Replay cost slice for the previous verdict; this plain client
-			// keeps no overhead ledger to merge it into.
-		case FrameError:
-			return verdicts, &RemoteError{Msg: string(payload)}
-		case FrameDone:
-			return verdicts, nil
-		default:
-			return verdicts, fmt.Errorf("%w: unexpected frame type %q", ErrProtocol, typ)
-		}
-	}
-}

@@ -13,16 +13,23 @@ import (
 	"time"
 
 	"parallaft/internal/packet"
+	"parallaft/internal/pagestore"
 )
 
 // startServer serves on a fresh Unix socket under the test's temp dir and
 // tears down gracefully when the test ends.
-func startServer(t *testing.T, opts Options) (*Server, string) {
+func startServer(t testing.TB, opts Options) (*Server, string) {
 	t.Helper()
-	sock := filepath.Join(t.TempDir(), "checkd.sock")
-	ln, err := net.Listen("unix", sock)
+	return listenAndServe(t, "unix", filepath.Join(t.TempDir(), "checkd.sock"), opts)
+}
+
+// listenAndServe is startServer on any listener address; it returns the
+// address the listener bound.
+func listenAndServe(t testing.TB, network, addr string, opts Options) (*Server, string) {
+	t.Helper()
+	ln, err := net.Listen(network, addr)
 	if err != nil {
-		t.Fatalf("listen %s: %v", sock, err)
+		t.Fatalf("listen %s: %v", addr, err)
 	}
 	srv := NewServer(opts)
 	done := make(chan error, 1)
@@ -33,7 +40,7 @@ func startServer(t *testing.T, opts Options) (*Server, string) {
 			t.Errorf("Serve: %v", err)
 		}
 	})
-	return srv, sock
+	return srv, ln.Addr().String()
 }
 
 // TestUnixSocketRoundTrip is the acceptance path: packets exported from an
@@ -208,15 +215,32 @@ func (c *failingConn) RemoteAddr() net.Addr {
 
 // TestCheckOverTypedConnError pins the failure taxonomy: transport-level
 // failures surface as *ConnError carrying the node address and the packet
-// index in flight, distinguishable by type from the *RemoteError verdict
-// rejection (covered by TestSocketRejectsBadVersion/Digest).
+// index in flight — a chunk belongs to the packet it is uploaded for —
+// distinguishable by type from the *RemoteError verdict rejection (covered by
+// TestSocketRejectsBadVersion/Digest).
 func TestCheckOverTypedConnError(t *testing.T) {
 	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(120_000))
 	if len(pkts) < 2 {
 		t.Fatalf("want several packets, got %d", len(pkts))
 	}
-	// WriteFrame issues two Write calls per frame (header, payload).
-	chunkWrites := 2 * store.Len()
+	// WriteFrame issues two Write calls per frame (header, payload), and a
+	// packet's frames are its not-yet-sent chunks followed by the packet.
+	sent := make(map[pagestore.Key]bool)
+	chunkWrites := func(p *packet.CheckPacket) int {
+		n := 0
+		for _, k := range p.ChunkKeys(nil) {
+			if !sent[k] {
+				sent[k] = true
+				n += 2
+			}
+		}
+		return n
+	}
+	first := chunkWrites(pkts[0]) + 2
+	second := chunkWrites(pkts[1])
+	if second == 0 {
+		t.Fatal("packet 1 brings no chunk of its own; the victim should dirty pages every segment")
+	}
 
 	cases := []struct {
 		name       string
@@ -224,8 +248,9 @@ func TestCheckOverTypedConnError(t *testing.T) {
 		wantOp     string
 		wantPacket int
 	}{
-		{"dies mid-chunk-upload", chunkWrites / 2, "send chunk", -1},
-		{"dies sending a packet", chunkWrites + 3, "send packet", 1},
+		{"dies mid-chunk-upload", first / 2, "send chunk", 0},
+		{"dies uploading a later packet's chunk", first + 1, "send chunk", 1},
+		{"dies sending a packet", first + second + 1, "send packet", 1},
 		{"dies awaiting verdicts", 1 << 30, "read verdict", 0},
 	}
 	for _, tc := range cases {

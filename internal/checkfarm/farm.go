@@ -1,9 +1,9 @@
 // Package checkfarm shards sealed check packets across a fleet of checkd
-// nodes over the framed protocol (Unix or TCP), with per-node
-// content-addressed chunk caches, heartbeat-based liveness, and elastic
-// failover: when a node dies mid-campaign its in-flight packets are
-// re-dispatched to surviving nodes, and verdicts are still delivered to the
-// consumer in submission order, exactly once per packet.
+// nodes, one checkd.Session each (Unix or TCP; the session uploads every
+// content-addressed chunk a node needs at most once), with heartbeat-based
+// liveness and elastic failover: when a node dies mid-campaign its in-flight
+// packets are re-dispatched to surviving nodes, and verdicts are still
+// delivered to the consumer in submission order, exactly once per packet.
 //
 // The farm is a dispatcher, not a checker: every verdict is produced by a
 // checkd executor on some node, so a healthy farm is byte-identical to the
@@ -14,7 +14,6 @@ package checkfarm
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net"
@@ -67,10 +66,10 @@ type Options struct {
 	Metrics *telemetry.Registry
 
 	// Tracer, when set, receives causal-trace stage spans for every packet
-	// that carries a trace ID: dispatch, upload, remote-verify (shipped
-	// back from the node over 'T' frames and re-attributed to the node's
-	// track), verdict-remap and delivery. Nil disables tracing at zero
-	// cost.
+	// that carries a trace ID: dispatch, upload, remote-verify (the node's
+	// own span, shipped back in the verdict's Reply and re-attributed to the
+	// node's track), verdict-remap and delivery. Nil disables tracing at
+	// zero cost.
 	Tracer *telemetry.TraceRecorder
 
 	// Flight, when set, is the black-box ring: recent spans and abnormal
@@ -79,8 +78,8 @@ type Options struct {
 	Flight *telemetry.FlightRecorder
 
 	// Ledger, when set, receives the farm's host-side overhead (dispatch
-	// waits, chunk uploads) and the ledger slices nodes ship back over 'L'
-	// frames — the remote replays' simulated time and modeled energy, merged
+	// waits, chunk uploads) and the ledger slices nodes ship back in their
+	// Replies — the remote replays' simulated time and modeled energy, merged
 	// exactly once per trace ID. Nil discards both at zero cost.
 	Ledger *profile.Ledger
 }
@@ -118,21 +117,34 @@ type flight struct {
 	uploadDone time.Time // last upload completed; zero until then
 }
 
+// span is the stage span of this flight for one stage and actor; the caller
+// fills in what the stage adds (Attempt, Detail).
+func (fl *flight) span(stage, actor string, start, end time.Time) telemetry.StageSpan {
+	return telemetry.StageSpan{
+		TraceID:     fl.pkt.TraceID,
+		Stage:       stage,
+		Actor:       actor,
+		Prog:        fl.pkt.ProgName,
+		Segment:     fl.pkt.Segment,
+		StartUnixNs: start.UnixNano(),
+		EndUnixNs:   end.UnixNano(),
+		Seq:         fl.seq,
+	}
+}
+
 // node is one checkd session. Its executor numbers verdicts from zero in its
 // own submission order, so the farm keeps a local-seq → flight map and
 // rewrites sequence numbers on receipt.
 type node struct {
-	spec string
-	idx  int // stable per-address metric index; survives rejoin
-	conn net.Conn
-
-	wmu sync.Mutex // serialises dispatcher uploads and heartbeat pings
+	spec  string
+	idx   int    // stable per-address metric index; survives rejoin
+	actor string // "node<idx>", this node's track on the merged trace
+	conn  net.Conn
+	sess  *checkd.Session
 
 	// Guarded by Farm.mu.
 	bySeq       map[int]*flight
-	traceSeq    map[int]int // local seq → global seq, for 'T' frame remap
 	localSeq    int
-	cache       map[pagestore.Key]bool // keys this node holds
 	dead        bool
 	draining    bool
 	evictReason error
@@ -140,10 +152,8 @@ type node struct {
 	uploads     int
 	uploadBytes uint64
 
-	lastPong   time.Time // guarded by Farm.mu; any inbound frame refreshes it
-	stopHB     sync.Once
-	hbStop     chan struct{}
-	readerDone chan struct{}
+	stopHB sync.Once
+	hbStop chan struct{}
 }
 
 // Farm dispatches packets across nodes. Construct with New, add nodes with
@@ -212,14 +222,10 @@ func (f *Farm) AddNode(spec string) error {
 		return fmt.Errorf("checkfarm: dial %s: %w", spec, err)
 	}
 	n := &node{
-		spec:       spec,
-		conn:       conn,
-		bySeq:      make(map[int]*flight),
-		traceSeq:   make(map[int]int),
-		cache:      make(map[pagestore.Key]bool),
-		lastPong:   time.Now(),
-		hbStop:     make(chan struct{}),
-		readerDone: make(chan struct{}),
+		spec:   spec,
+		conn:   conn,
+		bySeq:  make(map[int]*flight),
+		hbStop: make(chan struct{}),
 	}
 	f.mu.Lock()
 	if f.closed {
@@ -233,6 +239,9 @@ func (f *Farm) AddNode(spec string) error {
 		f.nodeIdx[spec] = idx
 	}
 	n.idx = idx
+	n.actor = fmt.Sprintf("node%d", idx)
+	// The session must be open before the dispatcher can pick the node.
+	n.sess = checkd.OpenSession(conn, f.store, func(r checkd.Reply) { f.onReply(n, r) }, f.opts.WriteTimeout)
 	f.nodes = append(f.nodes, n)
 	f.all = append(f.all, n)
 	f.tm.joins.Inc()
@@ -240,7 +249,12 @@ func (f *Farm) AddNode(spec string) error {
 	f.cond.Broadcast()
 	f.mu.Unlock()
 
-	go f.reader(n)
+	go func() {
+		// A clean end is Close's 'D' exchange; anything else is the node's.
+		if err := n.sess.Wait(); err != nil {
+			f.evict(n, err)
+		}
+	}()
 	go f.heartbeater(n)
 	return nil
 }
@@ -292,13 +306,9 @@ func (f *Farm) Close() {
 
 	for _, n := range live {
 		n.stopHB.Do(func() { close(n.hbStop) })
-		n.wmu.Lock()
-		n.conn.SetWriteDeadline(time.Now().Add(f.opts.WriteTimeout))
-		err := checkd.WriteFrame(n.conn, checkd.FrameDone, nil)
-		n.wmu.Unlock()
-		if err == nil {
+		if n.sess.Finish() == nil {
 			select {
-			case <-n.readerDone:
+			case <-n.sess.Done():
 			case <-time.After(f.opts.WriteTimeout):
 			}
 		}
@@ -308,12 +318,10 @@ func (f *Farm) Close() {
 	<-f.deliveryDone
 }
 
-// dispatcher is the single goroutine that moves pending flights onto nodes.
-// Keeping it single-threaded makes the per-node chunk cache race-free: only
-// the dispatcher decides what to upload.
+// dispatcher is the single goroutine that moves pending flights onto nodes,
+// so a node's packets reach its session in local-seq order.
 func (f *Farm) dispatcher() {
 	defer close(f.dispatcherDone)
-	var keybuf []pagestore.Key
 	for {
 		f.mu.Lock()
 		for len(f.pending) == 0 && !(f.closed && f.unresolved == 0) {
@@ -357,63 +365,43 @@ func (f *Farm) dispatcher() {
 		fl.attempts++
 		fl.sentAt = time.Now()
 		n.bySeq[n.localSeq] = fl
-		n.traceSeq[n.localSeq] = fl.seq
 		n.localSeq++
-
-		// Decide the upload set under the lock, then upload without it.
-		keybuf = fl.pkt.ChunkKeys(keybuf[:0])
-		var missing []pagestore.Key
-		for _, k := range keybuf {
-			if n.cache[k] {
-				f.tm.chunkCacheHits.Inc()
-				continue
-			}
-			n.cache[k] = true
-			missing = append(missing, k)
-		}
-		attempt := fl.attempts
+		attempt, enqueuedAt := fl.attempts, fl.enqueuedAt // an eviction from here on restamps enqueuedAt
 		f.mu.Unlock()
 
-		f.tm.dispatchWait.Observe(fl.sentAt.Sub(fl.enqueuedAt).Seconds())
-		f.opts.Ledger.AddHost(profile.StageFarmDispatch, fl.sentAt.Sub(fl.enqueuedAt).Nanoseconds())
-		if f.opts.Tracer != nil && fl.pkt.TraceID != 0 {
-			f.recordStage(telemetry.StageSpan{
-				TraceID:     fl.pkt.TraceID,
-				Stage:       telemetry.StageDispatch,
-				Actor:       "farm",
-				Prog:        fl.pkt.ProgName,
-				Segment:     fl.pkt.Segment,
-				StartUnixNs: fl.enqueuedAt.UnixNano(),
-				EndUnixNs:   fl.sentAt.UnixNano(),
-				Seq:         fl.seq,
-				Attempt:     attempt,
-				Detail:      fmt.Sprintf("node%d", n.idx),
-			})
+		traced := f.opts.Tracer != nil && fl.pkt.TraceID != 0
+		f.tm.dispatchWait.Observe(fl.sentAt.Sub(enqueuedAt).Seconds())
+		f.opts.Ledger.AddHost(profile.StageFarmDispatch, fl.sentAt.Sub(enqueuedAt).Nanoseconds())
+		if traced {
+			sp := fl.span(telemetry.StageDispatch, "farm", enqueuedAt, fl.sentAt)
+			sp.Attempt, sp.Detail = attempt, n.actor
+			f.recordStage(sp)
 		}
 
-		if err := f.upload(n, missing, fl.pkt); err != nil {
+		// Upload without the lock: the session bounds its writes itself. What
+		// did go out is counted even when the node died partway.
+		st, err := n.sess.Send(fl.pkt)
+		uploadEnd := time.Now()
+		f.mu.Lock()
+		n.uploads += st.Chunks
+		n.uploadBytes += st.ChunkBytes
+		if err == nil {
+			fl.uploadDone = uploadEnd
+		}
+		f.mu.Unlock()
+		f.tm.chunkUploads.Add(uint64(st.Chunks))
+		f.tm.chunkUploadBytes.Add(st.ChunkBytes)
+		f.tm.chunkCacheHits.Add(uint64(st.Resident))
+		if err != nil {
 			f.evict(n, err)
 			continue
 		}
-		uploadEnd := time.Now()
 		f.tm.uploadTime.Observe(uploadEnd.Sub(fl.sentAt).Seconds())
 		f.opts.Ledger.AddHost(profile.StageFarmUpload, uploadEnd.Sub(fl.sentAt).Nanoseconds())
-		f.mu.Lock()
-		fl.uploadDone = uploadEnd
-		f.mu.Unlock()
-		if f.opts.Tracer != nil && fl.pkt.TraceID != 0 {
-			f.recordStage(telemetry.StageSpan{
-				TraceID:     fl.pkt.TraceID,
-				Stage:       telemetry.StageUpload,
-				Actor:       fmt.Sprintf("node%d", n.idx),
-				Prog:        fl.pkt.ProgName,
-				Segment:     fl.pkt.Segment,
-				StartUnixNs: fl.sentAt.UnixNano(),
-				EndUnixNs:   uploadEnd.UnixNano(),
-				Seq:         fl.seq,
-				Attempt:     attempt,
-				Detail:      fmt.Sprintf("chunks=%d", len(missing)),
-			})
+		if traced {
+			sp := fl.span(telemetry.StageUpload, n.actor, fl.sentAt, uploadEnd)
+			sp.Attempt, sp.Detail = attempt, fmt.Sprintf("chunks=%d", st.Chunks)
+			f.recordStage(sp)
 		}
 	}
 }
@@ -426,139 +414,48 @@ func (f *Farm) recordStage(s telemetry.StageSpan) {
 	f.opts.Flight.RecordSpan(s)
 }
 
-// upload sends the missing chunks and then the packet to a node, serialised
-// against the node's heartbeat writes.
-func (f *Farm) upload(n *node, missing []pagestore.Key, pkt *packet.CheckPacket) error {
-	n.wmu.Lock()
-	defer n.wmu.Unlock()
-	n.conn.SetWriteDeadline(time.Now().Add(f.opts.WriteTimeout))
-	defer n.conn.SetWriteDeadline(time.Time{})
-	for _, k := range missing {
-		data := f.store.Get(k)
-		if data == nil {
-			return fmt.Errorf("checkfarm: chunk %#x missing from the farm store", uint64(k))
-		}
-		payload := make([]byte, 8+len(data))
-		binary.LittleEndian.PutUint64(payload, uint64(k))
-		copy(payload[8:], data)
-		if err := checkd.WriteFrame(n.conn, checkd.FrameChunk, payload); err != nil {
-			return err
-		}
-		f.mu.Lock()
-		n.uploads++
-		n.uploadBytes += uint64(len(data))
+// onReply takes one verdict frame from a node's session: the node-local
+// sequence number is rewritten to the global one, the flight resolves, and
+// what the node observed joins the farm's own books — its ledger slice
+// (self-keyed by trace ID, so the ledger dedupes a redispatched packet's
+// second slice itself) and its remote-verify span, which called itself
+// "checkd" and carried the local seq and on the merged timeline is this
+// node's track and the global sequence. A reply with no flight behind it is a
+// duplicate or a straggler from after the node's eviction and is dropped
+// whole.
+func (f *Farm) onReply(n *node, r checkd.Reply) {
+	arrival := time.Now()
+	f.mu.Lock()
+	fl := n.bySeq[r.Seq]
+	if fl == nil {
 		f.mu.Unlock()
-		f.tm.chunkUploads.Inc()
-		f.tm.chunkUploadBytes.Add(uint64(len(data)))
+		return
 	}
-	return checkd.WriteFrame(n.conn, checkd.FramePacket, packet.Encode(pkt))
-}
+	delete(n.bySeq, r.Seq)
+	// Remote verify as the farm sees it: upload completion (or the
+	// dispatch write if the upload end was never stamped) to the
+	// verdict's arrival.
+	verifyStart := fl.uploadDone
+	if verifyStart.IsZero() {
+		verifyStart = fl.sentAt
+	}
+	f.tm.remoteVerify.Observe(arrival.Sub(verifyStart).Seconds())
+	f.resolveLocked(fl, n, r.Verdict)
+	attempt := fl.attempts
+	f.mu.Unlock()
 
-// reader drains one node's frame stream: verdicts resolve flights (with the
-// node-local sequence number rewritten to the global one), pongs refresh
-// liveness, an 'E' frame or transport error evicts the node.
-func (f *Farm) reader(n *node) {
-	defer close(n.readerDone)
-	for {
-		typ, payload, err := checkd.ReadFrame(n.conn)
-		if err != nil {
-			f.evict(n, &checkd.ConnError{Addr: n.spec, Op: "read frame", Packet: -1, Err: err})
-			return
-		}
-		f.mu.Lock()
-		n.lastPong = time.Now()
-		f.mu.Unlock()
-		switch typ {
-		case checkd.FrameVerdict:
-			arrival := time.Now()
-			var v checkd.Verdict
-			if err := json.Unmarshal(payload, &v); err != nil {
-				f.evict(n, fmt.Errorf("checkfarm: %s: bad verdict frame: %v", n.spec, err))
-				return
-			}
-			f.mu.Lock()
-			fl := n.bySeq[v.Seq]
-			if fl == nil {
-				f.mu.Unlock()
-				continue // duplicate or post-eviction straggler
-			}
-			delete(n.bySeq, v.Seq)
-			v.Seq = fl.seq
-			// Remote verify as the farm sees it: upload completion (or the
-			// dispatch write if the upload end was never stamped) to the
-			// verdict's arrival.
-			verifyStart := fl.uploadDone
-			if verifyStart.IsZero() {
-				verifyStart = fl.sentAt
-			}
-			f.tm.remoteVerify.Observe(arrival.Sub(verifyStart).Seconds())
-			f.resolveLocked(fl, n, v)
-			traced := f.opts.Tracer != nil && fl.pkt.TraceID != 0
-			attempt := fl.attempts
-			f.mu.Unlock()
-			if traced {
-				f.recordStage(telemetry.StageSpan{
-					TraceID:     fl.pkt.TraceID,
-					Stage:       telemetry.StageRemap,
-					Actor:       "farm",
-					Prog:        fl.pkt.ProgName,
-					Segment:     fl.pkt.Segment,
-					StartUnixNs: arrival.UnixNano(),
-					EndUnixNs:   time.Now().UnixNano(),
-					Seq:         fl.seq,
-					Attempt:     attempt,
-					Detail:      fmt.Sprintf("node%d", n.idx),
-				})
-			}
-		case checkd.FrameTrace:
-			// The node's own remote-verify span for the preceding verdict.
-			// Re-attribute it: the node called itself "checkd" and numbered
-			// the span with its local seq; on the merged timeline it is this
-			// node's track and the global sequence.
-			if f.opts.Tracer == nil {
-				continue
-			}
-			var span telemetry.StageSpan
-			if err := json.Unmarshal(payload, &span); err != nil {
-				continue // tracing is best-effort; never evict over it
-			}
-			f.mu.Lock()
-			seq, ok := n.traceSeq[span.Seq]
-			if ok {
-				delete(n.traceSeq, span.Seq)
-			}
-			f.mu.Unlock()
-			if !ok {
-				continue // post-eviction straggler
-			}
-			span.Actor = fmt.Sprintf("node%d", n.idx)
-			span.Seq = seq
-			f.recordStage(span)
-		case checkd.FrameLedger:
-			// The node's replay cost slice for the preceding verdict. The
-			// slice is self-keyed by trace ID, so no seq remap is needed; the
-			// ledger dedupes redispatched packets' duplicate slices itself.
-			if f.opts.Ledger == nil {
-				continue
-			}
-			var sl profile.Slice
-			if err := json.Unmarshal(payload, &sl); err != nil {
-				continue // accounting is best-effort; never evict over it
-			}
-			f.opts.Ledger.MergeRemote(sl)
-		case checkd.FrameHeartbeat:
-			// lastPong already refreshed; the payload (our ping counter)
-			// needs no pairing.
-		case checkd.FrameError:
-			f.evict(n, &checkd.RemoteError{Msg: string(payload)})
-			return
-		case checkd.FrameDone:
-			return // clean drain; Close owns the conn from here
-		default:
-			f.evict(n, fmt.Errorf("%w: unexpected frame type %q from %s",
-				checkd.ErrProtocol, typ, n.spec))
-			return
-		}
+	if r.Ledger != nil {
+		f.opts.Ledger.MergeRemote(*r.Ledger)
+	}
+	if f.opts.Tracer == nil || fl.pkt.TraceID == 0 {
+		return
+	}
+	sp := fl.span(telemetry.StageRemap, "farm", arrival, time.Now())
+	sp.Attempt, sp.Detail = attempt, n.actor
+	f.recordStage(sp)
+	if r.Span != nil {
+		r.Span.Actor, r.Span.Seq = n.actor, fl.seq
+		f.recordStage(*r.Span)
 	}
 }
 
@@ -577,26 +474,14 @@ func (f *Farm) heartbeater(n *node) {
 			return
 		case <-tick.C:
 		}
-		f.mu.Lock()
-		silent := time.Since(n.lastPong)
-		gone := n.dead || n.draining
-		f.mu.Unlock()
-		if gone {
-			return
-		}
-		if silent > f.opts.HeartbeatTimeout {
+		if silent := n.sess.Idle(); silent > f.opts.HeartbeatTimeout {
 			f.evict(n, fmt.Errorf("%w: %s silent for %v", errHeartbeat, n.spec, silent.Round(time.Millisecond)))
 			return
 		}
 		seq++
 		binary.LittleEndian.PutUint64(ping[:], seq)
-		n.wmu.Lock()
-		n.conn.SetWriteDeadline(time.Now().Add(f.opts.WriteTimeout))
-		err := checkd.WriteFrame(n.conn, checkd.FrameHeartbeat, ping[:])
-		n.conn.SetWriteDeadline(time.Time{})
-		n.wmu.Unlock()
-		if err != nil {
-			f.evict(n, &checkd.ConnError{Addr: n.spec, Op: "send heartbeat", Packet: -1, Err: err})
+		if err := n.sess.Ping(ping[:]); err != nil {
+			f.evict(n, err)
 			return
 		}
 		f.tm.heartbeats.Inc()
@@ -629,7 +514,6 @@ func (f *Farm) evict(n *node, reason error) {
 		}
 	}
 	n.bySeq = make(map[int]*flight)
-	n.traceSeq = make(map[int]int)
 	sort.Slice(stranded, func(i, j int) bool { return stranded[i].seq < stranded[j].seq })
 	f.pending = append(f.pending, stranded...)
 	sort.Slice(f.pending, func(i, j int) bool { return f.pending[i].seq < f.pending[j].seq })
@@ -652,14 +536,12 @@ func (f *Farm) evict(n *node, reason error) {
 }
 
 // readyEntry is one resolved verdict awaiting in-order delivery, with the
-// trace identity and resolve time the delivery stage needs (the Verdict
-// itself stays exactly what the node produced).
+// flight and resolve time the delivery stage's span needs (the Verdict itself
+// stays exactly what the node produced).
 type readyEntry struct {
 	v          checkd.Verdict
 	resolvedAt time.Time
-	traceID    uint64
-	prog       string
-	segment    int
+	fl         *flight
 }
 
 // resolveLocked records a flight's final verdict (node-produced or
@@ -672,13 +554,7 @@ func (f *Farm) resolveLocked(fl *flight, n *node, v checkd.Verdict) {
 	}
 	f.resolved[fl.seq] = true
 	v.Seq = fl.seq
-	f.ready[fl.seq] = readyEntry{
-		v:          v,
-		resolvedAt: time.Now(),
-		traceID:    fl.pkt.TraceID,
-		prog:       fl.pkt.ProgName,
-		segment:    fl.pkt.Segment,
-	}
+	f.ready[fl.seq] = readyEntry{v: v, resolvedAt: time.Now(), fl: fl}
 	f.unresolved--
 	if n != nil {
 		n.verdicts++
@@ -713,17 +589,8 @@ func (f *Farm) delivery() {
 		f.mu.Unlock()
 		released := time.Now()
 		f.tm.deliveryWait.Observe(released.Sub(e.resolvedAt).Seconds())
-		if f.opts.Tracer != nil && e.traceID != 0 {
-			f.recordStage(telemetry.StageSpan{
-				TraceID:     e.traceID,
-				Stage:       telemetry.StageDelivery,
-				Actor:       "farm",
-				Prog:        e.prog,
-				Segment:     e.segment,
-				StartUnixNs: e.resolvedAt.UnixNano(),
-				EndUnixNs:   released.UnixNano(),
-				Seq:         e.v.Seq,
-			})
+		if f.opts.Tracer != nil && e.fl.pkt.TraceID != 0 {
+			f.recordStage(e.fl.span(telemetry.StageDelivery, "farm", e.resolvedAt, released))
 		}
 		f.out <- e.v
 	}
@@ -731,8 +598,8 @@ func (f *Farm) delivery() {
 
 // NodeStats is a point-in-time snapshot of one node (live or evicted), for
 // campaign summaries and the soak harness's at-most-once upload assertion:
-// on a healthy node Uploads == CacheSize, because the cache is only charged
-// when a chunk is actually sent.
+// Uploads counts chunk frames written and CacheSize distinct keys the
+// session holds, so they are equal exactly when no chunk crossed twice.
 type NodeStats struct {
 	Addr        string
 	Index       int
@@ -756,11 +623,8 @@ func (f *Farm) NodeStats() []NodeStats {
 			Live:        !n.dead && !n.draining,
 			Uploads:     n.uploads,
 			UploadBytes: n.uploadBytes,
-			CacheSize:   len(n.cache),
+			CacheSize:   n.sess.Resident(), // not the session's write lock: a wedged peer holds that
 			Verdicts:    n.verdicts,
-		}
-		if n.draining {
-			s.Live = false
 		}
 		if n.evictReason != nil {
 			s.EvictReason = n.evictReason.Error()

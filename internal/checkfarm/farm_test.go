@@ -1,6 +1,8 @@
 package checkfarm
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -13,6 +15,7 @@ import (
 	"time"
 
 	"parallaft/internal/checkd"
+	"parallaft/internal/packet"
 	"parallaft/internal/telemetry"
 )
 
@@ -84,6 +87,66 @@ func TestFarmMatchesInProcess(t *testing.T) {
 	}
 	if n := metricValue(reg, "paft_farm_verdicts_total"); n != float64(len(pkts)) {
 		t.Errorf("paft_farm_verdicts_total = %v, want %d", n, len(pkts))
+	}
+}
+
+// TestFarmMissingChunkIsAVerdictNotAnEviction: a packet naming a chunk the
+// farm's own store does not hold says nothing about any node. It goes out
+// like any other, the node answers with the daemon's bounded-retry missing-
+// chunk verdict — the one CheckAll gives — and its neighbours' packets are
+// checked as usual. Reading the gap as a node failure would evict the whole
+// healthy fleet, node by node, over one bad packet.
+func TestFarmMissingChunkIsAVerdictNotAnEviction(t *testing.T) {
+	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(240_000))
+	if len(pkts) < 4 {
+		t.Fatalf("want at least 4 packets, got %d", len(pkts))
+	}
+	bad := *pkts[1]
+	bad.Start.Pages = append([]packet.PageRef(nil), bad.Start.Pages...)
+	bad.Start.Pages[0].Key ^= 1
+	if store.Contains(bad.Start.Pages[0].Key) {
+		t.Fatal("the flipped key names a chunk the store holds")
+	}
+	four := []*packet.CheckPacket{pkts[0], &bad, pkts[2], pkts[3]}
+	want, err := checkd.CheckAll(store, four, checkd.Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("CheckAll: %v", err)
+	}
+	if !errors.Is(want[1].InfraErr(), checkd.ErrMissingChunk) || !want[0].OK || !want[2].OK || !want[3].OK {
+		t.Fatalf("in-process reference is not one missing-chunk verdict among three passes: %+v", want)
+	}
+
+	reg := telemetry.NewRegistry()
+	farm := New(store, Options{Metrics: reg})
+	for i := 0; i < 3; i++ {
+		if err := farm.AddNode(startKillableNode(t, checkd.Options{Workers: 1}).Spec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, p := range four {
+		if err := farm.Submit(p); err != nil {
+			t.Fatalf("Submit: %v", err)
+		}
+	}
+	var got []checkd.Verdict
+	for range four {
+		got = append(got, <-farm.Verdicts())
+	}
+	for _, ns := range farm.NodeStats() {
+		if !ns.Live || ns.EvictReason != "" {
+			t.Errorf("node %s did not survive the bad packet: %+v", ns.Addr, ns)
+		}
+	}
+	farm.Close()
+	if n := metricValue(reg, "paft_farm_node_evictions_total"); n != 0 {
+		t.Errorf("%v evictions over a chunk no node was ever responsible for", n)
+	}
+	// The typed InfraErr stays on the node's side of the wire; everything a
+	// verdict carries over it must match.
+	gotJSON, _ := json.Marshal(got)
+	wantJSON, _ := json.Marshal(want)
+	if !bytes.Equal(gotJSON, wantJSON) {
+		t.Fatalf("farm verdicts differ from in-process:\n farm %s\nlocal %s", gotJSON, wantJSON)
 	}
 }
 

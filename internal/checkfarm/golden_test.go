@@ -1,6 +1,6 @@
 // The full-suite farm parity golden is the heaviest test in the package: it
 // replays every workload's packets twice (in-process reference + farm). The
-// !race tag keeps it out of `go test -race ./...`; `make farm-golden` runs
+// !race tag keeps it out of `go test -race ./...`; `make golden` runs
 // it explicitly, and the race-enabled soak test covers the same failover
 // machinery at a size the race detector can afford.
 //go:build !race

@@ -15,7 +15,7 @@ import (
 
 // TestFarmMergesRemoteLedgerSlices: a three-node farm run with the overhead
 // ledger attached to the originating runtime. Every node ships one ledger
-// slice per verdict over 'L' frames; the farm merges them by trace ID into
+// slice per verdict, in its Reply; the farm merges them by trace ID into
 // the remote-verify stage, the dispatcher charges its own host stages, and
 // the local attribution invariant still reconciles exactly — remote cost
 // rides in host stages, never in the simulated books.

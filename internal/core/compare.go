@@ -165,37 +165,50 @@ func (r *Runtime) compareRequest(seg *Segment, chk *proc.Process) compare.Reques
 // wins over any memory mismatch, as before the comparison subsystem split.
 func (r *Runtime) compareAgainstEndCP(seg *Segment, chk *proc.Process) compareResult {
 	ref := seg.EndCP.p
-	var res compareResult
-	mismatch := func(kind ErrorKind, format string, args ...any) {
-		if res.err == nil {
-			res.err = &DetectedError{Kind: kind, Segment: seg.Index,
-				Detail: fmt.Sprintf(format, args...)}
-		}
-	}
-
 	// Registers (and the PC, which exec-point replay already pinned).
-	if !chk.Regs.Equal(&ref.Regs) {
-		mismatch(ErrRegMismatch, "registers differ at segment end (checker/checkpoint):%s",
-			chk.Regs.Diff(&ref.Regs))
-	}
-	if chk.PC != ref.PC {
-		mismatch(ErrRegMismatch, "pc %d differs from checkpoint pc %d", chk.PC, ref.PC)
-	}
+	res := compareResult{err: EndRegMismatch(seg.Index, chk, &ref.Regs, ref.PC)}
 
 	cres := r.comparator.Run(r.compareRequest(seg, chk))
 	res.dirtyPages = cres.DirtyPages
 	res.hashedBytes = cres.HashedBytes
 	res.identitySkips = cres.IdentitySkips
 	res.cacheHits = cres.CacheHits
-	if m := cres.Mismatch; m != nil {
-		switch m.Kind {
-		case compare.MismatchStructural:
-			mismatch(ErrStructuralMismatch, "page %#x mapped on only one side", m.VPN)
-		case compare.MismatchContent:
-			mismatch(ErrMemMismatch, "page %#x content hash differs", m.VPN)
-		}
+	if res.err == nil {
+		res.err = EndMemMismatch(seg.Index, cres.Mismatch)
 	}
 	return res
+}
+
+// EndRegMismatch is the end-of-segment detection for a checker whose
+// registers, or else whose PC, differ from the reference end state; nil when
+// both agree. With EndMemMismatch it is the one wording of the end-state
+// detections: the in-process comparison and checkd's comparison against a
+// packet's wire hashes both report through the pair.
+func EndRegMismatch(segment int, chk *proc.Process, refRegs *proc.Regs, refPC uint64) *DetectedError {
+	switch {
+	case !chk.Regs.Equal(refRegs):
+		return &DetectedError{Kind: ErrRegMismatch, Segment: segment, Detail: fmt.Sprintf(
+			"registers differ at segment end (checker/checkpoint):%s", chk.Regs.Diff(refRegs))}
+	case chk.PC != refPC:
+		return &DetectedError{Kind: ErrRegMismatch, Segment: segment, Detail: fmt.Sprintf(
+			"pc %d differs from checkpoint pc %d", chk.PC, refPC)}
+	}
+	return nil
+}
+
+// EndMemMismatch is the end-of-segment detection for the page a memory
+// comparison found differing; nil for a nil mismatch.
+func EndMemMismatch(segment int, m *compare.Mismatch) *DetectedError {
+	switch {
+	case m == nil:
+		return nil
+	case m.Kind == compare.MismatchStructural:
+		return &DetectedError{Kind: ErrStructuralMismatch, Segment: segment, Detail: fmt.Sprintf(
+			"page %#x mapped on only one side", m.VPN)}
+	default:
+		return &DetectedError{Kind: ErrMemMismatch, Segment: segment, Detail: fmt.Sprintf(
+			"page %#x content hash differs", m.VPN)}
+	}
 }
 
 // retireSegment releases a compared segment's resources: checker process

@@ -147,7 +147,7 @@ func (l *Ledger) AddHost(stage string, ns int64) {
 
 // Slice is one remote node's ledger contribution for one checked packet:
 // how much host wall time and how much of its own simulated replay time the
-// remote verification spent. Shipped over the framed protocol ('L' frames)
+// remote verification spent. Shipped in the verdict's frame (checkd.Reply)
 // and merged back into the submitting run's ledger by trace ID.
 type Slice struct {
 	TraceID uint64  `json:"trace"`

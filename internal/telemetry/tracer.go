@@ -30,7 +30,7 @@ const (
 
 // StageSpan is one stage of a sealed segment's causal chain. Start/End are
 // host wall-clock (UnixNano) on the recording process's clock — or, for
-// remote-verify spans shipped back over the 'T' frame, on the node's clock;
+// remote-verify spans shipped back in the verdict's frame, on the node's clock;
 // SimNs carries the correlated simulated-clock timestamp where one exists
 // (seal and export happen at a simulated instant, transport stages do not).
 type StageSpan struct {
