@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: check build vet test race race-short bench bench-harness alloc-guard golden farm-soak fuzz-smoke offload-roundtrip loc
+.PHONY: check build vet test race race-short bench bench-harness alloc-guard golden farm-soak fuzz-smoke offload-roundtrip loc gate-time
 
 check: vet golden alloc-guard bench-harness fuzz-smoke race
 
@@ -36,8 +36,9 @@ race-short:
 #              node killed and one joined (checkfarm; it carries a !race tag, the
 #              race-enabled soak below covers the same failover at race-detector
 #              size), and for one fixed run each the telemetry snapshot, the causal
-#              trace's deterministic skeleton and the profiler's folded stacks plus
-#              overhead ledger (cmd/parallaft).
+#              trace's deterministic skeleton, the profiler's folded stacks plus
+#              overhead ledger, and the decision stream plus lifecycle spans of a
+#              main+3 run (cmd/parallaft).
 #   Lint|Total the metric/span naming lint that keeps the telemetry golden honest.
 #   Reconcile  the ledger's exact invariant: per-activity sums equal the machine's
 #              sim-time and energy books bit for bit.
@@ -83,14 +84,26 @@ bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Allocation pins for the hot paths: zero for interpreter dispatch, the
-# steady-state comparator and tracing's disabled path, and no page-sized
+# steady-state comparator and the event recorder's nil and over-limit paths
+# (every record method), and no page-sized
 # buffers in a warm checkd worker's start-state rebuild. Run without -race:
 # the detector's own instrumentation allocates, so the guard tests carry a
 # !race build tag.
 alloc-guard:
-	$(GO) test ./internal/proc ./internal/compare ./internal/checkd ./internal/telemetry ./internal/telemetry/profile -run 'AllocFree' -v
+	$(GO) test ./internal/proc ./internal/compare ./internal/checkd ./internal/telemetry ./internal/telemetry/profile -run 'AllocFree|AllocationFree' -v
 
 # The tracked size figure (ROADMAP: it should go down): non-test Go lines
 # outside benchmark/, which is counted on its own.
 loc:
 	@git ls-files '*.go' | grep -v -e '^benchmark/' -e '_test\.go$$' | xargs cat | wc -l
+
+# Where the gate's wall time goes: every top-level test of `go test ./...`,
+# run uncached, as "seconds result package test", slowest first.
+gate-time:
+	@$(GO) test -json -count=1 ./... 2>/dev/null | awk ' \
+		/"Action":"(pass|fail)"/ && /"Test":"[^"\/]*"/ { \
+			match($$0, /"Package":"[^"]*"/); pkg = substr($$0, RSTART + 11, RLENGTH - 12); \
+			match($$0, /"Test":"[^"]*"/); test = substr($$0, RSTART + 8, RLENGTH - 9); \
+			match($$0, /"Action":"[a-z]*"/); res = substr($$0, RSTART + 10, RLENGTH - 11); \
+			match($$0, /"Elapsed":[0-9.]+/); el = substr($$0, RSTART + 10, RLENGTH - 10); \
+			printf "%8.2f  %-4s  %s  %s\n", el, res, pkg, test }' | sort -rn

@@ -99,7 +99,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 			fmt.Fprintln(stderr, "paftbench:", err)
 			return 1
 		}
-		runner.Flight = telemetry.NewFlightRecorder(0)
+		runner.Flight = telemetry.NewRecorder(telemetry.RingSize)
 		runner.Flight.SetDir(*flightDir)
 		runner.Flight.SetMetrics(runner.Telemetry)
 	}

@@ -86,14 +86,6 @@ var listenHook chan net.Addr
 // SIGQUIT. Tests use it instead of signalling the whole process.
 var flightHook chan struct{}
 
-// serve runs the daemon until SIGINT/SIGTERM, then drains gracefully:
-// in-flight connections finish their verdict streams before exit. With
-// metricsAddr set, a telemetry registry is shared by every connection's
-// executor and served as Prometheus text on http://metricsAddr/metrics
-// (the same snapshot the transport's 'M' frame returns). With flightDir
-// set, the daemon keeps a flight recorder of recent frames and verify
-// spans and dumps it there on SIGQUIT — without exiting, so a wedged
-// fleet can be black-boxed in place.
 // lockedWriter serializes Write calls: the flight-dump goroutine reports to
 // stderr concurrently with the serve loop, which is fine on os.Stderr but a
 // data race on the bytes.Buffer the tests pass in. fmt formats into one
@@ -109,6 +101,13 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 	return l.w.Write(p)
 }
 
+// serve runs the daemon until SIGINT/SIGTERM, then drains gracefully:
+// in-flight connections finish their verdict streams before exit. With
+// metricsAddr set, a telemetry registry is shared by every connection's
+// executor and served as Prometheus text on http://metricsAddr/metrics.
+// With flightDir set, the daemon keeps an event recorder of recent frames
+// and verify spans and dumps its black box there on SIGQUIT — without
+// exiting, so a wedged fleet can be black-boxed in place.
 func serve(sock, metricsAddr, flightDir string, opts checkd.Options, stderr io.Writer) int {
 	stderr = &lockedWriter{w: stderr}
 	// A stale Unix socket from a previous daemon would block the listen;
@@ -148,12 +147,14 @@ func serve(sock, metricsAddr, flightDir string, opts checkd.Options, stderr io.W
 			ln.Close()
 			return 1
 		}
-		opts.Flight = telemetry.NewFlightRecorder(0)
-		opts.Flight.SetDir(flightDir)
-		opts.Flight.SetMetrics(opts.Metrics)
+		// Nothing reads a daemon's retained records, only its ring; the
+		// fixed limit keeps a long-lived daemon's recorder bounded.
+		opts.Trace = telemetry.NewRecorder(telemetry.RingSize)
+		opts.Trace.SetDir(flightDir)
+		opts.Trace.SetMetrics(opts.Metrics)
 		dump := func() {
-			opts.Flight.Note("sigquit", "operator-requested flight dump")
-			path, err := opts.Flight.DumpToDir("checkd", "sigquit", opts.Metrics)
+			opts.Trace.Note("sigquit", "operator-requested flight dump")
+			path, err := opts.Trace.DumpToDir("checkd", "sigquit", opts.Metrics)
 			if err != nil {
 				fmt.Fprintln(stderr, "paftcheckd: flight dump:", err)
 				return

@@ -126,20 +126,6 @@ func TestMetricsEndpoint(t *testing.T) {
 		}
 	}
 
-	// The 'M' transport frame returns the same registry.
-	mconn, err := net.Dial("unix", sock)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mtext, err := checkd.FetchMetrics(mconn)
-	mconn.Close()
-	if err != nil {
-		t.Fatalf("FetchMetrics: %v", err)
-	}
-	if !strings.Contains(string(mtext), "paft_checkd_queue_depth") {
-		t.Errorf("'M' frame reply missing queue-depth metric:\n%s", mtext)
-	}
-
 	close(shutdownHook)
 	if code := <-served; code != 0 {
 		t.Fatalf("serve exited %d; stderr:\n%s", code, stderr.String())

@@ -38,7 +38,6 @@ import (
 	"parallaft/internal/sim"
 	"parallaft/internal/telemetry"
 	"parallaft/internal/telemetry/profile"
-	"parallaft/internal/trace"
 	"parallaft/internal/workload"
 )
 
@@ -77,6 +76,11 @@ type options struct {
 	// reg, when non-nil, is the shared registry behind -metrics-addr;
 	// otherwise each checking run gets its own.
 	reg *telemetry.Registry
+	// trace and spans are the invocation's event and lifecycle-span
+	// recorders: one each, shared by every program of a multi-input
+	// workload and by the farm dispatcher, written once after the last run.
+	trace *telemetry.Recorder
+	spans *telemetry.SpanRecorder
 }
 
 // splitPresets turns the -diversity flag value into a preset list ("" =
@@ -115,12 +119,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.Float64Var(&o.scale, "scale", 1.0, "workload scale (built-in workloads only)")
 	fs.BoolVar(&o.list, "list", false, "list built-in workloads and exit")
 	fs.StringVar(&o.traceFile, "trace", "", "write a JSONL trace of runtime decisions to this file")
-	fs.IntVar(&o.traceCap, "trace-limit", 0, "keep at most N trace events (0 = unbounded); a truncation marker records the overflow")
+	fs.IntVar(&o.traceCap, "trace-limit", 0, "keep at most N records of the event stream behind -trace and -trace-out (0 = unbounded); a truncation marker records the overflow")
 	fs.StringVar(&o.exportDir, "export-packets", "", "export one check packet per sealed segment into this directory (paftcheckd -verify re-checks them)")
 	fs.BoolVar(&o.statsJSON, "stats-json", false, "emit one compact JSON stats object per program instead of the text block")
 	fs.StringVar(&o.spansFile, "spans", "", "write one JSONL segment-lifecycle span per retired segment to this file")
 	fs.StringVar(&o.traceOut, "trace-out", "", "write a merged Chrome trace-event JSON of every causal-trace stage span (seal through delivery, main plus fleet) to this file")
-	fs.StringVar(&o.flightDir, "flight-dir", "", "arm the flight recorder: dump recent spans/frames plus a telemetry snapshot as JSONL into this directory on node eviction, poison exhaustion or no-quorum votes")
+	fs.StringVar(&o.flightDir, "flight-dir", "", "arm the flight recorder: dump the last 256 records (decisions, spans, frames, notes) plus a telemetry snapshot as JSONL into this directory on node eviction, poison exhaustion or no-quorum votes")
 	fs.IntVar(&o.checkers, "checkers", 1, "checker replicas per segment (N > 1 enables NMR majority voting; parallaft mode only)")
 	fs.StringVar(&o.diversity, "diversity", "", "comma-separated per-replica substrate presets: none skid2x skid4x quantum bigcore coldcache")
 	fs.StringVar(&o.farm, "farm", "", "comma-separated checkd node specs (tcp:host:port or Unix socket paths): re-check every sealed segment on the fleet")
@@ -181,13 +185,19 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "parallaft: -export-packets requires a checking mode (parallaft or raft)")
 		return 2
 	}
-	if (o.traceOut != "" || o.flightDir != "") && o.mode != "parallaft" && o.mode != "raft" {
-		fmt.Fprintln(stderr, "parallaft: -trace-out and -flight-dir require a checking mode (parallaft or raft)")
+	if (o.traceFile != "" || o.spansFile != "" || o.traceOut != "" || o.flightDir != "") && o.mode != "parallaft" && o.mode != "raft" {
+		fmt.Fprintln(stderr, "parallaft: -trace, -spans, -trace-out and -flight-dir require a checking mode (parallaft or raft)")
 		return 2
 	}
 	if (o.profileOut != "" || o.profileFolded != "" || o.ledger || o.windowsFile != "") &&
 		o.mode != "parallaft" && o.mode != "raft" {
 		fmt.Fprintln(stderr, "parallaft: -profile-out, -profile-folded, -ledger and -metric-windows require a checking mode (parallaft or raft)")
+		return 2
+	}
+	// The profile and the metric windows follow one program's simulated
+	// clock, which restarts with every program of a multi-input workload.
+	if (o.profileOut != "" || o.profileFolded != "" || o.windowsFile != "") && len(progs) > 1 {
+		fmt.Fprintf(stderr, "parallaft: -profile-out, -profile-folded and -metric-windows follow one program; %s runs %d\n", o.wlName, len(progs))
 		return 2
 	}
 
@@ -206,6 +216,21 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "parallaft: metrics on http://%s/metrics\n", mln.Addr())
 	}
 
+	if o.traceFile != "" || o.traceOut != "" || o.flightDir != "" {
+		o.trace = telemetry.NewRecorder(o.traceCap)
+	}
+	if o.flightDir != "" {
+		if err := os.MkdirAll(o.flightDir, 0o755); err != nil {
+			fmt.Fprintln(stderr, "parallaft:", err)
+			return 1
+		}
+		o.trace.SetDir(o.flightDir)
+	}
+	if o.spansFile != "" {
+		o.spans = telemetry.NewSpanRecorder(0)
+	}
+
+	code := 0
 	for _, prog := range progs {
 		// Multi-input workloads restart segment numbering per program, so
 		// each program gets its own packet directory.
@@ -215,10 +240,66 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		}
 		if err := runOne(prog, mcfg, o, dir, stdout, stderr); err != nil {
 			fmt.Fprintln(stderr, "parallaft:", err)
-			return 1
+			code = 1
+			break
 		}
 	}
-	return 0
+	if err := writeRecords(o, stderr); err != nil {
+		fmt.Fprintln(stderr, "parallaft:", err)
+		return 1
+	}
+	return code
+}
+
+// writeRecords writes what the invocation's recorders hold, after the last
+// program has run and its farm has drained, so remote-verify spans that
+// arrived in the nodes' verdict frames are in the merge.
+func writeRecords(o options, stderr io.Writer) error {
+	if o.traceFile != "" {
+		var n int
+		err := writeFile(o.traceFile, func(w io.Writer) (err error) {
+			n, err = o.trace.WriteJSONL(w)
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "trace: %d events written to %s\n", n, o.traceFile)
+		if d := o.trace.Dropped(); d > 0 {
+			fmt.Fprintf(stderr, "trace: %d records dropped by -trace-limit %d\n", d, o.traceCap)
+		}
+	}
+	if o.spansFile != "" {
+		if err := writeFile(o.spansFile, o.spans.WriteJSONL); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "spans: %d segment spans written to %s\n", o.spans.Len(), o.spansFile)
+	}
+	if o.traceOut != "" {
+		var n int
+		err := writeFile(o.traceOut, func(w io.Writer) (err error) {
+			n, err = o.trace.WriteChrome(w)
+			return err
+		})
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "trace-out: %d stage spans written to %s\n", n, o.traceOut)
+	}
+	return nil
+}
+
+// writeFile creates path and fills it with write, closing it either way.
+func writeFile(path string, write func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func loadPrograms(wlName string, scale float64, args []string) ([]*asm.Program, error) {
@@ -290,11 +371,8 @@ func runOne(prog *asm.Program, mcfg machine.Config, o options, exportDir string,
 		}
 		cfg.Checkers = o.checkers
 		cfg.Diversity = splitPresets(o.diversity)
-		var rec *trace.Recorder
-		if o.traceFile != "" {
-			rec = trace.New(o.traceCap)
-			cfg.Trace = rec
-		}
+		cfg.Trace = o.trace
+		cfg.Spans = o.spans
 		// Telemetry is observation-only (it consumes no simulated time), so
 		// the registry is always on in checking modes; -stats-json carries
 		// its snapshot and -metrics-addr shares one registry across programs.
@@ -303,32 +381,10 @@ func runOne(prog *asm.Program, mcfg machine.Config, o options, exportDir string,
 			reg = telemetry.NewRegistry()
 		}
 		cfg.Metrics = reg
-		var spans *telemetry.SpanRecorder
-		if o.spansFile != "" {
-			spans = telemetry.NewSpanRecorder(0)
-			cfg.Spans = spans
-		}
-		// One tracer and one flight recorder per run, shared by the recording
-		// runtime and the farm dispatcher, so main's seal/export spans and the
-		// fleet's dispatch/upload/verify spans merge onto one timeline.
-		var tracer *telemetry.TraceRecorder
-		if o.traceOut != "" {
-			tracer = telemetry.NewTraceRecorder(0)
-			tracer.SetMetrics(reg)
-			cfg.Tracer = tracer
-		}
-		var flight *telemetry.FlightRecorder
-		if o.flightDir != "" {
-			if err := os.MkdirAll(o.flightDir, 0o755); err != nil {
-				return err
-			}
-			flight = telemetry.NewFlightRecorder(0)
-			flight.SetDir(o.flightDir)
-			flight.SetMetrics(reg)
-			cfg.Flight = flight
-		}
+		o.trace.SetMetrics(reg)
 		// The profiler, ledger, and window sampler are per-run: each program
-		// gets a fresh machine, so the books they reconcile against restart.
+		// gets a fresh machine, so the books they reconcile against restart
+		// (a multi-program run takes only the ledger, printed per program).
 		var profiler *profile.Recorder
 		if o.profileOut != "" || o.profileFolded != "" {
 			profiler = profile.NewRecorder(o.profilePeriod)
@@ -359,7 +415,7 @@ func runOne(prog *asm.Program, mcfg machine.Config, o options, exportDir string,
 		var farmVerdicts func() []checkd.Verdict
 		if o.farm != "" {
 			store := pagestore.New(core.PageHashSeed)
-			farm = checkfarm.New(store, checkfarm.Options{Metrics: reg, Tracer: tracer, Flight: flight, Ledger: ledger})
+			farm = checkfarm.New(store, checkfarm.Options{Metrics: reg, Trace: o.trace, Ledger: ledger})
 			for _, spec := range strings.Split(o.farm, ",") {
 				if err := farm.AddNode(strings.TrimSpace(spec)); err != nil {
 					farm.Close()
@@ -402,55 +458,9 @@ func runOne(prog *asm.Program, mcfg machine.Config, o options, exportDir string,
 			}
 			fmt.Fprintf(stderr, "export: %d packets written to %s\n", de.Count(), exportDir)
 		}
-		if rec != nil {
-			f, err := os.Create(o.traceFile)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := rec.WriteJSONL(f); err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "trace: %d events written to %s\n", rec.Count(""), o.traceFile)
-			if d := rec.Dropped(); d > 0 {
-				fmt.Fprintf(stderr, "trace: %d events dropped by -trace-limit %d\n", d, o.traceCap)
-			}
-		}
-		if spans != nil {
-			f, err := os.Create(o.spansFile)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := spans.WriteJSONL(f); err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "spans: %d segment spans written to %s\n", spans.Len(), o.spansFile)
-		}
-		if tracer != nil {
-			// Written after the farm has drained, so remote-verify spans that
-			// arrived in the nodes' verdict frames are in the merge.
-			f, err := os.Create(o.traceOut)
-			if err != nil {
-				return err
-			}
-			defer f.Close()
-			if err := tracer.WriteChrome(f); err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "trace-out: %d stage spans written to %s\n", tracer.Len(), o.traceOut)
-		}
 		if profiler != nil {
 			if o.profileOut != "" {
-				f, err := os.Create(o.profileOut)
-				if err != nil {
-					return err
-				}
-				if err := profiler.WritePprof(f); err != nil {
-					f.Close()
-					return err
-				}
-				if err := f.Close(); err != nil {
+				if err := writeFile(o.profileOut, profiler.WritePprof); err != nil {
 					return err
 				}
 				fmt.Fprintf(stderr, "profile: %d samples written to %s\n", profiler.TotalSamples(), o.profileOut)
@@ -462,15 +472,7 @@ func runOne(prog *asm.Program, mcfg machine.Config, o options, exportDir string,
 			}
 		}
 		if windows != nil {
-			f, err := os.Create(o.windowsFile)
-			if err != nil {
-				return err
-			}
-			if err := windows.WriteJSONL(f); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
+			if err := writeFile(o.windowsFile, windows.WriteJSONL); err != nil {
 				return err
 			}
 			fmt.Fprintf(stderr, "windows: %d metric windows written to %s\n", len(windows.Windows()), o.windowsFile)
@@ -489,7 +491,7 @@ func runOne(prog *asm.Program, mcfg machine.Config, o options, exportDir string,
 				"mode":          o.mode,
 				"stats":         st,
 				"telemetry":     reg.Snapshot(),
-				"trace_dropped": rec.Dropped(),
+				"trace_dropped": o.trace.Dropped(),
 			}
 			if farmSummary != nil {
 				obj["farm"] = farmSummary

@@ -78,27 +78,6 @@ func TestProfileGolden(t *testing.T) {
 	}
 	ledgerJSON = append(ledgerJSON, '\n')
 
-	check := func(golden string, got []byte) {
-		t.Helper()
-		path := filepath.Join("testdata", golden)
-		if *updateGolden {
-			if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, got, 0o644); err != nil {
-				t.Fatal(err)
-			}
-			t.Logf("wrote %s", path)
-			return
-		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("missing golden (run with -update to create): %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("%s drifted\n--- got ---\n%s\n--- want ---\n%s", path, got, want)
-		}
-	}
-	check("profile_folded_golden.txt", folded)
-	check("ledger_golden.json", ledgerJSON)
+	checkGolden(t, "profile_folded_golden.txt", folded)
+	checkGolden(t, "ledger_golden.json", ledgerJSON)
 }

@@ -4,8 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"os"
-	"path/filepath"
 	"testing"
 )
 
@@ -49,23 +47,5 @@ func TestTelemetryGolden(t *testing.T) {
 	}
 	pretty.WriteByte('\n')
 
-	golden := filepath.Join("testdata", "telemetry_golden.json")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, pretty.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if !bytes.Equal(pretty.Bytes(), want) {
-		t.Errorf("telemetry snapshot drifted from %s\n--- got ---\n%s\n--- want ---\n%s",
-			golden, pretty.Bytes(), want)
-	}
+	checkGolden(t, "telemetry_golden.json", pretty.Bytes())
 }

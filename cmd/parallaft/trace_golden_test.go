@@ -3,7 +3,6 @@ package main
 import (
 	"bytes"
 	"fmt"
-	"os"
 	"path/filepath"
 	"regexp"
 	"sort"
@@ -94,25 +93,5 @@ func TestTraceGolden(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
 	}
-	got := projectTrace(readChromeTrace(t, out))
-
-	golden := filepath.Join("testdata", "trace_golden.txt")
-	if *updateGolden {
-		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
-			t.Fatal(err)
-		}
-		t.Logf("wrote %s", golden)
-		return
-	}
-	want, err := os.ReadFile(golden)
-	if err != nil {
-		t.Fatalf("missing golden (run with -update to create): %v", err)
-	}
-	if got != string(want) {
-		t.Errorf("trace projection drifted from %s\n--- got ---\n%s\n--- want ---\n%s",
-			golden, got, want)
-	}
+	checkGolden(t, "trace_golden.txt", []byte(projectTrace(readChromeTrace(t, out))))
 }

@@ -59,6 +59,8 @@ func TestTraceFlagValidation(t *testing.T) {
 	cases := [][]string{
 		{"-mode", "baseline", "-trace-out", "x.json", "-workload", "stress.getpid"},
 		{"-mode", "baseline", "-flight-dir", "x", "-workload", "stress.getpid"},
+		{"-mode", "baseline", "-trace", "x.jsonl", "-workload", "stress.getpid"},
+		{"-mode", "baseline", "-spans", "x.jsonl", "-workload", "stress.getpid"},
 	}
 	for _, args := range cases {
 		var stdout, stderr bytes.Buffer
@@ -133,6 +135,70 @@ func TestTraceOutFarmRun(t *testing.T) {
 	for _, ev := range tr.TraceEvents {
 		if ev.Phase == "X" && ev.Args["trace"] == nil {
 			t.Fatalf("span %q has no trace id: %v", ev.Name, ev.Args)
+		}
+	}
+}
+
+// TestMultiProgramRunKeepsEveryProgram: 403.gcc runs nine inputs, one
+// program each. The recorders are per invocation and written once, so every
+// program's decisions, lifecycle spans and seal spans reach the files — each
+// program's run used to overwrite the previous one's.
+func TestMultiProgramRunKeepsEveryProgram(t *testing.T) {
+	dir := t.TempDir()
+	tracePath := filepath.Join(dir, "t.jsonl")
+	spansPath := filepath.Join(dir, "s.jsonl")
+	chromePath := filepath.Join(dir, "c.json")
+	var stdout, stderr bytes.Buffer
+	code := run([]string{"-workload", "403.gcc", "-scale", "0.05",
+		"-trace", tracePath, "-spans", spansPath, "-trace-out", chromePath}, &stdout, &stderr)
+	if code != 0 {
+		t.Fatalf("exit %d, stderr:\n%s", code, stderr.String())
+	}
+	if n := strings.Count(stderr.String(), "trace: "); n != 1 {
+		t.Errorf("trace file written %d times, want once:\n%s", n, stderr.String())
+	}
+
+	progs := map[string]bool{}
+	seals := 0
+	for _, ev := range readChromeTrace(t, chromePath).TraceEvents {
+		if ev.Phase == "X" && ev.Name == "seal" {
+			seals++
+			progs[ev.Args["prog"].(string)] = true
+		}
+	}
+	if len(progs) != 9 {
+		t.Errorf("seal spans cover %d programs, want all 9: %v", len(progs), progs)
+	}
+	decisions, err := os.ReadFile(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spans, err := os.ReadFile(spansPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	starts := strings.Count(string(decisions), `"kind":"segment-start"`)
+	lifecycles := strings.Count(string(spans), "\n")
+	if starts != seals || lifecycles != seals {
+		t.Errorf("segment starts %d, lifecycle spans %d, seal spans %d: want one of each per segment of every program",
+			starts, lifecycles, seals)
+	}
+}
+
+// TestMultiProgramRejectsPerRunOutputs: the profile and the metric windows
+// follow one program's simulated clock, so asking for them on a multi-input
+// workload is a usage error rather than a file holding only the last program.
+func TestMultiProgramRejectsPerRunOutputs(t *testing.T) {
+	dir := t.TempDir()
+	for _, flag := range []string{"-profile-out", "-profile-folded", "-metric-windows"} {
+		var stdout, stderr bytes.Buffer
+		args := []string{"-workload", "403.gcc", "-scale", "0.05", flag, filepath.Join(dir, "out")}
+		if code := run(args, &stdout, &stderr); code != 2 {
+			t.Errorf("%s: exit %d, want 2 (stderr %q)", flag, code, stderr.String())
+			continue
+		}
+		if !strings.Contains(stderr.String(), "follow one program") {
+			t.Errorf("%s: stderr = %q", flag, stderr.String())
 		}
 	}
 }

@@ -31,7 +31,7 @@ type Progress struct {
 	totalN int
 	doneN  int
 
-	flight    *telemetry.FlightRecorder
+	flight    *telemetry.Recorder
 	flightReg *telemetry.Registry
 }
 
@@ -91,13 +91,13 @@ func (p *Progress) Step(n int) {
 		p.label, done, total, elapsed.Round(time.Second), eta)
 }
 
-// SetFlight attaches a flight recorder: every contained worker panic is
-// noted in the black-box ring and immediately dumped (with the registry
+// SetFlight attaches an event recorder: every contained worker panic is
+// noted in its black-box ring and immediately dumped (with the registry
 // snapshot) to the recorder's directory. A panic is exactly the "something
 // abnormal happened" moment the flight recorder exists for — the dump
 // preserves what the process saw right before the job exploded, even though
 // the campaign itself carries on. Nil-safe on all sides.
-func (p *Progress) SetFlight(f *telemetry.FlightRecorder, reg *telemetry.Registry) {
+func (p *Progress) SetFlight(f *telemetry.Recorder, reg *telemetry.Registry) {
 	if p == nil || f == nil {
 		return
 	}
@@ -107,8 +107,8 @@ func (p *Progress) SetFlight(f *telemetry.FlightRecorder, reg *telemetry.Registr
 	p.flightReg = reg
 }
 
-// notePanic counts a contained job panic and, with a flight recorder
-// attached, dumps the black box (no-op without either sink).
+// notePanic counts a contained job panic and, with a recorder attached,
+// dumps the black box (no-op without either sink).
 func (p *Progress) notePanic(e *PanicError) {
 	if p == nil {
 		return

@@ -34,12 +34,11 @@ type Options struct {
 	// socket server's per-connection stores) sharing one registry compose
 	// into daemon-wide totals.
 	Metrics *telemetry.Registry
-	// Tracer, when set, receives a remote-verify stage span for every
-	// checked packet that carries a trace ID. Nil disables local recording.
-	Tracer *telemetry.TraceRecorder
-	// Flight, when set, is the black-box ring the executor notes abnormal
-	// events into (poison packets, infra verdicts).
-	Flight *telemetry.FlightRecorder
+	// Trace, when set, is the event recorder: it receives a remote-verify
+	// stage span for every checked packet that carries a trace ID, a note
+	// for every infrastructure verdict and, on a Server, every frame that
+	// crosses the wire. Nil disables local recording.
+	Trace *telemetry.Recorder
 
 	// observe makes each verdict of a packet that carries a trace ID bring
 	// its remote-verify span and ledger slice along (Verdict.observed). Only
@@ -224,7 +223,7 @@ func (x *Executor) worker() {
 func (x *Executor) check(c *checker, j job) Verdict {
 	var start time.Time
 	observe := j.pkt.TraceID != 0 && x.opts.observe
-	spanned := observe || (j.pkt.TraceID != 0 && x.opts.Tracer != nil)
+	spanned := observe || (j.pkt.TraceID != 0 && x.opts.Trace != nil)
 	if spanned {
 		start = time.Now()
 	}
@@ -252,7 +251,7 @@ func (x *Executor) check(c *checker, j job) Verdict {
 		v.OK = false
 		v.Infra = err.Error()
 		v.infraErr = err
-		x.opts.Flight.Note("infra-verdict",
+		x.opts.Trace.Note("infra-verdict",
 			fmt.Sprintf("%s seg %d: %v", j.pkt.ProgName, j.pkt.Segment, err))
 	}
 	if spanned {
@@ -267,8 +266,7 @@ func (x *Executor) check(c *checker, j job) Verdict {
 			Seq:         j.seq,
 			Detail:      verdictClass(v),
 		}
-		x.opts.Tracer.Record(span)
-		x.opts.Flight.RecordSpan(span)
+		x.opts.Trace.Record(span)
 		if observe {
 			v.observed.Span = &span
 		}

@@ -1,12 +1,28 @@
 package checkd
 
 import (
+	"fmt"
 	"net"
 	"sync"
 	"testing"
 
 	"parallaft/internal/telemetry"
 )
+
+// heartbeat writes one ping on conn and reads back its echo.
+func heartbeat(conn net.Conn) error {
+	if err := WriteFrame(conn, FrameHeartbeat, []byte("hi")); err != nil {
+		return err
+	}
+	typ, payload, err := ReadFrame(conn)
+	if err != nil {
+		return err
+	}
+	if typ != FrameHeartbeat || string(payload) != "hi" {
+		return fmt.Errorf("heartbeat answered with %q %q", typ, payload)
+	}
+	return nil
+}
 
 // TestConcurrentSubmittersGracefulDrain is the transport's race-mode
 // lifecycle test: several client sessions stream packets concurrently
@@ -51,10 +67,10 @@ func TestConcurrentSubmittersGracefulDrain(t *testing.T) {
 			conn, err := net.Dial("unix", sock)
 			if err == nil {
 				defer conn.Close()
-				// A metrics round-trip proves the server accepted this
+				// A heartbeat round trip proves the server accepted this
 				// connection: a dialed-but-unaccepted conn would be
 				// legitimately dropped by the drain.
-				_, err = FetchMetrics(conn)
+				err = heartbeat(conn)
 			}
 			ready.Done()
 			if err != nil {

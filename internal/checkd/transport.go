@@ -1,7 +1,6 @@
 package checkd
 
 import (
-	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -20,11 +19,9 @@ import (
 //
 //	client → server:  'C' chunk (key u64 + bytes)   content-addressed page/code data
 //	                  'P' packet                     one encoded CheckPacket
-//	                  'M' metrics request            ask for a telemetry snapshot
 //	                  'H' heartbeat ping             liveness probe (opaque payload)
 //	                  'D' done                       no more frames; drain and report
 //	server → client:  'V' verdict                    JSON-encoded Reply, in submit order
-//	                  'M' metrics reply              Prometheus text exposition
 //	                  'H' heartbeat pong             the ping's payload, echoed
 //	                  'E' error                      intake rejection or protocol error (fatal)
 //	                  'D' done                       all verdicts sent
@@ -37,10 +34,10 @@ import (
 // ledger slice (simulated time, modeled energy, host wall time) as two
 // optional members — so a client with no tracer or ledger pays for nothing
 // it discards, and for an untraced packet the payload is json.Marshal of the
-// Verdict byte for byte. A metrics request is answered immediately with the
-// daemon-wide registry (empty payload when the server runs without one); 'M'
-// is the only side frame. Heartbeats are optional and echoed verbatim, so
-// round-trip pairing is the client's concern. The same framing runs unchanged
+// Verdict byte for byte. There are no side frames: what a node observed rides
+// in its verdict's Reply, and its metrics are served over HTTP (paftcheckd
+// -metrics-addr). Heartbeats are optional and echoed verbatim, so round-trip
+// pairing is the client's concern. The same framing runs unchanged
 // over Unix sockets and TCP. Session (session.go) is the client half — every
 // 'C', 'P', 'H' and 'D' a client sends is written there — and
 // internal/checkfarm drives many sessions at once.
@@ -50,7 +47,6 @@ const (
 	FrameVerdict   = 'V'
 	FrameError     = 'E'
 	FrameDone      = 'D'
-	FrameMetrics   = 'M'
 	FrameHeartbeat = 'H'
 )
 
@@ -74,6 +70,12 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	binary.LittleEndian.PutUint32(hdr[1:], uint32(len(payload)))
 	if _, err := w.Write(hdr[:]); err != nil {
 		return err
+	}
+	if len(payload) == 0 {
+		// The header is the whole frame, and the peer may already have acted
+		// on it: after a client's 'D' the server answers and hangs up, and a
+		// zero-byte write to the closed socket would fail with EPIPE.
+		return nil
 	}
 	_, err := w.Write(payload)
 	return err
@@ -114,8 +116,8 @@ type Server struct {
 
 // NewServer creates a server; opts configures the per-connection executors.
 // With opts.Metrics set, every connection's executor and pagestore report
-// into the shared registry, and 'M' frames (or the HTTP endpoint fed by the
-// same registry) expose daemon-wide totals.
+// into the shared registry, so the HTTP endpoint it feeds exposes daemon-wide
+// totals.
 func NewServer(opts Options) *Server {
 	return &Server{opts: opts, tm: newCheckdMetrics(opts.Metrics), conns: make(map[net.Conn]struct{})}
 }
@@ -186,13 +188,13 @@ func (s *Server) serveConn(conn net.Conn) {
 	xopts.observe = true // each Reply carries the span and ledger slice back
 	x := NewExecutor(store, xopts)
 
-	var wmu sync.Mutex // 'V'/'E'/'M'/'H'/'D' frames interleave from two goroutines
+	var wmu sync.Mutex // 'V'/'E'/'H'/'D' frames interleave from two goroutines
 	send := func(typ byte, payload []byte) error {
 		wmu.Lock()
 		defer wmu.Unlock()
 		s.tm.framesWritten.Inc()
 		s.tm.bytesWritten.Add(uint64(5 + len(payload)))
-		s.opts.Flight.RecordFrame("send", typ, len(payload))
+		s.opts.Trace.Frame("send", typ, len(payload))
 		return WriteFrame(conn, typ, payload)
 	}
 
@@ -223,7 +225,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		}
 		s.tm.framesRead.Inc()
 		s.tm.bytesRead.Add(uint64(5 + len(payload)))
-		s.opts.Flight.RecordFrame("recv", typ, len(payload))
+		s.opts.Trace.Frame("recv", typ, len(payload))
 		switch typ {
 		case FrameChunk:
 			if len(payload) < 8 {
@@ -240,17 +242,6 @@ func (s *Server) serveConn(conn net.Conn) {
 			}
 			if err := x.Submit(pkt); err != nil {
 				fail(err.Error())
-				return
-			}
-		case FrameMetrics:
-			var buf bytes.Buffer
-			if s.opts.Metrics != nil {
-				if err := s.opts.Metrics.WritePrometheus(&buf); err != nil {
-					fail(fmt.Sprintf("metrics snapshot: %v", err))
-					return
-				}
-			}
-			if send(FrameMetrics, buf.Bytes()) != nil {
 				return
 			}
 		case FrameHeartbeat:
@@ -316,28 +307,6 @@ func connAddr(conn io.ReadWriter) string {
 		}
 	}
 	return ""
-}
-
-// FetchMetrics asks the server for a telemetry snapshot over a dedicated
-// connection and returns the Prometheus text exposition. Use a fresh
-// connection: on a session with packets in flight, verdict frames may
-// arrive ahead of the metrics reply.
-func FetchMetrics(conn io.ReadWriter) ([]byte, error) {
-	if err := WriteFrame(conn, FrameMetrics, nil); err != nil {
-		return nil, err
-	}
-	typ, payload, err := ReadFrame(conn)
-	if err != nil {
-		return nil, err
-	}
-	switch typ {
-	case FrameMetrics:
-		return payload, nil
-	case FrameError:
-		return nil, &RemoteError{Msg: string(payload)}
-	default:
-		return nil, fmt.Errorf("%w: unexpected frame type %q in metrics reply", ErrProtocol, typ)
-	}
 }
 
 // CheckOver runs a full client session on conn: every packet through one

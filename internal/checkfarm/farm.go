@@ -65,17 +65,14 @@ type Options struct {
 	// Metrics receives the paft_farm_* instruments when set.
 	Metrics *telemetry.Registry
 
-	// Tracer, when set, receives causal-trace stage spans for every packet
-	// that carries a trace ID: dispatch, upload, remote-verify (the node's
-	// own span, shipped back in the verdict's Reply and re-attributed to the
-	// node's track), verdict-remap and delivery. Nil disables tracing at
-	// zero cost.
-	Tracer *telemetry.TraceRecorder
-
-	// Flight, when set, is the black-box ring: recent spans and abnormal
-	// events, dumped (via the recorder's configured directory) on node
-	// eviction and poison-packet exhaustion.
-	Flight *telemetry.FlightRecorder
+	// Trace, when set, is the event recorder. It receives causal-trace stage
+	// spans for every packet that carries a trace ID: dispatch, upload,
+	// remote-verify (the node's own span, shipped back in the verdict's Reply
+	// and re-attributed to the node's track), verdict-remap and delivery. Node
+	// eviction and poison-packet exhaustion note themselves and dump its
+	// black box (via the recorder's configured directory). Nil disables
+	// tracing at zero cost.
+	Trace *telemetry.Recorder
 
 	// Ledger, when set, receives the farm's host-side overhead (dispatch
 	// waits, chunk uploads) and the ledger slices nodes ship back in their
@@ -340,7 +337,7 @@ func (f *Farm) dispatcher() {
 		if len(f.nodes) == 0 {
 			// Submission raced the last eviction; resolve cleanly rather
 			// than hold the packet hostage waiting for a join.
-			f.opts.Flight.Note("stranded",
+			f.opts.Trace.Note("stranded",
 				fmt.Sprintf("%s seg %d: no live nodes", fl.pkt.ProgName, fl.pkt.Segment))
 			f.resolveLocked(fl, nil,
 				checkd.NewInfraVerdict(fl.pkt, fmt.Errorf("%w: packet %s seg %d stranded",
@@ -355,9 +352,9 @@ func (f *Farm) dispatcher() {
 					fl.pkt.ProgName, fl.pkt.Segment, fl.attempts)))
 			f.mu.Unlock()
 			// A poison packet exhausted its budget: black-box moment.
-			f.opts.Flight.Note("poison-exhausted",
+			f.opts.Trace.Note("poison-exhausted",
 				fmt.Sprintf("%s seg %d: %d attempts", fl.pkt.ProgName, fl.pkt.Segment, fl.attempts))
-			f.opts.Flight.DumpToDir("farm", "poison-exhausted", f.opts.Metrics)
+			f.opts.Trace.DumpToDir("farm", "poison-exhausted", f.opts.Metrics)
 			continue
 		}
 		n := f.nodes[f.rr%len(f.nodes)]
@@ -369,13 +366,13 @@ func (f *Farm) dispatcher() {
 		attempt, enqueuedAt := fl.attempts, fl.enqueuedAt // an eviction from here on restamps enqueuedAt
 		f.mu.Unlock()
 
-		traced := f.opts.Tracer != nil && fl.pkt.TraceID != 0
+		traced := f.opts.Trace != nil && fl.pkt.TraceID != 0
 		f.tm.dispatchWait.Observe(fl.sentAt.Sub(enqueuedAt).Seconds())
 		f.opts.Ledger.AddHost(profile.StageFarmDispatch, fl.sentAt.Sub(enqueuedAt).Nanoseconds())
 		if traced {
 			sp := fl.span(telemetry.StageDispatch, "farm", enqueuedAt, fl.sentAt)
 			sp.Attempt, sp.Detail = attempt, n.actor
-			f.recordStage(sp)
+			f.opts.Trace.Record(sp)
 		}
 
 		// Upload without the lock: the session bounds its writes itself. What
@@ -401,17 +398,9 @@ func (f *Farm) dispatcher() {
 		if traced {
 			sp := fl.span(telemetry.StageUpload, n.actor, fl.sentAt, uploadEnd)
 			sp.Attempt, sp.Detail = attempt, fmt.Sprintf("chunks=%d", st.Chunks)
-			f.recordStage(sp)
+			f.opts.Trace.Record(sp)
 		}
 	}
-}
-
-// recordStage routes one stage span to the tracer and the flight ring.
-// Both sinks are nil-safe; callers gate on Options.Tracer so the disabled
-// path skips the wall-clock reads too.
-func (f *Farm) recordStage(s telemetry.StageSpan) {
-	f.opts.Tracer.Record(s)
-	f.opts.Flight.RecordSpan(s)
 }
 
 // onReply takes one verdict frame from a node's session: the node-local
@@ -447,15 +436,15 @@ func (f *Farm) onReply(n *node, r checkd.Reply) {
 	if r.Ledger != nil {
 		f.opts.Ledger.MergeRemote(*r.Ledger)
 	}
-	if f.opts.Tracer == nil || fl.pkt.TraceID == 0 {
+	if f.opts.Trace == nil || fl.pkt.TraceID == 0 {
 		return
 	}
 	sp := fl.span(telemetry.StageRemap, "farm", arrival, time.Now())
 	sp.Attempt, sp.Detail = attempt, n.actor
-	f.recordStage(sp)
+	f.opts.Trace.Record(sp)
 	if r.Span != nil {
 		r.Span.Actor, r.Span.Seq = n.actor, fl.seq
-		f.recordStage(*r.Span)
+		f.opts.Trace.Record(*r.Span)
 	}
 }
 
@@ -530,9 +519,9 @@ func (f *Farm) evict(n *node, reason error) {
 
 	// Black-box moment: dump the flight ring so the post-mortem shows what
 	// the farm saw in the window before this node went away.
-	f.opts.Flight.Note("evict",
+	f.opts.Trace.Note("evict",
 		fmt.Sprintf("node%d %s: %v (%d packets redispatched)", n.idx, n.spec, reason, len(stranded)))
-	f.opts.Flight.DumpToDir(fmt.Sprintf("node%d", n.idx), "node-eviction", f.opts.Metrics)
+	f.opts.Trace.DumpToDir(fmt.Sprintf("node%d", n.idx), "node-eviction", f.opts.Metrics)
 }
 
 // readyEntry is one resolved verdict awaiting in-order delivery, with the
@@ -589,8 +578,8 @@ func (f *Farm) delivery() {
 		f.mu.Unlock()
 		released := time.Now()
 		f.tm.deliveryWait.Observe(released.Sub(e.resolvedAt).Seconds())
-		if f.opts.Tracer != nil && e.fl.pkt.TraceID != 0 {
-			f.recordStage(e.fl.span(telemetry.StageDelivery, "farm", e.resolvedAt, released))
+		if f.opts.Trace != nil && e.fl.pkt.TraceID != 0 {
+			f.opts.Trace.Record(e.fl.span(telemetry.StageDelivery, "farm", e.resolvedAt, released))
 		}
 		f.out <- e.v
 	}

@@ -233,9 +233,11 @@ func TestFarmNodeDiesMidChunkUpload(t *testing.T) {
 // TestFarmNodeDiesAfterVerdict: a node answers some packets and is then
 // killed before the campaign ends. Already-delivered verdicts must not be
 // re-dispatched (exactly once per packet), the remainder moves to a node
-// that joined mid-campaign. The run is traced with the flight recorder
-// armed, so the kill also pins the observability side: the eviction dumps
-// the black box and redispatched chains carry both dispatch attempts.
+// that joined mid-campaign. The run is traced with the black box armed, so
+// the kill also pins the observability side: the eviction dumps the black box
+// — stage spans included, which a flight-dir-only run's ring never saw while
+// spans went to a separate tracer — and redispatched chains carry both
+// dispatch attempts.
 func TestFarmNodeDiesAfterVerdict(t *testing.T) {
 	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(240_000))
 	if len(pkts) < 3 {
@@ -249,13 +251,12 @@ func TestFarmNodeDiesAfterVerdict(t *testing.T) {
 	a := startKillableNode(t, checkd.Options{Workers: 1})
 	b := startKillableNode(t, checkd.Options{Workers: 2})
 	flightDir := t.TempDir()
-	flight := telemetry.NewFlightRecorder(0)
-	flight.SetDir(flightDir)
-	tracer := telemetry.NewTraceRecorder(0)
+	rec := telemetry.NewRecorder(0)
+	rec.SetDir(flightDir)
 	// Node A is handed packet 0 and nothing after it, so what it still owes
 	// when it dies does not depend on how fast it checks.
 	gate := newGate(1)
-	farm := New(store, Options{Tracer: tracer, Flight: flight, Dial: gate.dial(a.Spec)})
+	farm := New(store, Options{Trace: rec, Dial: gate.dial(a.Spec)})
 	if err := farm.AddNode(a.Spec); err != nil {
 		t.Fatal(err)
 	}
@@ -304,11 +305,14 @@ func TestFarmNodeDiesAfterVerdict(t *testing.T) {
 	if !strings.Contains(string(dump), `"kind":"evict"`) {
 		t.Errorf("dump ring missing the evict note:\n%s", dump)
 	}
+	if !strings.Contains(string(dump), `"stage":"dispatch"`) || !strings.Contains(string(dump), `"stage":"upload"`) {
+		t.Errorf("dump ring missing the dispatch and upload stage spans:\n%s", dump)
+	}
 
 	// Redispatched packets repeat the dispatch stage under the same trace ID
 	// with a higher attempt, so failovers read as forked chains.
 	attempts := make(map[uint64]int)
-	for _, s := range tracer.Spans() {
+	for _, s := range rec.Records() {
 		if s.Stage == telemetry.StageDispatch && s.Attempt > attempts[s.TraceID] {
 			attempts[s.TraceID] = s.Attempt
 		}
@@ -324,7 +328,7 @@ func TestFarmNodeDiesAfterVerdict(t *testing.T) {
 	}
 	// Every chain that was dispatched eventually records a delivery span.
 	deliveries := 0
-	for _, s := range tracer.Spans() {
+	for _, s := range rec.Records() {
 		if s.Stage == telemetry.StageDelivery {
 			deliveries++
 		}

@@ -8,7 +8,6 @@ import (
 	"parallaft/internal/machine"
 	"parallaft/internal/proc"
 	"parallaft/internal/telemetry"
-	"parallaft/internal/trace"
 )
 
 // hashSeed seeds the page hashes; any fixed value works, it only needs to
@@ -82,7 +81,7 @@ func (r *Runtime) compareSegment(seg *Segment) {
 	if result.err != nil {
 		verdict = result.err.Kind.String()
 	}
-	r.cfg.Trace.Emit(rep.doneNs, trace.Compare, seg.Index,
+	r.cfg.Trace.Emit(rep.doneNs, telemetry.Compare, seg.Index,
 		"%d dirty pages (%d identity-skipped, %d hash-cache hits), %s",
 		result.dirtyPages, result.identitySkips, result.cacheHits, verdict)
 	r.stats.DirtyPagesHashed += result.dirtyPages

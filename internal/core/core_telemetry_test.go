@@ -106,8 +106,8 @@ func TestTelemetryIsObservationOnly(t *testing.T) {
 			reg := telemetry.NewRegistry()
 			cfg.Metrics = reg
 			cfg.Spans = telemetry.NewSpanRecorder(0)
-			cfg.Tracer = telemetry.NewTraceRecorder(0)
-			cfg.Flight = telemetry.NewFlightRecorder(0)
+			cfg.Trace = telemetry.NewRecorder(0)
+			cfg.Trace.SetDir(t.TempDir())
 			cfg.Profiler = profile.NewRecorder(10_000)
 			cfg.Ledger = profile.NewLedger()
 			cfg.Windows = profile.NewWindowSampler(reg, 1e5, 0)

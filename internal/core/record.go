@@ -11,7 +11,6 @@ import (
 	"parallaft/internal/sim"
 	"parallaft/internal/telemetry"
 	"parallaft/internal/telemetry/profile"
-	"parallaft/internal/trace"
 )
 
 // Run protects one program execution end to end and returns the collected
@@ -255,11 +254,11 @@ func (r *Runtime) startSegmentWith(cp *checkpoint) {
 	r.segments = append(r.segments, seg)
 	r.current = seg
 	r.tm.segStarted.Inc()
-	if r.cfg.Spans != nil || r.cfg.Tracer != nil {
+	if r.cfg.Spans != nil || r.cfg.Trace != nil {
 		seg.wallStart = time.Now()
 	}
 	r.observeLiveSegments()
-	r.cfg.Trace.Emit(r.mainTask.Clock, trace.SegmentStart, seg.Index, "%d pages mapped", r.main.AS.PageCount())
+	r.cfg.Trace.Emit(r.mainTask.Clock, telemetry.SegmentStart, seg.Index, "%d pages mapped", r.main.AS.PageCount())
 	for _, rep := range seg.Replicas {
 		r.sched.place(rep, r.mainTask.Clock)
 	}
@@ -283,7 +282,7 @@ func (r *Runtime) sealCurrent(cp *checkpoint) {
 	r.current = nil
 	r.tm.segSealed.Inc()
 	r.observeLiveSegments()
-	r.cfg.Trace.Emit(r.mainTask.Clock, trace.SegmentSeal, cur.Index, "end at %s, %d events", cur.End, len(cur.Log.Events))
+	r.cfg.Trace.Emit(r.mainTask.Clock, telemetry.SegmentSeal, cur.Index, "end at %s, %d events", cur.End, len(cur.Log.Events))
 	r.onSeal(cur)
 }
 
@@ -329,7 +328,7 @@ func (r *Runtime) sealFinal() {
 	r.current = nil
 	r.tm.segSealed.Inc()
 	r.observeLiveSegments()
-	r.cfg.Trace.Emit(r.mainTask.Clock, trace.SegmentSeal, cur.Index, "final: end at %s", cur.End)
+	r.cfg.Trace.Emit(r.mainTask.Clock, telemetry.SegmentSeal, cur.Index, "final: end at %s", cur.End)
 	r.onSeal(cur)
 	r.sched.onMainExit()
 }
@@ -355,10 +354,10 @@ func (r *Runtime) onSeal(seg *Segment) {
 		rep.ensureTarget()
 	}
 
-	if r.cfg.Tracer != nil && !seg.arb {
+	if r.cfg.Trace != nil && !seg.arb {
 		// The seal span opens the segment's causal chain: main run from
 		// segment start to the seal, stamped with the seal's sim-clock time.
-		r.recordStage(telemetry.StageSpan{
+		r.cfg.Trace.Record(telemetry.StageSpan{
 			TraceID:     telemetry.NewTraceID(r.main.Name, seg.Index),
 			Stage:       telemetry.StageSeal,
 			Actor:       "main",
@@ -377,12 +376,12 @@ func (r *Runtime) onSeal(seg *Segment) {
 			r.exportErr = err
 		}
 		r.cfg.Ledger.AddHost(profile.StageExport, time.Since(exportStart).Nanoseconds())
-		if r.cfg.Tracer != nil {
+		if r.cfg.Trace != nil {
 			detail := fmt.Sprintf("pages=%d", seg.EndCP.p.AS.PageCount())
 			if err != nil {
 				detail = "error: " + err.Error()
 			}
-			r.recordStage(telemetry.StageSpan{
+			r.cfg.Trace.Record(telemetry.StageSpan{
 				TraceID:     telemetry.NewTraceID(r.main.Name, seg.Index),
 				Stage:       telemetry.StageExport,
 				Actor:       "main",
@@ -416,7 +415,7 @@ func (r *Runtime) recordSyscall() error {
 	r.chargeRuntimeMain(machine.ActRecord, 2*r.cfg.tracerStopNs())
 	r.stats.SyscallsTraced++
 	r.tm.syscalls.Inc()
-	r.cfg.Trace.Emit(r.mainTask.Clock, trace.Syscall, r.currentIndex(), "%v", info.Nr)
+	r.cfg.Trace.Emit(r.mainTask.Clock, telemetry.Syscall, r.currentIndex(), "%v", info.Nr)
 
 	// File-backed private mmap: split the segment around the call so the
 	// mapping is duplicated into the next segment's checker via fork
@@ -434,7 +433,7 @@ func (r *Runtime) recordSyscall() error {
 			r.takeBoundary()
 			r.stats.ContainBarriers++
 			r.tm.barriers.Inc()
-			r.cfg.Trace.Emit(r.mainTask.Clock, trace.Barrier, r.currentIndex(), "before %v", info.Nr)
+			r.cfg.Trace.Emit(r.mainTask.Clock, telemetry.Barrier, r.currentIndex(), "before %v", info.Nr)
 		}
 		if r.uncomparedOthers() > 0 {
 			// Wait: the main stays stopped at this syscall; pickActor
@@ -531,7 +530,7 @@ func (r *Runtime) recordNondet() {
 	r.chargeRuntimeMain(machine.ActRecord, r.cfg.tracerStopNs())
 	r.stats.NondetTraced++
 	r.tm.nondet.Inc()
-	r.cfg.Trace.Emit(r.mainTask.Clock, trace.Nondet, r.currentIndex(), "pc %d", p.PC)
+	r.cfg.Trace.Emit(r.mainTask.Clock, telemetry.Nondet, r.currentIndex(), "pc %d", p.PC)
 	val := sim.EmulateNondet(p, r.mainCore, r.mainTask.Clock)
 	rec := &NondetRecord{PC: p.PC, Value: val}
 	sim.FinishNondet(p, val)
@@ -546,7 +545,7 @@ func (r *Runtime) recordInternalSignal(sig proc.Signal) {
 	r.chargeRuntimeMain(machine.ActRecord, r.cfg.tracerStopNs())
 	r.stats.SignalsTraced++
 	r.tm.signals.Inc()
-	r.cfg.Trace.Emit(r.mainTask.Clock, trace.Signal, r.currentIndex(), "internal %v at pc %d", sig, p.PC)
+	r.cfg.Trace.Emit(r.mainTask.Clock, telemetry.Signal, r.currentIndex(), "internal %v at pc %d", sig, p.PC)
 	rec := &SignalRecord{Sig: sig, PC: p.PC}
 	alive := p.DeliverSignal(sig)
 	rec.Fatal = !alive

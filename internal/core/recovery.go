@@ -5,7 +5,6 @@ import (
 
 	"parallaft/internal/oskernel"
 	"parallaft/internal/telemetry"
-	"parallaft/internal/trace"
 )
 
 // Error recovery — the paper's table-2 "future work" row, implemented.
@@ -68,7 +67,7 @@ func (r *Runtime) tryRecover() bool {
 
 	verdict := verdictMainFault
 	if seg.sealed && seg.EndCP != nil {
-		r.cfg.Trace.Emit(r.mainTask.Clock, trace.Arbitrate, seg.Index, "re-executing with a clean referee")
+		r.cfg.Trace.Emit(r.mainTask.Clock, telemetry.Arbitrate, seg.Index, "re-executing with a clean referee")
 		verdict = r.arbitrate(seg)
 	}
 	r.detected = nil
@@ -78,7 +77,7 @@ func (r *Runtime) tryRecover() bool {
 		// segment. Accept it and release its resources.
 		r.stats.RecoveredCheckerFaults++
 		r.tm.recoveredChecker.Inc()
-		r.cfg.Trace.Emit(r.mainTask.Clock, trace.Recover, seg.Index, "checker fault absorbed; segment verified by referee")
+		r.cfg.Trace.Emit(r.mainTask.Clock, telemetry.Recover, seg.Index, "checker fault absorbed; segment verified by referee")
 		if !seg.compared {
 			doneNs := seg.checkerDoneNs()
 			if doneNs == 0 {
@@ -232,7 +231,7 @@ func (r *Runtime) rollback() {
 	r.stats.Rollbacks++
 	r.tm.rollbacks.Inc()
 	r.observeLiveSegments()
-	r.cfg.Trace.Emit(wall, trace.Rollback, oldest.Index, "main restored from segment %d's start checkpoint", oldest.Index)
+	r.cfg.Trace.Emit(wall, telemetry.Rollback, oldest.Index, "main restored from segment %d's start checkpoint", oldest.Index)
 
 	// Restart protection from the restored state, carrying the retry
 	// count so a permanent fault cannot loop forever.

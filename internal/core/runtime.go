@@ -12,7 +12,6 @@ import (
 	"parallaft/internal/sim"
 	"parallaft/internal/telemetry"
 	"parallaft/internal/telemetry/profile"
-	"parallaft/internal/trace"
 )
 
 // DirtyTracking selects the dirty-page discovery mechanism (§4.4).
@@ -144,9 +143,14 @@ type Config struct {
 	// roll back forever.
 	RecoveryMaxRollbacks int
 
-	// Trace, when set, receives a structured event stream of runtime
-	// decisions (segments, replay events, scheduling, detections).
-	Trace *trace.Recorder
+	// Trace, when set, is the run's event recorder. It receives the
+	// runtime's decisions (segments, replay events, scheduling, detections),
+	// a seal stage span per sealed segment and an export span per emitted
+	// packet (opening the causal chain that checkd/checkfarm stages extend),
+	// and a no-quorum note — after which a no-quorum vote dumps the
+	// recorder's black box into its directory. Like Spans, purely
+	// observational — nil costs nothing on the hot path.
+	Trace *telemetry.Recorder
 
 	// Metrics, when set, receives runtime metrics under the paft_core_*
 	// namespace (segment lifecycle counters, hash-bytes/dirty-pages
@@ -160,17 +164,6 @@ type Config struct {
 	// retire/rollback), with simulated-time phase stamps and a host
 	// wall-time duration.
 	Spans *telemetry.SpanRecorder
-
-	// Tracer, when set, receives causal-trace stage spans: a seal span per
-	// sealed segment and an export span per emitted packet, opening the
-	// trace chain that checkd/checkfarm stages extend. Like Spans, purely
-	// observational — nil costs nothing on the hot path.
-	Tracer *telemetry.TraceRecorder
-
-	// Flight, when set, is the black-box ring abnormal events are noted
-	// into (no-quorum votes dump the recorder via its configured
-	// directory).
-	Flight *telemetry.FlightRecorder
 
 	// Profiler, when set, receives deterministic sim-clock profile samples
 	// from every actor's interpreter dispatch loop: the runtime attaches one
@@ -353,7 +346,7 @@ type Segment struct {
 
 	// Telemetry-only bookkeeping (observation-only; never feeds the model).
 	dirtyPages uint64    // pages hashed at comparison, for the span record
-	wallStart  time.Time // host time at segment start (set only when Spans or Tracer on)
+	wallStart  time.Time // host time at segment start (set only when Spans or Trace on)
 }
 
 // chk is the segment's first (and in the single-checker design, only)
@@ -686,7 +679,7 @@ func (r *Runtime) detect(d *DetectedError) {
 		r.tm.detections.Inc()
 		// Checker exceptions have never been traced; -trace output is pinned.
 		if d.Kind != ErrCheckerException {
-			r.cfg.Trace.Emit(r.mainTask.Clock, trace.Detect, d.Segment, "%s: %s", d.Kind, d.Detail)
+			r.cfg.Trace.Emit(r.mainTask.Clock, telemetry.Detect, d.Segment, "%s: %s", d.Kind, d.Detail)
 		}
 	}
 }
@@ -703,7 +696,7 @@ func (r *Runtime) markDissent(rep *replica, d *DetectedError) {
 		rep.doneNs = rep.Task.Clock
 		rep.Checker.DisarmBranchCounter()
 		rep.Checker.ClearAllBreakpoints()
-		r.cfg.Trace.Emit(rep.Task.Clock, trace.Vote, rep.seg.Index,
+		r.cfg.Trace.Emit(rep.Task.Clock, telemetry.Vote, rep.seg.Index,
 			"replica %d dissents: %s: %s", rep.idx, d.Kind, d.Detail)
 		r.sched.observeCheckerDone(rep)
 		r.sched.onCheckerDone(rep)

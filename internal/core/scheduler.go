@@ -2,7 +2,7 @@ package core
 
 import (
 	"parallaft/internal/machine"
-	"parallaft/internal/trace"
+	"parallaft/internal/telemetry"
 )
 
 // scheduler is the checker scheduler and pacer (§4.5). It places checker
@@ -98,7 +98,7 @@ func (s *scheduler) place(rep *replica, nowNs float64) {
 	rep.queued = true
 	s.r.stats.Queued++
 	s.r.tm.queued.Inc()
-	s.r.cfg.Trace.Emit(nowNs, trace.Queue, rep.seg.Index, "no core free")
+	s.r.cfg.Trace.Emit(nowNs, telemetry.Queue, rep.seg.Index, "no core free")
 	s.queue = append(s.queue, rep)
 }
 
@@ -147,7 +147,7 @@ func (s *scheduler) migrate(rep *replica, to *machine.Core) {
 	rep.onBig = to.Kind == machine.Big
 	to.SetFreqIndex(len(to.Ladder) - 2)
 	s.occ[to.ID] = rep
-	s.r.cfg.Trace.Emit(rep.Task.Clock, trace.Migrate, rep.seg.Index, "core %d (%s) -> core %d (%s)", from.ID, from.Kind, to.ID, to.Kind)
+	s.r.cfg.Trace.Emit(rep.Task.Clock, telemetry.Migrate, rep.seg.Index, "core %d (%s) -> core %d (%s)", from.ID, from.Kind, to.ID, to.Kind)
 }
 
 // drop removes every replica of a segment from all scheduler structures
@@ -314,7 +314,7 @@ func (s *scheduler) setLittleFreqMax() {
 func (s *scheduler) setLittleFreqIdx(idx int) {
 	if len(s.littles) > 0 && s.littles[0].FreqIndex() != idx {
 		s.r.tm.dvfsChanges.Inc()
-		s.r.cfg.Trace.Emit(s.r.mainTask.Clock, trace.DVFS, -1, "little cores -> %.1f GHz", s.littles[0].Ladder[clampIdx(idx, len(s.littles[0].Ladder))].GHz)
+		s.r.cfg.Trace.Emit(s.r.mainTask.Clock, telemetry.DVFS, -1, "little cores -> %.1f GHz", s.littles[0].Ladder[clampIdx(idx, len(s.littles[0].Ladder))].GHz)
 	}
 	for _, c := range s.littles {
 		c.SetFreqIndex(idx)

@@ -190,11 +190,3 @@ func (r *Runtime) emitSpan(seg *Segment, outcome string, endNs float64) {
 	}
 	r.cfg.Spans.Record(sp)
 }
-
-// recordStage routes one causal-trace stage span to the tracer and the
-// flight recorder. Both sinks are nil-safe, so callers only gate on the
-// tracer (the span's wall-clock reads are the cost worth skipping).
-func (r *Runtime) recordStage(s telemetry.StageSpan) {
-	r.cfg.Tracer.Record(s)
-	r.cfg.Flight.RecordSpan(s)
-}

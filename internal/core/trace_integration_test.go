@@ -4,15 +4,26 @@ import (
 	"testing"
 
 	"parallaft/internal/proc"
-	"parallaft/internal/trace"
+	"parallaft/internal/telemetry"
 )
+
+// countKind returns how many retained records of rec have the kind.
+func countKind(rec *telemetry.Recorder, kind telemetry.Kind) int {
+	n := 0
+	for _, s := range rec.Records() {
+		if s.Kind == kind {
+			n++
+		}
+	}
+	return n
+}
 
 // TestTraceStreamCoversTheRun: a traced protected run emits the lifecycle
 // events in a causally sensible shape.
 func TestTraceStreamCoversTheRun(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SlicePeriodCycles = 70_000
-	rec := trace.New(0)
+	rec := telemetry.NewRecorder(0)
 	cfg.Trace = rec
 
 	e := newTestEngine(7)
@@ -25,9 +36,9 @@ func TestTraceStreamCoversTheRun(t *testing.T) {
 		t.Fatalf("false positive: %v", stats.Detected)
 	}
 
-	starts := rec.Count(trace.SegmentStart)
-	seals := rec.Count(trace.SegmentSeal)
-	compares := rec.Count(trace.Compare)
+	starts := countKind(rec, telemetry.SegmentStart)
+	seals := countKind(rec, telemetry.SegmentSeal)
+	compares := countKind(rec, telemetry.Compare)
 	if starts == 0 || seals == 0 || compares == 0 {
 		t.Fatalf("missing lifecycle events: start=%d seal=%d compare=%d", starts, seals, compares)
 	}
@@ -37,21 +48,21 @@ func TestTraceStreamCoversTheRun(t *testing.T) {
 	if compares != seals {
 		t.Errorf("compares %d != seals %d (every sealed segment must compare)", compares, seals)
 	}
-	if got := rec.Count(trace.Syscall); got != int(stats.SyscallsTraced) {
+	if got := countKind(rec, telemetry.Syscall); got != int(stats.SyscallsTraced) {
 		t.Errorf("traced syscall events %d != stats %d", got, stats.SyscallsTraced)
 	}
-	if rec.Count(trace.Detect) != 0 {
+	if countKind(rec, telemetry.Detect) != 0 {
 		t.Error("clean run emitted a detect event")
 	}
 
 	// timestamps are monotone per segment-start ordering
 	var last float64 = -1
-	for _, ev := range rec.Events() {
-		if ev.Kind == trace.SegmentStart {
-			if ev.TimeNs < last {
-				t.Errorf("segment starts out of order: %v < %v", ev.TimeNs, last)
+	for _, ev := range rec.Records() {
+		if ev.Kind == telemetry.SegmentStart {
+			if ev.SimNs < last {
+				t.Errorf("segment starts out of order: %v < %v", ev.SimNs, last)
 			}
-			last = ev.TimeNs
+			last = ev.SimNs
 		}
 	}
 }
@@ -60,14 +71,14 @@ func TestTraceStreamCoversTheRun(t *testing.T) {
 // the segment and kind.
 func TestTraceCapturesDetection(t *testing.T) {
 	cfg := smallSliceConfig()
-	rec := trace.New(0)
+	rec := telemetry.NewRecorder(0)
 	cfg.Trace = rec
 	stats := runWithHook(t, cfg, loopProgram(120_000),
 		onceInSegment(1, func(c *proc.Process) { c.Regs.X[1] ^= 1 << 9 }))
 	if stats.Detected == nil {
 		t.Fatal("no detection")
 	}
-	if rec.Count(trace.Detect) != 1 {
-		t.Errorf("detect events = %d", rec.Count(trace.Detect))
+	if countKind(rec, telemetry.Detect) != 1 {
+		t.Errorf("detect events = %d", countKind(rec, telemetry.Detect))
 	}
 }

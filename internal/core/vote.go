@@ -7,7 +7,6 @@ import (
 	"parallaft/internal/machine"
 	"parallaft/internal/oskernel"
 	"parallaft/internal/telemetry"
-	"parallaft/internal/trace"
 )
 
 // NMR majority voting (Config.Checkers > 1).
@@ -120,7 +119,7 @@ func (r *Runtime) voteSegment(seg *Segment) {
 		}
 	}
 
-	r.cfg.Trace.Emit(seg.compareNs, trace.Vote, seg.Index,
+	r.cfg.Trace.Emit(seg.compareNs, telemetry.Vote, seg.Index,
 		"%s: %d voters, %d dissenter(s), %d dirty pages",
 		vres.Verdict, len(seg.Replicas)+1, len(vres.Dissenters), vres.DirtyPages)
 
@@ -154,10 +153,11 @@ func (r *Runtime) voteSegment(seg *Segment) {
 		r.stats.VoteNoQuorum++
 		r.tm.voteNoQuorum.Inc()
 		// Black-box moment: no majority means no trustworthy state. Note it
-		// and dump the flight ring so the post-mortem sees the lead-up.
-		r.cfg.Flight.Note("no-quorum",
+		// and dump the flight ring so the post-mortem sees the lead-up, the
+		// vote decision above included.
+		r.cfg.Trace.Note("no-quorum",
 			fmt.Sprintf("%s seg %d: %d replicas, no majority", r.main.Name, seg.Index, len(seg.Replicas)))
-		r.cfg.Flight.DumpToDir("main", "no-quorum", r.cfg.Metrics)
+		r.cfg.Trace.DumpToDir("main", "no-quorum", r.cfg.Metrics)
 		r.voteDetect(seg, &vres)
 		r.settleVoteDetection(seg)
 	}
@@ -305,7 +305,7 @@ func (r *Runtime) forwardRepair(seg *Segment, agreed *replica) bool {
 	r.stats.ForwardRepairs++
 	r.tm.voteForwardRep.Inc()
 	r.observeLiveSegments()
-	r.cfg.Trace.Emit(wall, trace.ForwardRepair, seg.Index,
+	r.cfg.Trace.Emit(wall, telemetry.ForwardRepair, seg.Index,
 		"main repaired forward from replica %d's agreed segment-end state", agreed.idx)
 
 	// Restart protection from the repaired state, carrying the segment's

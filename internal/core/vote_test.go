@@ -2,6 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"parallaft/internal/proc"
@@ -189,6 +193,56 @@ func TestNMRNoQuorumFallsBackToDetection(t *testing.T) {
 	}
 	if stats.VoteNoQuorum != 1 {
 		t.Errorf("no-quorum votes = %d, want 1", stats.VoteNoQuorum)
+	}
+}
+
+// TestNMRNoQuorumDumpsBlackBox: a no-quorum vote is a black-box moment. The
+// run dumps exactly once, and the dump holds the lead-up the post-mortem
+// needs: the segment's vote decision and its seal span, which the runtime
+// records into the same stream.
+func TestNMRNoQuorumDumpsBlackBox(t *testing.T) {
+	cfg := nmrConfig()
+	fired := [3]bool{}
+	cfg.ReplicaHook = func(seg, rep int, c *proc.Process, _ float64) {
+		if seg != 1 || rep == 2 || fired[rep] {
+			return
+		}
+		c.FlipRegisterBit(proc.GPRClass, 1, 0, uint(40+rep))
+		fired[rep] = true
+	}
+	dir := t.TempDir()
+	cfg.Trace = telemetry.NewRecorder(0)
+	cfg.Trace.SetDir(dir)
+	stats, err := NewRuntime(newTestEngine(13), cfg).Run(loopProgram(120_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fired[0] || !fired[1] {
+		t.Skip("both replicas were not corrupted in segment 1")
+	}
+	if stats.VoteNoQuorum != 1 {
+		t.Fatalf("no-quorum votes = %d, want 1", stats.VoteNoQuorum)
+	}
+	dumps, err := filepath.Glob(filepath.Join(dir, "flight-*.jsonl"))
+	if err != nil || len(dumps) != 1 || filepath.Base(dumps[0]) != "flight-main-0.jsonl" {
+		t.Fatalf("dumps = %v (err %v), want exactly flight-main-0.jsonl", dumps, err)
+	}
+	raw, err := os.ReadFile(dumps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var vote, seal, note bool
+	for _, line := range strings.Split(strings.TrimSpace(string(raw)), "\n")[1:] {
+		var s telemetry.StageSpan
+		if err := json.Unmarshal([]byte(line), &s); err != nil {
+			t.Fatalf("dump line %q: %v", line, err)
+		}
+		vote = vote || s.Kind == telemetry.Vote && s.Segment == 1
+		seal = seal || s.Stage == telemetry.StageSeal && s.Segment == 1
+		note = note || s.Kind == "no-quorum"
+	}
+	if !vote || !seal || !note {
+		t.Errorf("dump holds vote=%v seal=%v no-quorum note=%v for segment 1, want all:\n%s", vote, seal, note, raw)
 	}
 }
 

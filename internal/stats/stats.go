@@ -123,9 +123,10 @@ type Runner struct {
 	// (paft_campaign_*): progress lines are rendered from the gauges, and
 	// contained job panics are counted.
 	Telemetry *telemetry.Registry
-	// Flight, when set, receives a black-box dump whenever a campaign
-	// worker panics (the panic is still contained as an error result).
-	Flight *telemetry.FlightRecorder
+	// Flight, when set, is an event recorder whose black box is dumped
+	// whenever a campaign worker panics (the panic is still contained as an
+	// error result).
+	Flight *telemetry.Recorder
 }
 
 // newProgress builds the campaign reporter for one experiment, wired to

@@ -7,35 +7,44 @@ package telemetry
 import "testing"
 
 // TestTracingDisabledAllocFree pins the disabled-tracing hot path at zero
-// allocations: with tracing off the runtime, farm and checkd all hold nil
-// recorders, and every Record/RecordSpan/Note call sprinkled through their
+// allocations: with tracing off the runtime, farm and checkd all hold a nil
+// recorder, and every Emit/Record/Note/Frame call sprinkled through their
 // hot loops must cost nothing. This is the guard behind the
 // observation-only guarantee — enabling the instrumentation points may not
 // perturb the uninstrumented build's allocation behavior.
 func TestTracingDisabledAllocFree(t *testing.T) {
-	var tr *TraceRecorder
-	var fl *FlightRecorder
+	var r *Recorder
 	span := StageSpan{TraceID: 1, Stage: StageUpload, Actor: "node0", Segment: 3, Seq: 2, Attempt: 1}
+	args := []any{42} // pre-boxed so the caller side does not allocate either
 
 	if n := testing.AllocsPerRun(1000, func() {
-		tr.Record(span)
-		_ = tr.Len()
-		fl.RecordSpan(span)
-		fl.Note("evict", "x")
-		fl.RecordFrame("send", 'P', 64)
+		r.Emit(1, Compare, 1, "compared %d pages", args...)
+		r.Record(span)
+		r.Note("evict", "x")
+		r.Frame("send", 'P', 64)
+		_ = r.Dropped()
 	}); n != 0 {
 		t.Errorf("disabled tracing path allocates %v/op, want 0", n)
 	}
+}
 
-	// Nil-instrument counters (recorder allocated, metrics never wired)
-	// must also stay free: Record's fast path goes through Counter.Inc on
-	// a nil *Counter.
-	rec := NewTraceRecorder(2)
-	rec.Record(span)
-	rec.Record(span)
+// TestDroppedPathAllocationFree: over the limit with no ring armed, every
+// record path only counts the drop: no lock, no detail formatting, no
+// allocation.
+func TestDroppedPathAllocationFree(t *testing.T) {
+	span := StageSpan{TraceID: 1, Stage: StageUpload, Actor: "node0", Segment: 3, Seq: 2, Attempt: 1}
+	args := []any{42} // pre-boxed so the caller side does not allocate either
+	rec := NewRecorder(1)
+	rec.Emit(0, Compare, 0, "fill")
 	if n := testing.AllocsPerRun(1000, func() {
-		rec.Record(span) // at limit: drop path
+		rec.Emit(1, Compare, 1, "dropped %d", args...)
+		rec.Record(span)
+		rec.Note("evict", "x")
+		rec.Frame("send", 'P', 64)
 	}); n != 0 {
 		t.Errorf("over-limit drop path allocates %v/op, want 0", n)
+	}
+	if rec.Dropped() == 0 {
+		t.Error("records were not dropped")
 	}
 }

@@ -21,7 +21,6 @@ import (
 	"parallaft/internal/sim"
 	"parallaft/internal/telemetry"
 	"parallaft/internal/telemetry/profile"
-	"parallaft/internal/trace"
 )
 
 // lintProgram is a minimal guest: enough compute to span a couple of
@@ -56,14 +55,11 @@ func fullyInstrumentedRegistry(t *testing.T) *telemetry.Registry {
 	// Three checkers so the NMR vote instruments (paft_core_vote_*,
 	// per-replica slack gauges) are registered and linted too.
 	cfg.Checkers = 3
-	// Causal tracing + flight recorder on, so the paft_trace_* instruments
-	// are registered and the seal spans exercise them.
-	tracer := telemetry.NewTraceRecorder(0)
-	tracer.SetMetrics(reg)
-	flight := telemetry.NewFlightRecorder(0)
-	flight.SetMetrics(reg)
-	cfg.Tracer = tracer
-	cfg.Flight = flight
+	// The event recorder on, so the paft_trace_* instruments are registered
+	// and the decisions and seal spans exercise them.
+	rec := telemetry.NewRecorder(0)
+	rec.SetMetrics(reg)
+	cfg.Trace = rec
 	// Profiler + overhead ledger attached, so the paft_profile_* and
 	// paft_ledger_* instruments register and the charge/sample hot paths
 	// exercise them during the run.
@@ -98,7 +94,7 @@ func fullyInstrumentedRegistry(t *testing.T) *telemetry.Registry {
 	srv := checkd.NewServer(checkd.Options{Workers: 1})
 	done := make(chan struct{})
 	go func() { defer close(done); srv.Serve(ln) }() //nolint:errcheck
-	farm := checkfarm.New(store, checkfarm.Options{Metrics: reg, Tracer: tracer, Flight: flight})
+	farm := checkfarm.New(store, checkfarm.Options{Metrics: reg, Trace: rec})
 	if err := farm.AddNode("tcp:" + ln.Addr().String()); err != nil {
 		t.Fatalf("farm AddNode: %v", err)
 	}
@@ -146,15 +142,15 @@ func TestMetricNameLint(t *testing.T) {
 	}
 }
 
-// TestTraceKindHelpIsTotal walks the trace package's source for every
-// declared Kind constant and asserts each one has a non-empty KindHelp
+// TestTraceKindHelpIsTotal walks the recorder's source for every declared
+// Kind constant and asserts each one has a non-empty KindHelp
 // entry. Parsing the source (rather than trusting Kinds(), which is derived
 // from KindHelp itself) means adding a Kind without help fails `make check`.
 func TestTraceKindHelpIsTotal(t *testing.T) {
 	fset := token.NewFileSet()
-	f, err := parser.ParseFile(fset, "../trace/trace.go", nil, 0)
+	f, err := parser.ParseFile(fset, "recorder.go", nil, 0)
 	if err != nil {
-		t.Fatalf("parse trace.go: %v", err)
+		t.Fatalf("parse recorder.go: %v", err)
 	}
 	var kinds []string
 	for _, decl := range f.Decls {
@@ -177,42 +173,42 @@ func TestTraceKindHelpIsTotal(t *testing.T) {
 		}
 	}
 	if len(kinds) == 0 {
-		t.Fatal("found no Kind constants in trace.go; did the declarations move?")
+		t.Fatal("found no Kind constants in recorder.go; did the declarations move?")
 	}
 
 	// Map constant names to their runtime values via the package itself.
-	byName := map[string]trace.Kind{
-		"SegmentStart":  trace.SegmentStart,
-		"SegmentSeal":   trace.SegmentSeal,
-		"Syscall":       trace.Syscall,
-		"Nondet":        trace.Nondet,
-		"Signal":        trace.Signal,
-		"CheckerDone":   trace.CheckerDone,
-		"Compare":       trace.Compare,
-		"Migrate":       trace.Migrate,
-		"DVFS":          trace.DVFS,
-		"Queue":         trace.Queue,
-		"Detect":        trace.Detect,
-		"Arbitrate":     trace.Arbitrate,
-		"Recover":       trace.Recover,
-		"Rollback":      trace.Rollback,
-		"Barrier":       trace.Barrier,
-		"Stall":         trace.Stall,
-		"Vote":          trace.Vote,
-		"ForwardRepair": trace.ForwardRepair,
-		"Truncated":     trace.Truncated,
+	byName := map[string]telemetry.Kind{
+		"SegmentStart":  telemetry.SegmentStart,
+		"SegmentSeal":   telemetry.SegmentSeal,
+		"Syscall":       telemetry.Syscall,
+		"Nondet":        telemetry.Nondet,
+		"Signal":        telemetry.Signal,
+		"CheckerDone":   telemetry.CheckerDone,
+		"Compare":       telemetry.Compare,
+		"Migrate":       telemetry.Migrate,
+		"DVFS":          telemetry.DVFS,
+		"Queue":         telemetry.Queue,
+		"Detect":        telemetry.Detect,
+		"Arbitrate":     telemetry.Arbitrate,
+		"Recover":       telemetry.Recover,
+		"Rollback":      telemetry.Rollback,
+		"Barrier":       telemetry.Barrier,
+		"Stall":         telemetry.Stall,
+		"Vote":          telemetry.Vote,
+		"ForwardRepair": telemetry.ForwardRepair,
+		"Truncated":     telemetry.Truncated,
 	}
 	for _, name := range kinds {
 		k, ok := byName[name]
 		if !ok {
-			t.Errorf("trace.%s is a new Kind constant: add it to this test's table and to trace.KindHelp", name)
+			t.Errorf("telemetry.%s is a new Kind constant: add it to this test's table and to telemetry.KindHelp", name)
 			continue
 		}
-		if trace.KindHelp[k] == "" {
-			t.Errorf("trace.%s (%q) has no KindHelp entry", name, k)
+		if telemetry.KindHelp[k] == "" {
+			t.Errorf("telemetry.%s (%q) has no KindHelp entry", name, k)
 		}
 	}
-	if len(trace.KindHelp) != len(kinds) {
-		t.Errorf("KindHelp has %d entries but trace.go declares %d Kind constants", len(trace.KindHelp), len(kinds))
+	if len(telemetry.KindHelp) != len(kinds) {
+		t.Errorf("KindHelp has %d entries but recorder.go declares %d Kind constants", len(telemetry.KindHelp), len(kinds))
 	}
 }
