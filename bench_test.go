@@ -240,7 +240,8 @@ func BenchmarkStressSyscalls(b *testing.B) {
 // 4 KiB pages, instruction slicing and a shared voltage domain (paper:
 // Parallaft 26.2%/46.7%, RAFT 12.9%/50.2%).
 func BenchmarkIntelPlatform(b *testing.B) {
-	r := stats.NewIntelRunner()
+	r := stats.NewRunner()
+	r.MachineCfg = machine.IntelLike
 	r.Scale = 0.25
 	for i := 0; i < b.N; i++ {
 		sr, err := r.RunSuite(benchSubset, true)

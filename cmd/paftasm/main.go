@@ -12,69 +12,53 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
-	"parallaft/internal/asm"
-	"parallaft/internal/machine"
-	"parallaft/internal/oskernel"
-	"parallaft/internal/sim"
-	"parallaft/internal/workload"
+	"parallaft/internal/cli"
+	"parallaft/internal/stats"
 )
 
 func main() {
-	var (
-		disasm = flag.Bool("d", false, "disassemble the program")
-		run    = flag.Bool("run", false, "run the program untraced on a big core")
-		wlName = flag.String("workload", "", "use a built-in workload instead of a file")
-	)
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	prog, err := load(*wlName, flag.Args())
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paftasm:", err)
-		os.Exit(2)
+// run is the testable entry point: parses argv against a fresh FlagSet,
+// executes, and returns the process exit code.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paftasm", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		disasm = fs.Bool("d", false, "disassemble the program")
+		runIt  = fs.Bool("run", false, "run the program untraced on a big core")
+		wlName = fs.String("workload", "", "use a built-in workload instead of a file")
+	)
+	if err := fs.Parse(argv); err != nil {
+		return 2
 	}
+	progs, err := cli.Programs(*wlName, 1.0, fs.Args())
+	if err != nil {
+		return cli.Exit(stderr, "paftasm", err)
+	}
+	prog := progs[0]
 
 	switch {
 	case *disasm:
-		fmt.Print(prog.Disassemble())
-	case *run:
-		m := machine.New(machine.AppleM2Like())
-		k := oskernel.NewKernel(m.PageSize, 1)
-		for name, data := range workload.Files() {
-			k.AddFile(name, data)
-		}
-		l := oskernel.NewLoader(k, m.PageSize, 1)
-		e := sim.New(m, k, l)
-		e.MaxInstr = 4_000_000_000
-		res, err := e.RunBaseline(prog, m.BigCores()[0])
+		fmt.Fprint(stdout, prog.Disassemble())
+	case *runIt:
+		r := stats.NewRunner()
+		r.Seed = 1
+		e := r.NewEngine()
+		res, err := e.RunBaseline(prog, e.M.BigCores()[0])
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "paftasm:", err)
-			os.Exit(1)
+			return cli.Exit(stderr, "paftasm", err)
 		}
-		os.Stdout.Write(res.Stdout)
-		fmt.Printf("[exit %d; %d instructions, %d branches, %.3f ms simulated]\n",
+		stdout.Write(res.Stdout)
+		fmt.Fprintf(stdout, "[exit %d; %d instructions, %d branches, %.3f ms simulated]\n",
 			res.ExitCode, res.Instrs, res.Branches, res.WallNs/1e6)
 	default:
-		fmt.Printf("%s: %d instructions, %d data bytes, %d BSS bytes, entry %d — OK\n",
+		fmt.Fprintf(stdout, "%s: %d instructions, %d data bytes, %d BSS bytes, entry %d — OK\n",
 			prog.Name, len(prog.Code), len(prog.Data), prog.BSS, prog.Entry)
 	}
-}
-
-func load(wlName string, args []string) (*asm.Program, error) {
-	if wlName != "" {
-		w := workload.Get(wlName)
-		if w == nil {
-			return nil, fmt.Errorf("unknown workload %q", wlName)
-		}
-		return w.Gen(1.0)[0], nil
-	}
-	if len(args) != 1 {
-		return nil, fmt.Errorf("expected one assembly file (or -workload)")
-	}
-	src, err := os.ReadFile(args[0])
-	if err != nil {
-		return nil, err
-	}
-	return asm.Assemble(args[0], string(src))
+	return 0
 }

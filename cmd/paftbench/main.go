@@ -31,9 +31,11 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 
-	"parallaft/internal/core"
+	"parallaft/internal/cli"
+	"parallaft/internal/machine"
 	"parallaft/internal/stats"
 	"parallaft/internal/telemetry"
 )
@@ -49,7 +51,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("paftbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
-		experiment = fs.String("experiment", "all", "which experiment to run: fig5 fig6 fig7 fig8 fig9 fig9a fig9b fig9c fig10 table1 table2 nmr stress farm ledger intel all")
+		experiment = fs.String("experiment", "all", "which experiment to run: "+experimentNames()+" all")
 		workloads  = fs.String("workloads", "", "comma-separated workload subset (default: full suite)")
 		scale      = fs.Float64("scale", 1.0, "workload length multiplier")
 		seed       = fs.Int64("seed", 12345, "simulation seed")
@@ -64,240 +66,141 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
-
-	if err := validateParallel(*parallel); err != nil {
-		fmt.Fprintln(stderr, "paftbench:", err)
-		return 2
-	}
-	if err := validateCheckers(*checkers); err != nil {
-		fmt.Fprintln(stderr, "paftbench:", err)
-		return 2
-	}
-	presets := splitPresets(*diversity)
-	if err := core.ValidateDiversity(presets); err != nil {
-		fmt.Fprintln(stderr, "paftbench:", err)
-		return 2
-	}
-
-	var names []string
-	if *workloads != "" {
-		names = strings.Split(*workloads, ",")
-	}
-
-	runner := stats.NewRunner()
-	runner.Scale = *scale
-	runner.Seed = *seed
-	runner.Parallel = *parallel
-	// Campaign progress (and the -progress lines) are backed by the
-	// paft_campaign_* telemetry gauges rather than a private counter.
-	runner.Telemetry = telemetry.NewRegistry()
-	if *progress {
-		runner.Progress = stderr
-	}
-	if *flightDir != "" {
-		if err := os.MkdirAll(*flightDir, 0o755); err != nil {
-			fmt.Fprintln(stderr, "paftbench:", err)
-			return 1
+	return cli.Exit(stderr, "paftbench", func() error {
+		if err := cli.Workers(*parallel); err != nil {
+			return err
 		}
-		runner.Flight = telemetry.NewRecorder(telemetry.RingSize)
-		runner.Flight.SetDir(*flightDir)
-		runner.Flight.SetMetrics(runner.Telemetry)
-	}
-	var spans *telemetry.SpanRecorder
-	if *spansFile != "" {
-		spans = telemetry.NewSpanRecorder(0)
-	}
-	if *checkers > 1 || len(presets) > 0 || spans != nil {
-		n, d := *checkers, presets
-		nmr := *checkers > 1 || len(presets) > 0
-		runner.ConfigTweak = func(c *core.Config) {
-			c.Spans = spans
-			// RAFT sessions compare at syscalls only, so they cannot vote:
-			// the NMR knobs apply to state-comparing (Parallaft) configs.
-			if nmr && c.CompareStates {
-				c.Checkers = n
-				c.Diversity = d
+		presets, err := cli.Replicas(*checkers, *diversity)
+		if err != nil {
+			return err
+		}
+		sel := selectExperiments(*experiment)
+		if sel == nil {
+			return cli.Usagef("unknown experiment %q (choose one of: %s all)", *experiment, experimentNames())
+		}
+
+		x := &bench{r: stats.NewRunner(), trials: *trials}
+		if *workloads != "" {
+			x.names = strings.Split(*workloads, ",")
+		}
+		x.r.Scale, x.r.Seed, x.r.Parallel = *scale, *seed, *parallel
+		// Campaign progress (and the -progress lines) are backed by the
+		// paft_campaign_* telemetry gauges rather than a private counter.
+		x.r.Telemetry = telemetry.NewRegistry()
+		if *progress {
+			x.r.Progress = stderr
+		}
+		if x.r.Flight, err = cli.Recorder(false, telemetry.RingSize, *flightDir, x.r.Telemetry); err != nil {
+			return err
+		}
+		spans := cli.Spans(*spansFile)
+		x.r.ConfigTweak = cli.Tweak(*checkers, presets, spans, nil)
+
+		for _, e := range sel {
+			if e.suite && x.suite == nil {
+				if x.suite, err = x.r.RunSuite(x.names, true); err != nil {
+					return err
+				}
 			}
+			out, err := e.run(x)
+			if err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout, out)
 		}
-	}
-
-	if err := runExperiments(runner, *experiment, names, *trials, *scale, stdout); err != nil {
-		fmt.Fprintln(stderr, "paftbench:", err)
-		return 1
-	}
-	if spans != nil {
-		f, err := os.Create(*spansFile)
-		if err != nil {
-			fmt.Fprintln(stderr, "paftbench:", err)
-			return 1
-		}
-		defer f.Close()
-		if err := spans.WriteJSONL(f); err != nil {
-			fmt.Fprintln(stderr, "paftbench:", err)
-			return 1
-		}
-		fmt.Fprintf(stderr, "spans: %d segment spans written to %s\n", spans.Len(), *spansFile)
-	}
-	return 0
+		return cli.WriteSpans(*spansFile, spans, stderr)
+	}())
 }
 
-// validateParallel rejects nonsensical worker counts up front. A zero or
-// negative -parallel used to reach the campaign layer unchecked, where it
-// was silently remapped to NumCPU — "-parallel -1" quietly saturating every
-// core is the opposite of what the flag asked for. Like the
-// unknown-experiment check, bad input is a clear error.
-func validateParallel(n int) error {
-	if n <= 0 {
-		return fmt.Errorf("-parallel must be a positive worker count, got %d", n)
-	}
-	return nil
+// bench is what an experiment runs against: the runner, the -workloads
+// subset (nil = the full suite), -trials, and the three-mode suite once an
+// experiment that reads it has run it.
+type bench struct {
+	r      *stats.Runner
+	names  []string
+	trials int
+	suite  *stats.SuiteResult
 }
 
-// validateCheckers rejects nonsensical replica counts the same way: zero or
-// negative replicas cannot vote.
-func validateCheckers(n int) error {
-	if n < 1 {
-		return fmt.Errorf("-checkers must be a positive replica count, got %d", n)
-	}
-	return nil
+// experiment is one entry of the -experiment table. name lists every value
+// that selects it; suite marks the entries that read the three-mode suite,
+// which runs once, before the first of them.
+type experiment struct {
+	name  string
+	suite bool
+	run   func(x *bench) (string, error)
 }
 
-// splitPresets turns the -diversity flag value into a preset list ("" =
-// none).
-func splitPresets(s string) []string {
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, ",")
-}
-
-var knownExperiments = []string{
-	"fig5", "fig6", "fig7", "fig8", "fig9", "fig9a", "fig9b", "fig9c",
-	"fig10", "table1", "table2", "nmr", "stress", "farm", "ledger", "intel", "all",
-}
-
-func runExperiments(runner *stats.Runner, experiment string, names []string, trials int, scale float64, stdout io.Writer) error {
-	known := false
-	for _, e := range knownExperiments {
-		if experiment == e {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return fmt.Errorf("unknown experiment %q (choose one of: %s)", experiment, strings.Join(knownExperiments, " "))
-	}
-
-	needsSuite := map[string]bool{
-		"fig5": true, "fig6": true, "fig7": true, "fig8": true,
-		"table1": true, "all": true,
-	}
-
-	var suite *stats.SuiteResult
-	if needsSuite[experiment] {
-		var err error
-		suite, err = runner.RunSuite(names, true)
-		if err != nil {
-			return err
-		}
-	}
-
-	show := func(e string) bool { return experiment == e || experiment == "all" }
-
-	if show("table1") {
-		fmt.Fprintln(stdout, suite.FormatTable1())
-	}
-	if show("fig5") {
-		fmt.Fprintln(stdout, suite.FormatFig5())
-	}
-	if show("fig6") {
-		fmt.Fprintln(stdout, suite.FormatFig6())
-	}
-	if show("fig7") {
-		fmt.Fprintln(stdout, suite.FormatFig7())
-	}
-	if show("fig8") {
-		fmt.Fprintln(stdout, suite.FormatFig8())
-	}
-
-	if show("fig9a") || show("fig9b") || show("fig9c") || experiment == "fig9" {
-		var benches []string
-		if names != nil {
-			benches = names
-		}
-		points, err := runner.RunFig9(benches, nil)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, stats.FormatFig9(points))
-	}
-
-	if show("fig10") {
+// experiments are the -experiment entries, in the order "all" runs them.
+var experiments = []experiment{
+	{"table1", true, func(x *bench) (string, error) { return x.suite.FormatTable1(), nil }},
+	{"fig5", true, func(x *bench) (string, error) { return x.suite.FormatFig5(), nil }},
+	{"fig6", true, func(x *bench) (string, error) { return x.suite.FormatFig6(), nil }},
+	{"fig7", true, func(x *bench) (string, error) { return x.suite.FormatFig7(), nil }},
+	{"fig8", true, func(x *bench) (string, error) { return x.suite.FormatFig8(), nil }},
+	{"fig9 fig9a fig9b fig9c", false, func(x *bench) (string, error) {
+		return formatted(stats.FormatFig9)(x.r.RunFig9(x.names, nil))
+	}},
+	{"fig10", false, func(x *bench) (string, error) {
 		// Injection campaigns rerun the whole program once per trial, so
 		// they use shortened workloads (the paper itself reruns only the
 		// injured segment, which the simulator cannot share).
-		rows, err := runner.RunFig10(names, trials, scale*0.3)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, stats.FormatFig10(rows))
-	}
-
-	if show("table2") {
-		res, err := runner.RunTable2()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, stats.FormatTable2(res))
-	}
-
-	if show("nmr") {
+		return formatted(stats.FormatFig10)(x.r.RunFig10(x.names, x.trials, x.r.Scale*0.3))
+	}},
+	{"table2", false, func(x *bench) (string, error) {
+		return formatted(stats.FormatTable2)(x.r.RunTable2())
+	}},
+	{"nmr", false, func(x *bench) (string, error) {
 		// The Table-2 extension for NMR mode: always at three replicas
 		// (RunNMR pins Checkers=3 itself), regardless of -checkers.
-		rows, err := runner.RunNMR()
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, stats.FormatNMR(rows))
-	}
+		return formatted(stats.FormatNMR)(x.r.RunNMR())
+	}},
+	{"stress", false, func(x *bench) (string, error) {
+		return formatted(stats.FormatStress)(x.r.RunStress())
+	}},
+	{"farm", false, func(x *bench) (string, error) {
+		return formatted(stats.FormatFarm)(x.r.RunFarm())
+	}},
+	{"ledger", false, func(x *bench) (string, error) {
+		return formatted(stats.FormatLedger)(x.r.RunLedger(x.names))
+	}},
+	{"intel", false, func(x *bench) (string, error) {
+		// §5.8: the same runner, every flag included, on the Intel preset.
+		intel := *x.r
+		intel.MachineCfg = machine.IntelLike
+		return formatted((*stats.SuiteResult).FormatIntel)(intel.RunSuite(x.names, true))
+	}},
+}
 
-	if show("stress") {
-		rows, err := runner.RunStress()
+// formatted renders an experiment's result once it has run without error.
+func formatted[T any](format func(T) string) func(T, error) (string, error) {
+	return func(v T, err error) (string, error) {
 		if err != nil {
-			return err
+			return "", err
 		}
-		fmt.Fprintln(stdout, stats.FormatStress(rows))
+		return format(v), nil
 	}
+}
 
-	if show("farm") {
-		res, err := runner.RunFarm()
-		if err != nil {
-			return err
+// experimentNames lists every -experiment value but "all".
+func experimentNames() string {
+	var names []string
+	for _, e := range experiments {
+		names = append(names, e.name)
+	}
+	return strings.Join(names, " ")
+}
+
+// selectExperiments returns the entries name selects, nil for an unknown
+// name.
+func selectExperiments(name string) []experiment {
+	if name == "all" {
+		return experiments
+	}
+	for _, e := range experiments {
+		if slices.Contains(strings.Fields(e.name), name) {
+			return []experiment{e}
 		}
-		fmt.Fprintln(stdout, stats.FormatFarm(res))
 	}
-
-	if show("ledger") {
-		rows, err := runner.RunLedger(names)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, stats.FormatLedger(rows))
-	}
-
-	if show("intel") {
-		intel := stats.NewIntelRunner()
-		intel.Scale = runner.Scale
-		intel.Seed = runner.Seed
-		intel.Parallel = runner.Parallel
-		intel.Progress = runner.Progress
-		intel.Telemetry = runner.Telemetry
-		sr, err := intel.RunSuite(names, true)
-		if err != nil {
-			return err
-		}
-		fmt.Fprintln(stdout, sr.FormatIntel())
-	}
-
 	return nil
 }

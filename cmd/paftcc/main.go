@@ -13,76 +13,73 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
+	"parallaft/internal/cli"
 	"parallaft/internal/core"
 	"parallaft/internal/lang"
-	"parallaft/internal/machine"
-	"parallaft/internal/oskernel"
-	"parallaft/internal/sim"
+	"parallaft/internal/stats"
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run is the testable entry point: parses argv against a fresh FlagSet,
+// executes, and returns the process exit code.
+func run(argv []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("paftcc", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		emitAsm = flag.Bool("S", false, "emit guest assembly instead of running")
-		runProg = flag.Bool("run", false, "run the compiled program")
-		mode    = flag.String("mode", "baseline", "execution mode with -run: baseline, parallaft, raft")
-		seed    = flag.Int64("seed", 1, "simulation seed")
+		emitAsm = fs.Bool("S", false, "emit guest assembly instead of running")
+		runProg = fs.Bool("run", false, "run the compiled program")
+		mode    = fs.String("mode", "baseline", "execution mode with -run: baseline, parallaft, raft")
+		seed    = fs.Int64("seed", 1, "simulation seed")
 	)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		fmt.Fprintln(os.Stderr, "paftcc: expected exactly one source file")
-		os.Exit(2)
+	if err := fs.Parse(argv); err != nil {
+		return 2
+	}
+	m, err := cli.Mode(*mode)
+	if err != nil {
+		return cli.Exit(stderr, "paftcc", err)
+	}
+	if fs.NArg() != 1 {
+		return cli.Exit(stderr, "paftcc", cli.Usagef("expected exactly one source file"))
+	}
+	src, err := os.ReadFile(fs.Arg(0))
+	if err != nil {
+		return cli.Exit(stderr, "paftcc", cli.Usagef("%v", err))
+	}
+	prog, err := lang.Compile(fs.Arg(0), string(src))
+	if err != nil {
+		fmt.Fprintln(stderr, err)
+		return 1
 	}
 
-	src, err := os.ReadFile(flag.Arg(0))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "paftcc:", err)
-		os.Exit(2)
-	}
-	prog, err := lang.Compile(flag.Arg(0), string(src))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-
+	r := stats.NewRunner()
+	r.Seed = *seed
 	switch {
 	case *emitAsm:
-		fmt.Print(prog.Disassemble())
-	case *runProg:
-		m := machine.New(machine.AppleM2Like())
-		k := oskernel.NewKernel(m.PageSize, *seed)
-		l := oskernel.NewLoader(k, m.PageSize, *seed)
-		e := sim.New(m, k, l)
-		e.MaxInstr = 4_000_000_000
-		switch *mode {
-		case "baseline":
-			res, err := e.RunBaseline(prog, m.BigCores()[0])
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "paftcc:", err)
-				os.Exit(1)
-			}
-			os.Stdout.Write(res.Stdout)
-			fmt.Printf("[exit %d; %.3f ms simulated]\n", res.ExitCode, res.WallNs/1e6)
-		case "parallaft", "raft":
-			cfg := core.DefaultConfig()
-			if *mode == "raft" {
-				cfg = core.RAFTConfig()
-			}
-			rt := core.NewRuntime(e, cfg)
-			st, err := rt.Run(prog)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "paftcc:", err)
-				os.Exit(1)
-			}
-			os.Stdout.Write(st.Stdout)
-			fmt.Printf("[exit %d; %d segments; detected=%v]\n", st.ExitCode, st.Slices, st.Detected)
-		default:
-			fmt.Fprintf(os.Stderr, "paftcc: unknown mode %q\n", *mode)
-			os.Exit(2)
+		fmt.Fprint(stdout, prog.Disassemble())
+	case *runProg && m == stats.ModeBaseline:
+		e := r.NewEngine()
+		res, err := e.RunBaseline(prog, e.M.BigCores()[0])
+		if err != nil {
+			return cli.Exit(stderr, "paftcc", err)
 		}
+		stdout.Write(res.Stdout)
+		fmt.Fprintf(stdout, "[exit %d; %.3f ms simulated]\n", res.ExitCode, res.WallNs/1e6)
+	case *runProg:
+		st, err := core.NewRuntime(r.NewEngine(), r.RuntimeConfig(m)).Run(prog)
+		if err != nil {
+			return cli.Exit(stderr, "paftcc", err)
+		}
+		stdout.Write(st.Stdout)
+		fmt.Fprintf(stdout, "[exit %d; %d segments; detected=%v]\n", st.ExitCode, st.Slices, st.Detected)
 	default:
-		fmt.Printf("%s: %d instructions, %d data bytes — OK\n",
+		fmt.Fprintf(stdout, "%s: %d instructions, %d data bytes — OK\n",
 			prog.Name, len(prog.Code), len(prog.Data))
 	}
+	return 0
 }

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"path/filepath"
@@ -30,6 +29,7 @@ import (
 
 	"parallaft/internal/checkd"
 	"parallaft/internal/checkfarm"
+	"parallaft/internal/cli"
 	"parallaft/internal/packet"
 	"parallaft/internal/telemetry"
 )
@@ -55,9 +55,13 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
-	if *flightDir != "" && *listen == "" {
-		fmt.Fprintln(stderr, "paftcheckd: -flight-dir requires -listen (the flight recorder is a daemon black box)")
-		return 2
+	switch {
+	case *flightDir != "" && *listen == "":
+		return cli.Exit(stderr, "paftcheckd", cli.Usagef("-flight-dir requires -listen (the flight recorder is a daemon black box)"))
+	case *metrics != "" && *listen == "":
+		return cli.Exit(stderr, "paftcheckd", cli.Usagef("-metrics-addr requires -listen (only the daemon serves metrics)"))
+	case *connect != "" && *verifyDir == "":
+		return cli.Exit(stderr, "paftcheckd", cli.Usagef("-connect requires -verify (it names the daemon that checks the directory)"))
 	}
 	opts := checkd.Options{Workers: *workers, QueueDepth: *queue, Retries: *retries}
 
@@ -104,12 +108,27 @@ func (l *lockedWriter) Write(p []byte) (int, error) {
 // serve runs the daemon until SIGINT/SIGTERM, then drains gracefully:
 // in-flight connections finish their verdict streams before exit. With
 // metricsAddr set, a telemetry registry is shared by every connection's
-// executor and served as Prometheus text on http://metricsAddr/metrics.
-// With flightDir set, the daemon keeps an event recorder of recent frames
-// and verify spans and dumps its black box there on SIGQUIT — without
-// exiting, so a wedged fleet can be black-boxed in place.
+// executor and served as Prometheus text on http://metricsAddr/metrics
+// until serve returns. With flightDir set, the daemon keeps an event
+// recorder of recent frames and verify spans and dumps its black box there
+// on SIGQUIT — without exiting, so a wedged fleet can be black-boxed in
+// place.
 func serve(sock, metricsAddr, flightDir string, opts checkd.Options, stderr io.Writer) int {
 	stderr = &lockedWriter{w: stderr}
+	if metricsAddr != "" {
+		opts.Metrics = telemetry.NewRegistry()
+		msrv, err := cli.ServeMetrics(metricsAddr, opts.Metrics, "paftcheckd", stderr)
+		if err != nil {
+			return cli.Exit(stderr, "paftcheckd", err)
+		}
+		defer msrv.Close()
+	}
+	// Nothing reads a daemon's retained records, only its ring; the fixed
+	// limit keeps a long-lived daemon's recorder bounded.
+	var err error
+	if opts.Trace, err = cli.Recorder(false, telemetry.RingSize, flightDir, opts.Metrics); err != nil {
+		return cli.Exit(stderr, "paftcheckd", err)
+	}
 	// A stale Unix socket from a previous daemon would block the listen;
 	// TCP endpoints have no such residue.
 	if !checkfarm.IsTCP(sock) {
@@ -123,35 +142,7 @@ func serve(sock, metricsAddr, flightDir string, opts checkd.Options, stderr io.W
 		return 1
 	}
 
-	var msrv *http.Server
-	if metricsAddr != "" {
-		if opts.Metrics == nil {
-			opts.Metrics = telemetry.NewRegistry()
-		}
-		mln, err := net.Listen("tcp", metricsAddr)
-		if err != nil {
-			fmt.Fprintln(stderr, "paftcheckd:", err)
-			ln.Close()
-			return 1
-		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", opts.Metrics.Handler())
-		msrv = &http.Server{Handler: mux}
-		go msrv.Serve(mln)
-		// The resolved address matters when the flag asked for port 0.
-		fmt.Fprintf(stderr, "paftcheckd: metrics on http://%s/metrics\n", mln.Addr())
-	}
 	if flightDir != "" {
-		if err := os.MkdirAll(flightDir, 0o755); err != nil {
-			fmt.Fprintln(stderr, "paftcheckd:", err)
-			ln.Close()
-			return 1
-		}
-		// Nothing reads a daemon's retained records, only its ring; the
-		// fixed limit keeps a long-lived daemon's recorder bounded.
-		opts.Trace = telemetry.NewRecorder(telemetry.RingSize)
-		opts.Trace.SetDir(flightDir)
-		opts.Trace.SetMetrics(opts.Metrics)
 		dump := func() {
 			opts.Trace.Note("sigquit", "operator-requested flight dump")
 			path, err := opts.Trace.DumpToDir("checkd", "sigquit", opts.Metrics)
@@ -190,9 +181,6 @@ func serve(sock, metricsAddr, flightDir string, opts checkd.Options, stderr io.W
 		fmt.Fprintf(stderr, "paftcheckd: %s, draining\n", why)
 		srv.Shutdown()
 		<-done
-		if msrv != nil {
-			msrv.Close()
-		}
 		if !checkfarm.IsTCP(sock) {
 			os.Remove(sock)
 		}
@@ -204,9 +192,6 @@ func serve(sock, metricsAddr, flightDir string, opts checkd.Options, stderr io.W
 	case <-shutdownHook:
 		return drain("shutdown requested")
 	case err := <-done:
-		if msrv != nil {
-			msrv.Close()
-		}
 		if err != nil {
 			fmt.Fprintln(stderr, "paftcheckd:", err)
 			return 1
@@ -224,8 +209,7 @@ func verify(dir, connect string, opts checkd.Options, quiet bool, stdout, stderr
 		return 3
 	}
 
-	worst := 0
-	var pass, fail int
+	var t checkd.Tally
 	for _, d := range dirs {
 		store, pkts, err := packet.ReadDir(d)
 		if err != nil {
@@ -253,28 +237,25 @@ func verify(dir, connect string, opts checkd.Options, quiet bool, stdout, stderr
 			}
 		}
 		for _, v := range verdicts {
+			t.Add(v)
 			switch {
 			case v.Infra != "":
 				fmt.Fprintf(stdout, "INFRA %v\n", v)
-				if worst < 3 {
-					worst = 3
-				}
-			case v.OK:
-				pass++
-				if !quiet {
-					fmt.Fprintf(stdout, "ok    %v\n", v)
-				}
-			default:
-				fail++
+			case !v.OK:
 				fmt.Fprintf(stdout, "FAIL  %v\n", v)
-				if worst < 1 {
-					worst = 1
-				}
+			case !quiet:
+				fmt.Fprintf(stdout, "ok    %v\n", v)
 			}
 		}
 	}
-	fmt.Fprintf(stdout, "paftcheckd: %d segment(s) passed, %d diverged\n", pass, fail)
-	return worst
+	fmt.Fprintf(stdout, "paftcheckd: %d segment(s) passed, %d diverged\n", t.OK, t.Diverged)
+	switch {
+	case t.Infra > 0:
+		return 3
+	case t.Diverged > 0:
+		return 1
+	}
+	return 0
 }
 
 // exportDirs resolves a -verify argument to concrete export directories.

@@ -18,24 +18,24 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
-	"net"
-	"net/http"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"parallaft/internal/asm"
 	"parallaft/internal/checkd"
 	"parallaft/internal/checkfarm"
+	"parallaft/internal/cli"
 	"parallaft/internal/core"
 	"parallaft/internal/machine"
-	"parallaft/internal/oskernel"
 	"parallaft/internal/packet"
 	"parallaft/internal/pagestore"
-	"parallaft/internal/sim"
+	"parallaft/internal/stats"
 	"parallaft/internal/telemetry"
 	"parallaft/internal/telemetry/profile"
 	"parallaft/internal/workload"
@@ -83,27 +83,17 @@ type options struct {
 	spans *telemetry.SpanRecorder
 }
 
-// splitPresets turns the -diversity flag value into a preset list ("" =
-// none; empty elements mean "none" and are validated as such).
-func splitPresets(s string) []string {
-	if s == "" {
-		return nil
-	}
-	return strings.Split(s, ",")
+// machines are the -machine presets.
+var machines = map[string]func() machine.Config{
+	"apple": machine.AppleM2Like,
+	"intel": machine.IntelLike,
+	"big":   machine.BigOnly,
 }
 
-// validateNMR rejects bad replica counts and unknown diversity presets
-// before a run starts, mirroring the unknown-workload check: bad input is a
-// clear usage error (exit 2), not a mid-run panic.
-func validateNMR(o options) error {
-	if o.checkers < 1 {
-		return fmt.Errorf("-checkers must be a positive replica count, got %d", o.checkers)
-	}
-	if o.checkers > 1 && o.mode != "parallaft" {
-		return fmt.Errorf("-checkers %d requires -mode parallaft (the NMR vote is a state comparison)", o.checkers)
-	}
-	return core.ValidateDiversity(splitPresets(o.diversity))
-}
+// checkingOnly are the flags that observe or feed the checkers, so they need
+// a checking mode.
+var checkingOnly = []string{"export-packets", "farm", "trace", "spans", "trace-out",
+	"flight-dir", "profile-out", "profile-folded", "ledger", "metric-windows"}
 
 // run is the testable entry point: parses argv against a fresh FlagSet,
 // executes, and returns the process exit code.
@@ -138,99 +128,78 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(argv); err != nil {
 		return 2
 	}
+	return cli.Exit(stderr, "parallaft", o.run(fs, stdout, stderr))
+}
 
-	if err := validateNMR(o); err != nil {
-		fmt.Fprintln(stderr, "parallaft:", err)
-		return 2
-	}
-	if o.farm != "" {
-		if o.mode != "parallaft" && o.mode != "raft" {
-			fmt.Fprintln(stderr, "parallaft: -farm requires a checking mode (parallaft or raft)")
-			return 2
-		}
-		if o.exportDir != "" {
-			fmt.Fprintln(stderr, "parallaft: -farm and -export-packets both consume the packet stream; use one")
-			return 2
-		}
-	}
-
+// run rejects every usage error before anything is built, then runs the
+// invocation's programs in turn on engines and configs from one runner.
+func (o *options) run(fs *flag.FlagSet, stdout, stderr io.Writer) error {
 	if o.list {
 		for _, name := range workload.Names() {
 			w := workload.Get(name)
 			fmt.Fprintf(stdout, "%-18s [%s] %s\n", w.Name, w.Class, w.Note)
 		}
-		return 0
+		return nil
 	}
-
-	progs, err := loadPrograms(o.wlName, o.scale, fs.Args())
+	mode, err := cli.Mode(o.mode)
 	if err != nil {
-		fmt.Fprintln(stderr, "parallaft:", err)
-		return 2
+		return err
 	}
-
-	var mcfg machine.Config
-	switch o.machName {
-	case "apple":
-		mcfg = machine.AppleM2Like()
-	case "intel":
-		mcfg = machine.IntelLike()
-	case "big":
-		mcfg = machine.BigOnly()
-	default:
-		fmt.Fprintf(stderr, "parallaft: unknown machine %q\n", o.machName)
-		return 2
+	presets, err := cli.Replicas(o.checkers, o.diversity)
+	if err != nil {
+		return err
 	}
-
-	if o.exportDir != "" && o.mode != "parallaft" && o.mode != "raft" {
-		fmt.Fprintln(stderr, "parallaft: -export-packets requires a checking mode (parallaft or raft)")
-		return 2
+	if (o.checkers > 1 || len(presets) > 0) && mode != stats.ModeParallaft {
+		return cli.Usagef("-checkers > 1 or -diversity requires -mode parallaft (the NMR vote is a state comparison)")
 	}
-	if (o.traceFile != "" || o.spansFile != "" || o.traceOut != "" || o.flightDir != "") && o.mode != "parallaft" && o.mode != "raft" {
-		fmt.Fprintln(stderr, "parallaft: -trace, -spans, -trace-out and -flight-dir require a checking mode (parallaft or raft)")
-		return 2
+	if mode == stats.ModeBaseline {
+		var set []string
+		fs.Visit(func(f *flag.Flag) {
+			if slices.Contains(checkingOnly, f.Name) {
+				set = append(set, "-"+f.Name)
+			}
+		})
+		if len(set) > 0 {
+			return cli.Usagef("%s requires a checking mode (parallaft or raft); baseline runs no checkers, and all of -%s require a checking mode",
+				strings.Join(set, " "), strings.Join(checkingOnly, " -"))
+		}
 	}
-	if (o.profileOut != "" || o.profileFolded != "" || o.ledger || o.windowsFile != "") &&
-		o.mode != "parallaft" && o.mode != "raft" {
-		fmt.Fprintln(stderr, "parallaft: -profile-out, -profile-folded, -ledger and -metric-windows require a checking mode (parallaft or raft)")
-		return 2
+	if o.farm != "" && o.exportDir != "" {
+		return cli.Usagef("-farm and -export-packets both consume the packet stream; use one")
+	}
+	if machines[o.machName] == nil {
+		return cli.Usagef("unknown machine %q", o.machName)
+	}
+	progs, err := cli.Programs(o.wlName, o.scale, fs.Args())
+	if err != nil {
+		return err
 	}
 	// The profile and the metric windows follow one program's simulated
 	// clock, which restarts with every program of a multi-input workload.
 	if (o.profileOut != "" || o.profileFolded != "" || o.windowsFile != "") && len(progs) > 1 {
-		fmt.Fprintf(stderr, "parallaft: -profile-out, -profile-folded and -metric-windows follow one program; %s runs %d\n", o.wlName, len(progs))
-		return 2
+		return cli.Usagef("-profile-out, -profile-folded and -metric-windows follow one program; %s runs %d", o.wlName, len(progs))
 	}
 
 	if o.metrics != "" {
 		o.reg = telemetry.NewRegistry()
-		mln, err := net.Listen("tcp", o.metrics)
+		srv, err := cli.ServeMetrics(o.metrics, o.reg, "parallaft", stderr)
 		if err != nil {
-			fmt.Fprintln(stderr, "parallaft:", err)
-			return 2
+			return err
 		}
-		mux := http.NewServeMux()
-		mux.Handle("/metrics", o.reg.Handler())
-		msrv := &http.Server{Handler: mux}
-		go msrv.Serve(mln)
-		defer msrv.Close()
-		fmt.Fprintf(stderr, "parallaft: metrics on http://%s/metrics\n", mln.Addr())
+		defer srv.Close()
 	}
-
-	if o.traceFile != "" || o.traceOut != "" || o.flightDir != "" {
-		o.trace = telemetry.NewRecorder(o.traceCap)
+	if o.trace, err = cli.Recorder(o.traceFile != "" || o.traceOut != "", o.traceCap, o.flightDir, o.reg); err != nil {
+		return err
 	}
-	if o.flightDir != "" {
-		if err := os.MkdirAll(o.flightDir, 0o755); err != nil {
-			fmt.Fprintln(stderr, "parallaft:", err)
-			return 1
+	o.spans = cli.Spans(o.spansFile)
+	tweak := cli.Tweak(o.checkers, presets, o.spans, o.trace)
+	r := &stats.Runner{MachineCfg: machines[o.machName], Seed: o.seed, ConfigTweak: func(c *core.Config) {
+		tweak(c)
+		if o.period > 0 {
+			c.SlicePeriodCycles = o.period
+			c.SlicePeriodInstrs = uint64(o.period)
 		}
-		o.trace.SetDir(o.flightDir)
-	}
-	if o.spansFile != "" {
-		o.spans = telemetry.NewSpanRecorder(0)
-	}
-
-	code := 0
+	}}
 	for _, prog := range progs {
 		// Multi-input workloads restart segment numbering per program, so
 		// each program gets its own packet directory.
@@ -238,104 +207,49 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		if dir != "" && len(progs) > 1 {
 			dir = filepath.Join(dir, prog.Name)
 		}
-		if err := runOne(prog, mcfg, o, dir, stdout, stderr); err != nil {
-			fmt.Fprintln(stderr, "parallaft:", err)
-			code = 1
+		if err = o.runOne(r, mode, prog, dir, stdout, stderr); err != nil {
 			break
 		}
 	}
-	if err := writeRecords(o, stderr); err != nil {
-		fmt.Fprintln(stderr, "parallaft:", err)
-		return 1
-	}
-	return code
+	return errors.Join(err, o.writeRecords(stderr))
 }
 
 // writeRecords writes what the invocation's recorders hold, after the last
 // program has run and its farm has drained, so remote-verify spans that
 // arrived in the nodes' verdict frames are in the merge.
-func writeRecords(o options, stderr io.Writer) error {
-	if o.traceFile != "" {
+func (o *options) writeRecords(stderr io.Writer) error {
+	for _, out := range []struct {
+		path, done string
+		write      func(io.Writer) (int, error)
+	}{
+		{o.traceFile, "trace: %d events written to %s\n", o.trace.WriteJSONL},
+		{o.traceOut, "trace-out: %d stage spans written to %s\n", o.trace.WriteChrome},
+	} {
+		if out.path == "" {
+			continue
+		}
 		var n int
-		err := writeFile(o.traceFile, func(w io.Writer) (err error) {
-			n, err = o.trace.WriteJSONL(w)
+		err := cli.WriteFile(out.path, func(w io.Writer) (err error) {
+			n, err = out.write(w)
 			return err
 		})
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(stderr, "trace: %d events written to %s\n", n, o.traceFile)
-		if d := o.trace.Dropped(); d > 0 {
-			fmt.Fprintf(stderr, "trace: %d records dropped by -trace-limit %d\n", d, o.traceCap)
-		}
+		fmt.Fprintf(stderr, out.done, n, out.path)
 	}
-	if o.spansFile != "" {
-		if err := writeFile(o.spansFile, o.spans.WriteJSONL); err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "spans: %d segment spans written to %s\n", o.spans.Len(), o.spansFile)
+	if d := o.trace.Dropped(); d > 0 && o.traceFile != "" {
+		fmt.Fprintf(stderr, "trace: %d records dropped by -trace-limit %d\n", d, o.traceCap)
 	}
-	if o.traceOut != "" {
-		var n int
-		err := writeFile(o.traceOut, func(w io.Writer) (err error) {
-			n, err = o.trace.WriteChrome(w)
-			return err
-		})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(stderr, "trace-out: %d stage spans written to %s\n", n, o.traceOut)
-	}
-	return nil
+	return cli.WriteSpans(o.spansFile, o.spans, stderr)
 }
 
-// writeFile creates path and fills it with write, closing it either way.
-func writeFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if err := write(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-func loadPrograms(wlName string, scale float64, args []string) ([]*asm.Program, error) {
-	if wlName != "" {
-		w := workload.Get(wlName)
-		if w == nil {
-			return nil, fmt.Errorf("unknown workload %q (try -list)", wlName)
-		}
-		return w.Gen(scale), nil
-	}
-	if len(args) != 1 {
-		return nil, fmt.Errorf("expected exactly one assembly file (or -workload)")
-	}
-	src, err := os.ReadFile(args[0])
-	if err != nil {
-		return nil, err
-	}
-	prog, err := asm.Assemble(args[0], string(src))
-	if err != nil {
-		return nil, err
-	}
-	return []*asm.Program{prog}, nil
-}
-
-func runOne(prog *asm.Program, mcfg machine.Config, o options, exportDir string, stdout, stderr io.Writer) error {
-	m := machine.New(mcfg)
-	k := oskernel.NewKernel(m.PageSize, o.seed)
-	for name, data := range workload.Files() {
-		k.AddFile(name, data)
-	}
-	l := oskernel.NewLoader(k, m.PageSize, o.seed)
-	e := sim.New(m, k, l)
-	e.MaxInstr = 4_000_000_000
-
-	switch o.mode {
-	case "baseline":
+// runOne runs one program in mode on a fresh engine from r and prints its
+// statistics block.
+func (o *options) runOne(r *stats.Runner, mode stats.Mode, prog *asm.Program, exportDir string, stdout, stderr io.Writer) error {
+	e := r.NewEngine()
+	m := e.M
+	if mode == stats.ModeBaseline {
 		res, err := e.RunBaseline(prog, m.BigCores()[0])
 		if err != nil {
 			return err
@@ -353,244 +267,187 @@ func runOne(prog *asm.Program, mcfg machine.Config, o options, exportDir string,
 		fmt.Fprintf(stdout, "exit_code:              %d\n", res.ExitCode)
 		stdout.Write(res.Stdout)
 		return nil
-
-	case "parallaft", "raft":
-		var cfg core.Config
-		if o.mode == "raft" {
-			cfg = core.RAFTConfig()
-		} else {
-			cfg = core.DefaultConfig()
-			if m.SliceByInstructions {
-				cfg.SliceByInstructions = true
-				cfg.Tracking = core.TrackSoftDirty
-			}
-		}
-		if o.period > 0 {
-			cfg.SlicePeriodCycles = o.period
-			cfg.SlicePeriodInstrs = uint64(o.period)
-		}
-		cfg.Checkers = o.checkers
-		cfg.Diversity = splitPresets(o.diversity)
-		cfg.Trace = o.trace
-		cfg.Spans = o.spans
-		// Telemetry is observation-only (it consumes no simulated time), so
-		// the registry is always on in checking modes; -stats-json carries
-		// its snapshot and -metrics-addr shares one registry across programs.
-		reg := o.reg
-		if reg == nil {
-			reg = telemetry.NewRegistry()
-		}
-		cfg.Metrics = reg
-		o.trace.SetMetrics(reg)
-		// The profiler, ledger, and window sampler are per-run: each program
-		// gets a fresh machine, so the books they reconcile against restart
-		// (a multi-program run takes only the ledger, printed per program).
-		var profiler *profile.Recorder
-		if o.profileOut != "" || o.profileFolded != "" {
-			profiler = profile.NewRecorder(o.profilePeriod)
-			profiler.SetMetrics(reg)
-			cfg.Profiler = profiler
-		}
-		var ledger *profile.Ledger
-		if o.ledger {
-			ledger = profile.NewLedger()
-			ledger.SetMetrics(reg)
-			cfg.Ledger = ledger
-		}
-		var windows *profile.WindowSampler
-		if o.windowsFile != "" {
-			windows = profile.NewWindowSampler(reg, o.windowMs*1e6, 0)
-			cfg.Windows = windows
-		}
-		var de *packet.DirExporter
-		if exportDir != "" {
-			var err error
-			de, err = packet.NewDirExporter(exportDir, core.PageHashSeed)
-			if err != nil {
-				return err
-			}
-			cfg.Export = de.Exporter()
-		}
-		var farm *checkfarm.Farm
-		var farmVerdicts func() []checkd.Verdict
-		if o.farm != "" {
-			store := pagestore.New(core.PageHashSeed)
-			farm = checkfarm.New(store, checkfarm.Options{Metrics: reg, Trace: o.trace, Ledger: ledger})
-			for _, spec := range strings.Split(o.farm, ",") {
-				if err := farm.AddNode(strings.TrimSpace(spec)); err != nil {
-					farm.Close()
-					return err
-				}
-			}
-			cfg.Export = &packet.Exporter{
-				Store: store,
-				Sink:  func(p *packet.CheckPacket) error { return farm.Submit(p) },
-			}
-			var vs []checkd.Verdict
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				for v := range farm.Verdicts() {
-					vs = append(vs, v)
-				}
-			}()
-			farmVerdicts = func() []checkd.Verdict {
-				farm.Close()
-				<-done
-				return vs
-			}
-		}
-		rt := core.NewRuntime(e, cfg)
-		st, err := rt.Run(prog)
+	}
+	cfg := r.RuntimeConfig(mode)
+	// Telemetry is observation-only (it consumes no simulated time), so
+	// the registry is always on in checking modes; -stats-json carries
+	// its snapshot and -metrics-addr shares one registry across programs.
+	reg := o.reg
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
+	cfg.Metrics = reg
+	o.trace.SetMetrics(reg)
+	// The profiler, ledger, and window sampler are per-run: each program
+	// gets a fresh machine, so the books they reconcile against restart
+	// (a multi-program run takes only the ledger, printed per program).
+	var profiler *profile.Recorder
+	if o.profileOut != "" || o.profileFolded != "" {
+		profiler = profile.NewRecorder(o.profilePeriod)
+		profiler.SetMetrics(reg)
+		cfg.Profiler = profiler
+	}
+	var ledger *profile.Ledger
+	if o.ledger {
+		ledger = profile.NewLedger()
+		ledger.SetMetrics(reg)
+		cfg.Ledger = ledger
+	}
+	var windows *profile.WindowSampler
+	if o.windowsFile != "" {
+		windows = profile.NewWindowSampler(reg, o.windowMs*1e6, 0)
+		cfg.Windows = windows
+	}
+	var de *packet.DirExporter
+	if exportDir != "" {
+		var err error
+		de, err = packet.NewDirExporter(exportDir, core.PageHashSeed)
 		if err != nil {
-			if farmVerdicts != nil {
-				farmVerdicts()
-			}
 			return err
 		}
-		var farmSummary *farmResult
-		if farmVerdicts != nil {
-			farmSummary = summarizeFarm(farmVerdicts(), farm.NodeStats())
-		}
-		if de != nil {
-			if err := de.Close(); err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "export: %d packets written to %s\n", de.Count(), exportDir)
-		}
-		if profiler != nil {
-			if o.profileOut != "" {
-				if err := writeFile(o.profileOut, profiler.WritePprof); err != nil {
-					return err
-				}
-				fmt.Fprintf(stderr, "profile: %d samples written to %s\n", profiler.TotalSamples(), o.profileOut)
-			}
-			if o.profileFolded != "" {
-				if err := os.WriteFile(o.profileFolded, []byte(profiler.FoldedStacks()), 0o644); err != nil {
-					return err
-				}
-			}
-		}
-		if windows != nil {
-			if err := writeFile(o.windowsFile, windows.WriteJSONL); err != nil {
-				return err
-			}
-			fmt.Fprintf(stderr, "windows: %d metric windows written to %s\n", len(windows.Windows()), o.windowsFile)
-		}
-		if ledger != nil {
-			// The attribution invariant is a correctness gate, not advisory
-			// output: a charge the ledger missed (or double-counted) means the
-			// breakdown below lies about where the overhead went.
-			if err := ledger.Reconcile(e.M); err != nil {
-				return err
-			}
-		}
-		if o.statsJSON {
-			obj := map[string]any{
-				"benchmark":     st.Benchmark,
-				"mode":          o.mode,
-				"stats":         st,
-				"telemetry":     reg.Snapshot(),
-				"trace_dropped": o.trace.Dropped(),
-			}
-			if farmSummary != nil {
-				obj["farm"] = farmSummary
-			}
-			if ledger != nil {
-				obj["ledger"] = ledger.Summarize()
-			}
-			if err := emitJSON(stdout, obj); err != nil {
-				return err
-			}
-			return farmSummary.err()
-		}
-		fmt.Fprintf(stdout, "== %s (%s on %s) ==\n", prog.Name, o.mode, m)
-		fmt.Fprintf(stdout, "timing.all_wall_time:            %.3f ms\n", st.AllWallNs/1e6)
-		fmt.Fprintf(stdout, "timing.main_wall_time:           %.3f ms\n", st.MainWallNs/1e6)
-		fmt.Fprintf(stdout, "timing.main_user_time:           %.3f ms\n", st.MainUserNs/1e6)
-		fmt.Fprintf(stdout, "timing.main_sys_time:            %.3f ms\n", st.MainSysNs/1e6)
-		fmt.Fprintf(stdout, "timing.runtime_work:             %.3f ms\n", st.RuntimeNs/1e6)
-		fmt.Fprintf(stdout, "hwmon.energy_total:              %.3f mJ\n", st.EnergyJ*1e3)
-		fmt.Fprintf(stdout, "counter.checkpoint_count:        %d\n", st.Checkpoints)
-		fmt.Fprintf(stdout, "fixed_interval_slicer.nr_slices: %d\n", st.Slices)
-		fmt.Fprintf(stdout, "counter.syscalls_traced:         %d\n", st.SyscallsTraced)
-		fmt.Fprintf(stdout, "counter.cow_copies:              %d\n", st.COWCopies)
-		fmt.Fprintf(stdout, "counter.dirty_pages_hashed:      %d\n", st.DirtyPagesHashed)
-		fmt.Fprintf(stdout, "counter.identity_skips:          %d\n", st.IdentitySkips)
-		fmt.Fprintf(stdout, "counter.hash_cache_hits:         %d\n", st.HashCacheHits)
-		fmt.Fprintf(stdout, "checker.big_work_fraction:       %.1f%%\n", st.BigWorkFraction()*100)
-		if o.checkers > 1 {
-			fmt.Fprintf(stdout, "vote.unanimous:                  %d\n", st.VoteUnanimous)
-			fmt.Fprintf(stdout, "vote.absorbed_replicas:          %d\n", st.VoteAbsorbed)
-			fmt.Fprintf(stdout, "vote.outvoted_reference:         %d\n", st.VoteOutvotedReplicas)
-			fmt.Fprintf(stdout, "vote.forward_repairs:            %d\n", st.ForwardRepairs)
-			fmt.Fprintf(stdout, "vote.no_quorum:                  %d\n", st.VoteNoQuorum)
-		}
-		if farmSummary != nil {
-			fmt.Fprintf(stdout, "farm.verdicts:                   %d ok=%d diverged=%d infra=%d\n",
-				farmSummary.Verdicts, farmSummary.OK, farmSummary.Diverged, farmSummary.Infra)
-			for _, ns := range farmSummary.Nodes {
-				// The stats print after the farm has drained, so Live is
-				// false for everyone; what matters is whether the node
-				// finished the campaign or was evicted mid-way.
-				state := "ok"
-				if ns.EvictReason != "" {
-					state = "evicted (" + ns.EvictReason + ")"
-				}
-				fmt.Fprintf(stdout, "farm.node %s: %s verdicts=%d uploads=%d cached=%d\n",
-					ns.Addr, state, ns.Verdicts, ns.Uploads, ns.CacheSize)
-			}
-		}
-		if ledger != nil {
-			fmt.Fprintf(stdout, "-- overhead ledger (reconciled) --\n%s", ledger.Table())
-		}
-		fmt.Fprintf(stdout, "exit_code:                       %d\n", st.ExitCode)
-		if st.Detected != nil {
-			fmt.Fprintf(stdout, "DETECTED ERROR: %v\n", st.Detected)
-		}
-		stdout.Write(st.Stdout)
-		return farmSummary.err()
+		cfg.Export = de.Exporter()
 	}
-	return fmt.Errorf("unknown mode %q", o.mode)
+	var fr farmResult
+	var drainFarm func()
+	if o.farm != "" {
+		store := pagestore.New(core.PageHashSeed)
+		farm := checkfarm.New(store, checkfarm.Options{Metrics: reg, Trace: o.trace, Ledger: ledger})
+		for _, spec := range strings.Split(o.farm, ",") {
+			if err := farm.AddNode(strings.TrimSpace(spec)); err != nil {
+				farm.Close()
+				return err
+			}
+		}
+		cfg.Export = &packet.Exporter{
+			Store: store,
+			Sink:  func(p *packet.CheckPacket) error { return farm.Submit(p) },
+		}
+		done := make(chan struct{})
+		go func() {
+			defer close(done)
+			for v := range farm.Verdicts() {
+				fr.Add(v)
+			}
+		}()
+		drainFarm = func() {
+			farm.Close()
+			<-done
+			fr.Nodes = farm.NodeStats()
+		}
+	}
+	st, err := core.NewRuntime(e, cfg).Run(prog)
+	if drainFarm != nil {
+		drainFarm()
+	}
+	if err != nil {
+		return err
+	}
+	if de != nil {
+		if err := de.Close(); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "export: %d packets written to %s\n", de.Count(), exportDir)
+	}
+	if profiler != nil {
+		if o.profileOut != "" {
+			if err := cli.WriteFile(o.profileOut, profiler.WritePprof); err != nil {
+				return err
+			}
+			fmt.Fprintf(stderr, "profile: %d samples written to %s\n", profiler.TotalSamples(), o.profileOut)
+		}
+		if o.profileFolded != "" {
+			if err := os.WriteFile(o.profileFolded, []byte(profiler.FoldedStacks()), 0o644); err != nil {
+				return err
+			}
+		}
+	}
+	if windows != nil {
+		if err := cli.WriteFile(o.windowsFile, windows.WriteJSONL); err != nil {
+			return err
+		}
+		fmt.Fprintf(stderr, "windows: %d metric windows written to %s\n", len(windows.Windows()), o.windowsFile)
+	}
+	if ledger != nil {
+		// The attribution invariant is a correctness gate, not advisory
+		// output: a charge the ledger missed (or double-counted) means the
+		// breakdown below lies about where the overhead went.
+		if err := ledger.Reconcile(e.M); err != nil {
+			return err
+		}
+	}
+	if o.statsJSON {
+		obj := map[string]any{
+			"benchmark":     st.Benchmark,
+			"mode":          o.mode,
+			"stats":         st,
+			"telemetry":     reg.Snapshot(),
+			"trace_dropped": o.trace.Dropped(),
+		}
+		if o.farm != "" {
+			obj["farm"] = fr
+		}
+		if ledger != nil {
+			obj["ledger"] = ledger.Summarize()
+		}
+		if err := emitJSON(stdout, obj); err != nil {
+			return err
+		}
+		return fr.Err()
+	}
+	fmt.Fprintf(stdout, "== %s (%s on %s) ==\n", prog.Name, o.mode, m)
+	fmt.Fprintf(stdout, "timing.all_wall_time:            %.3f ms\n", st.AllWallNs/1e6)
+	fmt.Fprintf(stdout, "timing.main_wall_time:           %.3f ms\n", st.MainWallNs/1e6)
+	fmt.Fprintf(stdout, "timing.main_user_time:           %.3f ms\n", st.MainUserNs/1e6)
+	fmt.Fprintf(stdout, "timing.main_sys_time:            %.3f ms\n", st.MainSysNs/1e6)
+	fmt.Fprintf(stdout, "timing.runtime_work:             %.3f ms\n", st.RuntimeNs/1e6)
+	fmt.Fprintf(stdout, "hwmon.energy_total:              %.3f mJ\n", st.EnergyJ*1e3)
+	fmt.Fprintf(stdout, "counter.checkpoint_count:        %d\n", st.Checkpoints)
+	fmt.Fprintf(stdout, "fixed_interval_slicer.nr_slices: %d\n", st.Slices)
+	fmt.Fprintf(stdout, "counter.syscalls_traced:         %d\n", st.SyscallsTraced)
+	fmt.Fprintf(stdout, "counter.cow_copies:              %d\n", st.COWCopies)
+	fmt.Fprintf(stdout, "counter.dirty_pages_hashed:      %d\n", st.DirtyPagesHashed)
+	fmt.Fprintf(stdout, "counter.identity_skips:          %d\n", st.IdentitySkips)
+	fmt.Fprintf(stdout, "counter.hash_cache_hits:         %d\n", st.HashCacheHits)
+	fmt.Fprintf(stdout, "checker.big_work_fraction:       %.1f%%\n", st.BigWorkFraction()*100)
+	if o.checkers > 1 {
+		fmt.Fprintf(stdout, "vote.unanimous:                  %d\n", st.VoteUnanimous)
+		fmt.Fprintf(stdout, "vote.absorbed_replicas:          %d\n", st.VoteAbsorbed)
+		fmt.Fprintf(stdout, "vote.outvoted_reference:         %d\n", st.VoteOutvotedReplicas)
+		fmt.Fprintf(stdout, "vote.forward_repairs:            %d\n", st.ForwardRepairs)
+		fmt.Fprintf(stdout, "vote.no_quorum:                  %d\n", st.VoteNoQuorum)
+	}
+	if o.farm != "" {
+		fmt.Fprintf(stdout, "farm.verdicts:                   %d ok=%d diverged=%d infra=%d\n",
+			fr.Verdicts, fr.OK, fr.Diverged, fr.Infra)
+		for _, ns := range fr.Nodes {
+			// The stats print after the farm has drained, so Live is
+			// false for everyone; what matters is whether the node
+			// finished the campaign or was evicted mid-way.
+			state := "ok"
+			if ns.EvictReason != "" {
+				state = "evicted (" + ns.EvictReason + ")"
+			}
+			fmt.Fprintf(stdout, "farm.node %s: %s verdicts=%d uploads=%d cached=%d\n",
+				ns.Addr, state, ns.Verdicts, ns.Uploads, ns.CacheSize)
+		}
+	}
+	if ledger != nil {
+		fmt.Fprintf(stdout, "-- overhead ledger (reconciled) --\n%s", ledger.Table())
+	}
+	fmt.Fprintf(stdout, "exit_code:                       %d\n", st.ExitCode)
+	if st.Detected != nil {
+		fmt.Fprintf(stdout, "DETECTED ERROR: %v\n", st.Detected)
+	}
+	stdout.Write(st.Stdout)
+	return fr.Err()
 }
 
 // farmResult is the -farm campaign summary: one verdict per sealed segment,
 // classified, plus the per-node dispatch accounting. It rides the
 // -stats-json object under "farm".
 type farmResult struct {
-	Verdicts int                   `json:"verdicts"`
-	OK       int                   `json:"ok"`
-	Diverged int                   `json:"diverged"`
-	Infra    int                   `json:"infra"`
-	Nodes    []checkfarm.NodeStats `json:"nodes"`
-}
-
-func summarizeFarm(vs []checkd.Verdict, nodes []checkfarm.NodeStats) *farmResult {
-	r := &farmResult{Verdicts: len(vs), Nodes: nodes}
-	for _, v := range vs {
-		switch {
-		case v.Infra != "":
-			r.Infra++
-		case v.OK:
-			r.OK++
-		default:
-			r.Diverged++
-		}
-	}
-	return r
-}
-
-// err reports the campaign-level failure: the run only exits clean when
-// every sealed segment came back with a passing farm verdict.
-func (r *farmResult) err() error {
-	if r == nil {
-		return nil
-	}
-	if r.Diverged > 0 || r.Infra > 0 {
-		return fmt.Errorf("farm: %d of %d segment verdicts failed (%d diverged, %d infrastructure)",
-			r.Diverged+r.Infra, r.Verdicts, r.Diverged, r.Infra)
-	}
-	return nil
+	checkd.Tally
+	Nodes []checkfarm.NodeStats `json:"nodes"`
 }
 
 // emitJSON writes one compact JSON object per line, the machine-readable

@@ -11,9 +11,8 @@ import (
 	"parallaft/internal/core"
 	"parallaft/internal/lang"
 	"parallaft/internal/machine"
-	"parallaft/internal/oskernel"
 	"parallaft/internal/proc"
-	"parallaft/internal/sim"
+	"parallaft/internal/stats"
 )
 
 const source = `
@@ -38,12 +37,7 @@ printnum(primes);
 exit(primes & 255);
 `
 
-func newStack() *sim.Engine {
-	m := machine.New(machine.AppleM2Like())
-	k := oskernel.NewKernel(m.PageSize, 5)
-	l := oskernel.NewLoader(k, m.PageSize, 5)
-	return sim.New(m, k, l)
-}
+var newStack = (&stats.Runner{MachineCfg: machine.AppleM2Like, Seed: 5}).NewEngine
 
 func main() {
 	prog, err := lang.Compile("sieve", source)

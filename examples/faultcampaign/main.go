@@ -11,11 +11,11 @@ import (
 	"os"
 	"runtime"
 
+	"parallaft/internal/cli"
 	"parallaft/internal/core"
 	"parallaft/internal/inject"
 	"parallaft/internal/machine"
-	"parallaft/internal/oskernel"
-	"parallaft/internal/sim"
+	"parallaft/internal/stats"
 	"parallaft/internal/workload"
 )
 
@@ -28,8 +28,8 @@ func main() {
 	progress := flag.Bool("progress", false, "print per-trial progress/ETA lines to stderr")
 	flag.Parse()
 
-	if *parallel <= 0 {
-		log.Fatalf("-parallel must be a positive worker count, got %d", *parallel)
+	if err := cli.Workers(*parallel); err != nil {
+		log.Fatal(err)
 	}
 	w := workload.Get(*bench)
 	if w == nil {
@@ -37,15 +37,7 @@ func main() {
 	}
 
 	campaign := &inject.Campaign{
-		NewEngine: func() *sim.Engine {
-			m := machine.New(machine.AppleM2Like())
-			k := oskernel.NewKernel(m.PageSize, 11)
-			for name, data := range workload.Files() {
-				k.AddFile(name, data)
-			}
-			l := oskernel.NewLoader(k, m.PageSize, 11)
-			return sim.New(m, k, l)
-		},
+		NewEngine:        (&stats.Runner{MachineCfg: machine.AppleM2Like, Seed: 11}).NewEngine,
 		Program:          w.Gen(*scale)[0],
 		Config:           core.DefaultConfig(),
 		TrialsPerSegment: *trials,

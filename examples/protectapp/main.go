@@ -17,8 +17,7 @@ import (
 	"parallaft/internal/machine"
 	"parallaft/internal/oskernel"
 	"parallaft/internal/proc"
-	"parallaft/internal/sim"
-	"parallaft/internal/workload"
+	"parallaft/internal/stats"
 )
 
 func buildProgram() *asm.Program {
@@ -61,15 +60,7 @@ func buildProgram() *asm.Program {
 	return b.MustBuild()
 }
 
-func newStack() *sim.Engine {
-	m := machine.New(machine.AppleM2Like())
-	k := oskernel.NewKernel(m.PageSize, 7)
-	for name, data := range workload.Files() {
-		k.AddFile(name, data)
-	}
-	l := oskernel.NewLoader(k, m.PageSize, 7)
-	return sim.New(m, k, l)
-}
+var newStack = (&stats.Runner{MachineCfg: machine.AppleM2Like, Seed: 7}).NewEngine
 
 // seuHook flips bit 23 of x8 in the checker once it is past the write.
 func seuHook(tail uint64) func(int, int, *proc.Process, float64) {

@@ -10,8 +10,7 @@ import (
 	"parallaft/internal/asm"
 	"parallaft/internal/core"
 	"parallaft/internal/machine"
-	"parallaft/internal/oskernel"
-	"parallaft/internal/sim"
+	"parallaft/internal/stats"
 )
 
 const program = `
@@ -45,12 +44,7 @@ loop:
 
 // newStack builds a fresh machine + kernel + engine (one per run so energy
 // and cache state never leak between runs).
-func newStack() *sim.Engine {
-	m := machine.New(machine.AppleM2Like())
-	k := oskernel.NewKernel(m.PageSize, 42)
-	l := oskernel.NewLoader(k, m.PageSize, 42)
-	return sim.New(m, k, l)
-}
+var newStack = (&stats.Runner{MachineCfg: machine.AppleM2Like, Seed: 42}).NewEngine
 
 func main() {
 	prog, err := asm.Assemble("quickstart", program)

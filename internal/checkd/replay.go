@@ -108,6 +108,38 @@ func (v Verdict) String() string {
 	return fmt.Sprintf("%s seg %d: %s: %s", v.ProgName, v.Segment, v.ErrorKind, v.Detail)
 }
 
+// Tally counts verdicts by class: passed, diverged (a detection), or an
+// infrastructure failure.
+type Tally struct {
+	Verdicts int `json:"verdicts"`
+	OK       int `json:"ok"`
+	Diverged int `json:"diverged"`
+	Infra    int `json:"infra"`
+}
+
+// Add counts one verdict.
+func (t *Tally) Add(v Verdict) {
+	t.Verdicts++
+	switch {
+	case v.Infra != "":
+		t.Infra++
+	case v.OK:
+		t.OK++
+	default:
+		t.Diverged++
+	}
+}
+
+// Err reports the campaign-level failure: a run of segments is only clean
+// when every one came back with a passing verdict.
+func (t Tally) Err() error {
+	if t.Diverged > 0 || t.Infra > 0 {
+		return fmt.Errorf("%d of %d segment verdicts failed (%d diverged, %d infrastructure)",
+			t.Diverged+t.Infra, t.Verdicts, t.Diverged, t.Infra)
+	}
+	return nil
+}
+
 // RunPacketSlice checks one packet on a checker built for the occasion — the
 // code every executor worker runs on its own long-lived one — and returns the
 // verdict plus the replay's ledger slice: the simulated time and modeled

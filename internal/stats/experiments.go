@@ -8,9 +8,6 @@ import (
 	"parallaft/internal/campaign"
 	"parallaft/internal/core"
 	"parallaft/internal/inject"
-	"parallaft/internal/machine"
-	"parallaft/internal/oskernel"
-	"parallaft/internal/sim"
 	"parallaft/internal/workload"
 )
 
@@ -319,17 +316,9 @@ func (r *Runner) RunFig10(names []string, trials int, scale float64) ([]Injectio
 		progs := w.Gen(scale)
 		// Inject into the first input program of multi-input benchmarks.
 		camp := &inject.Campaign{
-			NewEngine: func() *sim.Engine {
-				m := machine.New(r.MachineCfg())
-				k := oskernel.NewKernel(m.PageSize, r.Seed)
-				for name, data := range workload.Files() {
-					k.AddFile(name, data)
-				}
-				l := oskernel.NewLoader(k, m.PageSize, r.Seed)
-				return sim.New(m, k, l)
-			},
+			NewEngine:        r.NewEngine,
 			Program:          progs[0],
-			Config:           r.injectionConfig(),
+			Config:           r.RuntimeConfig(ModeParallaft),
 			TrialsPerSegment: trials,
 			Seed:             r.Seed * 7919,
 			Parallel:         r.Parallel,
@@ -343,14 +332,6 @@ func (r *Runner) RunFig10(names []string, trials int, scale float64) ([]Injectio
 		rows = append(rows, InjectionRow{Benchmark: w.Name, Report: rep})
 	}
 	return rows, nil
-}
-
-func (r *Runner) injectionConfig() core.Config {
-	cfg := core.DefaultConfig()
-	if r.ConfigTweak != nil {
-		r.ConfigTweak(&cfg)
-	}
-	return cfg
 }
 
 // FormatFig10 renders the figure-10 outcome distribution.
@@ -449,13 +430,6 @@ func FormatStress(rows []StressRow) string {
 			fmt.Sprintf("%.1fx", row.PaperParallaX))
 	}
 	return "§5.7 syscall/signal stress slowdowns (RAFT is near-identical by shared syscall handling)\n" + t.String()
-}
-
-// NewIntelRunner returns a runner on the Intel-like preset for the §5.8
-// experiment (4 KiB pages, instruction-based slicing, shared voltage
-// domain).
-func NewIntelRunner() *Runner {
-	return &Runner{MachineCfg: machine.IntelLike, Scale: 1.0, Seed: 12345}
 }
 
 // FormatIntel renders the §5.8 comparison (paper: Parallaft 26.2 % perf /

@@ -31,10 +31,7 @@ type FarmRow struct {
 type FarmResult struct {
 	Rows []FarmRow
 
-	Verdicts int
-	OK       int
-	Diverged int
-	Infra    int
+	checkd.Tally
 
 	// Matched is true when the farm's verdict stream is byte-identical
 	// (JSON encoding) to the in-process reference.
@@ -135,8 +132,8 @@ func (r *Runner) RunFarm() (*FarmResult, error) {
 	for _, w := range workload.Stress() {
 		before := len(allPkts)
 		for _, prog := range w.Gen(r.Scale) {
-			e := r.newEngine()
-			cfg := r.runtimeConfig(ModeParallaft, e.M)
+			e := r.NewEngine()
+			cfg := r.RuntimeConfig(ModeParallaft)
 			cfg.Export = &packet.Exporter{
 				Store: store,
 				Sink:  func(p *packet.CheckPacket) error { allPkts = append(allPkts, p); return nil },
@@ -228,16 +225,8 @@ func (r *Runner) RunFarm() (*FarmResult, error) {
 	farm.Close()
 	<-collected
 
-	res.Verdicts = len(got)
 	for _, v := range got {
-		switch {
-		case v.Infra != "":
-			res.Infra++
-		case v.OK:
-			res.OK++
-		default:
-			res.Diverged++
-		}
+		res.Add(v)
 	}
 	gotJSON, err := json.Marshal(got)
 	if err != nil {

@@ -57,10 +57,7 @@ func (r *Runner) RunLedger(names []string) ([]LedgerRow, error) {
 	pr := r.newProgress("ledger", len(ws))
 	results := campaign.RunProgress(r.Parallel, len(ws), pr, func(i int) (LedgerRow, error) {
 		w := ws[i]
-		cfg := core.DefaultConfig()
-		if r.ConfigTweak != nil {
-			r.ConfigTweak(&cfg)
-		}
+		cfg := r.RuntimeConfig(ModeParallaft)
 		// One ledger per session: its mirrors are bound to one machine's
 		// cores. Multi-input workloads get one ledger per program too, so
 		// each is reconciled against its own engine.
@@ -70,11 +67,7 @@ func (r *Runner) RunLedger(names []string) ([]LedgerRow, error) {
 			ledger := profile.NewLedger()
 			pcfg := cfg
 			pcfg.Ledger = ledger
-			e := r.newEngine()
-			if e.M.SliceByInstructions {
-				pcfg.SliceByInstructions = true
-				pcfg.Tracking = core.TrackSoftDirty
-			}
+			e := r.NewEngine()
 			rt := core.NewRuntime(e, pcfg)
 			if _, err := rt.Run(prog); err != nil {
 				return LedgerRow{}, fmt.Errorf("ledger %s %s: %w", w.Name, prog.Name, err)

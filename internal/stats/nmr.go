@@ -35,10 +35,7 @@ type NMRRow struct {
 // config (plus any runner tweak), always at three replicas so every
 // scenario votes.
 func (r *Runner) nmrConfig() core.Config {
-	cfg := core.DefaultConfig()
-	if r.ConfigTweak != nil {
-		r.ConfigTweak(&cfg)
-	}
+	cfg := r.RuntimeConfig(ModeParallaft)
 	cfg.Checkers = 3
 	return cfg
 }
@@ -58,7 +55,7 @@ func (r *Runner) RunNMR() ([]NMRRow, error) {
 	prog := table2Program()
 
 	// The fault-free reference output (exit code + stdout).
-	e := r.newEngine()
+	e := r.NewEngine()
 	base, err := e.RunBaseline(prog, e.M.BigCores()[0])
 	if err != nil {
 		return nil, fmt.Errorf("nmr baseline: %w", err)
@@ -101,7 +98,7 @@ func (r *Runner) RunNMR() ([]NMRRow, error) {
 		sc := scenarios[i]
 		cfg := r.nmrConfig()
 		sc.rig(&cfg)
-		rt := core.NewRuntime(r.newEngine(), cfg)
+		rt := core.NewRuntime(r.NewEngine(), cfg)
 		stats, err := rt.Run(prog)
 		if err != nil {
 			return NMRRow{}, fmt.Errorf("nmr %s: %w", sc.name, err)

@@ -146,7 +146,17 @@ func NewRunner() *Runner {
 	return &Runner{MachineCfg: machine.AppleM2Like, Scale: 1.0, Seed: 12345}
 }
 
-func (r *Runner) newEngine() *sim.Engine {
+// MaxInstr is the runaway-guest guard of every engine NewEngine builds: a
+// run that retires more main instructions than this fails instead of
+// spinning forever.
+const MaxInstr = 4_000_000_000
+
+// NewEngine builds the simulated stack every run executes on: a fresh machine
+// from MachineCfg (so cache and energy state never leak across runs), a
+// kernel holding the workload input files, and a loader, all seeded by Seed.
+// It is the one place outside the benchmark harness that assembles an engine;
+// checkd rebuilds its checkers from a packet instead.
+func (r *Runner) NewEngine() *sim.Engine {
 	m := machine.New(r.MachineCfg())
 	k := oskernel.NewKernel(m.PageSize, r.Seed)
 	for name, data := range workload.Files() {
@@ -154,20 +164,24 @@ func (r *Runner) newEngine() *sim.Engine {
 	}
 	l := oskernel.NewLoader(k, m.PageSize, r.Seed)
 	e := sim.New(m, k, l)
-	e.MaxInstr = 2_000_000_000 // runaway-guest guard
+	e.MaxInstr = MaxInstr
 	return e
 }
 
-func (r *Runner) runtimeConfig(mode Mode, m *machine.Machine) core.Config {
+// RuntimeConfig is the runtime config of a checking session in mode: the
+// RAFT or Parallaft defaults, soft-dirty tracking with instruction-based
+// slicing when the machine slices by instructions (the x86_64 mechanism,
+// §4.4), then ConfigTweak.
+func (r *Runner) RuntimeConfig(mode Mode) core.Config {
 	var cfg core.Config
 	if mode == ModeRAFT {
 		cfg = core.RAFTConfig()
 	} else {
 		cfg = core.DefaultConfig()
-	}
-	if m.SliceByInstructions && mode == ModeParallaft {
-		cfg.SliceByInstructions = true
-		cfg.Tracking = core.TrackSoftDirty // the x86_64 mechanism (§4.4)
+		if r.MachineCfg().SliceByInstructions {
+			cfg.SliceByInstructions = true
+			cfg.Tracking = core.TrackSoftDirty
+		}
 	}
 	if r.ConfigTweak != nil {
 		r.ConfigTweak(&cfg)
@@ -183,7 +197,7 @@ func (r *Runner) RunWorkload(w *workload.Workload, mode Mode) (*SessionResult, e
 	var pssWeighted float64
 
 	for _, prog := range progs {
-		e := r.newEngine()
+		e := r.NewEngine()
 		switch mode {
 		case ModeBaseline:
 			res, err := e.RunBaseline(prog, e.M.BigCores()[0])
@@ -199,7 +213,7 @@ func (r *Runner) RunWorkload(w *workload.Workload, mode Mode) (*SessionResult, e
 			agg.Stdout = append(agg.Stdout, res.Stdout...)
 
 		case ModeParallaft, ModeRAFT:
-			rt := core.NewRuntime(e, r.runtimeConfig(mode, e.M))
+			rt := core.NewRuntime(e, r.RuntimeConfig(mode))
 			stats, err := rt.Run(prog)
 			if err != nil {
 				return nil, fmt.Errorf("%s: %s %s: %w", w.Name, mode, prog.Name, err)

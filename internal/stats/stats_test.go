@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"parallaft/internal/machine"
 	"parallaft/internal/workload"
 )
 
@@ -160,7 +161,8 @@ func TestFig9SweepTradeoff(t *testing.T) {
 }
 
 func TestIntelRunnerPreset(t *testing.T) {
-	r := NewIntelRunner()
+	r := NewRunner()
+	r.MachineCfg = machine.IntelLike
 	if r.MachineCfg().PageSize != 4096 {
 		t.Error("intel runner page size")
 	}

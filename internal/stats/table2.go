@@ -131,17 +131,13 @@ func (r *Runner) RunTable2() (*Table2Result, error) {
 	pr := r.newProgress("table2", len(scenarios))
 	results := campaign.RunProgress(r.Parallel, len(scenarios), pr, func(i int) (verdict, error) {
 		sc := scenarios[i]
-		var cfg core.Config
+		mode := ModeParallaft
 		if sc.raftMode {
-			cfg = core.RAFTConfig()
-		} else {
-			cfg = core.DefaultConfig()
+			mode = ModeRAFT
 		}
-		if r.ConfigTweak != nil {
-			r.ConfigTweak(&cfg)
-		}
+		cfg := r.RuntimeConfig(mode)
 		cfg.ReplicaHook = sc.hook()
-		e := r.newEngine()
+		e := r.NewEngine()
 		rt := core.NewRuntime(e, cfg)
 		stats, err := rt.Run(prog)
 		if err != nil {
