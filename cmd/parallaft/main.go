@@ -311,7 +311,7 @@ func (o *options) runOne(r *stats.Runner, mode stats.Mode, prog *asm.Program, ex
 	var drainFarm func()
 	if o.farm != "" {
 		store := pagestore.New(core.PageHashSeed)
-		farm := checkfarm.New(store, checkfarm.Options{Metrics: reg, Trace: o.trace, Ledger: ledger})
+		farm := checkfarm.New(store, checkfarm.Options{Metrics: reg, Trace: o.trace})
 		for _, spec := range strings.Split(o.farm, ",") {
 			if err := farm.AddNode(strings.TrimSpace(spec)); err != nil {
 				farm.Close()

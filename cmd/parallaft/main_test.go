@@ -257,3 +257,20 @@ func TestNMRRun(t *testing.T) {
 		t.Errorf("clean NMR run flagged an error:\n%s", out)
 	}
 }
+
+// TestNMRStatsJSONDeterministic: three checkers and their checkpoints share
+// frames three and five ways, so the sampled PSS sums inexact terms; the
+// stats must still be the same bytes on every run.
+func TestNMRStatsJSONDeterministic(t *testing.T) {
+	var outs [2]bytes.Buffer
+	for i := range outs {
+		var stderr bytes.Buffer
+		code := run([]string{"-workload", "403.gcc", "-scale", "0.05", "-checkers", "3", "-stats-json"}, &outs[i], &stderr)
+		if code != 0 {
+			t.Fatalf("run %d: exit code %d, stderr:\n%s", i, code, stderr.String())
+		}
+	}
+	if !bytes.Equal(outs[0].Bytes(), outs[1].Bytes()) {
+		t.Errorf("two runs differ:\n%s\n%s", outs[0].String(), outs[1].String())
+	}
+}

@@ -17,12 +17,7 @@ import (
 // they must be exactly as deterministic as the simulation: a drift here means
 // the profiler leaked host-side state into its sample points, or a charge
 // site moved without the cost model moving (which Reconcile would also
-// reject).
-//
-// Host stages in the ledger summary carry wall-clock nanoseconds, so the
-// pinned projection zeroes host_ns and keeps the deterministic skeleton
-// (stage names, counts, simulated totals) — same approach as the trace
-// golden.
+// reject). The ledger keeps simulated books only, so it is pinned verbatim.
 //
 // Regenerate after an intentional change with:
 //
@@ -68,9 +63,6 @@ func TestProfileGolden(t *testing.T) {
 	}
 	if obj.Ledger == nil {
 		t.Fatal("stats-json carries no ledger block")
-	}
-	for i := range obj.Ledger.Host {
-		obj.Ledger.Host[i].HostNs = 0
 	}
 	ledgerJSON, err := json.MarshalIndent(obj.Ledger, "", "  ")
 	if err != nil {

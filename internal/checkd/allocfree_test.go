@@ -21,7 +21,7 @@ func TestWarmRebuildAllocFree(t *testing.T) {
 		t.Fatalf("run exported %d packets, need 2", len(pkts))
 	}
 	c := newChecker()
-	if v, _, err := c.check(store, pkts[0]); err != nil || !v.OK {
+	if v, err := c.check(store, pkts[0]); err != nil || !v.OK {
 		t.Fatalf("packet 0: %v, err %v", v, err)
 	}
 	pkt := pkts[1]

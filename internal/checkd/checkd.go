@@ -9,7 +9,6 @@ import (
 	"parallaft/internal/packet"
 	"parallaft/internal/pagestore"
 	"parallaft/internal/telemetry"
-	"parallaft/internal/telemetry/profile"
 )
 
 // Options configures an Executor.
@@ -41,9 +40,9 @@ type Options struct {
 	Trace *telemetry.Recorder
 
 	// observe makes each verdict of a packet that carries a trace ID bring
-	// its remote-verify span and ledger slice along (Verdict.observed). Only
-	// the socket server sets it, to put them in the verdict's Reply;
-	// in-process users neither pay for nor see them.
+	// its remote-verify span along (Verdict.span). Only the socket server
+	// sets it, to put the span in the verdict's Reply; in-process users
+	// neither pay for nor see it.
 	observe bool
 }
 
@@ -222,16 +221,14 @@ func (x *Executor) worker() {
 // already queued.
 func (x *Executor) check(c *checker, j job) Verdict {
 	var start time.Time
-	observe := j.pkt.TraceID != 0 && x.opts.observe
-	spanned := observe || (j.pkt.TraceID != 0 && x.opts.Trace != nil)
+	spanned := j.pkt.TraceID != 0 && (x.opts.observe || x.opts.Trace != nil)
 	if spanned {
 		start = time.Now()
 	}
 	var v Verdict
-	var sl profile.Slice
 	var err error
 	for attempt := 0; ; attempt++ {
-		v, sl, err = c.check(x.store, j.pkt)
+		v, err = c.check(x.store, j.pkt)
 		if err == nil || !errors.Is(err, ErrMissingChunk) || attempt >= x.opts.Retries {
 			break
 		}
@@ -267,15 +264,9 @@ func (x *Executor) check(c *checker, j job) Verdict {
 			Detail:      verdictClass(v),
 		}
 		x.opts.Trace.Record(span)
-		if observe {
-			v.observed.Span = &span
+		if x.opts.observe {
+			v.span = &span
 		}
-	}
-	if observe && err == nil {
-		// The slice's host cost is the whole replay effort including chunk
-		// retries; the sim cost came out of the checker's private substrate.
-		sl.HostNs = time.Since(start).Nanoseconds()
-		v.observed.Ledger = &sl
 	}
 	return v
 }

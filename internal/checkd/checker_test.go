@@ -1,10 +1,7 @@
 package checkd
 
 import (
-	"encoding/binary"
 	"errors"
-	"hash/fnv"
-	"math"
 	"testing"
 	"time"
 
@@ -13,7 +10,6 @@ import (
 	"parallaft/internal/hashx"
 	"parallaft/internal/packet"
 	"parallaft/internal/pagestore"
-	"parallaft/internal/telemetry/profile"
 	"parallaft/internal/workload"
 )
 
@@ -62,67 +58,34 @@ func suiteOrders(byProg [][]*packet.CheckPacket) map[string][]*packet.CheckPacke
 	return map[string][]*packet.CheckPacket{"forward": forward, "reverse": reverse, "interleaved": interleaved}
 }
 
-type checked struct {
-	v  Verdict
-	sl profile.Slice
-}
-
-// sameBooks reports whether two checks of one packet agree on the verdict
-// and, bit for bit, on the simulated time and energy of the replay.
-func sameBooks(a, b checked) bool {
-	return a.v == b.v && a.sl.TraceID == b.sl.TraceID &&
-		math.Float64bits(a.sl.SimNs) == math.Float64bits(b.sl.SimNs) &&
-		math.Float64bits(a.sl.SimJ) == math.Float64bits(b.sl.SimJ)
-}
-
-// suiteBooksDigest pins the ledger slices of exportedSuite's packets, each
-// checked on a cold checker, in submission order. It was
-// recorded with the checker that copied every start page into private frames
-// and rebuilt its machine per packet; adopting pages by reference and
-// resetting the machine are host economies that must not move it. A change
-// to the simulated timing or energy model moves it legitimately: the failure
-// message prints the new value.
-const suiteBooksDigest = 0x93c5f1e3e5c455e5
-
 // TestReusedCheckerEqualsFresh is the differential behind the per-worker
 // checker: whatever a worker checked before — neighbouring segments, the
 // same segments backwards, other programs in between — a packet gets the
-// verdict and the simulated books a checker built for it alone gives it.
+// verdict a checker built for it alone gives it.
 func TestReusedCheckerEqualsFresh(t *testing.T) {
 	store, byProg := exportedSuite(t)
 	orders := suiteOrders(byProg)
 
-	fresh := make(map[*packet.CheckPacket]checked)
-	digest := fnv.New64a()
+	fresh := make(map[*packet.CheckPacket]Verdict)
 	for _, pkt := range orders["forward"] {
-		v, sl, err := RunPacketSlice(store, pkt)
+		v, err := newChecker().check(store, pkt)
 		if err != nil || !v.OK {
 			t.Fatalf("%s seg %d on a cold checker: %v, err %v", pkt.ProgName, pkt.Segment, v, err)
 		}
-		if sl.SimNs <= 0 || sl.SimJ <= 0 {
-			t.Fatalf("%s seg %d: empty ledger slice %+v", pkt.ProgName, pkt.Segment, sl)
-		}
-		fresh[pkt] = checked{v, sl}
-		var b [16]byte
-		binary.LittleEndian.PutUint64(b[:], math.Float64bits(sl.SimNs))
-		binary.LittleEndian.PutUint64(b[8:], math.Float64bits(sl.SimJ))
-		digest.Write(b[:])
-	}
-	if got := digest.Sum64(); got != suiteBooksDigest {
-		t.Errorf("ledger slices moved: digest %#x, pinned %#x", got, uint64(suiteBooksDigest))
+		fresh[pkt] = v
 	}
 
 	for name, order := range orders {
 		t.Run(name, func(t *testing.T) {
 			c := newChecker()
 			for i, pkt := range order {
-				v, sl, err := c.check(store, pkt)
+				v, err := c.check(store, pkt)
 				if err != nil {
 					t.Fatalf("packet %d (%s seg %d): %v", i, pkt.ProgName, pkt.Segment, err)
 				}
-				if got := (checked{v, sl}); !sameBooks(got, fresh[pkt]) {
+				if v != fresh[pkt] {
 					t.Fatalf("packet %d (%s seg %d) on the reused checker: %+v\non a fresh one: %+v",
-						i, pkt.ProgName, pkt.Segment, got, fresh[pkt])
+						i, pkt.ProgName, pkt.Segment, v, fresh[pkt])
 				}
 			}
 		})
@@ -198,7 +161,7 @@ func TestWarmCheckerStillRejects(t *testing.T) {
 	t.Run("flipped end-state hash", func(t *testing.T) {
 		c := newChecker()
 		for _, pkt := range pkts[:2] {
-			if v, _, err := c.check(store, pkt); err != nil || !v.OK {
+			if v, err := c.check(store, pkt); err != nil || !v.OK {
 				t.Fatalf("warming on %s seg %d: %v, err %v", pkt.ProgName, pkt.Segment, v, err)
 			}
 		}
@@ -210,11 +173,11 @@ func TestWarmCheckerStillRejects(t *testing.T) {
 				bad.EndState.Pages[j].Sum ^= 1
 			}
 		}
-		v, _, err := c.check(store, &bad)
+		v, err := c.check(store, &bad)
 		if err != nil || v.OK || v.ErrorKind != core.ErrMemMismatch.String() {
 			t.Fatalf("flipped hash on a warm checker: %v, err %v; want a memory mismatch", v, err)
 		}
-		if v, _, err := c.check(store, target); err != nil || !v.OK {
+		if v, err := c.check(store, target); err != nil || !v.OK {
 			t.Fatalf("the unflipped packet afterwards: %v, err %v", v, err)
 		}
 	})
@@ -234,12 +197,12 @@ func TestWarmCheckerStillRejects(t *testing.T) {
 		})
 		c := newChecker()
 		for _, pkt := range pkts[:2] { // whatever these give, they warm the cache
-			if _, _, err := c.check(damaged, pkt); err != nil {
+			if _, err := c.check(damaged, pkt); err != nil {
 				t.Fatalf("warming on %s seg %d: %v", pkt.ProgName, pkt.Segment, err)
 			}
 		}
 		for attempt := 0; attempt < 2; attempt++ { // the second finds every memo filled
-			v, _, err := c.check(damaged, target)
+			v, err := c.check(damaged, target)
 			if err != nil || v.OK || v.ErrorKind != core.ErrMemMismatch.String() {
 				t.Fatalf("attempt %d with a damaged chunk: %v, err %v; want a memory mismatch", attempt, v, err)
 			}
@@ -357,16 +320,16 @@ func TestMissingChunkRetryLeavesRefcountsBalanced(t *testing.T) {
 			}
 		}
 	}
-	if v, _, err := c.check(partial, pkts[0]); err != nil || !v.OK {
+	if v, err := c.check(partial, pkts[0]); err != nil || !v.OK {
 		t.Fatalf("packet 0: %v, err %v", v, err)
 	}
 	balanced("after a verdict")
-	if _, _, err := c.check(partial, pkts[1]); !errors.Is(err, ErrMissingChunk) {
+	if _, err := c.check(partial, pkts[1]); !errors.Is(err, ErrMissingChunk) {
 		t.Fatalf("packet 1 without chunk %#x: err %v, want ErrMissingChunk", uint64(late), err)
 	}
 	balanced("after a missing chunk")
 	partial.Insert(late, store.Get(late))
-	if v, _, err := c.check(partial, pkts[1]); err != nil || !v.OK {
+	if v, err := c.check(partial, pkts[1]); err != nil || !v.OK {
 		t.Fatalf("packet 1 once the chunk arrived: %v, err %v", v, err)
 	}
 	balanced("after the retry")

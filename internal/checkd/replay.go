@@ -19,8 +19,8 @@
 // The transport is a frame protocol (transport.go has the table) with one
 // implementation of each half: Server takes a connection's chunks and
 // packets into an Executor of its own and answers each packet with one 'V'
-// frame, a Reply — the verdict plus, for a traced packet, the span and ledger
-// slice the node observed; Session is the client (its contract is on the
+// frame, a Reply — the verdict plus, for a traced packet, the remote-verify
+// span the node recorded; Session is the client (its contract is on the
 // type), and CheckOver and internal/checkfarm are both written over it.
 //
 // Becoming a checker is cheap the way it is in process, where a checker is a
@@ -33,9 +33,9 @@
 // never written. And a frame's content hash is computed from its bytes on the
 // worker that uses it — kept on the frame from packet to packet, never taken
 // from the chunk's key — so a chunk that does not hold what its key promises
-// fails the end-state comparison like any other wrong byte. The simulated
-// books see none of it: verdicts and ledger slices are those of a checker
-// built from scratch with private pages.
+// fails the end-state comparison like any other wrong byte. None of it reaches
+// a verdict, which is that of a checker built from scratch with private pages;
+// only the checker's simulated clock, which nothing reads, charges the copies.
 package checkd
 
 import (
@@ -50,7 +50,7 @@ import (
 	"parallaft/internal/pagestore"
 	"parallaft/internal/proc"
 	"parallaft/internal/sim"
-	"parallaft/internal/telemetry/profile"
+	"parallaft/internal/telemetry"
 )
 
 // Verdict is the outcome of checking one packet. It mirrors what the
@@ -72,9 +72,9 @@ type Verdict struct {
 	// Verdicts round-tripped through JSON keep only the Infra text.
 	infraErr error
 
-	// observed is what the executor saw while producing this verdict, for the
-	// socket server to put in the Reply; zero unless Options.observe.
-	observed Observed
+	// span is the remote-verify span the executor recorded for this verdict,
+	// for the socket server to put in the Reply; nil unless Options.observe.
+	span *telemetry.StageSpan
 }
 
 // InfraErr returns the typed infrastructure error behind Infra, or nil. For
@@ -140,20 +140,6 @@ func (t Tally) Err() error {
 	return nil
 }
 
-// RunPacketSlice checks one packet on a checker built for the occasion — the
-// code every executor worker runs on its own long-lived one — and returns the
-// verdict plus the replay's ledger slice: the simulated time and modeled
-// energy the checker's substrate spent reproducing the segment, keyed by the
-// packet's trace ID. The slice's HostNs is zero — wall-clock cost belongs to
-// whoever drove the replay (the executor measures it around its retry loop).
-// The returned error is infrastructural only (a chunk missing from the store
-// — possibly transient under a streaming transport — or a packet no
-// substrate can be built from) and comes with a zero slice; detections are
-// reported in the Verdict, never as an error.
-func RunPacketSlice(store *pagestore.Store, pkt *packet.CheckPacket) (Verdict, profile.Slice, error) {
-	return newChecker().check(store, pkt)
-}
-
 // checker is one worker's long-lived substrate: what of a packet's checker
 // does not depend on the packet, plus what the next packet is likely to share
 // with this one. It belongs to one goroutine.
@@ -180,8 +166,11 @@ func newChecker() *checker {
 // check runs one packet: start state rebuilt onto the reset machine with a
 // fresh kernel, loader, engine and process (they carry per-run state and cost
 // little), the record replayed by core's engine, the end state compared
-// against the wire hashes.
-func (c *checker) check(store *pagestore.Store, pkt *packet.CheckPacket) (Verdict, profile.Slice, error) {
+// against the wire hashes. The returned error is infrastructural only (a
+// chunk missing from the store — possibly transient under a streaming
+// transport — or a packet no substrate can be built from); detections are
+// reported in the Verdict, never as an error.
+func (c *checker) check(store *pagestore.Store, pkt *packet.CheckPacket) (Verdict, error) {
 	v := Verdict{
 		Benchmark: pkt.Benchmark,
 		ProgName:  pkt.ProgName,
@@ -191,16 +180,16 @@ func (c *checker) check(store *pagestore.Store, pkt *packet.CheckPacket) (Verdic
 
 	codeBytes := store.Get(pkt.CodeKey)
 	if codeBytes == nil {
-		return v, profile.Slice{}, fmt.Errorf("%w: code chunk %#x", ErrMissingChunk, uint64(pkt.CodeKey))
+		return v, fmt.Errorf("%w: code chunk %#x", ErrMissingChunk, uint64(pkt.CodeKey))
 	}
 	code, err := packet.DecodeCode(codeBytes, pkt.CodeLen)
 	if err != nil {
-		return v, profile.Slice{}, fmt.Errorf("checkd: packet %s seg %d: %w", pkt.ProgName, pkt.Segment, err)
+		return v, fmt.Errorf("checkd: packet %s seg %d: %w", pkt.ProgName, pkt.Segment, err)
 	}
 
 	as, err := c.rebuildAddressSpace(store, cfg.PageSize, &pkt.Start)
 	if err != nil {
-		return v, profile.Slice{}, err
+		return v, err
 	}
 	// Dropping the page table's references returns every adopted frame the
 	// replay did not copy to MapCount 1 — the checker's own.
@@ -213,9 +202,6 @@ func (c *checker) check(store *pagestore.Store, pkt *packet.CheckPacket) (Verdic
 
 	p := proc.New(pkt.CheckerPID, 1, pkt.ProgName, code, as, pkt.PMUSeed)
 	k.Register(p.PID)
-	// The packet's checker owns its pages; that they arrive as shared frames
-	// is this daemon's economy and must not show in the simulated books.
-	p.PrivatePages = true
 	p.Regs = pkt.Start.Regs.Regs()
 	p.PC = pkt.Start.PC
 	p.InstrLimit = pkt.InstrLimit
@@ -235,12 +221,7 @@ func (c *checker) check(store *pagestore.Store, pkt *packet.CheckPacket) (Verdic
 		v.ErrorKind = d.Kind.String()
 		v.Detail = d.Detail
 	}
-	sl := profile.Slice{
-		TraceID: pkt.TraceID,
-		SimNs:   task.Clock,
-		SimJ:    c.m.EnergyJ(task.Clock),
-	}
-	return v, sl, nil
+	return v, nil
 }
 
 // rebuildAddressSpace reconstructs a checkpointed address space from page

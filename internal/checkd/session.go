@@ -11,25 +11,15 @@ import (
 	"parallaft/internal/packet"
 	"parallaft/internal/pagestore"
 	"parallaft/internal/telemetry"
-	"parallaft/internal/telemetry/profile"
 )
 
 // Reply is the payload of a 'V' frame: the verdict and, for a packet that
-// carried a trace ID, what the node observed while producing it. A reply with
-// nothing observed marshals to exactly its Verdict's JSON.
+// carried a trace ID, the node's remote-verify span (on the node's clock,
+// numbered with the session-local seq). A reply without a span marshals to
+// exactly its Verdict's JSON.
 type Reply struct {
 	Verdict
-	Observed
-}
-
-// Observed is a node's own account of one check: its remote-verify span (on
-// the node's clock, numbered with the session-local seq) and the replay's
-// ledger slice (simulated time, modeled energy and host wall time, keyed by
-// trace ID so the submitter's ledger can merge it exactly once). The slice
-// is absent from an infrastructure verdict: nothing was replayed.
-type Observed struct {
-	Span   *telemetry.StageSpan `json:"span,omitempty"`
-	Ledger *profile.Slice       `json:"ledger,omitempty"`
+	Span *telemetry.StageSpan `json:"span,omitempty"`
 }
 
 // Session is the client half of the frame protocol on one connection, and the

@@ -163,7 +163,7 @@ func TestSessionUploadsEachChunkOnce(t *testing.T) {
 
 // TestVerdictFrameWire pins the one frame per verdict: for a packet without a
 // trace ID the 'V' payload is the Verdict's JSON byte for byte, and for a
-// traced one it also carries the node's span and ledger slice.
+// traced one it is that JSON plus the node's span and nothing else.
 func TestVerdictFrameWire(t *testing.T) {
 	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(120_000))
 	untraced := *pkts[0]
@@ -205,14 +205,36 @@ func TestVerdictFrameWire(t *testing.T) {
 	}
 	if r.Span == nil || r.Span.TraceID != pkts[1].TraceID || r.Span.Stage != telemetry.StageRemoteVerify ||
 		r.Span.Actor != "checkd" || r.Span.Seq != 1 || r.Span.Detail != "ok" {
-		t.Errorf("traced reply's span = %+v", r.Span)
+		t.Fatalf("traced reply's span = %+v", r.Span)
 	}
-	if r.Ledger == nil || r.Ledger.TraceID != pkts[1].TraceID || r.Ledger.SimNs <= 0 || r.Ledger.SimJ <= 0 || r.Ledger.HostNs <= 0 {
-		t.Errorf("traced reply's ledger slice = %+v", r.Ledger)
+	// The traced payload is the Verdict's JSON with one member more: the span.
+	verdict, err := json.Marshal(want[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	span, err := json.Marshal(r.Span)
+	if err != nil {
+		t.Fatal(err)
+	}
+	traced := append(append(append(verdict[:len(verdict)-1:len(verdict)-1], `,"span":`...), span...), '}')
+	if !bytes.Equal(payloads[1], traced) {
+		t.Errorf("traced verdict frame is not the Verdict's JSON plus its span:\n got %s\nwant %s", payloads[1], traced)
 	}
 	// Marshal is the server's side of the same pin.
 	if again, err := json.Marshal(r); err != nil || !bytes.Equal(again, payloads[1]) {
 		t.Errorf("Reply does not round-trip:\n got %s (err %v)\nwant %s", again, err, payloads[1])
+	}
+
+	// Nodes of the earlier wire format also sent a "ledger" member; their
+	// replies still decode, to the same verdict and span, in a mixed fleet.
+	older := append(append([]byte(nil), payloads[1][:len(payloads[1])-1]...),
+		`,"ledger":{"trace":7,"host_ns":1200,"sim_ns":3.5,"sim_j":1e-9}}`...)
+	var old Reply
+	if err := json.Unmarshal(older, &old); err != nil {
+		t.Fatalf("reply with a ledger member: %v", err)
+	}
+	if !reflect.DeepEqual(old, r) {
+		t.Errorf("reply with a ledger member decodes to %+v, want %+v", old, r)
 	}
 }
 

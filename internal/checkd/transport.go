@@ -30,13 +30,11 @@ import (
 // loop tolerates slight reordering). Each connection gets its own store and
 // executor: connections are independent verdict streams. There is one frame
 // per verdict: a Reply is the Verdict's own JSON object plus, for a packet
-// that carried a trace ID, the node's remote-verify span and the replay's
-// ledger slice (simulated time, modeled energy, host wall time) as two
-// optional members — so a client with no tracer or ledger pays for nothing
-// it discards, and for an untraced packet the payload is json.Marshal of the
-// Verdict byte for byte. There are no side frames: what a node observed rides
-// in its verdict's Reply, and its metrics are served over HTTP (paftcheckd
-// -metrics-addr). Heartbeats are optional and echoed verbatim, so round-trip
+// that carried a trace ID, the node's remote-verify span as one optional
+// member — so a client with no tracer pays for nothing it discards, and for
+// an untraced packet the payload is json.Marshal of the Verdict byte for
+// byte. There are no side frames: a node's span rides in its verdict's Reply,
+// and its metrics are served over HTTP (paftcheckd -metrics-addr). Heartbeats are optional and echoed verbatim, so round-trip
 // pairing is the client's concern. The same framing runs unchanged
 // over Unix sockets and TCP. Session (session.go) is the client half — every
 // 'C', 'P', 'H' and 'D' a client sends is written there — and
@@ -185,7 +183,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	store := pagestore.New(0)
 	store.SetMetrics(s.opts.Metrics)
 	xopts := s.opts
-	xopts.observe = true // each Reply carries the span and ledger slice back
+	xopts.observe = true // each traced Reply carries its span back
 	x := NewExecutor(store, xopts)
 
 	var wmu sync.Mutex // 'V'/'E'/'H'/'D' frames interleave from two goroutines
@@ -202,7 +200,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	go func() {
 		defer close(writerDone)
 		for v := range x.Verdicts() {
-			b, err := json.Marshal(Reply{Verdict: v, Observed: v.observed})
+			b, err := json.Marshal(Reply{Verdict: v, Span: v.span})
 			if err != nil {
 				return
 			}

@@ -25,7 +25,6 @@ import (
 	"parallaft/internal/packet"
 	"parallaft/internal/pagestore"
 	"parallaft/internal/telemetry"
-	"parallaft/internal/telemetry/profile"
 )
 
 // ErrNoNodes reports a farm with no live nodes: Submit fails fast with it,
@@ -73,12 +72,6 @@ type Options struct {
 	// black box (via the recorder's configured directory). Nil disables
 	// tracing at zero cost.
 	Trace *telemetry.Recorder
-
-	// Ledger, when set, receives the farm's host-side overhead (dispatch
-	// waits, chunk uploads) and the ledger slices nodes ship back in their
-	// Replies — the remote replays' simulated time and modeled energy, merged
-	// exactly once per trace ID. Nil discards both at zero cost.
-	Ledger *profile.Ledger
 }
 
 func (o *Options) withDefaults() {
@@ -368,7 +361,6 @@ func (f *Farm) dispatcher() {
 
 		traced := f.opts.Trace != nil && fl.pkt.TraceID != 0
 		f.tm.dispatchWait.Observe(fl.sentAt.Sub(enqueuedAt).Seconds())
-		f.opts.Ledger.AddHost(profile.StageFarmDispatch, fl.sentAt.Sub(enqueuedAt).Nanoseconds())
 		if traced {
 			sp := fl.span(telemetry.StageDispatch, "farm", enqueuedAt, fl.sentAt)
 			sp.Attempt, sp.Detail = attempt, n.actor
@@ -394,7 +386,6 @@ func (f *Farm) dispatcher() {
 			continue
 		}
 		f.tm.uploadTime.Observe(uploadEnd.Sub(fl.sentAt).Seconds())
-		f.opts.Ledger.AddHost(profile.StageFarmUpload, uploadEnd.Sub(fl.sentAt).Nanoseconds())
 		if traced {
 			sp := fl.span(telemetry.StageUpload, n.actor, fl.sentAt, uploadEnd)
 			sp.Attempt, sp.Detail = attempt, fmt.Sprintf("chunks=%d", st.Chunks)
@@ -405,10 +396,8 @@ func (f *Farm) dispatcher() {
 
 // onReply takes one verdict frame from a node's session: the node-local
 // sequence number is rewritten to the global one, the flight resolves, and
-// what the node observed joins the farm's own books — its ledger slice
-// (self-keyed by trace ID, so the ledger dedupes a redispatched packet's
-// second slice itself) and its remote-verify span, which called itself
-// "checkd" and carried the local seq and on the merged timeline is this
+// the node's remote-verify span joins the farm's trace: it called itself
+// "checkd" and carried the local seq, and on the merged timeline it is this
 // node's track and the global sequence. A reply with no flight behind it is a
 // duplicate or a straggler from after the node's eviction and is dropped
 // whole.
@@ -433,9 +422,6 @@ func (f *Farm) onReply(n *node, r checkd.Reply) {
 	attempt := fl.attempts
 	f.mu.Unlock()
 
-	if r.Ledger != nil {
-		f.opts.Ledger.MergeRemote(*r.Ledger)
-	}
 	if f.opts.Trace == nil || fl.pkt.TraceID == 0 {
 		return
 	}

@@ -191,8 +191,7 @@ func importEvent(ev *packet.Event) Event {
 
 // packetHost is the replay host of a packet re-check: it latches the first
 // divergence. Tracer work costs a daemon nothing — its verdict is the whole
-// product, and its simulated books (the per-verdict ledger slice) hold guest
-// execution only.
+// product.
 type packetHost struct{ detected *DetectedError }
 
 func (h *packetHost) charge(machine.Activity, float64) {}

@@ -10,7 +10,6 @@ import (
 	"parallaft/internal/proc"
 	"parallaft/internal/sim"
 	"parallaft/internal/telemetry"
-	"parallaft/internal/telemetry/profile"
 )
 
 // Run protects one program execution end to end and returns the collected
@@ -375,7 +374,6 @@ func (r *Runtime) onSeal(seg *Segment) {
 		if err != nil && r.exportErr == nil {
 			r.exportErr = err
 		}
-		r.cfg.Ledger.AddHost(profile.StageExport, time.Since(exportStart).Nanoseconds())
 		if r.cfg.Trace != nil {
 			detail := fmt.Sprintf("pages=%d", seg.EndCP.p.AS.PageCount())
 			if err != nil {

@@ -784,10 +784,18 @@ func (as *AddressSpace) RSSBytes() uint64 {
 // the number of address spaces sharing its frame. The paper samples summed
 // PSS to measure memory overhead because COW sharing makes RSS misleading
 // (§5.4, footnote 12).
+//
+// The sum runs in ascending page order, walking the sorted VMA list: a map
+// count such as 3 makes its term inexact, and summing in map order would
+// make the total's low bits differ from call to call.
 func (as *AddressSpace) PSSBytes() float64 {
 	var pss float64
-	for _, p := range as.pages {
-		pss += float64(as.pageSize) / float64(p.frame.ref)
+	for _, v := range as.vmas {
+		for vpn := v.Base >> as.pageShift; vpn < v.End()>>as.pageShift; vpn++ {
+			if p := as.pages[vpn]; p != nil {
+				pss += float64(as.pageSize) / float64(p.frame.ref)
+			}
+		}
 	}
 	return pss
 }

@@ -298,6 +298,35 @@ func TestPSSAccounting(t *testing.T) {
 	}
 }
 
+// TestPSSFixedOrder: with map counts that are not powers of two the per-page
+// terms are inexact, so the sum depends on its order. Every call must give
+// the ascending-page sum, bit for bit.
+func TestPSSFixedOrder(t *testing.T) {
+	const pages = 512
+	parent := newAS(t)
+	mustMap(t, parent, 0, pages*pg)
+	mustMap(t, parent, 0x4000_0000, 7*pg)
+	// Five sharers of every page; child c then takes private copies of every
+	// page whose number is 0 mod c+2, leaving map counts from 1 to 5.
+	for c := 0; c < 4; c++ {
+		child := parent.Fork()
+		for vpn := uint64(0); vpn < pages; vpn += uint64(c + 2) {
+			if _, err := child.StoreU64(vpn*pg, 1); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var want float64
+	for _, r := range parent.FrameRefs() {
+		want += float64(pg) / float64(r.Frame.ref)
+	}
+	for i := 0; i < 50; i++ {
+		if got := parent.PSSBytes(); got != want {
+			t.Fatalf("call %d: PSS = %.17g, ascending-page sum %.17g", i, got, want)
+		}
+	}
+}
+
 func TestVMAListAndSharedCounts(t *testing.T) {
 	as := newAS(t)
 	mustMap(t, as, 0x30000, pg)

@@ -36,10 +36,9 @@ import (
 //	2 — adds the TraceID causal-tracing header field after ConfigDigest
 const Version = 2
 
-// MinVersion is the oldest wire-format version Decode still accepts.
-// Version-gated fields absent from an old packet decode to their zero
-// values (a v1 packet has TraceID 0: "predates tracing").
-const MinVersion = 1
+// MinVersion is the oldest wire-format version Decode accepts. A v1 packet
+// is refused with ErrVersion: nothing still produces one.
+const MinVersion = 2
 
 // magic identifies a check packet.
 var magic = [6]byte{'P', 'A', 'F', 'T', 'P', 'K'}
@@ -231,9 +230,7 @@ type CheckPacket struct {
 
 	// TraceID is the segment's causal-trace ID (telemetry.NewTraceID),
 	// propagated so remote checkers tag their verify spans with the same
-	// chain the recording side started. Zero means the packet predates
-	// tracing. Version-gated: only on the wire at Version >= 2, so a
-	// Version-1 packet with a nonzero TraceID does not round-trip.
+	// chain the recording side started. Zero means the segment is untraced.
 	TraceID uint64
 
 	Config Config
@@ -338,9 +335,7 @@ func Encode(p *CheckPacket) []byte {
 	e.raw(magic[:])
 	e.u16(p.Version)
 	e.u64(p.ConfigDigest)
-	if p.Version >= 2 {
-		e.u64(p.TraceID)
-	}
+	e.u64(p.TraceID)
 
 	e.u64(p.Config.PageSize)
 	e.u64(p.Config.Quantum)
@@ -452,9 +447,7 @@ func Decode(b []byte) (*CheckPacket, error) {
 		return nil, fmt.Errorf("%w: got %d, support %d..%d", ErrVersion, p.Version, MinVersion, Version)
 	}
 	p.ConfigDigest = d.u64()
-	if p.Version >= 2 {
-		p.TraceID = d.u64()
-	}
+	p.TraceID = d.u64()
 
 	p.Config.PageSize = d.u64()
 	p.Config.Quantum = d.u64()

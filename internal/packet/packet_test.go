@@ -15,17 +15,6 @@ import (
 
 var update = flag.Bool("update", false, "rewrite golden files")
 
-// fixturePacketV1 is fixturePacket downgraded to wire version 1: no
-// TraceID (the field is version-gated off the wire). Its encoding is
-// pinned by the v1 golden, which must never move — old packets stay
-// decodable forever.
-func fixturePacketV1() *CheckPacket {
-	p := fixturePacket()
-	p.Version = 1
-	p.TraceID = 0
-	return p
-}
-
 // fixturePacket exercises every field and event kind of the format once,
 // with fixed values, so the golden encoding pins the whole layout.
 func fixturePacket() *CheckPacket {
@@ -132,71 +121,29 @@ func TestChunkKeys(t *testing.T) {
 	}
 }
 
-// TestGoldenWireFormat pins the encoded bytes of the fixture packet at
-// every supported wire version, making any format drift an explicit,
-// reviewed change (regenerate with -update and bump Version if the layout
-// changed). The v1 golden predates the TraceID field and must never move:
-// it is the proof that old packets stay decodable.
+// TestGoldenWireFormat pins the encoded bytes of the fixture packet, making
+// any format drift an explicit, reviewed change (regenerate with -update and
+// bump Version if the layout changed).
 func TestGoldenWireFormat(t *testing.T) {
-	cases := []struct {
-		golden string
-		pkt    *CheckPacket
-	}{
-		{"checkpacket_v1.golden", fixturePacketV1()},
-		{"checkpacket_v2.golden", fixturePacket()},
-	}
-	for _, tc := range cases {
-		got := Encode(tc.pkt)
-		path := filepath.Join("testdata", tc.golden)
-		if *update {
-			if err := os.MkdirAll("testdata", 0o777); err != nil {
-				t.Fatal(err)
-			}
-			if err := os.WriteFile(path, got, 0o666); err != nil {
-				t.Fatal(err)
-			}
+	const golden = "checkpacket_v2.golden"
+	got := Encode(fixturePacket())
+	path := filepath.Join("testdata", golden)
+	if *update {
+		if err := os.MkdirAll("testdata", 0o777); err != nil {
+			t.Fatal(err)
 		}
-		want, err := os.ReadFile(path)
-		if err != nil {
-			t.Fatalf("read golden (run with -update to create): %v", err)
-		}
-		if !bytes.Equal(got, want) {
-			t.Fatalf("%s: wire format drifted: encoded %d bytes, golden %d bytes; "+
-				"if intentional, bump packet.Version and regenerate with -update",
-			tc.golden, len(got), len(want))
+		if err := os.WriteFile(path, got, 0o666); err != nil {
+			t.Fatal(err)
 		}
 	}
-}
-
-// TestDecodeOldVersion proves backward compatibility end to end: v1 bytes
-// (no TraceID on the wire) decode with TraceID zero and everything else
-// intact, and re-encode to exactly the input — canonical at their own
-// version, not silently upgraded.
-func TestDecodeOldVersion(t *testing.T) {
-	v1 := fixturePacketV1()
-	b := Encode(v1)
-	got, err := Decode(b)
+	want, err := os.ReadFile(path)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("read golden (run with -update to create): %v", err)
 	}
-	if got.Version != 1 {
-		t.Errorf("decoded Version = %d, want 1", got.Version)
-	}
-	if got.TraceID != 0 {
-		t.Errorf("v1 packet decoded with TraceID %#x, want 0", got.TraceID)
-	}
-	if !reflect.DeepEqual(got, v1) {
-		t.Errorf("v1 round trip changed the packet:\n got %+v\nwant %+v", got, v1)
-	}
-	if b2 := Encode(got); !bytes.Equal(b2, b) {
-		t.Error("re-encoding a decoded v1 packet changed the bytes")
-	}
-
-	// The same packet at v2 differs only by the 8 TraceID bytes.
-	v2 := fixturePacket()
-	b2 := Encode(v2)
-	if len(b2) != len(b)+8 {
-		t.Errorf("v2 encoding is %d bytes, want v1 %d + 8", len(b2), len(b))
+	if !bytes.Equal(got, want) {
+		t.Fatalf("%s: wire format drifted: encoded %d bytes, golden %d bytes; "+
+			"if intentional, bump packet.Version and regenerate with -update",
+			golden, len(got), len(want))
 	}
 }
 
@@ -222,6 +169,8 @@ func TestDecodeTypedErrors(t *testing.T) {
 	badMagic[0] = 'X'
 	badVersion := append([]byte(nil), valid...)
 	badVersion[6] = 99
+	old := fixturePacket()
+	old.Version = 1
 	trailing := append(append([]byte(nil), valid...), 0xff)
 
 	cases := []struct {
@@ -238,6 +187,7 @@ func TestDecodeTypedErrors(t *testing.T) {
 		{"truncated mid-array", valid[:len(valid)/2], ErrCorrupt},
 		{"bad magic", badMagic, ErrMagic},
 		{"bad version", badVersion, ErrVersion},
+		{"v1 packet", Encode(old), ErrVersion},
 		{"trailing bytes", trailing, ErrCorrupt},
 	}
 	for _, tc := range cases {
@@ -336,7 +286,9 @@ func TestDirExportRoundTrip(t *testing.T) {
 // accepts re-encodes to exactly itself (and stays stable thereafter).
 func FuzzPacketRoundTrip(f *testing.F) {
 	f.Add(Encode(fixturePacket()))
-	f.Add(Encode(fixturePacketV1()))
+	old := fixturePacket()
+	old.Version = 1
+	f.Add(Encode(old)) // a version Decode refuses
 	small := fixturePacket()
 	small.Events = nil
 	small.Start.VMAs = nil

@@ -218,13 +218,6 @@ type Process struct {
 	// by the engine's bandwidth-contention model.
 	DRAMAccesses uint64
 
-	// PrivatePages declares that every page of AS is the process's own in the
-	// simulated world: whatever frames it shares, it shares as a host-side
-	// economy (a checker rebuilt from a snapshot adopts its pages by
-	// reference), so the copy behind its first store to one is charged
-	// nothing. Not inherited by Fork, which makes the sharing real.
-	PrivatePages bool
-
 	// Signal dispatch: handler PC per signal. On delivery x12 holds the
 	// interrupted PC and control transfers to the handler, which returns
 	// with `jr x12`.
@@ -769,9 +762,6 @@ func (p *Process) Run(env ExecEnv, budget uint64) Stop {
 // for slicing, matching the paper's measurement of fork+COW as system CPU
 // time, §5.2.1) and DRAM traffic for the page copy.
 func (p *Process) chargeCOW(env ExecEnv) {
-	if p.PrivatePages {
-		return
-	}
 	pageSize := p.AS.PageSize()
 	lines := float64(pageSize) / float64(env.Machine.Caches.LineSize())
 	// trap + PTE fixup overhead, plus a line-granular copy through DRAM.

@@ -53,7 +53,7 @@ func TestNilRecorderAllocFree(t *testing.T) {
 	var ws *WindowSampler
 	allocs := testing.AllocsPerRun(100, func() {
 		_ = rec.Actor("main")
-		led.AddHost(StageExport, 1)
+		led.SetMetrics(nil)
 		led.Finish(0, nil)
 		ws.Tick(1e6)
 		ws.Flush(2e6)

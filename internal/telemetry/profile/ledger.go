@@ -9,8 +9,9 @@
 //     class (guest execution, slicing barriers, fork/COW, dirty-page
 //     enumeration, recording, replay steering, compare/vote hashing,
 //     recovery), reconciled bit-for-bit against the machine's own energy
-//     books. Host-side stages (packet export, farm dispatch/upload, remote
-//     verification) are tracked in wall-clock time alongside.
+//     books. It keeps simulated books only: host-side stages (packet
+//     export, farm dispatch/upload, remote verification) are accounted by
+//     the telemetry.Recorder's stage spans.
 //   - Recorder/Sampler: a deterministic sim-clock sampling profiler fed by
 //     the interpreter dispatch loop, attributing samples to guest PC →
 //     basic block → workload symbol with per-actor and per-core-kind
@@ -25,30 +26,11 @@ package profile
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strings"
-	"sync"
 
 	"parallaft/internal/machine"
 	"parallaft/internal/telemetry"
 )
-
-// HostStage names for the wall-clock side of the ledger. Simulated-time
-// classes come from machine.Activity; these stages spend host time only.
-const (
-	StageExport       = "export"
-	StageFarmDispatch = "farm-dispatch"
-	StageFarmUpload   = "farm-upload"
-	StageRemoteVerify = "remote-verify"
-)
-
-// hostStage accumulates one host-side stage.
-type hostStage struct {
-	ns    int64
-	simNs float64 // simulated time the remote side reported spending
-	simJ  float64
-	count int
-}
 
 // Ledger charges every simulated active nanosecond to exactly one activity
 // class. It implements machine.ActiveSink: attached to a machine's cores it
@@ -56,9 +38,7 @@ type hostStage struct {
 // cores' own books absorb — which is what makes Reconcile a bit-exact
 // check rather than a tolerance comparison.
 //
-// The simulated-time side (OnActive) is only ever driven by the single
-// simulation goroutine; the host-side stage map takes a mutex because farm
-// reader goroutines merge remote slices concurrently.
+// It is only ever driven by the single simulation goroutine.
 type Ledger struct {
 	classNs      [machine.NumActivities]float64
 	classJ       [machine.NumActivities]float64
@@ -76,32 +56,20 @@ type Ledger struct {
 	energyJ   float64
 	breakdown machine.EnergyBreakdown
 
-	hostMu sync.Mutex
-	host   map[string]*hostStage
-	merged map[uint64]bool // (traceID) slices already merged, exactly once
-
-	charges *telemetry.Counter // optional paft_ledger_* instruments
-	slices  *telemetry.Counter
+	charges *telemetry.Counter // optional paft_ledger_charges_total
 }
 
 // NewLedger returns an empty ledger. Attach it to a machine before the run.
-func NewLedger() *Ledger {
-	return &Ledger{
-		host:   make(map[string]*hostStage),
-		merged: make(map[uint64]bool),
-	}
-}
+func NewLedger() *Ledger { return &Ledger{} }
 
-// SetMetrics registers the paft_ledger_* instruments in reg and routes this
-// ledger's accounting through them. Nil-safe on both sides.
+// SetMetrics registers paft_ledger_charges_total in reg and counts this
+// ledger's charges through it. Nil-safe on both sides.
 func (l *Ledger) SetMetrics(reg *telemetry.Registry) {
 	if l == nil || reg == nil {
 		return
 	}
 	l.charges = reg.Counter("paft_ledger_charges_total",
 		"simulated-time charges observed by the overhead-attribution ledger")
-	l.slices = reg.Counter("paft_ledger_remote_slices_total",
-		"remote ledger slices merged back from checkd nodes by trace ID")
 }
 
 // Attach sizes the per-core mirrors for m and installs the ledger as the
@@ -126,62 +94,6 @@ func (l *Ledger) OnActive(c *machine.Core, act machine.Activity, freqIdx int, ns
 	l.classCharges[act]++
 	l.mirror[c.ID][freqIdx] += ns
 	l.charges.Inc()
-}
-
-// AddHost charges host wall-clock nanoseconds to a named stage (one of the
-// Stage* constants). Safe for concurrent use.
-func (l *Ledger) AddHost(stage string, ns int64) {
-	if l == nil {
-		return
-	}
-	l.hostMu.Lock()
-	s := l.host[stage]
-	if s == nil {
-		s = &hostStage{}
-		l.host[stage] = s
-	}
-	s.ns += ns
-	s.count++
-	l.hostMu.Unlock()
-}
-
-// Slice is one remote node's ledger contribution for one checked packet:
-// how much host wall time and how much of its own simulated replay time the
-// remote verification spent. Shipped in the verdict's frame (checkd.Reply)
-// and merged back into the submitting run's ledger by trace ID.
-type Slice struct {
-	TraceID uint64  `json:"trace"`
-	HostNs  int64   `json:"host_ns"`
-	SimNs   float64 `json:"sim_ns"`
-	SimJ    float64 `json:"sim_j"`
-}
-
-// MergeRemote folds one remote slice into the remote-verify stage, exactly
-// once per trace ID (redispatched packets may produce a second slice from
-// another node; the first merged one wins). Safe for concurrent use.
-func (l *Ledger) MergeRemote(s Slice) {
-	if l == nil {
-		return
-	}
-	l.hostMu.Lock()
-	if s.TraceID != 0 && l.merged[s.TraceID] {
-		l.hostMu.Unlock()
-		return
-	}
-	if s.TraceID != 0 {
-		l.merged[s.TraceID] = true
-	}
-	st := l.host[StageRemoteVerify]
-	if st == nil {
-		st = &hostStage{}
-		l.host[StageRemoteVerify] = st
-	}
-	st.ns += s.HostNs
-	st.simNs += s.SimNs
-	st.simJ += s.SimJ
-	st.count++
-	l.hostMu.Unlock()
-	l.slices.Inc()
 }
 
 // Finish closes the books at the end of a run: it records the run's wall
@@ -279,14 +191,13 @@ type Summary struct {
 	Classes []ClassSummary `json:"classes"`
 	// ActiveSimNs/ActiveJ are the per-class sums; IdleJ/StaticJ/DRAMDynJ
 	// and EnergyJ come from the machine's own integration at Finish.
-	ActiveSimNs float64            `json:"active_simns"`
-	ActiveJ     float64            `json:"active_j"`
-	IdleJ       float64            `json:"idle_j"`
-	StaticJ     float64            `json:"static_j"`
-	DRAMDynJ    float64            `json:"dram_dyn_j"`
-	EnergyJ     float64            `json:"energy_j"`
-	WallSimNs   float64            `json:"wall_simns"`
-	Host        []HostStageSummary `json:"host,omitempty"`
+	ActiveSimNs float64 `json:"active_simns"`
+	ActiveJ     float64 `json:"active_j"`
+	IdleJ       float64 `json:"idle_j"`
+	StaticJ     float64 `json:"static_j"`
+	DRAMDynJ    float64 `json:"dram_dyn_j"`
+	EnergyJ     float64 `json:"energy_j"`
+	WallSimNs   float64 `json:"wall_simns"`
 }
 
 // ClassSummary is one activity class's totals.
@@ -297,16 +208,7 @@ type ClassSummary struct {
 	Charges  uint64  `json:"charges"`
 }
 
-// HostStageSummary is one host-side stage's totals.
-type HostStageSummary struct {
-	Stage  string  `json:"stage"`
-	HostNs int64   `json:"host_ns"`
-	SimNs  float64 `json:"sim_ns,omitempty"`
-	SimJ   float64 `json:"sim_j,omitempty"`
-	Count  int     `json:"count"`
-}
-
-// Summarize builds the deterministic summary (host stages sorted by name).
+// Summarize builds the deterministic summary.
 func (l *Ledger) Summarize() Summary {
 	s := Summary{
 		ActiveSimNs: l.ActiveNs(),
@@ -328,26 +230,12 @@ func (l *Ledger) Summarize() Summary {
 			Charges:  l.classCharges[a],
 		})
 	}
-	l.hostMu.Lock()
-	names := make([]string, 0, len(l.host))
-	for n := range l.host {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	for _, n := range names {
-		h := l.host[n]
-		s.Host = append(s.Host, HostStageSummary{
-			Stage: n, HostNs: h.ns, SimNs: h.simNs, SimJ: h.simJ, Count: h.count,
-		})
-	}
-	l.hostMu.Unlock()
 	return s
 }
 
 // Table renders the paper-style overhead breakdown: one row per activity
 // class with simulated time, energy, and shares of the active totals. The
-// output is deterministic for a deterministic run (host-side wall-clock
-// stages, which are not, are listed by count only).
+// output is deterministic for a deterministic run.
 func (l *Ledger) Table() string {
 	var sb strings.Builder
 	sum := l.Summarize()
@@ -371,12 +259,6 @@ func (l *Ledger) Table() string {
 		fmt.Fprintf(&sb, "%-14s %12s %7s %12.4f\n", "static", "", "", sum.StaticJ*1e3)
 		fmt.Fprintf(&sb, "%-14s %12s %7s %12.4f\n", "dram-dyn", "", "", sum.DRAMDynJ*1e3)
 		fmt.Fprintf(&sb, "%-14s %12.3f %7s %12.4f\n", "wall/total", sum.WallSimNs/1e6, "", sum.EnergyJ*1e3)
-	}
-	if len(sum.Host) > 0 {
-		fmt.Fprintf(&sb, "host-side stages (wall clock, not simulated):\n")
-		for _, h := range sum.Host {
-			fmt.Fprintf(&sb, "%-14s %10d ops\n", h.Stage, h.Count)
-		}
 	}
 	return sb.String()
 }
