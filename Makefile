@@ -86,11 +86,12 @@ bench-harness:
 # Allocation pins for the hot paths: zero for interpreter dispatch, the
 # steady-state comparator and the event recorder's nil and over-limit paths
 # (every record method), and no page-sized
-# buffers in a warm checkd worker's start-state rebuild. Run without -race:
+# buffers in a warm checkd worker's start-state rebuild or in a steady-state
+# copy-on-write (its frame comes from mem's free list). Run without -race:
 # the detector's own instrumentation allocates, so the guard tests carry a
 # !race build tag.
 alloc-guard:
-	$(GO) test ./internal/proc ./internal/compare ./internal/checkd ./internal/telemetry ./internal/telemetry/profile -run 'AllocFree|AllocationFree' -v
+	$(GO) test ./internal/mem ./internal/proc ./internal/compare ./internal/checkd ./internal/telemetry ./internal/telemetry/profile -run 'AllocFree|AllocationFree' -v
 
 # The tracked size figure (ROADMAP: it should go down): non-test Go lines
 # outside benchmark/, which is counted on its own.

@@ -2,12 +2,15 @@ package checkd
 
 import (
 	"errors"
+	"runtime"
+	"slices"
 	"testing"
 	"time"
 
 	"parallaft/internal/asm"
 	"parallaft/internal/core"
 	"parallaft/internal/hashx"
+	"parallaft/internal/mem"
 	"parallaft/internal/packet"
 	"parallaft/internal/pagestore"
 	"parallaft/internal/workload"
@@ -210,9 +213,25 @@ func TestWarmCheckerStillRejects(t *testing.T) {
 	})
 }
 
+// topOfVMAs is the first address past every mapping of a packet's start state.
+func topOfVMAs(pkt *packet.CheckPacket) uint64 {
+	var top uint64
+	for _, v := range pkt.Start.VMAs {
+		top = max(top, v.Base+v.Length)
+	}
+	return top
+}
+
+// withVMA is pkt with one more start-state mapping, listed with no pages.
+func withVMA(pkt *packet.CheckPacket, base, length uint64) *packet.CheckPacket {
+	bad := *pkt
+	bad.Start.VMAs = append(slices.Clone(pkt.Start.VMAs), packet.VMA{Base: base, Length: length, Prot: uint8(mem.ProtRW), Name: "foreign"})
+	return &bad
+}
+
 // hostilePageRefs are start states no address space can be built from. Each
-// used to end in a silently short or overlong page, a plain error or the
-// last writer winning.
+// used to end in a silently short or overlong page, a plain error, the last
+// writer winning or a mapping that ends below its base.
 func hostilePageRefs(store *pagestore.Store, pkt *packet.CheckPacket) map[string]*packet.CheckPacket {
 	mutate := func(f func(pages []packet.PageRef) []packet.PageRef) *packet.CheckPacket {
 		bad := *pkt
@@ -220,11 +239,10 @@ func hostilePageRefs(store *pagestore.Store, pkt *packet.CheckPacket) map[string
 		return &bad
 	}
 	page := store.Get(pkt.Start.Pages[0].Key)
-	var topVMA uint64
-	for _, v := range pkt.Start.VMAs {
-		topVMA = max(topVMA, v.Base+v.Length)
-	}
+	topVMA := topOfVMAs(pkt)
+	ps := pkt.Config.PageSize
 	return map[string]*packet.CheckPacket{
+		"vma wrapping past the top": withVMA(pkt, -(2 * ps), 4*ps),
 		"short chunk": mutate(func(p []packet.PageRef) []packet.PageRef {
 			p[0].Key = store.Put(page[:len(page)-8])
 			return p
@@ -244,9 +262,10 @@ func hostilePageRefs(store *pagestore.Store, pkt *packet.CheckPacket) map[string
 }
 
 // TestHostilePageRefs: a start state that names a chunk of the wrong length,
-// a page outside every VMA or one page twice resolves — under a deadline, a
-// stuck or dead worker being the regression — to a typed infrastructure
-// verdict, and the worker that met it checks the next packet as usual.
+// a page outside every VMA or one page twice, or maps a range past 2^64,
+// resolves — under a deadline, a stuck or dead worker being the regression —
+// to a typed infrastructure verdict, and the worker that met it checks the
+// next packet as usual.
 func TestHostilePageRefs(t *testing.T) {
 	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(120_000))
 	if len(pkts) < 2 {
@@ -278,6 +297,52 @@ func TestHostilePageRefs(t *testing.T) {
 			}
 		})
 	}
+
+	// A mapping the packet lists no pages for is no hostile shape: it reads
+	// as zeroes and passes when the end state says so. What a hostile sender
+	// could do with it is make the checker allocate; every such page shares
+	// the checker's one zero frame, so it costs a page-table entry.
+	t.Run("unbacked pages share one zero frame", func(t *testing.T) {
+		const unbacked = 256
+		pkt := pkts[1]
+		ps := pkt.Config.PageSize
+		base := topOfVMAs(pkt) + 64*ps
+		bad := withVMA(pkt, base, unbacked*ps)
+		zeroSum := hashx.Sum64(pkt.Config.HashSeed, make([]byte, ps))
+		bad.EndState.Pages = slices.Clone(pkt.EndState.Pages)
+		for vpn := base / ps; vpn < base/ps+unbacked; vpn++ {
+			bad.EndState.Pages = append(bad.EndState.Pages, packet.PageHash{VPN: vpn, Sum: zeroSum})
+		}
+		vs, err := CheckAll(store, []*packet.CheckPacket{pkts[0], bad, pkts[1]}, Options{Workers: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range vs {
+			if !v.OK {
+				t.Errorf("packet %d: %v", i, v)
+			}
+		}
+
+		c := newChecker()
+		allocated := func(st *packet.StartState) uint64 {
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			as, err := c.rebuildAddressSpace(store, ps, st)
+			if err != nil {
+				t.Fatal(err)
+			}
+			as.Release()
+			runtime.ReadMemStats(&after)
+			return after.TotalAlloc - before.TotalAlloc
+		}
+		allocated(&bad.Start) // warm: the checker's frames and its zero frame
+		plain, foreign := allocated(&pkt.Start), allocated(&bad.Start)
+		t.Logf("rebuild allocates %d bytes, %d with %d unbacked pages", plain, foreign, unbacked)
+		if foreign > plain+unbacked/64*ps {
+			t.Errorf("%d unbacked pages cost %d bytes more than none: one page per 64 is the budget",
+				unbacked, foreign-plain)
+		}
+	})
 }
 
 // TestMissingChunkRetryLeavesRefcountsBalanced: a rebuild that stops at a

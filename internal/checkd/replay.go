@@ -156,6 +156,11 @@ type checker struct {
 	// of frame headers. The map's reference is the one mem.NewSharedFrame
 	// asks its creator to hold.
 	frames map[pagestore.Key]*mem.Frame
+
+	// zero backs every page a packet maps but lists no chunk for, so such a
+	// page costs a page-table entry, not a page. The checker holds its
+	// creator reference, as it does for frames.
+	zero *mem.Frame
 }
 
 func newChecker() *checker {
@@ -229,9 +234,9 @@ func (c *checker) check(store *pagestore.Store, pkt *packet.CheckPacket) (Verdic
 // reference, as a shared frame over its chunk's bytes under its recorded
 // protection, and the replay's first store to it copies. A chunk is trusted
 // for nothing but its bytes (see the package comment). A start state no
-// address space can be built from — overlapping or unaligned VMAs, a chunk
-// that is not one page long, a page outside every VMA or listed twice — is
-// ErrUnrunnable.
+// address space can be built from — overlapping or unaligned VMAs, a VMA
+// running past 2^64, a chunk that is not one page long, a page outside every
+// VMA or listed twice — is ErrUnrunnable.
 func (c *checker) rebuildAddressSpace(store *pagestore.Store, pageSize uint64, st *packet.StartState) (_ *mem.AddressSpace, err error) {
 	as := mem.NewAddressSpace(pageSize)
 	defer func() {
@@ -267,10 +272,13 @@ func (c *checker) rebuildAddressSpace(store *pagestore.Store, pageSize uint64, s
 	if uint64(as.PageCount()) != vmaPages {
 		// A mapped page the packet lists no chunk for reads as zeroes. The
 		// exporter lists every page, so this is for foreign packets only.
+		if c.zero == nil || uint64(len(c.zero.Data())) != pageSize {
+			c.zero = mem.NewSharedFrame(make([]byte, pageSize))
+		}
 		for _, v := range st.VMAs {
 			for vpn := v.Base / pageSize; vpn < (v.Base+v.Length)/pageSize; vpn++ {
 				if as.FrameAt(vpn) == nil {
-					as.AdoptFrame(vpn, mem.NewSharedFrame(make([]byte, pageSize)), mem.Prot(v.Prot)) //nolint:errcheck // an empty page of a reserved VMA
+					as.AdoptFrame(vpn, c.zero, mem.Prot(v.Prot)) //nolint:errcheck // an empty page of a reserved VMA
 				}
 			}
 		}

@@ -19,6 +19,18 @@
 // Page size is configurable because it matters: the paper attributes part of
 // Parallaft's higher overhead on Intel to 4 KiB pages versus Apple's 16 KiB
 // (§5.8).
+//
+// Frames are recycled, not left to the collector. A frame this package
+// allocated (for Map or a COW copy) goes to a free list, one per page size
+// and shared by every address space in the process, when Unmap or Release
+// drops its last reference; the next Map or COW copy takes it from there. A
+// COW copy overwrites every byte, so it takes the frame as it is; Map clears
+// it. Either way the frame comes back with a fresh ID and no hash memo, so
+// nothing keyed by identity or content mistakes it for its former self. A
+// NewSharedFrame never enters the list: its bytes belong to its creator (in
+// checkd, a pagestore chunk that other checkers may be reading). Under the
+// race detector a released frame is poisoned before it is handed out again,
+// so a read through a released address space shows up as a golden diff.
 package mem
 
 import (
@@ -26,6 +38,7 @@ import (
 	"fmt"
 	"slices"
 	"sort"
+	"sync"
 	"sync/atomic"
 
 	"parallaft/internal/hashx"
@@ -99,13 +112,64 @@ type Frame struct {
 	memoSeed uint64
 	memoSum  uint64
 	memoOK   bool
+
+	// recycled marks a frame this package allocated, which returns to the
+	// free list when its last reference goes (see the package comment).
+	recycled bool
 }
 
 // frameIDs allocates stable frame identities process-wide.
 var frameIDs atomic.Uint64
 
-func newFrame(size uint64) *Frame {
-	return &Frame{data: make([]byte, size), ref: 1, id: frameIDs.Add(1)}
+// freeFrames are the free lists of released frames, indexed by page shift.
+// A list is a plain stack, not a sync.Pool: a pool empties at every garbage
+// collection, so how many copies it served would depend on when collections
+// fell. A frame is allocated only when its list is empty, so a list never
+// holds more frames than were once live at the same time.
+var freeFrames [64]struct {
+	sync.Mutex
+	frames []*Frame
+}
+
+// newFrame returns a one-page frame holding one reference under a fresh ID,
+// recycled when the free list has one. A recycled frame keeps its previous
+// bytes unless zero is set.
+func (as *AddressSpace) newFrame(zero bool) *Frame {
+	fl := &freeFrames[as.pageShift]
+	fl.Lock()
+	n := len(fl.frames)
+	if n == 0 {
+		fl.Unlock()
+		return &Frame{data: make([]byte, as.pageSize), ref: 1, id: frameIDs.Add(1), recycled: true}
+	}
+	f := fl.frames[n-1]
+	fl.frames[n-1] = nil
+	fl.frames = fl.frames[:n-1]
+	fl.Unlock()
+	if zero {
+		clear(f.data)
+	}
+	f.ref, f.id = 1, frameIDs.Add(1)
+	f.writeGen++
+	f.memoOK = false
+	return f
+}
+
+// unref drops one reference to f and recycles it if that was the last.
+func (as *AddressSpace) unref(f *Frame) {
+	f.ref--
+	if f.ref == 0 && f.recycled {
+		if poisonReleased {
+			f.data[0] = 0xa5
+			for n := 1; n < len(f.data); n *= 2 {
+				copy(f.data[n:], f.data[:n])
+			}
+		}
+		fl := &freeFrames[as.pageShift]
+		fl.Lock()
+		fl.frames = append(fl.frames, f)
+		fl.Unlock()
+	}
 }
 
 // NewSharedFrame wraps caller-owned bytes that will never be mutated again
@@ -124,9 +188,9 @@ func NewSharedFrame(data []byte) *Frame {
 // creator's reference on a NewSharedFrame frame.
 func (f *Frame) MapCount() int { return f.ref }
 
-// ID returns the frame's stable identity. IDs are unique process-wide and
-// never reused; they are for diagnostics and tests — equality of frames is
-// pointer equality.
+// ID returns the frame's identity. IDs are unique process-wide and never
+// reused, even when the frame itself is recycled; they are for diagnostics
+// and tests — equality of two mapped frames is pointer equality.
 func (f *Frame) ID() uint64 { return f.id }
 
 // Data returns the frame contents. The slice aliases the frame; callers
@@ -177,7 +241,7 @@ func (v VMA) End() uint64 { return v.Base + v.Length }
 type Stats struct {
 	COWCopies  uint64 // pages copied due to copy-on-write
 	COWBytes   uint64 // bytes copied due to copy-on-write
-	PagesAlloc uint64 // fresh frames allocated (zero-fill or explicit map)
+	PagesAlloc uint64 // pages Map backed with a zeroed frame
 }
 
 // tlbSize is the number of entries in each host-side translation cache.
@@ -264,7 +328,7 @@ func (as *AddressSpace) Map(base, length uint64, prot Prot, name string) error {
 	}
 	for vpn := base >> as.pageShift; vpn < (base+length)>>as.pageShift; vpn++ {
 		as.pages[vpn] = &pte{
-			frame:     newFrame(as.pageSize),
+			frame:     as.newFrame(true),
 			prot:      prot,
 			softDirty: true, // a new page is "modified" from nothing
 		}
@@ -281,6 +345,9 @@ func (as *AddressSpace) Map(base, length uint64, prot Prot, name string) error {
 func (as *AddressSpace) Reserve(base, length uint64, prot Prot, name string) error {
 	if base%as.pageSize != 0 || length%as.pageSize != 0 || length == 0 {
 		return fmt.Errorf("mem: map [%#x,+%#x): not page-aligned or empty", base, length)
+	}
+	if base+length <= base {
+		return fmt.Errorf("mem: map [%#x,+%#x): runs past the top of the address space", base, length)
 	}
 	if as.overlaps(base, length) {
 		return fmt.Errorf("mem: map [%#x,+%#x): overlaps existing mapping", base, length)
@@ -324,7 +391,7 @@ func (as *AddressSpace) Unmap(base, length uint64) error {
 	}
 	for vpn := base >> as.pageShift; vpn < (base+length)>>as.pageShift; vpn++ {
 		if p, ok := as.pages[vpn]; ok {
-			p.frame.ref--
+			as.unref(p.frame)
 			delete(as.pages, vpn)
 		}
 	}
@@ -484,12 +551,13 @@ func (as *AddressSpace) Fork() *AddressSpace {
 	return child
 }
 
-// Release drops every frame reference held by the address space. After
-// Release the address space must not be used. It exists so that discarded
+// Release drops every frame reference held by the address space, recycling
+// the frames it was the last to map. After Release the address space and
+// every frame read from it must not be used. It exists so that discarded
 // checkpoints and dead checkers stop inflating map counts.
 func (as *AddressSpace) Release() {
 	for _, p := range as.pages {
-		p.frame.ref--
+		as.unref(p.frame)
 	}
 	clear(as.pages)
 	as.vmas = nil
@@ -535,7 +603,7 @@ func (as *AddressSpace) lookupWrite(addr uint64) (*pte, bool, *Fault) {
 	}
 	cow := false
 	if p.frame.ref > 1 {
-		nf := newFrame(as.pageSize)
+		nf := as.newFrame(false) // the copy overwrites every byte
 		copy(nf.data, p.frame.data)
 		p.frame.ref--
 		p.frame = nf

@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"parallaft/internal/core"
+	"parallaft/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
@@ -83,6 +86,60 @@ func TestGoldenNMROutput(t *testing.T) {
 		}
 	}
 	goldenCompare(t, "golden_nmr.txt", FormatNMR(rows))
+}
+
+// TestGoldenComparisonCounters pins, per suite workload and dirty-page
+// discovery, the counters a host-side change to frame handling (recycling,
+// identity, the hash memo) could move without touching any table: COW copies
+// and dirty pages are simulated books, identity skips and memo hits are the
+// host's shortcuts, and all four follow from which frames are shared, never
+// from where a frame's memory came from. Frame diffing finds only pages with
+// new frames, so its shortcuts are all zero; the full-memory ablation
+// exercises identity skips, and three checkers hashing one end checkpoint
+// exercise the memo.
+func TestGoldenComparisonCounters(t *testing.T) {
+	want := map[string][4]uint64{ // COWCopies, DirtyPagesHashed, IdentitySkips, HashCacheHits
+		"444.namd/framediff":     {3, 3, 0, 0},
+		"429.mcf/framediff":      {1281, 1281, 0, 0},
+		"470.lbm/framediff":      {156, 156, 0, 0},
+		"403.gcc/framediff":      {45, 45, 0, 0},
+		"458.sjeng/framediff":    {26, 26, 0, 0},
+		"444.namd/fullmem":       {3, 51, 48, 0},
+		"429.mcf/fullmem":        {1281, 1365, 84, 0},
+		"470.lbm/fullmem":        {156, 1365, 1209, 0},
+		"403.gcc/fullmem":        {45, 189, 144, 0},
+		"458.sjeng/fullmem":      {26, 106, 80, 0},
+		"444.namd/fullmem-nmr3":  {3, 153, 144, 6},
+		"429.mcf/fullmem-nmr3":   {1793, 5733, 354, 3586},
+		"470.lbm/fullmem-nmr3":   {158, 5733, 5259, 316},
+		"403.gcc/fullmem-nmr3":   {45, 567, 432, 90},
+		"458.sjeng/fullmem-nmr3": {27, 318, 237, 54},
+	}
+	discovery := []struct {
+		name  string
+		tweak func(*core.Config)
+	}{
+		{"framediff", func(*core.Config) {}},
+		{"fullmem", func(c *core.Config) { c.CompareFullMemory = true }},
+		{"fullmem-nmr3", func(c *core.Config) { c.CompareFullMemory, c.Checkers = true, 3 }},
+	}
+	r := goldenRunner()
+	r.Scale = 0.05
+	for _, d := range discovery {
+		r.ConfigTweak = d.tweak
+		for _, name := range []string{"444.namd", "429.mcf", "470.lbm", "403.gcc", "458.sjeng"} {
+			res, err := r.RunWorkload(workload.Get(name), ModeParallaft)
+			if err != nil {
+				t.Fatal(err)
+			}
+			key := name + "/" + d.name
+			got := [4]uint64{res.COWCopies, res.DirtyPagesHashed, res.IdentitySkips, res.HashCacheHits}
+			if got != want[key] {
+				t.Errorf("%s: COW copies, dirty pages, identity skips, memo hits = %v, want %v", key, got, want[key])
+				t.Logf("%q: {%d, %d, %d, %d},", key, got[0], got[1], got[2], got[3])
+			}
+		}
+	}
 }
 
 // TestGoldenTable2Output pins the detection-guarantee table, which exercises
