@@ -56,16 +56,21 @@ golden:
 farm-soak:
 	$(GO) test -race -count=10 -timeout 30m ./internal/checkd ./internal/checkfarm
 
-# Short fuzz of the two parsers that read bytes from outside the process. The
+# Short fuzz of the code that reads bytes from outside the process. The
 # check-packet codec: Decode must never panic, and every accepted input must
 # re-encode byte-identically (canonical wire format). The client session:
 # whatever a server sends, it ends in 'D' or a classified error, never a hang.
-# (Its replies go through encoding/json, whose pools make coverage flicker from
-# run to run; the fuzzer's input minimiser never settles on that and would eat
-# the whole five seconds, so it is off here.)
+# A checker's intake (decode, admit, start-state rebuild): a typed rejection or
+# an address space mapping exactly its VMAs' pages, with every frame the
+# checker keeps back at its own reference after Release. (The session's replies
+# go through encoding/json, and a rebuild through the runtime's maps, whose
+# internals make coverage flicker from run to run; the fuzzer's input
+# minimiser never settles on that and would eat the whole five seconds, so it
+# is off for both.)
 fuzz-smoke:
 	$(GO) test ./internal/packet -run '^$$' -fuzz FuzzPacketRoundTrip -fuzztime 5s
 	$(GO) test ./internal/checkd -run '^$$' -fuzz FuzzSessionRead -fuzztime 5s -fuzzminimizetime 0
+	$(GO) test ./internal/checkd -run '^$$' -fuzz FuzzRebuildStartState -fuzztime 5s -fuzzminimizetime 0
 
 # End-to-end offload pipeline through the real binaries: export packets from
 # a protected run, then re-check them with the daemon CLI.
@@ -83,11 +88,11 @@ bench:
 bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-# Allocation pins for the hot paths: zero for interpreter dispatch, the
-# steady-state comparator and the event recorder's nil and over-limit paths
-# (every record method), and no page-sized
-# buffers in a warm checkd worker's start-state rebuild or in a steady-state
-# copy-on-write (its frame comes from mem's free list). Run without -race:
+# Allocation pins for the hot paths: zero for interpreter dispatch under both
+# cost policies, the steady-state comparator and the event recorder's nil and
+# over-limit paths (every record method), and no page-sized buffers in a warm
+# checkd worker's start-state rebuild or in a steady-state copy-on-write (its
+# frame comes from mem's free list). Run without -race:
 # the detector's own instrumentation allocates, so the guard tests carry a
 # !race build tag.
 alloc-guard:

@@ -371,7 +371,7 @@ func (h *Hierarchy) ResetStats() {
 
 // Reset leaves the hierarchy indistinguishable from a newly built one without
 // paying New's allocation and clearing of the tag arrays again: what a
-// long-lived owner calls between runs.
+// long-lived owner (Machine.Reset) calls between runs.
 func (h *Hierarchy) Reset() {
 	for _, c := range h.l1 {
 		c.reset()

@@ -163,10 +163,13 @@ func TestWarmCheckerStillRejects(t *testing.T) {
 
 	t.Run("flipped end-state hash", func(t *testing.T) {
 		c := newChecker()
+		var want []Verdict
 		for _, pkt := range pkts[:2] {
-			if v, err := c.check(store, pkt); err != nil || !v.OK {
+			v, err := c.check(store, pkt)
+			if err != nil || !v.OK {
 				t.Fatalf("warming on %s seg %d: %v, err %v", pkt.ProgName, pkt.Segment, v, err)
 			}
+			want = append(want, v)
 		}
 		bad := *target
 		bad.EndState.Pages = append([]packet.PageHash(nil), target.EndState.Pages...)
@@ -180,9 +183,13 @@ func TestWarmCheckerStillRejects(t *testing.T) {
 		if err != nil || v.OK || v.ErrorKind != core.ErrMemMismatch.String() {
 			t.Fatalf("flipped hash on a warm checker: %v, err %v; want a memory mismatch", v, err)
 		}
-		if v, err := c.check(store, target); err != nil || !v.OK {
+		want = append(want, v)
+		v, err = c.check(store, target)
+		if err != nil || !v.OK {
 			t.Fatalf("the unflipped packet afterwards: %v, err %v", v, err)
 		}
+		// Every substrate, timed or not, rejects the flip the same way.
+		requireSubstrateIndependent(t, store, []*packet.CheckPacket{pkts[0], pkts[1], &bad, target}, append(want, v))
 	})
 
 	t.Run("chunk that does not match its key", func(t *testing.T) {
@@ -231,7 +238,8 @@ func withVMA(pkt *packet.CheckPacket, base, length uint64) *packet.CheckPacket {
 
 // hostilePageRefs are start states no address space can be built from. Each
 // used to end in a silently short or overlong page, a plain error, the last
-// writer winning or a mapping that ends below its base.
+// writer winning, a mapping that ends below its base or, for a mapping with
+// no chunks listed, a checker filling page tables until it runs out of memory.
 func hostilePageRefs(store *pagestore.Store, pkt *packet.CheckPacket) map[string]*packet.CheckPacket {
 	mutate := func(f func(pages []packet.PageRef) []packet.PageRef) *packet.CheckPacket {
 		bad := *pkt
@@ -243,6 +251,9 @@ func hostilePageRefs(store *pagestore.Store, pkt *packet.CheckPacket) map[string
 	ps := pkt.Config.PageSize
 	return map[string]*packet.CheckPacket{
 		"vma wrapping past the top": withVMA(pkt, -(2 * ps), 4*ps),
+		// Each page of it would cost a page-table entry: one VMA record
+		// could make a checker build billions.
+		"too many unbacked pages": withVMA(pkt, topVMA+ps, (maxUnbackedPages+1)*ps),
 		"short chunk": mutate(func(p []packet.PageRef) []packet.PageRef {
 			p[0].Key = store.Put(page[:len(page)-8])
 			return p
@@ -262,7 +273,8 @@ func hostilePageRefs(store *pagestore.Store, pkt *packet.CheckPacket) map[string
 }
 
 // TestHostilePageRefs: a start state that names a chunk of the wrong length,
-// a page outside every VMA or one page twice, or maps a range past 2^64,
+// a page outside every VMA or one page twice, maps a range past 2^64 or maps
+// more pages than a checker backs with zeroes,
 // resolves — under a deadline, a stuck or dead worker being the regression —
 // to a typed infrastructure verdict, and the worker that met it checks the
 // next packet as usual.
@@ -401,4 +413,68 @@ func TestMissingChunkRetryLeavesRefcountsBalanced(t *testing.T) {
 	if len(c.frames) == 0 {
 		t.Fatal("the checker kept no frames")
 	}
+}
+
+// FuzzRebuildStartState drives a checker's intake — decode, admit, start-state
+// rebuild — with whatever packet bytes a sender could put in a 'P' frame.
+// Every input ends in a typed rejection or in an address space that maps
+// exactly the pages its VMAs cover; it never panics. And whatever the rebuild
+// did, releasing the address space gives every frame the checker keeps back
+// its own reference, and only that.
+func FuzzRebuildStartState(f *testing.F) {
+	_, store, pkts := runExported(f, smallSliceConfig(), victimProgram(120_000))
+	pkt := pkts[1]
+	f.Add(packet.Encode(pkt))
+	for _, bad := range hostilePageRefs(store, pkt) {
+		f.Add(packet.Encode(bad))
+	}
+	ps := pkt.Config.PageSize
+	f.Add(packet.Encode(withVMA(pkt, topOfVMAs(pkt)+64*ps, 256*ps))) // unbacked pages
+	for _, bad := range unrunnablePackets(pkts) {
+		f.Add(packet.Encode(bad))
+	}
+
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := packet.Decode(b)
+		if err != nil {
+			return // the codec's own fuzzer covers what Decode refuses
+		}
+		var x Executor
+		if err := x.admit(p); err != nil {
+			if !errors.Is(err, ErrVersion) && !errors.Is(err, ErrConfigDigest) && !errors.Is(err, ErrUnrunnable) {
+				t.Fatalf("admit: untyped rejection %v", err)
+			}
+			return
+		}
+		c := newChecker()
+		warm, err := c.rebuildAddressSpace(store, ps, &pkt.Start) // a worker has met a packet before
+		if err != nil {
+			t.Fatal(err)
+		}
+		warm.Release()
+
+		as, err := c.rebuildAddressSpace(store, p.Config.PageSize, &p.Start)
+		if err != nil {
+			if !errors.Is(err, ErrUnrunnable) && !errors.Is(err, ErrMissingChunk) {
+				t.Fatalf("rebuild: untyped error %v", err)
+			}
+		} else {
+			var vmaPages uint64
+			for _, v := range p.Start.VMAs {
+				vmaPages += v.Length / p.Config.PageSize
+			}
+			if uint64(as.PageCount()) != vmaPages {
+				t.Fatalf("rebuilt %d pages, VMAs cover %d", as.PageCount(), vmaPages)
+			}
+			as.Release()
+		}
+		for k, fr := range c.frames {
+			if fr.MapCount() != 1 {
+				t.Fatalf("frame of chunk %#x has map count %d after Release, want 1", uint64(k), fr.MapCount())
+			}
+		}
+		if c.zero != nil && c.zero.MapCount() != 1 {
+			t.Fatalf("zero frame has map count %d after Release, want 1", c.zero.MapCount())
+		}
+	})
 }

@@ -6,11 +6,15 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"parallaft/internal/asm"
 	"parallaft/internal/core"
+	"parallaft/internal/machine"
 	"parallaft/internal/oskernel"
+	"parallaft/internal/packet"
+	"parallaft/internal/pagestore"
 	"parallaft/internal/proc"
 	"parallaft/internal/workload"
 )
@@ -38,6 +42,78 @@ func goldenCompare(t *testing.T, name, got string) {
 	}
 }
 
+// substrate is one way to build the machine under a checker. A verdict is a
+// function of architectural state only, so it must not depend on which.
+type substrate struct {
+	name  string
+	new   func() *checker
+	reset bool // reset the machine before every packet
+}
+
+// timedOn is a Timed checker on the given core of m.
+func timedOn(m *machine.Machine, core *machine.Core) *checker {
+	return &checker{m: m, core: core, policy: proc.Timed}
+}
+
+var substrates = []substrate{
+	{"timed, big core, reset per packet", func() *checker {
+		m := machine.New(machine.BigOnly())
+		return timedOn(m, m.BigCores()[0])
+	}, true},
+	{"timed, little core", func() *checker {
+		m := machine.New(machine.AppleM2Like())
+		return timedOn(m, m.LittleCores()[0])
+	}, true},
+	{"timed, warm caches", func() *checker {
+		m := machine.New(machine.BigOnly())
+		return timedOn(m, m.BigCores()[0])
+	}, false},
+	{"functional", newChecker, false},
+}
+
+// requireSubstrateIndependent checks pkts in order on one checker per
+// substrate, the substrates side by side, and fails unless each packet's
+// verdict — pass or fail, error kind, detail, segment — is want's, byte for
+// byte, on every one.
+func requireSubstrateIndependent(t *testing.T, store *pagestore.Store, pkts []*packet.CheckPacket, want []Verdict) {
+	t.Helper()
+	if len(want) != len(pkts) {
+		t.Fatalf("%d verdicts for %d packets", len(want), len(pkts))
+	}
+	key := func(v Verdict) string {
+		return fmt.Sprintf("ok=%v kind=%q detail=%q seg=%d infra=%q", v.OK, v.ErrorKind, v.Detail, v.Segment, v.Infra)
+	}
+	var wg sync.WaitGroup
+	for _, sub := range substrates {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			c := sub.new()
+			var probes uint64 // cache accesses over the whole run
+			for i, pkt := range pkts {
+				if sub.reset {
+					probes += c.m.Caches.CoreStats(c.core.ID).Total()
+					c.m.Reset()
+				}
+				v, err := c.check(store, pkt)
+				if err != nil {
+					v = NewInfraVerdict(pkt, err)
+				}
+				if key(v) != key(want[i]) {
+					t.Errorf("%s seg %d on %q: %s\nwant %s", pkt.ProgName, pkt.Segment, sub.name, key(v), key(want[i]))
+				}
+			}
+			// The seam must have chosen what it says: only a timed checker
+			// goes through the cache model.
+			probes += c.m.Caches.CoreStats(c.core.ID).Total()
+			if (c.policy == proc.Timed) != (probes > 0) {
+				t.Errorf("%s: policy %d made %d cache accesses", sub.name, c.policy, probes)
+			}
+		}()
+	}
+	wg.Wait()
+}
+
 // TestGoldenOffloadParityAllWorkloads is the offloading service's
 // non-negotiable invariant: for every built-in workload, the offloaded
 // verdicts must be identical to in-process checking. Each workload's first
@@ -45,7 +121,9 @@ func goldenCompare(t *testing.T, name, got string) {
 // exported packets are then checked by a fresh executor with no access to
 // the originating run, and every verdict must come back clean, one per
 // sealed segment. The golden file pins the packet counts so silent changes
-// to segmentation or export coverage surface as drift.
+// to segmentation or export coverage surface as drift. The same packets then
+// run on every substrate — timed on a reset big core, on a little core and
+// with warm caches, and functional — and every verdict must be the same.
 func TestGoldenOffloadParityAllWorkloads(t *testing.T) {
 	suite := append(workload.All(), workload.Stress()...)
 	var sb strings.Builder
@@ -77,6 +155,7 @@ func TestGoldenOffloadParityAllWorkloads(t *testing.T) {
 				t.Errorf("%s: offloaded verdict diverged from in-process (clean): %v", w.Name, v)
 			}
 		}
+		requireSubstrateIndependent(t, store, pkts, verdicts)
 		fmt.Fprintf(&sb, "%s prog=%s packets=%d ok=%d\n", w.Name, prog.Name, len(pkts), ok)
 	}
 	goldenCompare(t, "golden_offload_parity.txt", sb.String())
@@ -149,7 +228,7 @@ func replayFaultProgram() *asm.Program {
 // kind, same detail, with every other exported segment passing. The first
 // row ends in the end-state comparison (and is golden-pinned); the rest end
 // in detections the replay engine raises, which only one shared engine can
-// keep worded alike.
+// keep worded alike. Every substrate must give every packet the same verdict.
 func TestGoldenOffloadParityInjectedFault(t *testing.T) {
 	victim := victimProgram(120_000)
 	rf := replayFaultProgram()
@@ -264,6 +343,7 @@ func TestGoldenOffloadParityInjectedFault(t *testing.T) {
 			if stats.Detected.Kind != row.kind || !strings.Contains(stats.Detected.Detail, row.detail) {
 				t.Errorf("detected %s, want kind %s with detail containing %q", inproc, row.kind, row.detail)
 			}
+			requireSubstrateIndependent(t, store, pkts, verdicts)
 			if row.golden != "" {
 				goldenCompare(t, row.golden, fmt.Sprintf("inprocess: %s\noffloaded: %s\npackets=%d\n", inproc, offl, len(pkts)))
 			}

@@ -24,18 +24,20 @@
 // type), and CheckOver and internal/checkfarm are both written over it.
 //
 // Becoming a checker is cheap the way it is in process, where a checker is a
-// copy-on-write fork: each executor worker owns one long-lived checker whose
-// machine is reset between packets, and a packet's start pages enter its
-// address space by reference, as frames over the store's chunk bytes that the
-// first guest store copies — a packet costs what its segment dirties, not
-// what it maps. Two rules keep that safe. The checker holds a reference of
-// its own on every frame it maps (mem.NewSharedFrame), so chunk bytes are
-// never written. And a frame's content hash is computed from its bytes on the
-// worker that uses it — kept on the frame from packet to packet, never taken
-// from the chunk's key — so a chunk that does not hold what its key promises
-// fails the end-state comparison like any other wrong byte. None of it reaches
-// a verdict, which is that of a checker built from scratch with private pages;
-// only the checker's simulated clock, which nothing reads, charges the copies.
+// copy-on-write fork: each executor worker owns one long-lived checker, and a
+// packet's start pages enter its address space by reference, as frames over
+// the store's chunk bytes that the first guest store copies — a packet costs
+// what its segment dirties, not what it maps. Two rules keep that safe. The
+// checker holds a reference of its own on every frame it maps
+// (mem.NewSharedFrame), so chunk bytes are never written. And a frame's
+// content hash is computed from its bytes on the worker that uses it — kept
+// on the frame from packet to packet, never taken from the chunk's key — so a
+// chunk that does not hold what its key promises fails the end-state
+// comparison like any other wrong byte. None of it reaches a verdict, which
+// is that of a checker built from scratch with private pages.
+// The checker runs proc.Functional, with no cache model and no clock, which
+// no verdict reads: execution points are branch counts and PCs, the timeout
+// counts instructions and skid comes from the packet's PMU seed.
 package checkd
 
 import (
@@ -144,10 +146,12 @@ func (t Tally) Err() error {
 // does not depend on the packet, plus what the next packet is likely to share
 // with this one. It belongs to one goroutine.
 type checker struct {
-	// m is a big-core-only machine (the daemon has no reason to model little
-	// cores — verdicts are frequency-independent), reset between packets.
-	m    *machine.Machine
-	core *machine.Core
+	// m is here only because the engine hangs a task on a *machine.Core. A
+	// Functional process never probes its caches, and nothing reads its
+	// books, so it needs no reset between packets.
+	m      *machine.Machine
+	core   *machine.Core
+	policy proc.CostPolicy // Functional; tests vary the substrate
 
 	// frames holds the previous packet's start-state frames, and only those,
 	// by chunk key: consecutive segments share most of their pages, and a
@@ -165,11 +169,11 @@ type checker struct {
 
 func newChecker() *checker {
 	m := machine.New(machine.BigOnly())
-	return &checker{m: m, core: m.BigCores()[0]}
+	return &checker{m: m, core: m.BigCores()[0], policy: proc.Functional}
 }
 
-// check runs one packet: start state rebuilt onto the reset machine with a
-// fresh kernel, loader, engine and process (they carry per-run state and cost
+// check runs one packet: start state rebuilt onto the checker's machine with
+// a fresh kernel, loader, engine and process (they carry per-run state and cost
 // little), the record replayed by core's engine, the end state compared
 // against the wire hashes. The returned error is infrastructural only (a
 // chunk missing from the store — possibly transient under a streaming
@@ -200,7 +204,6 @@ func (c *checker) check(store *pagestore.Store, pkt *packet.CheckPacket) (Verdic
 	// replay did not copy to MapCount 1 — the checker's own.
 	defer as.Release()
 
-	c.m.Reset()
 	k := oskernel.NewKernel(cfg.PageSize, 0)
 	l := oskernel.NewLoader(k, cfg.PageSize, 0)
 	e := sim.New(c.m, k, l)
@@ -209,6 +212,7 @@ func (c *checker) check(store *pagestore.Store, pkt *packet.CheckPacket) (Verdic
 	k.Register(p.PID)
 	p.Regs = pkt.Start.Regs.Regs()
 	p.PC = pkt.Start.PC
+	p.Policy = c.policy
 	p.InstrLimit = pkt.InstrLimit
 	p.SetMaxSkid(uint64(pkt.MaxSkid))
 	for _, h := range pkt.Start.Handlers {
@@ -229,6 +233,10 @@ func (c *checker) check(store *pagestore.Store, pkt *packet.CheckPacket) (Verdic
 	return v, nil
 }
 
+// maxUnbackedPages bounds the pages a start state maps without listing them:
+// each costs a page-table entry here and no bytes on the wire.
+const maxUnbackedPages = 1 << 16
+
 // rebuildAddressSpace reconstructs a checkpointed address space from page
 // refs at a cost independent of the pages' size: every page enters by
 // reference, as a shared frame over its chunk's bytes under its recorded
@@ -236,7 +244,8 @@ func (c *checker) check(store *pagestore.Store, pkt *packet.CheckPacket) (Verdic
 // for nothing but its bytes (see the package comment). A start state no
 // address space can be built from — overlapping or unaligned VMAs, a VMA
 // running past 2^64, a chunk that is not one page long, a page outside every
-// VMA or listed twice — is ErrUnrunnable.
+// VMA or listed twice, more than maxUnbackedPages mapped pages with no chunk
+// — is ErrUnrunnable.
 func (c *checker) rebuildAddressSpace(store *pagestore.Store, pageSize uint64, st *packet.StartState) (_ *mem.AddressSpace, err error) {
 	as := mem.NewAddressSpace(pageSize)
 	defer func() {
@@ -269,9 +278,12 @@ func (c *checker) rebuildAddressSpace(store *pagestore.Store, pageSize uint64, s
 			return nil, fmt.Errorf("%w: %v", ErrUnrunnable, err)
 		}
 	}
-	if uint64(as.PageCount()) != vmaPages {
+	if unbacked := vmaPages - uint64(as.PageCount()); unbacked != 0 {
 		// A mapped page the packet lists no chunk for reads as zeroes. The
 		// exporter lists every page, so this is for foreign packets only.
+		if unbacked > maxUnbackedPages {
+			return nil, fmt.Errorf("%w: %d mapped pages have no chunk, more than %d", ErrUnrunnable, unbacked, maxUnbackedPages)
+		}
 		if c.zero == nil || uint64(len(c.zero.Data())) != pageSize {
 			c.zero = mem.NewSharedFrame(make([]byte, pageSize))
 		}

@@ -263,8 +263,8 @@ func (m *Machine) ResetEnergy() {
 
 // Reset returns the machine to the state New left it in — empty books, every
 // core at the top of its ladder, cold caches — without reallocating or
-// clearing the cache tag arrays. Activity classes and sinks are left to
-// whoever attached them.
+// clearing the cache tag arrays, for an owner that keeps one machine across
+// runs. Activity classes and sinks are left to whoever attached them.
 func (m *Machine) Reset() {
 	m.ResetEnergy()
 	for _, c := range m.Cores {

@@ -7,49 +7,40 @@ package proc
 import (
 	"testing"
 
-	"parallaft/internal/asm"
 	"parallaft/internal/telemetry/profile"
 )
 
 // TestRunAllocFree pins the interpreter dispatch loop at zero allocations
-// per Run once the lazy structures (predecode, timing tables, TLB, cache
-// state) are warm. The loop mixes ALU work, loads, stores and a taken
-// branch, so every hot dispatch path is on the measured trace; a fresh
-// allocation sneaking into Run, LoadU64/StoreU64 or the cache model fails
-// this immediately.
+// per Run, under both cost policies, once the lazy structures (predecode,
+// timing tables, TLB, cache state) are warm. The loop mixes ALU work, loads,
+// stores and a taken branch, so every hot dispatch path is on the measured
+// trace; a fresh allocation sneaking into Run, LoadU64/StoreU64 or the cache
+// model fails this immediately.
 func TestRunAllocFree(t *testing.T) {
-	b := asm.NewBuilder("spin")
-	b.MovI(1, 0) // always < x2: the loop never exits
-	b.MovI(2, 1)
-	b.MovI(3, 0) // accumulator
-	b.MovI(4, 0) // arena pointer
-	b.Label("loop")
-	b.AddI(3, 3, 7)
-	b.AndI(5, 3, 4095)
-	b.ShlI(5, 5, 3)
-	b.Add(5, 4, 5)
-	b.Ld(6, 5, 0)
-	b.Add(6, 6, 3)
-	b.St(5, 0, 6)
-	b.Blt(1, 2, "loop")
-	prog := b.MustBuild()
+	for _, policy := range []CostPolicy{Functional, Timed} {
+		p, env := newProc(t, dispatchKernel())
+		p.Policy = policy
 
-	p, env := newProc(t, prog.Code)
-
-	// Warm: first Run predecodes, builds the cost tables and faults the
-	// arena's pages in.
-	if s := p.Run(env, 50_000); s.Reason != StopBudget {
-		t.Fatalf("warm-up stop = %v, want budget", s)
-	}
-
-	allocs := testing.AllocsPerRun(10, func() {
-		if s := p.Run(env, 20_000); s.Reason != StopBudget {
-			t.Fatalf("stop = %v, want budget", s)
+		// Warm: first Run predecodes, builds the cost tables and faults the
+		// arena's pages in.
+		if s := p.Run(env, 50_000); s.Reason != StopBudget {
+			t.Fatalf("policy %d: warm-up stop = %v, want budget", policy, s)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("steady-state Run allocates %.1f objects per call, want 0", allocs)
+
+		allocs := testing.AllocsPerRun(10, func() {
+			if s := p.Run(env, 20_000); s.Reason != StopBudget {
+				t.Fatalf("policy %d: stop = %v, want budget", policy, s)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("policy %d: steady-state Run allocates %.1f objects per call, want 0", policy, allocs)
+		}
 	}
+
+	// The sampler half is Timed only: a Functional process has no clock to
+	// sample against and refuses a sampler.
+	p, env := newProc(t, dispatchKernel())
+	p.Run(env, 50_000)
 
 	// With a profiler sampler attached and firing (short period so every
 	// measured Run takes samples), the dispatch loop must stay at zero
@@ -60,7 +51,7 @@ func TestRunAllocFree(t *testing.T) {
 	if s := p.Run(env, 50_000); s.Reason != StopBudget { // warm the sample map
 		t.Fatalf("sampler warm-up stop = %v, want budget", s)
 	}
-	allocs = testing.AllocsPerRun(10, func() {
+	allocs := testing.AllocsPerRun(10, func() {
 		if s := p.Run(env, 20_000); s.Reason != StopBudget {
 			t.Fatalf("stop = %v, want budget", s)
 		}

@@ -164,6 +164,19 @@ type ExecEnv struct {
 	Fabric     float64 // uniform fabric-interference factor, >= 1
 }
 
+// CostPolicy is what Run charges, chosen once per process (Fork inherits it).
+// Timed charges every instruction through the cost tables and the cache
+// model onto the process's clock and the machine's books. Functional keeps no
+// clock and charges nothing, not even copy-on-write; registers, memory and
+// soft-dirty bits, the PMU (counts, skid, noise), breakpoints, InstrLimit and
+// every stop are Timed's, because none of them reads a clock.
+type CostPolicy uint8
+
+const (
+	Timed CostPolicy = iota
+	Functional
+)
+
 // Sampler receives deterministic sim-clock profile samples from the
 // interpreter dispatch loop: one call each time the process's simulated
 // user-cycle clock crosses a sample point, with the guest PC about to
@@ -203,6 +216,8 @@ type Process struct {
 	// the PC bound check fires before they could ever be consulted.
 	bpBits     []uint64
 	skipBPOnce bool // resume past a just-hit breakpoint
+
+	Policy CostPolicy // set before the first Run
 
 	// InstrLimit, when nonzero, kills the run with StopInstrLimit once the
 	// exact instruction count reaches it (the supervisor derives it from
@@ -294,6 +309,7 @@ func (p *Process) Fork(pid int, asid uint64, name string, seed int64) *Process {
 	child.Regs = p.Regs
 	child.PC = p.PC
 	child.maxSkid = p.maxSkid
+	child.Policy = p.Policy
 	child.pre = p.pre // the predecoded program is shared like the text
 	for sig, h := range p.Handlers {
 		child.Handlers[sig] = h
@@ -326,13 +342,17 @@ func (p *Process) ReadInstrCounter() uint64 { return p.Instrs + p.instrNoise }
 // SetSampler attaches a profile sampler, scheduling the first sample point
 // periodCycles user cycles from the process's current clock; nil detaches.
 // Fork children start without a sampler (the runtime attaches one per
-// actor), so attaching is always an explicit, deterministic act.
+// actor), so attaching is always an explicit, deterministic act. A
+// Functional process has no clock to sample against: attaching to one panics.
 func (p *Process) SetSampler(s Sampler, periodCycles float64) {
 	if s == nil || periodCycles <= 0 {
 		p.sampler = nil
 		p.samplePeriod = 0
 		p.sampleNextCycles = 0
 		return
+	}
+	if p.Policy == Functional {
+		panic("proc: SetSampler on a Functional process, which keeps no clock")
 	}
 	p.sampler = s
 	p.samplePeriod = periodCycles
@@ -401,7 +421,7 @@ func (p *Process) DeliverSignal(sig Signal) bool {
 // --- interpreter ------------------------------------------------------------
 
 // Run interprets instructions until the budget is exhausted or a stop event
-// occurs, accumulating simulated time onto the process and the core.
+// occurs, accumulating simulated time onto the process and the core if Timed.
 //
 // Stop semantics: for StopSyscall and StopNondet the PC rests *on* the
 // unexecuted instruction; the supervisor emulates it and must advance the
@@ -425,7 +445,15 @@ func (p *Process) Run(env ExecEnv, budget uint64) Stop {
 	if fabric < 1 {
 		fabric = 1
 	}
-	p.ct.ensure(&env.Machine.Cost, kind, freq, contention)
+	// The policy is read once: Functional masks every access out of the cache
+	// probe, and its cost tables, never built, make the class cost add zero.
+	timed := p.Policy == Timed
+	probe := pfMem
+	if timed {
+		p.ct.ensure(&env.Machine.Cost, kind, freq, contention)
+	} else {
+		probe = 0
+	}
 	ct := &p.ct
 	code := p.ensurePredecode().code
 	codeLen := uint64(len(code))
@@ -471,10 +499,12 @@ func (p *Process) Run(env ExecEnv, budget uint64) Stop {
 		p.overflowPending = ovf
 		p.skidRemaining = skid
 		p.skipBPOnce = skipBP
-		ns *= fabric
-		p.UserNs += ns
-		p.UserCycles += ns * freq
-		env.Core.AccountActive(ns)
+		if timed {
+			ns *= fabric
+			p.UserNs += ns
+			p.UserCycles += ns * freq
+			env.Core.AccountActive(ns)
+		}
 		if stop.Reason != StopBudget && stop.Reason != StopHalt {
 			p.supervisorStop()
 		}
@@ -524,10 +554,8 @@ func (p *Process) Run(env ExecEnv, budget uint64) Stop {
 		}
 
 		// Timing: base class cost, plus the memory hierarchy for accesses.
-		var memAddr uint64
-		if fl&pfMem != 0 {
-			memAddr = r.X[ins.ra] + uint64(ins.imm)
-			lvl := hier.AccessRange(coreID, p.ASID, memAddr, int(ins.size))
+		if fl&probe != 0 {
+			lvl := hier.AccessRange(coreID, p.ASID, r.X[ins.ra]+uint64(ins.imm), int(ins.size))
 			if lvl == cache.DRAM {
 				env.Machine.CountDRAMAccess()
 				p.DRAMAccesses++
@@ -642,56 +670,56 @@ func (p *Process) Run(env ExecEnv, budget uint64) Stop {
 			}
 
 		case isa.OpLd:
-			v, f := as.LoadU64(memAddr)
+			v, f := as.LoadU64(r.X[ins.ra] + uint64(ins.imm))
 			if f != nil {
 				stop = Stop{Reason: StopSignal, Sig: SIGSEGV, Fault: f}
 				return stop
 			}
 			r.X[ins.rd] = v
 		case isa.OpSt:
-			cow, f := as.StoreU64(memAddr, r.X[ins.rb])
+			cow, f := as.StoreU64(r.X[ins.ra]+uint64(ins.imm), r.X[ins.rb])
 			if f != nil {
 				stop = Stop{Reason: StopSignal, Sig: SIGSEGV, Fault: f}
 				return stop
 			}
-			if cow {
+			if cow && timed {
 				p.chargeCOW(env)
 			}
 		case isa.OpLdB:
-			v, f := as.LoadByte(memAddr)
+			v, f := as.LoadByte(r.X[ins.ra] + uint64(ins.imm))
 			if f != nil {
 				stop = Stop{Reason: StopSignal, Sig: SIGSEGV, Fault: f}
 				return stop
 			}
 			r.X[ins.rd] = uint64(v)
 		case isa.OpStB:
-			cow, f := as.StoreByte(memAddr, byte(r.X[ins.rb]))
+			cow, f := as.StoreByte(r.X[ins.ra]+uint64(ins.imm), byte(r.X[ins.rb]))
 			if f != nil {
 				stop = Stop{Reason: StopSignal, Sig: SIGSEGV, Fault: f}
 				return stop
 			}
-			if cow {
+			if cow && timed {
 				p.chargeCOW(env)
 			}
 		case isa.OpFLd:
-			v, f := as.LoadU64(memAddr)
+			v, f := as.LoadU64(r.X[ins.ra] + uint64(ins.imm))
 			if f != nil {
 				stop = Stop{Reason: StopSignal, Sig: SIGSEGV, Fault: f}
 				return stop
 			}
 			r.F[ins.rd] = math.Float64frombits(v)
 		case isa.OpFSt:
-			cow, f := as.StoreU64(memAddr, math.Float64bits(r.F[ins.rb]))
+			cow, f := as.StoreU64(r.X[ins.ra]+uint64(ins.imm), math.Float64bits(r.F[ins.rb]))
 			if f != nil {
 				stop = Stop{Reason: StopSignal, Sig: SIGSEGV, Fault: f}
 				return stop
 			}
-			if cow {
+			if cow && timed {
 				p.chargeCOW(env)
 			}
 		case isa.OpVLd:
 			for l := 0; l < isa.VLanes; l++ {
-				v, f := as.LoadU64(memAddr + uint64(l*8))
+				v, f := as.LoadU64(r.X[ins.ra] + uint64(ins.imm) + uint64(l*8))
 				if f != nil {
 					stop = Stop{Reason: StopSignal, Sig: SIGSEGV, Fault: f}
 					return stop
@@ -700,12 +728,12 @@ func (p *Process) Run(env ExecEnv, budget uint64) Stop {
 			}
 		case isa.OpVSt:
 			for l := 0; l < isa.VLanes; l++ {
-				cow, f := as.StoreU64(memAddr+uint64(l*8), r.V[ins.rb][l])
+				cow, f := as.StoreU64(r.X[ins.ra]+uint64(ins.imm)+uint64(l*8), r.V[ins.rb][l])
 				if f != nil {
 					stop = Stop{Reason: StopSignal, Sig: SIGSEGV, Fault: f}
 					return stop
 				}
-				if cow {
+				if cow && timed {
 					p.chargeCOW(env)
 				}
 			}

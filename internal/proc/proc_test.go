@@ -14,7 +14,7 @@ import (
 const pg = 16 * 1024
 
 // newProc builds a process around raw code with a small RW arena at 0.
-func newProc(t *testing.T, code []isa.Instr) (*Process, ExecEnv) {
+func newProc(t testing.TB, code []isa.Instr) (*Process, ExecEnv) {
 	t.Helper()
 	m := machine.New(machine.AppleM2Like())
 	as := mem.NewAddressSpace(pg)
@@ -31,7 +31,8 @@ func run(t *testing.T, p *Process, env ExecEnv) Stop {
 	return p.Run(env, 1_000_000)
 }
 
-func TestALUSemantics(t *testing.T) {
+// aluProgram exercises every integer ALU op once, then halts.
+func aluProgram() []isa.Instr {
 	b := asm.NewBuilder("alu")
 	b.MovI(1, 100)
 	b.MovI(2, 7)
@@ -47,9 +48,11 @@ func TestALUSemantics(t *testing.T) {
 	b.ShrI(12, 1, 2)
 	b.Slt(13, 2, 1) // 7 < 100 -> 1
 	b.Halt()
-	prog := b.MustBuild()
+	return b.MustBuild().Code
+}
 
-	p, env := newProc(t, prog.Code)
+func TestALUSemantics(t *testing.T) {
+	p, env := newProc(t, aluProgram())
 	if s := run(t, p, env); s.Reason != StopHalt {
 		t.Fatalf("stop = %v", s)
 	}
@@ -99,7 +102,8 @@ func TestDivideByZeroFaults(t *testing.T) {
 	}
 }
 
-func TestFloatSemantics(t *testing.T) {
+// floatProgram exercises the floating-point ops and conversions, then halts.
+func floatProgram() []isa.Instr {
 	b := asm.NewBuilder("fp")
 	b.FMovI(0, 2.0)
 	b.FMovI(1, 0.5)
@@ -113,7 +117,11 @@ func TestFloatSemantics(t *testing.T) {
 	b.CvtIF(7, 2)
 	b.CvtFI(3, 7)
 	b.Halt()
-	p, env := newProc(t, b.MustBuild().Code)
+	return b.MustBuild().Code
+}
+
+func TestFloatSemantics(t *testing.T) {
+	p, env := newProc(t, floatProgram())
 	run(t, p, env)
 	checks := map[int]float64{2: 2.5, 3: 1.5, 4: 1.0, 5: 4.0, 6: math.Sqrt2, 7: -3}
 	for r, v := range checks {
@@ -126,7 +134,8 @@ func TestFloatSemantics(t *testing.T) {
 	}
 }
 
-func TestVectorSemantics(t *testing.T) {
+// vectorProgram exercises the vector ops, with a store/load round trip.
+func vectorProgram() []isa.Instr {
 	b := asm.NewBuilder("vec")
 	b.MovI(1, 3)
 	b.VSplat(0, 1)
@@ -139,7 +148,11 @@ func TestVectorSemantics(t *testing.T) {
 	b.VSt(2, 0, 2) // store v2 at addr 64
 	b.VLd(0, 2, 0)
 	b.Halt()
-	p, env := newProc(t, b.MustBuild().Code)
+	return b.MustBuild().Code
+}
+
+func TestVectorSemantics(t *testing.T) {
+	p, env := newProc(t, vectorProgram())
 	run(t, p, env)
 	for l := 0; l < isa.VLanes; l++ {
 		if p.Regs.V[2][l] != 8 || p.Regs.V[3][l] != 15 || p.Regs.V[1][l] != 0 {
@@ -151,7 +164,9 @@ func TestVectorSemantics(t *testing.T) {
 	}
 }
 
-func TestMemoryAndByteOps(t *testing.T) {
+// memOpsProgram stores and loads words and bytes, merging a byte store into
+// a word.
+func memOpsProgram() []isa.Instr {
 	b := asm.NewBuilder("memops")
 	b.MovI(1, 0x11223344AABBCCDD)
 	b.MovI(2, 128)
@@ -162,7 +177,11 @@ func TestMemoryAndByteOps(t *testing.T) {
 	b.StB(2, 7, 5) // replace the top byte
 	b.Ld(6, 2, 0)
 	b.Halt()
-	p, env := newProc(t, b.MustBuild().Code)
+	return b.MustBuild().Code
+}
+
+func TestMemoryAndByteOps(t *testing.T) {
+	p, env := newProc(t, memOpsProgram())
 	run(t, p, env)
 	if p.Regs.X[3] != 0x11223344AABBCCDD || p.Regs.X[4] != 0xDD {
 		t.Errorf("ld/ldb = %#x, %#x", p.Regs.X[3], p.Regs.X[4])
@@ -186,6 +205,19 @@ func TestControlFlowAndLinkage(t *testing.T) {
 	if s.Reason != StopHalt || p.Regs.X[1] != 5 || p.Regs.X[2] != 42 {
 		t.Errorf("call/return failed: %v x1=%d x2=%d", s, p.Regs.X[1], p.Regs.X[2])
 	}
+}
+
+// countLoop counts x1 up to n in a two-instruction loop (AddI at PC 2, Blt at
+// PC 3), then halts: one retired branch per iteration.
+func countLoop(n int64) []isa.Instr {
+	b := asm.NewBuilder("loop")
+	b.MovI(1, 0)
+	b.MovI(2, n)
+	b.Label("loop")
+	b.AddI(1, 1, 1)
+	b.Blt(1, 2, "loop")
+	b.Halt()
+	return b.MustBuild().Code
 }
 
 func TestBranchCounterExactAndDeterministic(t *testing.T) {
@@ -215,16 +247,7 @@ func TestBranchCounterExactAndDeterministic(t *testing.T) {
 }
 
 func TestInstrCounterOvercounts(t *testing.T) {
-	b := asm.NewBuilder("noisy")
-	b.MovI(1, 0)
-	b.MovI(2, 2000)
-	b.Label("loop")
-	b.AddI(1, 1, 1)
-	b.Blt(1, 2, "loop")
-	b.Halt()
-	code := b.MustBuild().Code
-
-	p, env := newProc(t, code)
+	p, env := newProc(t, countLoop(2000))
 	// force many supervisor stops via a breakpoint in the loop
 	p.SetBreakpoint(3)
 	stops := 0
@@ -251,16 +274,7 @@ func TestInstrCounterOvercounts(t *testing.T) {
 }
 
 func TestBranchCounterOverflowWithSkid(t *testing.T) {
-	b := asm.NewBuilder("ovf")
-	b.MovI(1, 0)
-	b.MovI(2, 100000)
-	b.Label("loop")
-	b.AddI(1, 1, 1)
-	b.Blt(1, 2, "loop")
-	b.Halt()
-	code := b.MustBuild().Code
-
-	p, env := newProc(t, code)
+	p, env := newProc(t, countLoop(100_000))
 	const target = 500
 	p.ArmBranchCounter(target)
 	s := run(t, p, env)
@@ -305,14 +319,7 @@ func TestBreakpointStopAndResume(t *testing.T) {
 }
 
 func TestBreakpointInLoopHitsEveryIteration(t *testing.T) {
-	b := asm.NewBuilder("bploop")
-	b.MovI(1, 0)
-	b.MovI(2, 5)
-	b.Label("loop")
-	b.AddI(1, 1, 1)
-	b.Blt(1, 2, "loop")
-	b.Halt()
-	p, env := newProc(t, b.MustBuild().Code)
+	p, env := newProc(t, countLoop(5))
 	p.SetBreakpoint(2) // the AddI inside the loop
 	hits := 0
 	for {
@@ -330,11 +337,16 @@ func TestBreakpointInLoopHitsEveryIteration(t *testing.T) {
 	}
 }
 
-func TestInstrLimit(t *testing.T) {
+// spinProgram is an endless one-instruction loop.
+func spinProgram() []isa.Instr {
 	b := asm.NewBuilder("limit")
 	b.Label("spin")
 	b.Jmp("spin")
-	p, env := newProc(t, b.MustBuild().Code)
+	return b.MustBuild().Code
+}
+
+func TestInstrLimit(t *testing.T) {
+	p, env := newProc(t, spinProgram())
 	p.InstrLimit = 1000
 	s := run(t, p, env)
 	if s.Reason != StopInstrLimit {
@@ -345,12 +357,17 @@ func TestInstrLimit(t *testing.T) {
 	}
 }
 
-func TestMemoryFaultDelivery(t *testing.T) {
+// segvProgram loads from an unmapped address.
+func segvProgram() []isa.Instr {
 	b := asm.NewBuilder("segv")
 	b.MovI(1, 0x7000_0000)
 	b.Ld(2, 1, 0)
 	b.Halt()
-	p, env := newProc(t, b.MustBuild().Code)
+	return b.MustBuild().Code
+}
+
+func TestMemoryFaultDelivery(t *testing.T) {
+	p, env := newProc(t, segvProgram())
 	s := run(t, p, env)
 	if s.Reason != StopSignal || s.Sig != SIGSEGV || s.Fault == nil {
 		t.Fatalf("stop = %+v, want SIGSEGV with fault", s)
@@ -412,13 +429,18 @@ func TestSIGKILLIgnoresHandlers(t *testing.T) {
 	}
 }
 
-func TestForkSemantics(t *testing.T) {
+// forkProgram stores x1 at 256, then halts.
+func forkProgram() []isa.Instr {
 	b := asm.NewBuilder("fork")
 	b.MovI(1, 7)
 	b.MovI(2, 256)
 	b.St(2, 0, 1)
 	b.Halt()
-	p, env := newProc(t, b.MustBuild().Code)
+	return b.MustBuild().Code
+}
+
+func TestForkSemantics(t *testing.T) {
+	p, env := newProc(t, forkProgram())
 	run(t, p, env)
 
 	child := p.Fork(2, 2, "child", 123)
@@ -435,12 +457,17 @@ func TestForkSemantics(t *testing.T) {
 	}
 }
 
-func TestSyscallAndNondetTrap(t *testing.T) {
+// trapsProgram stops at a nondeterministic instruction, then at a syscall.
+func trapsProgram() []isa.Instr {
 	b := asm.NewBuilder("traps")
 	b.Rdtsc(1)
 	b.Syscall()
 	b.Halt()
-	p, env := newProc(t, b.MustBuild().Code)
+	return b.MustBuild().Code
+}
+
+func TestSyscallAndNondetTrap(t *testing.T) {
+	p, env := newProc(t, trapsProgram())
 
 	s := run(t, p, env)
 	if s.Reason != StopNondet || p.PC != 0 {
@@ -505,14 +532,7 @@ func TestRegsEqualAndDiff(t *testing.T) {
 }
 
 func TestTimingAccumulates(t *testing.T) {
-	b := asm.NewBuilder("time")
-	b.MovI(1, 0)
-	b.MovI(2, 1000)
-	b.Label("loop")
-	b.AddI(1, 1, 1)
-	b.Blt(1, 2, "loop")
-	b.Halt()
-	p, env := newProc(t, b.MustBuild().Code)
+	p, env := newProc(t, countLoop(1000))
 	run(t, p, env)
 	if p.UserNs <= 0 || p.UserCycles <= 0 {
 		t.Errorf("no time accumulated: %v ns, %v cycles", p.UserNs, p.UserCycles)
