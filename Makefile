@@ -89,7 +89,8 @@ bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Allocation pins for the hot paths: zero for interpreter dispatch under both
-# cost policies, the steady-state comparator and the event recorder's nil and
+# cost policies, the steady-state comparator, a steady-state one-replica vote
+# (every segment end of the paper's design) and the event recorder's nil and
 # over-limit paths (every record method), and no page-sized buffers in a warm
 # checkd worker's start-state rebuild or in a steady-state copy-on-write (its
 # frame comes from mem's free list). Run without -race:

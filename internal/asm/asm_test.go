@@ -236,15 +236,6 @@ func TestMustBuildPanics(t *testing.T) {
 	b.MustBuild()
 }
 
-func TestMustAssemblePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("MustAssemble did not panic on error")
-		}
-	}()
-	MustAssemble("p", "bogus\n")
-}
-
 func TestProgramValidate(t *testing.T) {
 	p := &Program{Name: "v", Code: []isa.Instr{{Op: isa.OpHalt}}, Entry: 5}
 	if err := p.Validate(); err == nil {

@@ -49,15 +49,6 @@ func Assemble(name, src string) (*Program, error) {
 	return p, nil
 }
 
-// MustAssemble is Assemble that panics on error, for static definitions.
-func MustAssemble(name, src string) *Program {
-	p, err := Assemble(name, src)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
 type assembler struct {
 	b          *Builder
 	entryLabel string

@@ -140,7 +140,7 @@ func TestDeriveSeedProperties(t *testing.T) {
 
 func TestProgressReporting(t *testing.T) {
 	var buf bytes.Buffer
-	pr := NewProgress(&buf, "suite", 3)
+	pr := NewProgressWith(&buf, "suite", 3, nil)
 	results := RunProgress(2, 3, pr, func(i int) (int, error) { return i, nil })
 	if err := FirstErr(results); err != nil {
 		t.Fatal(err)
@@ -155,7 +155,7 @@ func TestProgressReporting(t *testing.T) {
 	// nil reporter and nil writer are no-ops
 	var nilPr *Progress
 	nilPr.Step(1)
-	if NewProgress(nil, "x", 1) != nil {
+	if NewProgressWith(nil, "x", 1, nil) != nil {
 		t.Error("nil writer should yield nil reporter")
 	}
 }

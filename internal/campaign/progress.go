@@ -35,14 +35,10 @@ type Progress struct {
 	flightReg *telemetry.Registry
 }
 
-// NewProgress returns a reporter writing to w (nil w = silent reporter).
-func NewProgress(w io.Writer, label string, total int) *Progress {
-	return NewProgressWith(w, label, total, nil)
-}
-
-// NewProgressWith is NewProgress with a telemetry registry backing the job
-// counts. It returns a live reporter when either sink is present; with
-// both nil there is nothing to report to and the reporter is silent (nil).
+// NewProgressWith returns a reporter writing progress lines to w, with a
+// telemetry registry backing the job counts. It returns a live reporter
+// when either sink is present; with both nil there is nothing to report to
+// and the reporter is silent (nil).
 // Campaigns run sequentially, so a new reporter resets the done gauge.
 func NewProgressWith(w io.Writer, label string, total int, reg *telemetry.Registry) *Progress {
 	if w == nil && reg == nil {

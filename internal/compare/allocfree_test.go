@@ -66,3 +66,26 @@ func TestComparatorRunAllocFree(t *testing.T) {
 		})
 	}
 }
+
+// TestVoteOneReplicaAllocFree pins the paper's path at zero allocations per
+// boundary: every segment end is a vote, and a single checker's vote is the
+// pairwise comparison. The register callbacks are built once, as the
+// runtime builds them once per run, and the Voter's arena is warm.
+func TestVoteOneReplicaAllocFree(t *testing.T) {
+	s := buildVoteScenario(t, 1, nil)
+	req := s.request()
+	req.RegsAgreeRef = func(int) bool { return true }
+	req.RegsAgreePair = func(int, int) bool { return true }
+	var v Voter
+	if res := v.Vote(req); res.Verdict != VerdictUnanimous {
+		t.Fatalf("warm-up verdict = %v, want unanimous", res.Verdict)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if res := v.Vote(req); res.Verdict != VerdictUnanimous {
+			t.Fatalf("verdict = %v, want unanimous", res.Verdict)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("steady-state one-replica vote allocates %.1f objects per boundary, want 0", allocs)
+	}
+}

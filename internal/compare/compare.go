@@ -148,23 +148,6 @@ type Comparator struct {
 	chunks  []chunkResult
 }
 
-// Run performs one state comparison using package-level scratch-free
-// buffers. It is a convenience wrapper for one-shot callers; steady-state
-// callers hold a Comparator and call its Run method to reuse scratch.
-func Run(req Request) Result {
-	var c Comparator
-	return c.Run(req)
-}
-
-// DirtyVPNs returns the candidate page set for a request: the reference
-// side's modified pages per the discovery mode, unioned with the checker
-// side's modified pages, preserving first-appearance order. The returned
-// slice is freshly allocated; Comparator.Run uses the reusable variant.
-func DirtyVPNs(req Request) []uint64 {
-	var c Comparator
-	return slices.Clone(c.dirtyVPNs(req))
-}
-
 // Run performs one state comparison, reusing the Comparator's scratch.
 func (c *Comparator) Run(req Request) Result {
 	var res Result

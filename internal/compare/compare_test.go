@@ -11,6 +11,12 @@ const pg = 16 * 1024
 
 const seed = 0x9a7a11af7
 
+// Run performs one state comparison on a fresh Comparator.
+func Run(req Request) Result {
+	var c Comparator
+	return c.Run(req)
+}
+
 func mustMap(t *testing.T, as *mem.AddressSpace, base, length uint64) {
 	t.Helper()
 	if err := as.Map(base, length, mem.ProtRW, "test"); err != nil {
@@ -44,7 +50,8 @@ func TestFullMemoryDiscoveryIncludesCheckerOnlyMappings(t *testing.T) {
 
 	rogue := uint64(0x80000) / pg
 	found := false
-	for _, vpn := range DirtyVPNs(req) {
+	var c Comparator
+	for _, vpn := range c.dirtyVPNs(req) {
 		if vpn == rogue {
 			found = true
 		}

@@ -88,9 +88,6 @@ type VoteResult struct {
 	// the reference.
 	Dissenters []int
 
-	// RefResults holds each replica's comparison against the reference
-	// (zero Result for nil replicas, which are never compared).
-	RefResults []Result
 	// RefMismatch is the first reference-side mismatch found (the
 	// lowest-index disagreeing replica's), for diagnostics; nil when every
 	// compared replica matched the reference's memory.
@@ -130,14 +127,14 @@ func (v *Voter) comparator(i int) *Comparator {
 
 // Vote runs the (N+1)-voter majority decision. With a single live replica
 // it degenerates to the pairwise comparison: agreement is Unanimous,
-// disagreement NoQuorum — with Result books bit-identical to
-// Comparator.Run on the same request.
+// disagreement NoQuorum — with summed books and RefMismatch bit-identical
+// to Comparator.Run's on the same request. A steady-state one-replica vote
+// does not allocate.
 func (v *Voter) Vote(req VoteRequest) VoteResult {
 	n := len(req.Replicas)
 	res := VoteResult{
 		AgreedReplica:      -1,
 		RefMismatchReplica: -1,
-		RefResults:         make([]Result, n),
 	}
 	voters := n + 1
 	quorum := voters/2 + 1
@@ -175,7 +172,6 @@ func (v *Voter) Vote(req VoteRequest) VoteResult {
 			continue
 		}
 		cres := run(req.Ref, as)
-		res.RefResults[i] = cres
 		regsOK := req.RegsAgreeRef == nil || req.RegsAgreeRef(i)
 		if regsOK && cres.Mismatch == nil {
 			agreeRef[i] = true

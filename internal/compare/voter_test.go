@@ -192,10 +192,10 @@ func TestVoteRegisterCallbacks(t *testing.T) {
 }
 
 // TestVoteSingleReplicaDegeneratesToRun: with one replica the vote is the
-// pairwise comparison — same verdict semantics, and Result books
-// bit-identical to Comparator.Run on the same request. The scenario is
-// rebuilt from scratch for each side so the frames' hash memos start cold
-// both times.
+// pairwise comparison — same verdict semantics, and summed books and
+// mismatch bit-identical to Comparator.Run on the same request. The
+// scenario is rebuilt from scratch for each side so the frames' hash memos
+// start cold both times.
 func TestVoteSingleReplicaDegeneratesToRun(t *testing.T) {
 	for _, diverge := range []bool{false, true} {
 		mutate := func(s *voteScenario) {}
@@ -224,13 +224,12 @@ func TestVoteSingleReplicaDegeneratesToRun(t *testing.T) {
 		if res.Verdict != want {
 			t.Fatalf("diverge=%v: verdict = %v, want %v", diverge, res.Verdict, want)
 		}
-		if !reflect.DeepEqual(res.RefResults[0], pairwise) {
-			t.Errorf("diverge=%v: vote books differ from pairwise Run:\nvote: %+v\nrun:  %+v",
-				diverge, res.RefResults[0], pairwise)
-		}
-		if res.DirtyPages != pairwise.DirtyPages || res.HashedBytes != pairwise.HashedBytes {
-			t.Errorf("diverge=%v: summed books (%d pages, %d bytes) differ from Run (%d, %d)",
-				diverge, res.DirtyPages, res.HashedBytes, pairwise.DirtyPages, pairwise.HashedBytes)
+		got := Result{DirtyPages: res.DirtyPages, HashedBytes: res.HashedBytes,
+			IdentitySkips: res.IdentitySkips, CacheHits: res.CacheHits, Mismatch: res.RefMismatch}
+		books := Result{DirtyPages: pairwise.DirtyPages, HashedBytes: pairwise.HashedBytes,
+			IdentitySkips: pairwise.IdentitySkips, CacheHits: pairwise.CacheHits, Mismatch: pairwise.Mismatch}
+		if !reflect.DeepEqual(got, books) {
+			t.Errorf("diverge=%v: vote books differ from pairwise Run:\nvote: %+v\nrun:  %+v", diverge, got, books)
 		}
 	}
 }

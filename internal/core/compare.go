@@ -5,113 +5,12 @@ import (
 	"math"
 
 	"parallaft/internal/compare"
-	"parallaft/internal/machine"
 	"parallaft/internal/proc"
-	"parallaft/internal/telemetry"
 )
 
 // hashSeed seeds the page hashes; any fixed value works, it only needs to
 // be identical on both sides.
 const hashSeed = 0x9a7a11af7
-
-// compareSegment compares the checker's end state against the segment-end
-// checkpoint (§4.4): registers plus the hashes of every page modified
-// during the segment on either side. On mismatch the application is
-// terminated with a DetectedError.
-//
-// The memory comparison itself — dirty-set discovery, frame-identity
-// shortcuts, memoized hashing — lives in internal/compare; this side owns
-// the simulated accounting: the injected hashers' time and energy are
-// charged from compare's HashedBytes book, which is independent of any
-// host-side shortcut the subsystem took.
-func (r *Runtime) compareSegment(seg *Segment) {
-	rep := seg.chk()
-	var dirtyPages uint64
-	defer func() {
-		if r.detected != nil && r.cfg.EnableRecovery && r.detected.Segment == seg.Index {
-			// Leave the segment live: recovery needs its checkpoints and
-			// record for arbitration and possible rollback.
-			return
-		}
-		seg.compared = true
-		r.stats.Segments = append(r.stats.Segments, SegmentStat{
-			Index:        seg.Index,
-			MainNs:       seg.mainEndNs - seg.mainStartNs,
-			CheckerNs:    rep.doneNs - rep.startNs,
-			CheckerOnBig: rep.bigNs > 0,
-			BigNs:        rep.bigNs,
-			LittleNs:     rep.littleNs,
-			Events:       len(seg.Log.Events),
-			DirtyPages:   int(dirtyPages),
-		})
-		r.stats.CheckerBigNs += rep.bigNs
-		r.stats.CheckerLittleNs += rep.littleNs
-		r.stats.CheckerBigInstrs += rep.bigInstrs
-		r.stats.CheckerLittleInstrs += rep.littleInstrs
-		if rep.bigNs > 0 {
-			r.stats.SegmentsOnBig++
-		}
-		r.retireSegment(seg)
-		r.tm.segRetired.Inc()
-		r.observeLiveSegments()
-		outcome := telemetry.OutcomeRetired
-		if r.detected != nil && r.detected.Segment == seg.Index {
-			outcome = telemetry.OutcomeDetected
-		}
-		r.emitSpan(seg, outcome, seg.compareNs)
-		r.unstallMain(seg.compareNs)
-	}()
-
-	if !r.cfg.CompareStates {
-		// RAFT model (§5.1): no state comparison at segment ends.
-		seg.compareNs = rep.doneNs
-		if seg.compareNs > r.maxCompareNs {
-			r.maxCompareNs = seg.compareNs
-		}
-		return
-	}
-
-	result := r.compareAgainstEndCP(seg, rep.Checker)
-	dirtyPages = result.dirtyPages
-	seg.dirtyPages = result.dirtyPages
-	if result.err != nil {
-		r.fail(seg.Index, result.err.Kind, "%s", result.err.Detail)
-	}
-	verdict := "ok"
-	if result.err != nil {
-		verdict = result.err.Kind.String()
-	}
-	r.cfg.Trace.Emit(rep.doneNs, telemetry.Compare, seg.Index,
-		"%d dirty pages (%d identity-skipped, %d hash-cache hits), %s",
-		result.dirtyPages, result.identitySkips, result.cacheHits, verdict)
-	r.stats.DirtyPagesHashed += result.dirtyPages
-	r.stats.BytesHashed += result.hashedBytes
-	r.stats.IdentitySkips += result.identitySkips
-	r.stats.HashCacheHits += result.cacheHits
-	r.tm.identitySkips.Add(result.identitySkips)
-	r.tm.hashCacheHits.Add(result.cacheHits)
-	r.tm.hashBytes.Observe(float64(result.hashedBytes))
-	r.tm.dirtyPages.Observe(float64(result.dirtyPages))
-	hashedBytes := result.hashedBytes
-
-	// The comparison can only start once both the checker has finished and
-	// the end checkpoint exists (the later of the two times).
-	hashNs := float64(hashedBytes) * r.cfg.HashByteNs
-	start := rep.doneNs
-	if seg.mainEndNs > start {
-		start = seg.mainEndNs
-	}
-	seg.compareNs = start + hashNs
-	if seg.compareNs > r.maxCompareNs {
-		r.maxCompareNs = seg.compareNs
-	}
-	// Energy for the injected hashers, charged to the checker's last core.
-	if rep.Task != nil {
-		prevAct := rep.Task.Core.SetActivity(machine.ActCompare)
-		rep.Task.Core.AccountActive(hashNs)
-		rep.Task.Core.SetActivity(prevAct)
-	}
-}
 
 // unstallMain lets a main gated on the live-segment bound (or a containment
 // barrier) resume: the wall time it spent stalled elapses until the
@@ -124,58 +23,6 @@ func (r *Runtime) unstallMain(untilNs float64) {
 		}
 		r.mainStalled = false
 	}
-}
-
-// compareResult carries the outcome of one state comparison.
-type compareResult struct {
-	err           *DetectedError
-	dirtyPages    uint64
-	hashedBytes   uint64
-	identitySkips uint64
-	cacheHits     uint64
-}
-
-// compareRequest maps the runtime configuration onto a comparison request
-// for the given reference/checker pair.
-func (r *Runtime) compareRequest(seg *Segment, chk *proc.Process) compare.Request {
-	req := compare.Request{
-		Ref:         seg.EndCP.p.AS,
-		Chk:         chk.AS,
-		CheckerMode: r.cfg.checkerDirtyMode(),
-		Seed:        hashSeed,
-		Workers:     r.cfg.CompareWorkers,
-	}
-	switch {
-	case r.cfg.CompareFullMemory:
-		req.Discovery = compare.FullMemory
-	case r.cfg.Tracking == TrackSoftDirty:
-		req.Discovery = compare.SoftDirty
-	default:
-		req.Discovery = compare.FrameDiff
-		req.Base = seg.StartCP.p.AS
-	}
-	return req
-}
-
-// compareAgainstEndCP compares an arbitrary process (the segment's checker,
-// or an arbitration referee during recovery) against the segment's end
-// checkpoint: registers, PC, and the hashes of every page modified on
-// either side (§4.4). Registers are checked first, so a register mismatch
-// wins over any memory mismatch, as before the comparison subsystem split.
-func (r *Runtime) compareAgainstEndCP(seg *Segment, chk *proc.Process) compareResult {
-	ref := seg.EndCP.p
-	// Registers (and the PC, which exec-point replay already pinned).
-	res := compareResult{err: EndRegMismatch(seg.Index, chk, &ref.Regs, ref.PC)}
-
-	cres := r.comparator.Run(r.compareRequest(seg, chk))
-	res.dirtyPages = cres.DirtyPages
-	res.hashedBytes = cres.HashedBytes
-	res.identitySkips = cres.IdentitySkips
-	res.cacheHits = cres.CacheHits
-	if res.err == nil {
-		res.err = EndMemMismatch(seg.Index, cres.Mismatch)
-	}
-	return res
 }
 
 // EndRegMismatch is the end-of-segment detection for a checker whose
@@ -208,13 +55,6 @@ func EndMemMismatch(segment int, m *compare.Mismatch) *DetectedError {
 		return &DetectedError{Kind: ErrMemMismatch, Segment: segment, Detail: fmt.Sprintf(
 			"page %#x content hash differs", m.VPN)}
 	}
-}
-
-// retireSegment releases a compared segment's resources: checker process
-// (including its cache footprint), checkpoint references, and its entry in
-// the live list.
-func (r *Runtime) retireSegment(seg *Segment) {
-	r.releaseSegment(seg, true)
 }
 
 // releaseSegment is the shared retire/release path used by normal
@@ -292,11 +132,7 @@ func (r *Runtime) finish() {
 		if s.compared {
 			continue
 		}
-		if len(s.Replicas) > 1 {
-			r.maybeVote(s)
-		} else if s.chk().phase == phaseReached {
-			r.compareSegment(s)
-		}
+		r.maybeVote(s)
 	}
 
 	if r.maxCompareNs > allWall {

@@ -392,11 +392,9 @@ func (r *Runtime) onSeal(seg *Segment) {
 			})
 		}
 	}
-	if len(seg.Replicas) > 1 {
-		// Every replica may already be terminal (e.g. all dissented while
-		// the segment was still open); the vote needed the end checkpoint.
-		r.maybeVote(seg)
-	}
+	// Every replica may already be terminal (e.g. all dissented while the
+	// segment was still open); the vote needed the end checkpoint.
+	r.maybeVote(seg)
 }
 
 // --- main-side event recording ---------------------------------------------

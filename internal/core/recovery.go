@@ -2,8 +2,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
+	"parallaft/internal/compare"
 	"parallaft/internal/oskernel"
+	"parallaft/internal/proc"
 	"parallaft/internal/telemetry"
 )
 
@@ -79,25 +82,11 @@ func (r *Runtime) tryRecover() bool {
 		r.tm.recoveredChecker.Inc()
 		r.cfg.Trace.Emit(r.mainTask.Clock, telemetry.Recover, seg.Index, "checker fault absorbed; segment verified by referee")
 		if !seg.compared {
-			doneNs := seg.checkerDoneNs()
-			if doneNs == 0 {
-				doneNs = r.mainTask.Clock
-				seg.chk().doneNs = doneNs // spans report the absorb time
+			if seg.checkerDoneNs() == 0 {
+				seg.chk().doneNs = r.mainTask.Clock // spans report the absorb time
 			}
-			seg.compareNs = doneNs
-			if seg.compareNs > r.maxCompareNs {
-				r.maxCompareNs = seg.compareNs
-			}
-			seg.compared = true
-			r.stats.Segments = append(r.stats.Segments, SegmentStat{
-				Index: seg.Index, MainNs: seg.mainEndNs - seg.mainStartNs,
-				CheckerNs: doneNs - seg.checkerStartNs(),
-			})
-			r.sched.drop(seg)
-			r.retireSegment(seg)
-			r.tm.segRetired.Inc()
-			r.observeLiveSegments()
-			r.emitSpan(seg, telemetry.OutcomeRecovered, seg.compareNs)
+			r.settleAt(seg, seg.checkerDoneNs())
+			r.retire(seg, telemetry.OutcomeRecovered)
 			r.sched.kick(r.mainTask.Clock)
 		}
 		return true
@@ -157,7 +146,7 @@ func (r *Runtime) arbitrate(seg *Segment) arbVerdict {
 
 	// The instruction limit bounds the referee's execution; the iteration
 	// cap is a belt-and-braces guard against replay-state livelock.
-	for i := 0; r.arbErr == nil && !shadow.arbDone && ref.phase != phaseReached; i++ {
+	for i := 0; r.arbErr == nil && ref.phase != phaseReached; i++ {
 		if i > 1_000_000 {
 			r.arbErr = &DetectedError{Kind: ErrCheckerTimeout, Segment: seg.Index,
 				Detail: "arbitration referee made no progress"}
@@ -165,13 +154,10 @@ func (r *Runtime) arbitrate(seg *Segment) arbVerdict {
 		}
 		r.stepChecker(ref)
 	}
-	if r.arbErr != nil {
-		// The clean referee also diverged from the record/end point: the
-		// main side was at fault.
-		return verdictMainFault
-	}
-	res := r.compareAgainstEndCP(shadow, referee)
-	if res.err != nil {
+	// A referee that also diverged from the record or the end point, or
+	// that loses its one-replica vote against the end checkpoint, puts the
+	// fault on the main side.
+	if r.arbErr != nil || r.voter.Vote(*r.voteRequest(shadow)).Verdict != compare.VerdictUnanimous {
 		return verdictMainFault
 	}
 	return verdictCheckerFault
@@ -188,46 +174,10 @@ func (r *Runtime) rollback() {
 	oldest := r.segments[0]
 	target := oldest.StartCP
 	target.refs++ // keep it alive through the teardown below
-	retries := oldest.recoveries
-
-	// Wall time when the rollback happens: everything observed so far.
-	wall := r.mainTask.Clock
-	for _, s := range r.segments {
-		for _, rep := range s.Replicas {
-			if rep.Task != nil && rep.Task.Clock > wall {
-				wall = rep.Task.Clock
-			}
-		}
-	}
-
-	// Count global syscalls whose external effects will re-escape.
-	for _, s := range r.segments {
-		for _, ev := range s.Log.Events {
-			if ev.Kind == EvSyscall && ev.Syscall.Class == oskernel.ClassGlobal {
-				r.stats.ReexecutedEffects++
-			}
-		}
-	}
-
-	// Tear down every live segment. Rollback discards the machine state
-	// wholesale, so no per-checker ASID flush is charged (flushASID=false).
-	for _, s := range append([]*Segment(nil), r.segments...) {
-		r.sched.drop(s)
-		r.releaseSegment(s, false)
-		r.emitSpan(s, telemetry.OutcomeRollback, wall)
-	}
-	r.segments = r.segments[:0]
-	r.current = nil
-	r.mainStalled = false
-
-	// Replace the main process with a fork of the verified checkpoint.
-	r.e.Retire(r.mainTask)
-	oldMain := r.main
-	r.main = r.e.L.Fork(target.p, "main-restored")
-	r.attachSampler(r.main, "main")
-	r.e.L.Reap(oldMain)
+	wall := r.restartWall()
+	r.discardFrom(oldest.Index, wall)
+	r.restartMain(target.p, "main-restored", wall)
 	r.releaseCP(target)
-	r.mainTask = r.e.NewTask(r.main, r.mainCore, wall+r.cfg.tracerStopNs())
 	r.stats.Rollbacks++
 	r.tm.rollbacks.Inc()
 	r.observeLiveSegments()
@@ -236,5 +186,57 @@ func (r *Runtime) rollback() {
 	// Restart protection from the restored state, carrying the retry
 	// count so a permanent fault cannot loop forever.
 	r.startSegment()
-	r.current.recoveries = retries
+	r.current.recoveries = oldest.recoveries
+}
+
+// restartWall is when a rollback or forward repair happens: after
+// everything observed so far, the main's and every live replica's clock.
+func (r *Runtime) restartWall() float64 {
+	wall := r.mainTask.Clock
+	for _, s := range r.segments {
+		for _, rep := range s.Replicas {
+			if rep.Task != nil {
+				wall = max(wall, rep.Task.Clock)
+			}
+		}
+	}
+	return wall
+}
+
+// discardFrom tears down every live segment from index first on: they
+// descend from the main state a restart abandons. Their global syscall
+// effects have already escaped and will escape again on re-execution;
+// ReexecutedEffects counts them (the §3.4 containment caveat). A restart
+// discards the machine state wholesale, so no per-checker ASID flush is
+// charged.
+func (r *Runtime) discardFrom(first int, wall float64) {
+	for _, s := range slices.Clone(r.segments) {
+		if s.Index < first {
+			continue
+		}
+		for _, ev := range s.Log.Events {
+			if ev.Kind == EvSyscall && ev.Syscall.Class == oskernel.ClassGlobal {
+				r.stats.ReexecutedEffects++
+			}
+		}
+		r.sched.drop(s)
+		r.releaseSegment(s, false)
+		r.emitSpan(s, telemetry.OutcomeRollback, wall)
+	}
+	r.current = nil
+	r.mainStalled = false
+}
+
+// restartMain replaces the main with a fork of from, dispatched at wall.
+// A fork starts with an empty stdout buffer — a checkpoint's, or a replica's
+// that replayed rather than re-executed its writes — so the new main
+// inherits what the old one actually emitted.
+func (r *Runtime) restartMain(from *proc.Process, name string, wall float64) {
+	r.e.Retire(r.mainTask)
+	old := r.main
+	r.main = r.e.L.Fork(from, name)
+	r.attachSampler(r.main, "main")
+	r.e.K.AppendStdout(r.main.PID, r.e.K.Stdout(old.PID))
+	r.e.L.Reap(old)
+	r.mainTask = r.e.NewTask(r.main, r.mainCore, wall+r.cfg.tracerStopNs())
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"testing"
 
+	"parallaft/internal/asm"
+	"parallaft/internal/oskernel"
 	"parallaft/internal/proc"
+	"parallaft/internal/sim"
 )
 
 func recoveryConfig() Config {
@@ -133,35 +136,107 @@ func TestRecoveryMidReplayCheckerFault(t *testing.T) {
 	}
 }
 
-// TestRecoveryCountsReexecutedEffects: rolling back across a segment whose
-// log contains globally-effectful syscalls reports the double-escape.
-func TestRecoveryCountsReexecutedEffects(t *testing.T) {
-	// program: loop, write, loop, exit — corrupt the main after the write
-	prog := testProgram(60_000)
+// bracketProgram writes "A\n", runs a checksum loop of iters iterations,
+// writes "Z\n", runs a second loop (label "tail") of tail iterations, and
+// exits with the checksum's low byte.
+func bracketProgram(iters, tail int64) *asm.Program {
+	b := asm.NewBuilder("bracket")
+	b.Bytes("a", []byte("A\n"))
+	b.Bytes("z", []byte("Z\n"))
+	b.Space("buf", 32*1024)
+	write := func(msg string) {
+		b.MovI(0, int64(oskernel.SysWrite))
+		b.MovI(1, 1)
+		b.Addr(2, msg)
+		b.MovI(3, 2)
+		b.Syscall()
+	}
+	loop := func(label string, iters int64) {
+		b.MovI(2, 0)
+		b.MovI(3, iters)
+		b.Addr(4, "buf")
+		b.Label(label)
+		b.AndI(5, 2, 4095)
+		b.ShlI(5, 5, 3)
+		b.Add(5, 4, 5)
+		b.Ld(6, 5, 0)
+		b.Add(6, 6, 2)
+		b.St(5, 0, 6)
+		b.Add(7, 7, 6)
+		b.AddI(2, 2, 1)
+		b.Blt(2, 3, label)
+	}
+	b.MovI(7, 0)
+	write("a")
+	loop("body", iters)
+	write("z")
+	loop("tail", tail)
+	b.AndI(1, 7, 255)
+	b.MovI(0, int64(oskernel.SysExit))
+	b.Syscall()
+	return b.MustBuild()
+}
+
+// runBracketWithMainFault runs bracketProgram under recovery, flipping a
+// low bit of the main's checksum register once fire reports true; it
+// returns the run's stats beside the fault-free baseline's.
+func runBracketWithMainFault(t *testing.T, prog *asm.Program, fire func(m *proc.Process) bool) (*RunStats, *sim.BaselineResult) {
+	t.Helper()
+	base := baselineOf(t, prog, 13)
 	cfg := recoveryConfig()
-	cfg.SlicePeriodCycles = 100_000
 	fired := false
 	cfg.MainHook = func(m *proc.Process, _ float64) {
-		if fired || m.Instrs < 400_000 {
-			return
+		if !fired && fire(m) {
+			m.FlipRegisterBit(proc.GPRClass, 7, 0, 3)
+			fired = true
 		}
-		m.FlipRegisterBit(proc.GPRClass, 1, 0, 21)
-		fired = true
 	}
-	e := newTestEngine(7)
-	rt := NewRuntime(e, cfg)
-	stats, err := rt.Run(prog)
+	stats, err := NewRuntime(newTestEngine(13), cfg).Run(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !fired || stats.Rollbacks == 0 {
-		t.Skip("injection did not land in a rollback window")
+	if !fired {
+		t.Fatal("the main finished before the injection point")
 	}
-	t.Logf("rollbacks=%d reexecuted-effects=%d", stats.Rollbacks, stats.ReexecutedEffects)
-	// duplicated writes appear in stdout when effects re-escape; the stat
-	// must account for them
-	if stats.ReexecutedEffects > 0 && len(stats.Stdout) <= len("hello\n") {
-		t.Errorf("reexecuted effects reported but stdout %q shows no duplication", stats.Stdout)
+	if stats.Detected != nil {
+		t.Fatalf("main fault not recovered: %v", stats.Detected)
+	}
+	if stats.ExitCode != base.ExitCode {
+		t.Errorf("exit code %d != baseline %d after rollback", stats.ExitCode, base.ExitCode)
+	}
+	return stats, base
+}
+
+// TestRollbackKeepsEarlierOutput: a rollback restores the main from a
+// checkpoint taken after the program's first write; the restored main
+// keeps that write's output instead of starting from an empty stdout.
+func TestRollbackKeepsEarlierOutput(t *testing.T) {
+	stats, base := runBracketWithMainFault(t, bracketProgram(200_000, 1_000),
+		func(m *proc.Process) bool { return m.Instrs >= 1_500_000 })
+	if stats.Rollbacks != 1 || stats.ReexecutedEffects != 0 {
+		t.Fatalf("rollbacks=%d reexecuted-effects=%d, want 1/0", stats.Rollbacks, stats.ReexecutedEffects)
+	}
+	if string(stats.Stdout) != string(base.Stdout) {
+		t.Errorf("stdout after rollback = %q, want the baseline's %q", stats.Stdout, base.Stdout)
+	}
+}
+
+// TestRecoveryCountsReexecutedEffects: a fault landing in the main right
+// after a write, inside the write's segment, rolls the write back. The
+// write escapes a second time on re-execution (the §3.4 caveat): the stat
+// counts it, and stdout shows the pre-rollback output followed by the
+// re-executed write.
+func TestRecoveryCountsReexecutedEffects(t *testing.T) {
+	prog := bracketProgram(60_000, 100_000)
+	tail := prog.Labels["tail"]
+	stats, base := runBracketWithMainFault(t, prog,
+		func(m *proc.Process) bool { return m.PC >= tail })
+	if stats.Rollbacks == 0 || stats.ReexecutedEffects < 1 {
+		t.Fatalf("rollbacks=%d reexecuted-effects=%d, want a rollback across the write",
+			stats.Rollbacks, stats.ReexecutedEffects)
+	}
+	if want := string(base.Stdout) + "Z\n"; string(stats.Stdout) != want {
+		t.Errorf("stdout = %q, want %q (pre-rollback output, then the re-executed write)", stats.Stdout, want)
 	}
 }
 

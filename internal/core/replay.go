@@ -477,25 +477,18 @@ func (h replicaHost) diverged(d *DetectedError) {
 	h.r.markDissent(h.rep, d)
 }
 
-// reached: with a single replica the comparison runs immediately (the end
-// checkpoint is always available: sealing created it); under NMR the
-// segment votes once every replica is terminal. Arbitration shadows stop
-// here; their comparison belongs to the arbitration driver.
+// reached: the segment is decided once every replica is terminal (the end
+// checkpoint is always available: sealing created it). Arbitration shadows
+// stop here; their vote belongs to the arbitration driver.
 func (h replicaHost) reached() {
 	r, rep := h.r, h.rep
-	seg := rep.seg
 	rep.doneNs = rep.Task.Clock
-	if seg.arb {
-		seg.arbDone = true
+	if rep.seg.arb {
 		return
 	}
 	r.sched.observeCheckerDone(rep)
 	r.sched.onCheckerDone(rep)
-	if len(seg.Replicas) > 1 {
-		r.maybeVote(seg)
-		return
-	}
-	r.compareSegment(seg)
+	r.maybeVote(rep.seg)
 }
 
 // newReplica wires a forked checker to the segment's record. The replica

@@ -338,10 +338,9 @@ type Segment struct {
 
 	recoveries int     // recovery attempts consumed (EnableRecovery)
 	arb        bool    // this is an arbitration shadow, not a real segment
-	arbDone    bool    // the referee reached the end point
 	compareNs  float64 // when the comparison (or vote) completed
 	compared   bool
-	voted      bool // NMR: the majority vote has run for this segment
+	voted      bool // the segment's vote has run
 	pos        int  // index in Runtime.segments; -1 when not live
 
 	// Telemetry-only bookkeeping (observation-only; never feeds the model).
@@ -522,8 +521,9 @@ type Runtime struct {
 
 	stats        RunStats
 	tm           coreMetrics
-	comparator   compare.Comparator // reused across every boundary comparison
-	voter        compare.Voter      // reused across every NMR vote (Checkers > 1)
+	voter        compare.Voter       // decides every segment end and arbitration referee
+	voteReq      compare.VoteRequest // reused by every vote; see newVoteRequest
+	voting       *Segment            // the segment voteReq was last filled in for
 	nextSampleNs float64
 	detected     *DetectedError
 	segCounter   int
@@ -574,6 +574,7 @@ func NewRuntime(e *sim.Engine, cfg Config) *Runtime {
 	}
 	r := &Runtime{cfg: cfg, e: e, mainCore: bigs[0]}
 	r.tm = newCoreMetrics(cfg.Metrics, cfg.Checkers)
+	r.voteReq = r.newVoteRequest()
 	r.sched = newScheduler(r)
 	if cfg.Ledger != nil {
 		cfg.Ledger.Attach(e.M)

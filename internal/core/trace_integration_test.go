@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"parallaft/internal/proc"
@@ -80,5 +81,41 @@ func TestTraceCapturesDetection(t *testing.T) {
 	}
 	if countKind(rec, telemetry.Detect) != 1 {
 		t.Errorf("detect events = %d", countKind(rec, telemetry.Detect))
+	}
+}
+
+// TestTraceDetectionPrecedesCompare: with a single checker a mismatch is
+// the paper's pairwise detection. The segment's detect event comes before
+// its compare event, whose detail ends in the detection's kind.
+func TestTraceDetectionPrecedesCompare(t *testing.T) {
+	cfg := smallSliceConfig()
+	rec := telemetry.NewRecorder(0)
+	cfg.Trace = rec
+	stats := runWithHook(t, cfg, loopProgram(120_000),
+		onceInSegment(1, func(c *proc.Process) { c.Regs.X[1] ^= 1 << 9 }))
+	d := stats.Detected
+	if d == nil {
+		t.Fatal("no detection")
+	}
+	detectAt, compareAt := -1, -1
+	for i, ev := range rec.Records() {
+		if ev.Segment != d.Segment {
+			continue
+		}
+		switch ev.Kind {
+		case telemetry.Detect:
+			detectAt = i
+		case telemetry.Compare:
+			compareAt = i
+			if !strings.HasSuffix(ev.Detail, ", "+d.Kind.String()) {
+				t.Errorf("compare detail %q does not end in the error kind %q", ev.Detail, d.Kind)
+			}
+		}
+	}
+	if detectAt < 0 || compareAt < 0 {
+		t.Fatalf("segment %d: detect event at %d, compare event at %d; want both", d.Segment, detectAt, compareAt)
+	}
+	if detectAt > compareAt {
+		t.Errorf("segment %d: detect event (#%d) after its compare event (#%d)", d.Segment, detectAt, compareAt)
 	}
 }

@@ -5,18 +5,15 @@ import (
 
 	"parallaft/internal/compare"
 	"parallaft/internal/machine"
-	"parallaft/internal/oskernel"
 	"parallaft/internal/telemetry"
 )
 
-// NMR majority voting (Config.Checkers > 1).
+// The end of a segment is one majority vote (§4.4, generalised to NMR).
 //
 // The paper's design compares one checker against the segment-end
-// checkpoint: a mismatch says *something* diverged, and recovery has to
-// arbitrate by re-executing the segment before it knows which side to
-// trust. With N replicas the segment end becomes an (N+1)-voter election —
-// the N replicas plus the end checkpoint (the main's own claimed state) —
-// and the verdict itself localises the fault:
+// checkpoint. With N replicas (Config.Checkers > 1) the segment end becomes
+// an (N+1)-voter election — the N replicas plus the end checkpoint (the
+// main's own claimed state) — and the verdict itself localises the fault:
 //
 //   - every voter agrees: the segment is verified (unanimous);
 //   - the checkpoint keeps a majority: the dissenting replicas carried the
@@ -26,14 +23,20 @@ import (
 //     the fault, and the agreed replica state is the correct segment-end
 //     state — the main is repaired forward by forking it from that state,
 //     no rollback;
-//   - no quorum: fall back to the pairwise detection path (and, when
-//     recovery is enabled, arbitration/rollback).
+//   - no quorum: a detection (and, when recovery is enabled,
+//     arbitration/rollback).
+//
+// A one-replica vote is exactly the paper's pairwise comparison: agreement
+// is unanimous, anything else no quorum, with the same books. So every
+// segment is decided here, and the replica count is read only where the
+// paper's outcome and NMR's differ: the detection's wording, the ledger
+// class and trace kind of the hashing, and the vote counters.
 //
 // The vote is only meaningful over a state comparison, so NewRuntime
 // rejects Checkers > 1 without CompareStates.
 
-// maybeVote runs the segment's majority vote once it is ready: sealed with
-// an end checkpoint, and every replica terminal (reached the end point or
+// maybeVote decides the segment once it is ready: sealed with an end
+// checkpoint, and every replica terminal (reached the end point or
 // dissented during replay). Called from every point where one of those
 // conditions can become true.
 func (r *Runtime) maybeVote(seg *Segment) {
@@ -46,47 +49,14 @@ func (r *Runtime) maybeVote(seg *Segment) {
 		}
 	}
 	seg.voted = true
-	r.voteSegment(seg)
-}
+	if !r.cfg.CompareStates {
+		// RAFT model (§5.1): no state comparison at segment ends.
+		r.settleAt(seg, seg.checkerDoneNs())
+		r.retire(seg, telemetry.OutcomeRetired)
+		return
+	}
 
-// voteSegment runs the (N+1)-voter majority decision and acts on the
-// verdict. The accounting mirrors compareSegment: simulated hash time and
-// energy are charged from the vote's summed HashedBytes book, independent
-// of host-side shortcuts.
-func (r *Runtime) voteSegment(seg *Segment) {
-	ref := seg.EndCP.p
-	req := compare.VoteRequest{
-		Ref:         ref.AS,
-		CheckerMode: r.cfg.checkerDirtyMode(),
-		Seed:        hashSeed,
-		Workers:     r.cfg.CompareWorkers,
-	}
-	switch {
-	case r.cfg.CompareFullMemory:
-		req.Discovery = compare.FullMemory
-	case r.cfg.Tracking == TrackSoftDirty:
-		req.Discovery = compare.SoftDirty
-	default:
-		req.Discovery = compare.FrameDiff
-		req.Base = seg.StartCP.p.AS
-	}
-	for _, rep := range seg.Replicas {
-		if rep.failed != nil {
-			req.Replicas = append(req.Replicas, nil) // dissented during replay
-			continue
-		}
-		req.Replicas = append(req.Replicas, rep.Checker.AS)
-	}
-	req.RegsAgreeRef = func(i int) bool {
-		c := seg.Replicas[i].Checker
-		return c.Regs.Equal(&ref.Regs) && c.PC == ref.PC
-	}
-	req.RegsAgreePair = func(i, j int) bool {
-		a, b := seg.Replicas[i].Checker, seg.Replicas[j].Checker
-		return a.Regs.Equal(&b.Regs) && a.PC == b.PC
-	}
-	vres := r.voter.Vote(req)
-
+	vres := r.voter.Vote(*r.voteRequest(seg))
 	seg.dirtyPages = vres.DirtyPages
 	r.stats.DirtyPagesHashed += vres.DirtyPages
 	r.stats.BytesHashed += vres.HashedBytes
@@ -99,24 +69,43 @@ func (r *Runtime) voteSegment(seg *Segment) {
 
 	// The vote starts once the last replica is terminal and the end
 	// checkpoint exists, then the injected hashers run over every
-	// comparison the quorum search needed.
+	// comparison it needed. Their energy is charged to the first placed
+	// replica's core. The books are simulated: independent of host-side
+	// shortcuts.
 	hashNs := float64(vres.HashedBytes) * r.cfg.HashByteNs
-	start := seg.checkerDoneNs()
-	if seg.mainEndNs > start {
-		start = seg.mainEndNs
+	r.settleAt(seg, max(seg.checkerDoneNs(), seg.mainEndNs)+hashNs)
+	pairwise := len(seg.Replicas) == 1
+	act := machine.ActVote
+	if pairwise {
+		act = machine.ActCompare
 	}
-	seg.compareNs = start + hashNs
-	if seg.compareNs > r.maxCompareNs {
-		r.maxCompareNs = seg.compareNs
-	}
-	// Energy for the injected hashers, charged to the first replica's core.
 	for _, rep := range seg.Replicas {
 		if rep.Task != nil {
-			prevAct := rep.Task.Core.SetActivity(machine.ActVote)
+			prevAct := rep.Task.Core.SetActivity(act)
 			rep.Task.Core.AccountActive(hashNs)
 			rep.Task.Core.SetActivity(prevAct)
 			break
 		}
+	}
+
+	if pairwise {
+		// The paper's comparison: a mismatch is the detection itself,
+		// registers winning over memory.
+		chk, ref := seg.chk().Checker, seg.EndCP.p
+		err := EndRegMismatch(seg.Index, chk, &ref.Regs, ref.PC)
+		if err == nil {
+			err = EndMemMismatch(seg.Index, vres.RefMismatch)
+		}
+		verdict := "ok"
+		if err != nil {
+			r.detect(err)
+			verdict = err.Kind.String()
+		}
+		r.cfg.Trace.Emit(seg.checkerDoneNs(), telemetry.Compare, seg.Index,
+			"%d dirty pages (%d identity-skipped, %d hash-cache hits), %s",
+			vres.DirtyPages, vres.IdentitySkips, vres.CacheHits, verdict)
+		r.settle(seg)
+		return
 	}
 
 	r.cfg.Trace.Emit(seg.compareNs, telemetry.Vote, seg.Index,
@@ -127,7 +116,7 @@ func (r *Runtime) voteSegment(seg *Segment) {
 	case compare.VerdictUnanimous:
 		r.stats.VoteUnanimous++
 		r.tm.voteUnanimous.Inc()
-		r.retireVoted(seg, telemetry.OutcomeRetired)
+		r.retire(seg, telemetry.OutcomeRetired)
 
 	case compare.VerdictAbsorb:
 		// The checkpoint side kept its majority: the dissenters carried the
@@ -135,7 +124,7 @@ func (r *Runtime) voteSegment(seg *Segment) {
 		// no arbitration, no rollback charged.
 		r.stats.VoteAbsorbed += len(vres.Dissenters)
 		r.tm.voteAbsorbed.Add(uint64(len(vres.Dissenters)))
-		r.retireVoted(seg, telemetry.OutcomeRetired)
+		r.retire(seg, telemetry.OutcomeRetired)
 
 	case compare.VerdictOutvoteRef:
 		// A replica quorum agrees against the end checkpoint: the main
@@ -143,11 +132,11 @@ func (r *Runtime) voteSegment(seg *Segment) {
 		r.stats.VoteOutvotedReplicas++
 		r.tm.voteOutvoted.Inc()
 		if r.forwardRepair(seg, seg.Replicas[vres.AgreedReplica]) {
-			r.retireVoted(seg, telemetry.OutcomeForwardRepaired)
+			r.retire(seg, telemetry.OutcomeForwardRepaired)
 			return
 		}
 		r.voteDetect(seg, &vres)
-		r.settleVoteDetection(seg)
+		r.settle(seg)
 
 	case compare.VerdictNoQuorum:
 		r.stats.VoteNoQuorum++
@@ -159,8 +148,57 @@ func (r *Runtime) voteSegment(seg *Segment) {
 			fmt.Sprintf("%s seg %d: %d replicas, no majority", r.main.Name, seg.Index, len(seg.Replicas)))
 		r.cfg.Trace.DumpToDir("main", "no-quorum", r.cfg.Metrics)
 		r.voteDetect(seg, &vres)
-		r.settleVoteDetection(seg)
+		r.settle(seg)
 	}
+}
+
+// newVoteRequest builds the runtime's one reusable vote request: what the
+// configuration fixes, plus register callbacks built once per runtime that
+// read the segment voteRequest last filled in.
+func (r *Runtime) newVoteRequest() compare.VoteRequest {
+	req := compare.VoteRequest{
+		CheckerMode: r.cfg.checkerDirtyMode(),
+		Seed:        hashSeed,
+		Workers:     r.cfg.CompareWorkers,
+	}
+	switch {
+	case r.cfg.CompareFullMemory:
+		req.Discovery = compare.FullMemory
+	case r.cfg.Tracking == TrackSoftDirty:
+		req.Discovery = compare.SoftDirty
+	default:
+		req.Discovery = compare.FrameDiff
+	}
+	req.RegsAgreeRef = func(i int) bool {
+		c, ref := r.voting.Replicas[i].Checker, r.voting.EndCP.p
+		return c.Regs.Equal(&ref.Regs) && c.PC == ref.PC
+	}
+	req.RegsAgreePair = func(i, j int) bool {
+		a, b := r.voting.Replicas[i].Checker, r.voting.Replicas[j].Checker
+		return a.Regs.Equal(&b.Regs) && a.PC == b.PC
+	}
+	return req
+}
+
+// voteRequest fills the reusable request in for seg's replicas against its
+// end checkpoint: a live segment's vote, or an arbitration shadow's, whose
+// one replica is the referee.
+func (r *Runtime) voteRequest(seg *Segment) *compare.VoteRequest {
+	r.voting = seg
+	req := &r.voteReq
+	req.Ref = seg.EndCP.p.AS
+	if req.Discovery == compare.FrameDiff {
+		req.Base = seg.StartCP.p.AS
+	}
+	req.Replicas = req.Replicas[:0]
+	for _, rep := range seg.Replicas {
+		if rep.failed != nil {
+			req.Replicas = append(req.Replicas, nil) // dissented during replay
+			continue
+		}
+		req.Replicas = append(req.Replicas, rep.Checker.AS)
+	}
+	return req
 }
 
 // voteDetect raises the global detection for a vote that found no
@@ -191,42 +229,56 @@ func (r *Runtime) voteDetect(seg *Segment, vres *compare.VoteResult) {
 		"replica registers differ from the end checkpoint with no quorum")
 }
 
-// settleVoteDetection decides what happens to a voted segment whose verdict
-// raised a detection: recovery keeps it live for arbitration and possible
-// rollback (exactly like the pairwise path), otherwise it retires as
-// detected and the run terminates.
-func (r *Runtime) settleVoteDetection(seg *Segment) {
-	if r.detected != nil && r.cfg.EnableRecovery && r.detected.Segment == seg.Index {
-		return // recovery needs the checkpoints and record
+// settle retires a voted segment, as detected when its verdict raised the
+// run's detection. Recovery keeps a detected segment live instead: it needs
+// the checkpoints and record for arbitration and possible rollback.
+func (r *Runtime) settle(seg *Segment) {
+	outcome := telemetry.OutcomeRetired
+	if d := r.detected; d != nil && d.Segment == seg.Index {
+		if r.cfg.EnableRecovery {
+			return
+		}
+		outcome = telemetry.OutcomeDetected
 	}
-	r.retireVoted(seg, telemetry.OutcomeDetected)
+	r.retire(seg, outcome)
 }
 
-// retireVoted retires a voted segment: aggregate per-replica books into the
-// segment stat, release every replica and checkpoint, and let a stalled
-// main resume. The single-replica analogue is compareSegment's deferred
-// retire block.
-func (r *Runtime) retireVoted(seg *Segment, outcome string) {
+// settleAt stamps the time the segment's verdict is known.
+func (r *Runtime) settleAt(seg *Segment, ns float64) {
+	seg.compareNs = ns
+	r.maxCompareNs = max(r.maxCompareNs, ns)
+}
+
+// retire retires a decided segment: its stat row and the replicas' books
+// join the run's, every replica and checkpoint is released, its span
+// closes, and a main stalled on the live-segment bound resumes. A segment a
+// recovery referee verified (OutcomeRecovered) books only its main and
+// checker spans: the work of the checker that carried the fault is not the
+// segment's verification.
+func (r *Runtime) retire(seg *Segment, outcome string) {
 	seg.compared = true
-	r.stats.Segments = append(r.stats.Segments, SegmentStat{
-		Index:        seg.Index,
-		MainNs:       seg.mainEndNs - seg.mainStartNs,
-		CheckerNs:    seg.checkerDoneNs() - seg.checkerStartNs(),
-		CheckerOnBig: seg.sumBigNs() > 0,
-		BigNs:        seg.sumBigNs(),
-		LittleNs:     seg.sumLittleNs(),
-		Events:       len(seg.Log.Events),
-		DirtyPages:   int(seg.dirtyPages),
-	})
-	r.stats.CheckerBigNs += seg.sumBigNs()
-	r.stats.CheckerLittleNs += seg.sumLittleNs()
-	r.stats.CheckerBigInstrs += seg.sumBigInstrs()
-	r.stats.CheckerLittleInstrs += seg.sumLittleInstrs()
-	if seg.sumBigNs() > 0 {
-		r.stats.SegmentsOnBig++
+	stat := SegmentStat{
+		Index:     seg.Index,
+		MainNs:    seg.mainEndNs - seg.mainStartNs,
+		CheckerNs: seg.checkerDoneNs() - seg.checkerStartNs(),
 	}
+	if outcome != telemetry.OutcomeRecovered {
+		stat.CheckerOnBig = seg.sumBigNs() > 0
+		stat.BigNs = seg.sumBigNs()
+		stat.LittleNs = seg.sumLittleNs()
+		stat.Events = len(seg.Log.Events)
+		stat.DirtyPages = int(seg.dirtyPages)
+		r.stats.CheckerBigNs += stat.BigNs
+		r.stats.CheckerLittleNs += stat.LittleNs
+		r.stats.CheckerBigInstrs += seg.sumBigInstrs()
+		r.stats.CheckerLittleInstrs += seg.sumLittleInstrs()
+		if stat.CheckerOnBig {
+			r.stats.SegmentsOnBig++
+		}
+	}
+	r.stats.Segments = append(r.stats.Segments, stat)
 	r.sched.drop(seg)
-	r.retireSegment(seg)
+	r.releaseSegment(seg, true)
 	r.tm.segRetired.Inc()
 	r.observeLiveSegments()
 	r.emitSpan(seg, outcome, seg.compareNs)
@@ -259,49 +311,11 @@ func (r *Runtime) forwardRepair(seg *Segment, agreed *replica) bool {
 	if r.stats.ForwardRepairs+r.stats.Rollbacks >= r.cfg.RecoveryMaxRollbacks {
 		return false
 	}
-
-	// Wall time when the repair happens: everything observed so far,
-	// including the vote that ordered it.
-	wall := r.mainTask.Clock
-	for _, s := range r.segments {
-		for _, rep := range s.Replicas {
-			if rep.Task != nil && rep.Task.Clock > wall {
-				wall = rep.Task.Clock
-			}
-		}
-	}
-	if seg.compareNs > wall {
-		wall = seg.compareNs
-	}
-
-	// Discard every segment newer than the repaired one.
-	for _, s := range append([]*Segment(nil), r.segments...) {
-		if s.Index <= seg.Index {
-			continue
-		}
-		for _, ev := range s.Log.Events {
-			if ev.Kind == EvSyscall && ev.Syscall.Class == oskernel.ClassGlobal {
-				r.stats.ReexecutedEffects++
-			}
-		}
-		r.sched.drop(s)
-		r.releaseSegment(s, false)
-		r.emitSpan(s, telemetry.OutcomeRollback, wall)
-	}
-	r.current = nil
-	r.mainStalled = false
-
-	// Replace the main with a fork of the agreed replica's end state. The
-	// replicas replayed — never re-executed — the segment's global writes,
-	// so the fork starts with an empty stdout buffer; the repaired main
-	// inherits what the faulty main actually emitted.
-	r.e.Retire(r.mainTask)
-	oldMain := r.main
-	r.main = r.e.L.Fork(agreed.Checker, "main-repaired")
-	r.attachSampler(r.main, "main")
-	r.e.K.AppendStdout(r.main.PID, r.e.K.Stdout(oldMain.PID))
-	r.e.L.Reap(oldMain)
-	r.mainTask = r.e.NewTask(r.main, r.mainCore, wall+r.cfg.tracerStopNs())
+	// The repair happens after everything observed so far, the vote that
+	// ordered it included.
+	wall := max(r.restartWall(), seg.compareNs)
+	r.discardFrom(seg.Index+1, wall)
+	r.restartMain(agreed.Checker, "main-repaired", wall)
 	r.stats.ForwardRepairs++
 	r.tm.voteForwardRep.Inc()
 	r.observeLiveSegments()
@@ -310,8 +324,7 @@ func (r *Runtime) forwardRepair(seg *Segment, agreed *replica) bool {
 
 	// Restart protection from the repaired state, carrying the segment's
 	// retry count so a permanent fault cannot loop forever.
-	recoveries := seg.recoveries
 	r.startSegment()
-	r.current.recoveries = recoveries
+	r.current.recoveries = seg.recoveries
 	return true
 }

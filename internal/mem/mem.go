@@ -757,19 +757,14 @@ func (as *AddressSpace) AppendDirtyPages(mode DirtyMode, buf []uint64) []uint64 
 	return out
 }
 
-// DiffFrames returns, sorted, the virtual page numbers whose backing frame
-// differs between two address spaces, including pages mapped in only one of
-// them. For two checkpoints of the same process taken at consecutive
-// segment boundaries this is exactly the set of pages the process modified
-// (COW gave them new frames), created, or unmapped during the segment —
-// the page-level diff Parallaft's AArch64 map-count technique computes.
-func DiffFrames(a, b *AddressSpace) []uint64 {
-	return AppendDiffFrames(a, b, nil)
-}
-
-// AppendDiffFrames appends the frame-diff page numbers to buf and returns
-// the extended slice, sorted within the appended region. The allocation-free
-// variant of DiffFrames for callers with a reusable buffer.
+// AppendDiffFrames appends to buf, sorted within the appended region, the
+// virtual page numbers whose backing frame differs between two address
+// spaces, including pages mapped in only one of them, and returns the
+// extended slice. For two checkpoints of the same process taken at
+// consecutive segment boundaries this is exactly the set of pages the
+// process modified (COW gave them new frames), created, or unmapped during
+// the segment — the page-level diff Parallaft's AArch64 map-count technique
+// computes.
 func AppendDiffFrames(a, b *AddressSpace, buf []uint64) []uint64 {
 	out := buf
 	for vpn, pa := range a.pages {

@@ -230,7 +230,7 @@ func TestDiffFrames(t *testing.T) {
 	}
 	cp2 := base.Fork()
 
-	diff := DiffFrames(cp1, cp2)
+	diff := AppendDiffFrames(cp1, cp2, nil)
 	want := map[uint64]bool{1: true, 0x100000 / pg: true}
 	if len(diff) != len(want) {
 		t.Fatalf("diff = %v, want pages %v", diff, want)

@@ -70,7 +70,10 @@ func TestBaselineSmoke(t *testing.T) {
 }
 
 func TestBaselineDeterminism(t *testing.T) {
-	prog := asm.MustAssemble("sum", sumSrc)
+	prog, err := asm.Assemble("sum", sumSrc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	run := func() *BaselineResult {
 		e := newTestEngine(t)
 		res, err := e.RunBaseline(prog, e.M.BigCores()[0])

@@ -276,16 +276,3 @@ func ExpBuckets(start, factor float64, count int) []float64 {
 	}
 	return b
 }
-
-// LinearBuckets builds count upper bounds starting at start, stepping by
-// width.
-func LinearBuckets(start, width float64, count int) []float64 {
-	if width <= 0 || count < 1 {
-		panic("telemetry: LinearBuckets needs width > 0, count >= 1")
-	}
-	b := make([]float64, count)
-	for i := range b {
-		b[i] = start + float64(i)*width
-	}
-	return b
-}

@@ -255,13 +255,6 @@ func TestBucketHelpers(t *testing.T) {
 			t.Fatalf("ExpBuckets = %v", exp)
 		}
 	}
-	lin := LinearBuckets(0, 5, 3)
-	wantLin := []float64{0, 5, 10}
-	for i := range wantLin {
-		if lin[i] != wantLin[i] {
-			t.Fatalf("LinearBuckets = %v", lin)
-		}
-	}
 }
 
 func TestSpanRecorder(t *testing.T) {
