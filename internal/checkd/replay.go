@@ -210,7 +210,7 @@ func (c *checker) check(store *pagestore.Store, pkt *packet.CheckPacket) (Verdic
 
 	p := proc.New(pkt.CheckerPID, 1, pkt.ProgName, code, as, pkt.PMUSeed)
 	k.Register(p.PID)
-	p.Regs = pkt.Start.Regs.Regs()
+	p.Regs = pkt.Start.Regs
 	p.PC = pkt.Start.PC
 	p.Policy = c.policy
 	p.InstrLimit = pkt.InstrLimit
@@ -307,8 +307,7 @@ func endStateMismatch(pkt *packet.CheckPacket, p *proc.Process) *core.DetectedEr
 	if !pkt.Config.CompareStates {
 		return nil // RAFT model: no state comparison at segment ends
 	}
-	ref := pkt.EndState.Regs.Regs()
-	if d := core.EndRegMismatch(pkt.Segment, p, &ref, pkt.EndState.PC); d != nil {
+	if d := core.EndRegMismatch(pkt.Segment, p, &pkt.EndState.Regs, pkt.EndState.PC); d != nil {
 		return d
 	}
 	expected := make([]compare.ExpectedPage, len(pkt.EndState.Pages))

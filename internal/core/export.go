@@ -5,7 +5,6 @@ import (
 
 	"parallaft/internal/machine"
 	"parallaft/internal/mem"
-	"parallaft/internal/oskernel"
 	"parallaft/internal/packet"
 	"parallaft/internal/pagestore"
 	"parallaft/internal/proc"
@@ -13,9 +12,11 @@ import (
 	"parallaft/internal/telemetry"
 )
 
-// This file owns the core↔wire mapping: exportSegment/exportEvent turn a
-// sealed segment into a check packet, importEvent/ReplayPacket turn a packet
-// back into a record the replay engine runs.
+// This file owns the core↔wire mapping: exportSegment turns a sealed
+// segment into a check packet, ReplayPacket runs a packet through the replay
+// engine. The record needs no mapping: a segment's log holds packet.Events,
+// so a sealed log becomes the packet's Events, and a packet's Events the
+// replayed log, without a copy.
 
 // PageHashSeed is the seed of the end-of-segment page hashes. Exported so
 // packet tooling can build pagestores whose keys share the comparison
@@ -58,7 +59,7 @@ func (r *Runtime) exportSegment(seg *Segment) error {
 		Benchmark:  r.stats.Benchmark,
 		ProgName:   r.main.Name,
 		Segment:    seg.Index,
-		End:        packet.ExecPoint(seg.End),
+		End:        seg.End,
 		EndIsExit:  seg.EndIsExit,
 		InstrLimit: seg.chk().Checker.InstrLimit,
 		MainInstrs: seg.MainInstrs,
@@ -73,13 +74,11 @@ func (r *Runtime) exportSegment(seg *Segment) error {
 
 	exportStartState(&p.Start, seg.StartCP.p, exp)
 
-	p.Events = make([]packet.Event, 0, len(seg.Log.Events))
-	for i := range seg.Log.Events {
-		p.Events = append(p.Events, exportEvent(&seg.Log.Events[i]))
-	}
+	// A sealed log is never appended to, so the packet shares it.
+	p.Events = seg.Log.Events
 
 	end := seg.EndCP.p
-	p.EndState.Regs = packet.RegsToWire(&end.Regs)
+	p.EndState.Regs = end.Regs
 	p.EndState.PC = end.PC
 	endRefs := end.AS.FrameRefs()
 	p.EndState.Pages = make([]packet.PageHash, 0, len(endRefs))
@@ -96,7 +95,7 @@ func (r *Runtime) exportSegment(seg *Segment) error {
 // (COW sharing across consecutive checkpoints dedups automatically —
 // identical frames carry identical content keys).
 func exportStartState(st *packet.StartState, cp *proc.Process, exp *packet.Exporter) {
-	st.Regs = packet.RegsToWire(&cp.Regs)
+	st.Regs = cp.Regs
 	st.PC = cp.PC
 	st.BrkBase = cp.AS.BrkBase()
 	st.Brk = cp.AS.CurrentBrk()
@@ -132,63 +131,6 @@ func exportStartState(st *packet.StartState, cp *proc.Process, exp *packet.Expor
 	sort.Slice(st.Handlers, func(i, j int) bool { return st.Handlers[i].Sig < st.Handlers[j].Sig })
 }
 
-// exportEvent converts one rrlog entry to wire form.
-func exportEvent(ev *Event) packet.Event {
-	out := packet.Event{Kind: uint8(ev.Kind)}
-	switch ev.Kind {
-	case EvSyscall:
-		rec := ev.Syscall
-		out.Syscall = &packet.SyscallEvent{
-			Nr:            uint16(rec.Info.Nr),
-			Args:          rec.Info.Args,
-			Class:         uint8(rec.Class),
-			In:            rec.In,
-			Ret:           rec.Ret,
-			Out:           rec.Out,
-			MmapFixedAddr: rec.MmapFixedAddr,
-		}
-	case EvNondet:
-		out.Nondet = &packet.NondetEvent{PC: ev.Nondet.PC, Value: ev.Nondet.Value}
-	case EvSignalInternal, EvSignalExternal:
-		rec := ev.Signal
-		out.Signal = &packet.SignalEvent{
-			Sig:   uint8(rec.Sig),
-			PC:    rec.PC,
-			Point: packet.ExecPoint(rec.Point),
-			Fatal: rec.Fatal,
-		}
-	}
-	return out
-}
-
-// importEvent is exportEvent's inverse: one wire entry back to rrlog form.
-func importEvent(ev *packet.Event) Event {
-	out := Event{Kind: EventKind(ev.Kind)}
-	switch out.Kind {
-	case EvSyscall:
-		rec := ev.Syscall
-		out.Syscall = &SyscallRecord{
-			Info:          oskernel.Info{Nr: oskernel.Sys(rec.Nr), Args: rec.Args},
-			Class:         oskernel.Class(rec.Class),
-			In:            rec.In,
-			Ret:           rec.Ret,
-			Out:           rec.Out,
-			MmapFixedAddr: rec.MmapFixedAddr,
-		}
-	case EvNondet:
-		out.Nondet = &NondetRecord{PC: ev.Nondet.PC, Value: ev.Nondet.Value}
-	case EvSignalInternal, EvSignalExternal:
-		rec := ev.Signal
-		out.Signal = &SignalRecord{
-			Sig:   proc.Signal(rec.Sig),
-			PC:    rec.PC,
-			Point: ExecPoint(rec.Point),
-			Fatal: rec.Fatal,
-		}
-	}
-	return out
-}
-
 // packetHost is the replay host of a packet re-check: it latches the first
 // divergence. Tracer work costs a daemon nothing — its verdict is the whole
 // product.
@@ -217,15 +159,12 @@ func ReplayPacket(e *sim.Engine, task *sim.Task, pkt *packet.CheckPacket) *Detec
 	}
 	seg := Segment{
 		Index:      pkt.Segment,
-		End:        ExecPoint(pkt.End),
+		End:        pkt.End,
 		EndIsExit:  pkt.EndIsExit,
 		MainInstrs: pkt.MainInstrs,
 		sealed:     true,
 	}
-	seg.Log.Events = make([]Event, len(pkt.Events))
-	for i := range pkt.Events {
-		seg.Log.Events[i] = importEvent(&pkt.Events[i])
-	}
+	seg.Log.Events = pkt.Events
 	var h packetHost
 	en := replayEngine{host: &h, cfg: &cfg, e: e, seg: &seg,
 		Checker: task.P, Task: task, skid: cfg.SkidBuffer}

@@ -7,6 +7,7 @@ import (
 	"parallaft/internal/asm"
 	"parallaft/internal/machine"
 	"parallaft/internal/oskernel"
+	"parallaft/internal/packet"
 	"parallaft/internal/proc"
 	"parallaft/internal/sim"
 	"parallaft/internal/telemetry"
@@ -272,7 +273,7 @@ func (r *Runtime) startSegment() {
 // checkpoint and arms its checker for end-point replay.
 func (r *Runtime) sealCurrent(cp *checkpoint) {
 	cur := r.current
-	cur.End = ExecPoint{Branches: r.main.Branches - cur.mainStartBranches, PC: r.main.PC}
+	cur.End = packet.ExecPoint{Branches: r.main.Branches - cur.mainStartBranches, PC: r.main.PC}
 	cur.MainInstrs = r.main.ReadInstrCounter() - cur.mainStartInstrs
 	cur.mainEndNs = r.mainTask.Clock
 	cur.sealed = true
@@ -318,7 +319,7 @@ func (r *Runtime) sealFinal() {
 		r.sched.onMainExit()
 		return
 	}
-	cur.End = ExecPoint{Branches: r.main.Branches - cur.mainStartBranches, PC: r.main.PC}
+	cur.End = packet.ExecPoint{Branches: r.main.Branches - cur.mainStartBranches, PC: r.main.PC}
 	cur.EndIsExit = true
 	cur.MainInstrs = r.main.ReadInstrCounter() - cur.mainStartInstrs
 	cur.mainEndNs = r.mainTask.Clock
@@ -441,7 +442,7 @@ func (r *Runtime) recordSyscall() error {
 		r.containWait = false
 	}
 
-	rec := &SyscallRecord{Info: info, Class: model.Class}
+	rec := &packet.SyscallEvent{Info: info, Class: model.Class}
 	rec.In = captureRegions(p, model.In(r.e.K, p, info.Args))
 	for _, reg := range rec.In {
 		r.chargeRuntimeMain(machine.ActRecord, float64(len(reg.Data))*r.cfg.RecordByteNs)
@@ -469,7 +470,7 @@ func (r *Runtime) recordSyscall() error {
 	}
 
 	if r.current != nil {
-		r.current.Log.Append(Event{Kind: EvSyscall, Syscall: rec})
+		r.current.Log.Append(packet.Event{Kind: packet.EvSyscall, Syscall: rec})
 		r.wakeChecker(r.current)
 	}
 
@@ -528,10 +529,10 @@ func (r *Runtime) recordNondet() {
 	r.tm.nondet.Inc()
 	r.cfg.Trace.Emit(r.mainTask.Clock, telemetry.Nondet, r.currentIndex(), "pc %d", p.PC)
 	val := sim.EmulateNondet(p, r.mainCore, r.mainTask.Clock)
-	rec := &NondetRecord{PC: p.PC, Value: val}
+	rec := &packet.NondetEvent{PC: p.PC, Value: val}
 	sim.FinishNondet(p, val)
 	if r.current != nil {
-		r.current.Log.Append(Event{Kind: EvNondet, Nondet: rec})
+		r.current.Log.Append(packet.Event{Kind: packet.EvNondet, Nondet: rec})
 		r.wakeChecker(r.current)
 	}
 }
@@ -542,11 +543,11 @@ func (r *Runtime) recordInternalSignal(sig proc.Signal) {
 	r.stats.SignalsTraced++
 	r.tm.signals.Inc()
 	r.cfg.Trace.Emit(r.mainTask.Clock, telemetry.Signal, r.currentIndex(), "internal %v at pc %d", sig, p.PC)
-	rec := &SignalRecord{Sig: sig, PC: p.PC}
+	rec := &packet.SignalEvent{Sig: sig, PC: p.PC}
 	alive := p.DeliverSignal(sig)
 	rec.Fatal = !alive
 	if r.current != nil {
-		r.current.Log.Append(Event{Kind: EvSignalInternal, Signal: rec})
+		r.current.Log.Append(packet.Event{Kind: packet.EvSignalInternal, Signal: rec})
 		r.wakeChecker(r.current)
 	}
 	if !alive {
@@ -565,11 +566,11 @@ func (r *Runtime) InjectExternalSignal(sig proc.Signal) {
 	r.chargeRuntimeMain(machine.ActRecord, r.cfg.tracerStopNs())
 	r.stats.SignalsTraced++
 	r.tm.signals.Inc()
-	point := ExecPoint{Branches: r.main.Branches - r.current.mainStartBranches, PC: r.main.PC}
-	rec := &SignalRecord{Sig: sig, PC: r.main.PC, Point: point}
+	point := packet.ExecPoint{Branches: r.main.Branches - r.current.mainStartBranches, PC: r.main.PC}
+	rec := &packet.SignalEvent{Sig: sig, PC: r.main.PC, Point: point}
 	alive := r.main.DeliverSignal(sig)
 	rec.Fatal = !alive
-	r.current.Log.Append(Event{Kind: EvSignalExternal, Signal: rec})
+	r.current.Log.Append(packet.Event{Kind: packet.EvSignalExternal, Signal: rec})
 	r.wakeChecker(r.current)
 	if !alive {
 		r.sealFinal()

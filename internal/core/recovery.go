@@ -6,6 +6,7 @@ import (
 
 	"parallaft/internal/compare"
 	"parallaft/internal/oskernel"
+	"parallaft/internal/packet"
 	"parallaft/internal/proc"
 	"parallaft/internal/telemetry"
 )
@@ -215,7 +216,7 @@ func (r *Runtime) discardFrom(first int, wall float64) {
 			continue
 		}
 		for _, ev := range s.Log.Events {
-			if ev.Kind == EvSyscall && ev.Syscall.Class == oskernel.ClassGlobal {
+			if ev.Kind == packet.EvSyscall && ev.Syscall.Class == oskernel.ClassGlobal {
 				r.stats.ReexecutedEffects++
 			}
 		}

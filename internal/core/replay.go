@@ -5,6 +5,7 @@ import (
 
 	"parallaft/internal/machine"
 	"parallaft/internal/oskernel"
+	"parallaft/internal/packet"
 	"parallaft/internal/proc"
 	"parallaft/internal/sim"
 )
@@ -55,7 +56,7 @@ type replayEngine struct {
 	// End-point steering state (§4.2.2).
 	replayIdx    int
 	phase        checkerPhase
-	target       ExecPoint // active steering target (signal point or segment end)
+	target       packet.ExecPoint // active steering target (signal point or segment end)
 	targetIsEnd  bool
 	targetActive bool
 	skid         uint64 // how far short of the target the branch counter is armed
@@ -74,7 +75,7 @@ func (en *replayEngine) failSig(sig proc.Signal, format string, args ...any) {
 }
 
 // nextEvent returns the next unconsumed log event, or nil.
-func (en *replayEngine) nextEvent() *Event {
+func (en *replayEngine) nextEvent() *packet.Event {
 	if en.replayIdx >= len(en.seg.Log.Events) {
 		return nil
 	}
@@ -93,9 +94,9 @@ func (en *replayEngine) nextEvent() *Event {
 // a breakpoint on the target PC until the branch count matches.
 func (en *replayEngine) ensureTarget() {
 	seg := en.seg
-	var want ExecPoint
+	var want packet.ExecPoint
 	var isEnd, active bool
-	if ev := en.nextEvent(); ev != nil && ev.Kind == EvSignalExternal {
+	if ev := en.nextEvent(); ev != nil && ev.Kind == packet.EvSignalExternal {
 		want, isEnd, active = ev.Signal.Point, false, true
 	} else if seg.sealed && !seg.EndIsExit {
 		want, isEnd, active = seg.End, true, true
@@ -262,7 +263,7 @@ func (en *replayEngine) replaySyscall() {
 			"checker issued syscall %v past the end of the record", oskernel.Decode(c).Nr)
 		return
 	}
-	if ev.Kind != EvSyscall {
+	if ev.Kind != packet.EvSyscall {
 		en.fail(ErrEventOrderMismatch, "checker at a syscall, record expects %v", ev.Kind)
 		return
 	}
@@ -354,7 +355,7 @@ func (en *replayEngine) replayNondet() {
 		en.fail(ErrEventOrderMismatch, "checker nondet instruction past end of record")
 		return
 	}
-	if ev.Kind != EvNondet {
+	if ev.Kind != packet.EvNondet {
 		en.fail(ErrEventOrderMismatch, "checker at nondet instruction, record expects %v", ev.Kind)
 		return
 	}
@@ -386,7 +387,7 @@ func (en *replayEngine) replayFault(sig proc.Signal) {
 		en.failSig(sig, "checker fault %v at pc %d with no recorded event", sig, c.PC)
 		return
 	}
-	if ev == nil || ev.Kind != EvSignalInternal || ev.Signal.Sig != sig || ev.Signal.PC != c.PC {
+	if ev == nil || ev.Kind != packet.EvSignalInternal || ev.Signal.Sig != sig || ev.Signal.PC != c.PC {
 		en.failSig(sig, "checker fault %v at pc %d diverges from record", sig, c.PC)
 		return
 	}
@@ -435,7 +436,7 @@ func (en *replayEngine) reachedEnd() {
 	en.host.reached()
 }
 
-func bytesIn(regions []RegionData) int {
+func bytesIn(regions []packet.Region) int {
 	n := 0
 	for _, r := range regions {
 		n += len(r.Data)

@@ -324,7 +324,7 @@ type Segment struct {
 	Log RRLog
 
 	// Recorded end of the segment.
-	End        ExecPoint
+	End        packet.ExecPoint
 	EndIsExit  bool
 	MainInstrs uint64 // noisy count, for the timeout budget
 

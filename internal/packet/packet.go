@@ -9,20 +9,30 @@
 // pure functions of exactly these inputs (§4.2–4.4), which is what makes
 // the packet a complete, schedulable unit of verification.
 //
+// Event is the record itself, not a copy of it: the recording runtime
+// appends Events to a segment's log, a sealed log becomes a packet's Events
+// as it is, and the replay engine consumes a decoded packet's Events as
+// they are.
+//
 // The encoding is versioned, little-endian, and deterministic: encoding the
 // same packet twice yields identical bytes, and Decode(Encode(p)) followed
-// by Encode reproduces the input byte for byte. Decode never panics on
-// arbitrary input; malformed packets yield typed errors (ErrMagic,
-// ErrVersion, ErrTruncated, ErrCorrupt).
+// by Encode reproduces the input byte for byte. The layout is written once,
+// as a walk over the packet (coder.packet) that encoding and decoding both
+// run; the config digest hashes that walk's config block. Encoding only
+// reads the packet, so many goroutines may encode one packet at once.
+// Decode never panics on arbitrary input; malformed packets yield typed
+// errors (ErrMagic, ErrVersion, ErrTruncated, ErrCorrupt).
 package packet
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
 
 	"parallaft/internal/hashx"
 	"parallaft/internal/isa"
+	"parallaft/internal/oskernel"
 	"parallaft/internal/pagestore"
 	"parallaft/internal/proc"
 )
@@ -76,55 +86,26 @@ type Config struct {
 // digestSeed seeds the config digest hash.
 const digestSeed = 0x70616674636667 // "paftcfg"
 
-// Digest returns a stable 64-bit digest of the verdict-relevant config.
-func (c Config) Digest() uint64 {
-	var e enc
-	e.u64(c.PageSize)
-	e.u64(c.Quantum)
-	e.u64(c.SkidBuffer)
-	e.f64(c.TimeoutScale)
-	e.bool(c.CompareStates)
-	e.bool(c.SoftDirtyTracking)
-	e.bool(c.CompareFullMemory)
-	e.u64(c.HashSeed)
-	return hashx.Sum64(digestSeed, e.buf)
+// Digest returns a stable 64-bit digest of the verdict-relevant config: the
+// hash of its block of the wire layout.
+func (cfg Config) Digest() uint64 {
+	var c coder
+	c.config(&cfg)
+	return hashx.Sum64(digestSeed, c.buf)
 }
 
-// ExecPoint mirrors core.ExecPoint: a precise point in a segment's
-// execution (segment-relative retired branches + PC).
+// ExecPoint identifies a precise point in a segment's execution: the number
+// of branches retired since the segment started, plus the program counter.
+// A PC alone is not sufficient because it may be inside a loop; the branch
+// count selects the iteration (§4.2, footnote 5).
 type ExecPoint struct {
-	Branches uint64
+	Branches uint64 // segment-relative retired-branch count
 	PC       uint64
 }
 
-// RegFile is the architectural register file in wire form. Floats are
-// carried as bit patterns so NaNs survive the trip bit-exactly.
-type RegFile struct {
-	X [isa.NumGPR]uint64
-	F [isa.NumFPR]uint64 // math.Float64bits of proc.Regs.F
-	V [isa.NumVR][isa.VLanes]uint64
-}
-
-// RegsToWire converts a live register file to wire form.
-func RegsToWire(r *proc.Regs) RegFile {
-	var w RegFile
-	w.X = r.X
-	for i, f := range r.F {
-		w.F[i] = math.Float64bits(f)
-	}
-	w.V = r.V
-	return w
-}
-
-// Regs converts the wire form back to a live register file.
-func (w *RegFile) Regs() proc.Regs {
-	var r proc.Regs
-	r.X = w.X
-	for i, bits := range w.F {
-		r.F[i] = math.Float64frombits(bits)
-	}
-	r.V = w.V
-	return r
+// String renders the execution point.
+func (e ExecPoint) String() string {
+	return fmt.Sprintf("pc=%d after %d branches", e.PC, e.Branches)
 }
 
 // VMA is one mapped region of the start state.
@@ -149,9 +130,10 @@ type Handler struct {
 	PC  uint64
 }
 
-// StartState is the segment-start checkpoint in portable form.
+// StartState is the segment-start checkpoint in portable form. Registers
+// travel bit-exact: floats as their bit patterns, so NaN payloads survive.
 type StartState struct {
-	Regs     RegFile
+	Regs     proc.Regs
 	PC       uint64
 	BrkBase  uint64
 	Brk      uint64
@@ -166,43 +148,80 @@ type Region struct {
 	Data []byte
 }
 
-// SyscallEvent mirrors core.SyscallRecord.
+// EventKind tags record/replay log entries.
+type EventKind uint8
+
+// Event kinds.
+const (
+	// EvSyscall covers all three syscall classes; the record's Class field
+	// selects replay behaviour.
+	EvSyscall EventKind = iota
+	// EvNondet is a trapped nondeterministic instruction (rdtsc/mrs).
+	EvNondet
+	// EvSignalInternal is a fault raised by the application itself
+	// (SIGSEGV, SIGFPE); it occurs at a deterministic point so replay is
+	// self-synchronising (§4.3.3).
+	EvSignalInternal
+	// EvSignalExternal is an asynchronous signal from outside; its
+	// delivery point is an ExecPoint the checker must be steered to
+	// (§4.3.3).
+	EvSignalExternal
+)
+
+// String names the event kind.
+func (k EventKind) String() string {
+	switch k {
+	case EvSyscall:
+		return "syscall"
+	case EvNondet:
+		return "nondet"
+	case EvSignalInternal:
+		return "signal-internal"
+	case EvSignalExternal:
+		return "signal-external"
+	}
+	return fmt.Sprintf("event(%d)", uint8(k))
+}
+
+// SyscallEvent captures one syscall made by the main process.
 type SyscallEvent struct {
-	Nr            uint16
-	Args          [5]uint64
-	Class         uint8
-	In            []Region
-	Ret           int64
-	Out           []Region
+	Info  oskernel.Info
+	Class oskernel.Class
+	// In holds the contents of the input regions (per the syscall model)
+	// at the time the main issued the call; the checker's inputs must
+	// match byte-for-byte.
+	In []Region
+	// Ret is the main's return value, replayed to the checker for global
+	// and non-effectful calls.
+	Ret int64
+	// Out holds the memory the kernel wrote for the main (e.g. read
+	// data), replayed into the checker.
+	Out []Region
+	// MmapFixedAddr pins the checker's replayed mmap to the address ASLR
+	// gave the main (§4.3.2); zero when not an address-returning map.
 	MmapFixedAddr uint64
 }
 
-// NondetEvent mirrors core.NondetRecord.
+// NondetEvent captures a trapped nondeterministic instruction.
 type NondetEvent struct {
 	PC    uint64
 	Value uint64
 }
 
-// SignalEvent mirrors core.SignalRecord.
+// SignalEvent captures a signal delivery.
 type SignalEvent struct {
-	Sig   uint8
-	PC    uint64
+	Sig proc.Signal
+	PC  uint64
+	// Point is the segment-relative delivery point for external signals.
 	Point ExecPoint
+	// Fatal records that the main had no handler and was killed.
 	Fatal bool
 }
 
-// Event kinds; values match core.EventKind.
-const (
-	EvSyscall        = 0
-	EvNondet         = 1
-	EvSignalInternal = 2
-	EvSignalExternal = 3
-)
-
-// Event is one record/replay log entry in wire form. Exactly one payload
-// pointer is non-nil, selected by Kind.
+// Event is one record/replay log entry. Exactly one payload pointer is
+// non-nil, selected by Kind.
 type Event struct {
-	Kind    uint8
+	Kind    EventKind
 	Syscall *SyscallEvent
 	Nondet  *NondetEvent
 	Signal  *SignalEvent
@@ -218,7 +237,7 @@ type PageHash struct {
 // EndState is the expected segment-end state: registers compared bit-exact,
 // memory compared by per-page content hash.
 type EndState struct {
-	Regs  RegFile
+	Regs  proc.Regs
 	PC    uint64
 	Pages []PageHash // sorted by VPN; every page mapped at segment end
 }
@@ -288,140 +307,13 @@ func (p *CheckPacket) ChunkKeys(dst []pagestore.Key) []pagestore.Key {
 	return dst
 }
 
-// --- code serialization -----------------------------------------------------
-
-// codeInstrBytes is the fixed encoding size of one instruction.
-const codeInstrBytes = 12
-
-// EncodeCode serializes program text: 12 bytes per instruction.
-func EncodeCode(code []isa.Instr) []byte {
-	var e enc
-	e.buf = make([]byte, 0, len(code)*codeInstrBytes)
-	for _, ins := range code {
-		e.u8(uint8(ins.Op))
-		e.u8(ins.Rd)
-		e.u8(ins.Ra)
-		e.u8(ins.Rb)
-		e.i64(ins.Imm)
-	}
-	return e.buf
-}
-
-// DecodeCode deserializes program text encoded by EncodeCode.
-func DecodeCode(b []byte, n int) ([]isa.Instr, error) {
-	if n < 0 || n > maxCount || len(b) != n*codeInstrBytes {
-		return nil, fmt.Errorf("%w: code length %d does not match %d instructions", ErrCorrupt, len(b), n)
-	}
-	d := dec{b: b}
-	code := make([]isa.Instr, n)
-	for i := range code {
-		code[i].Op = isa.Op(d.u8())
-		code[i].Rd = d.u8()
-		code[i].Ra = d.u8()
-		code[i].Rb = d.u8()
-		code[i].Imm = d.i64()
-	}
-	return code, d.err
-}
-
-// --- encoding ---------------------------------------------------------------
-
 // Encode serializes the packet. The output is deterministic: one packet has
 // exactly one encoding. Encode writes p.Version verbatim (not the package
 // constant), so version-mismatch handling is testable end to end.
 func Encode(p *CheckPacket) []byte {
-	var e enc
-	e.buf = make([]byte, 0, 1024)
-	e.raw(magic[:])
-	e.u16(p.Version)
-	e.u64(p.ConfigDigest)
-	e.u64(p.TraceID)
-
-	e.u64(p.Config.PageSize)
-	e.u64(p.Config.Quantum)
-	e.u64(p.Config.SkidBuffer)
-	e.f64(p.Config.TimeoutScale)
-	e.bool(p.Config.CompareStates)
-	e.bool(p.Config.SoftDirtyTracking)
-	e.bool(p.Config.CompareFullMemory)
-	e.u64(p.Config.HashSeed)
-
-	e.str(p.Benchmark)
-	e.str(p.ProgName)
-	e.i64(int64(p.Segment))
-
-	e.u64(p.End.Branches)
-	e.u64(p.End.PC)
-	e.bool(p.EndIsExit)
-	e.u64(p.InstrLimit)
-	e.u64(p.MainInstrs)
-	e.i64(int64(p.CheckerPID))
-	e.i64(p.PMUSeed)
-	e.i64(int64(p.MaxSkid))
-
-	e.u64(uint64(p.CodeKey))
-	e.i64(int64(p.CodeLen))
-
-	e.regs(&p.Start.Regs)
-	e.u64(p.Start.PC)
-	e.u64(p.Start.BrkBase)
-	e.u64(p.Start.Brk)
-	e.u32(uint32(len(p.Start.VMAs)))
-	for _, v := range p.Start.VMAs {
-		e.u64(v.Base)
-		e.u64(v.Length)
-		e.u8(v.Prot)
-		e.str(v.Name)
-	}
-	e.u32(uint32(len(p.Start.Pages)))
-	for _, pg := range p.Start.Pages {
-		e.u64(pg.VPN)
-		e.u64(uint64(pg.Key))
-		e.u8(pg.Prot)
-	}
-	e.u32(uint32(len(p.Start.Handlers)))
-	for _, h := range p.Start.Handlers {
-		e.u8(h.Sig)
-		e.u64(h.PC)
-	}
-
-	e.u32(uint32(len(p.Events)))
-	for i := range p.Events {
-		ev := &p.Events[i]
-		e.u8(ev.Kind)
-		switch ev.Kind {
-		case EvSyscall:
-			s := ev.Syscall
-			e.u16(s.Nr)
-			for _, a := range s.Args {
-				e.u64(a)
-			}
-			e.u8(s.Class)
-			e.regions(s.In)
-			e.i64(s.Ret)
-			e.regions(s.Out)
-			e.u64(s.MmapFixedAddr)
-		case EvNondet:
-			e.u64(ev.Nondet.PC)
-			e.u64(ev.Nondet.Value)
-		case EvSignalInternal, EvSignalExternal:
-			s := ev.Signal
-			e.u8(s.Sig)
-			e.u64(s.PC)
-			e.u64(s.Point.Branches)
-			e.u64(s.Point.PC)
-			e.bool(s.Fatal)
-		}
-	}
-
-	e.regs(&p.EndState.Regs)
-	e.u64(p.EndState.PC)
-	e.u32(uint32(len(p.EndState.Pages)))
-	for _, pg := range p.EndState.Pages {
-		e.u64(pg.VPN)
-		e.u64(pg.Sum)
-	}
-	return e.buf
+	c := coder{buf: make([]byte, 0, 1024)}
+	c.packet(p)
+	return c.buf
 }
 
 // Decode deserializes a packet. It never panics: malformed input yields a
@@ -429,323 +321,331 @@ func Encode(p *CheckPacket) []byte {
 // and unknown event kinds are all rejected, so every valid byte string has
 // exactly one packet (and vice versa).
 func Decode(b []byte) (*CheckPacket, error) {
-	d := dec{b: b}
-	var m [6]byte
-	copy(m[:], d.raw(6))
-	if d.err != nil {
-		return nil, d.err
-	}
-	if m != magic {
-		return nil, ErrMagic
-	}
+	c := coder{decoding: true, buf: b}
 	p := &CheckPacket{}
-	p.Version = d.u16()
-	if d.err != nil {
-		return nil, d.err
+	c.packet(p)
+	if c.err == nil && c.off != len(b) {
+		c.fail(fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(b)-c.off))
 	}
-	if p.Version < MinVersion || p.Version > Version {
-		return nil, fmt.Errorf("%w: got %d, support %d..%d", ErrVersion, p.Version, MinVersion, Version)
-	}
-	p.ConfigDigest = d.u64()
-	p.TraceID = d.u64()
-
-	p.Config.PageSize = d.u64()
-	p.Config.Quantum = d.u64()
-	p.Config.SkidBuffer = d.u64()
-	p.Config.TimeoutScale = d.f64()
-	p.Config.CompareStates = d.bool()
-	p.Config.SoftDirtyTracking = d.bool()
-	p.Config.CompareFullMemory = d.bool()
-	p.Config.HashSeed = d.u64()
-
-	p.Benchmark = d.str()
-	p.ProgName = d.str()
-	p.Segment = int(d.i64())
-
-	p.End.Branches = d.u64()
-	p.End.PC = d.u64()
-	p.EndIsExit = d.bool()
-	p.InstrLimit = d.u64()
-	p.MainInstrs = d.u64()
-	p.CheckerPID = int(d.i64())
-	p.PMUSeed = d.i64()
-	p.MaxSkid = int(d.i64())
-
-	p.CodeKey = pagestore.Key(d.u64())
-	p.CodeLen = int(d.i64())
-
-	d.regs(&p.Start.Regs)
-	p.Start.PC = d.u64()
-	p.Start.BrkBase = d.u64()
-	p.Start.Brk = d.u64()
-	if n := d.count(17); n > 0 {
-		p.Start.VMAs = make([]VMA, n)
-		for i := range p.Start.VMAs {
-			p.Start.VMAs[i].Base = d.u64()
-			p.Start.VMAs[i].Length = d.u64()
-			p.Start.VMAs[i].Prot = d.u8()
-			p.Start.VMAs[i].Name = d.str()
-		}
-	}
-	if n := d.count(17); n > 0 {
-		p.Start.Pages = make([]PageRef, n)
-		for i := range p.Start.Pages {
-			p.Start.Pages[i].VPN = d.u64()
-			p.Start.Pages[i].Key = pagestore.Key(d.u64())
-			p.Start.Pages[i].Prot = d.u8()
-		}
-	}
-	if n := d.count(9); n > 0 {
-		p.Start.Handlers = make([]Handler, n)
-		for i := range p.Start.Handlers {
-			p.Start.Handlers[i].Sig = d.u8()
-			p.Start.Handlers[i].PC = d.u64()
-		}
-	}
-
-	if n := d.count(1); n > 0 {
-		p.Events = make([]Event, n)
-		for i := range p.Events {
-			ev := &p.Events[i]
-			ev.Kind = d.u8()
-			if d.err != nil {
-				return nil, d.err
-			}
-			switch ev.Kind {
-			case EvSyscall:
-				s := &SyscallEvent{}
-				s.Nr = d.u16()
-				for j := range s.Args {
-					s.Args[j] = d.u64()
-				}
-				s.Class = d.u8()
-				s.In = d.regions()
-				s.Ret = d.i64()
-				s.Out = d.regions()
-				s.MmapFixedAddr = d.u64()
-				ev.Syscall = s
-			case EvNondet:
-				ev.Nondet = &NondetEvent{PC: d.u64(), Value: d.u64()}
-			case EvSignalInternal, EvSignalExternal:
-				s := &SignalEvent{}
-				s.Sig = d.u8()
-				s.PC = d.u64()
-				s.Point.Branches = d.u64()
-				s.Point.PC = d.u64()
-				s.Fatal = d.bool()
-				ev.Signal = s
-			default:
-				return nil, fmt.Errorf("%w: unknown event kind %d", ErrCorrupt, ev.Kind)
-			}
-		}
-	}
-
-	d.regs(&p.EndState.Regs)
-	p.EndState.PC = d.u64()
-	if n := d.count(16); n > 0 {
-		p.EndState.Pages = make([]PageHash, n)
-		for i := range p.EndState.Pages {
-			p.EndState.Pages[i].VPN = d.u64()
-			p.EndState.Pages[i].Sum = d.u64()
-		}
-	}
-
-	if d.err != nil {
-		return nil, d.err
-	}
-	if d.off != len(d.b) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(d.b)-d.off)
+	if c.err != nil {
+		return nil, c.err
 	}
 	return p, nil
 }
 
-// --- primitive writer -------------------------------------------------------
+// codeInstrBytes is the fixed encoding size of one instruction.
+const codeInstrBytes = 12
 
-type enc struct {
-	buf []byte
+// EncodeCode serializes program text: 12 bytes per instruction.
+func EncodeCode(code []isa.Instr) []byte {
+	c := coder{buf: make([]byte, 0, len(code)*codeInstrBytes)}
+	for i := range code {
+		c.instr(&code[i])
+	}
+	return c.buf
 }
 
-func (e *enc) raw(b []byte) { e.buf = append(e.buf, b...) }
-func (e *enc) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *enc) u16(v uint16) { e.buf = append(e.buf, byte(v), byte(v>>8)) }
-func (e *enc) u32(v uint32) {
-	e.buf = append(e.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24))
-}
-func (e *enc) u64(v uint64) {
-	e.buf = append(e.buf, byte(v), byte(v>>8), byte(v>>16), byte(v>>24),
-		byte(v>>32), byte(v>>40), byte(v>>48), byte(v>>56))
-}
-func (e *enc) i64(v int64)   { e.u64(uint64(v)) }
-func (e *enc) f64(v float64) { e.u64(math.Float64bits(v)) }
-func (e *enc) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
+// DecodeCode deserializes program text encoded by EncodeCode.
+func DecodeCode(b []byte, n int) ([]isa.Instr, error) {
+	if n < 0 || n > maxCount || len(b) != n*codeInstrBytes {
+		return nil, fmt.Errorf("%w: code length %d does not match %d instructions", ErrCorrupt, len(b), n)
 	}
-}
-func (e *enc) str(s string) {
-	e.u32(uint32(len(s)))
-	e.buf = append(e.buf, s...)
-}
-func (e *enc) regs(r *RegFile) {
-	for _, x := range r.X {
-		e.u64(x)
+	c := coder{decoding: true, buf: b}
+	code := make([]isa.Instr, n)
+	for i := range code {
+		c.instr(&code[i])
 	}
-	for _, f := range r.F {
-		e.u64(f)
+	return code, c.err
+}
+
+// --- the layout ---------------------------------------------------------------
+
+// packet is the wire layout: every field of the format, in order, once.
+func (c *coder) packet(p *CheckPacket) {
+	c.magic()
+	u16(c, &p.Version)
+	if c.decoding && c.err == nil && (p.Version < MinVersion || p.Version > Version) {
+		c.fail(fmt.Errorf("%w: got %d, support %d..%d", ErrVersion, p.Version, MinVersion, Version))
 	}
-	for _, v := range r.V {
-		for _, lane := range v {
-			e.u64(lane)
+	u64(c, &p.ConfigDigest)
+	u64(c, &p.TraceID)
+	c.config(&p.Config)
+
+	c.str(&p.Benchmark)
+	c.str(&p.ProgName)
+	u64(c, &p.Segment)
+
+	c.point(&p.End)
+	c.boolean(&p.EndIsExit)
+	u64(c, &p.InstrLimit)
+	u64(c, &p.MainInstrs)
+	u64(c, &p.CheckerPID)
+	u64(c, &p.PMUSeed)
+	u64(c, &p.MaxSkid)
+
+	u64(c, &p.CodeKey)
+	u64(c, &p.CodeLen)
+
+	st := &p.Start
+	c.regs(&st.Regs)
+	u64(c, &st.PC)
+	u64(c, &st.BrkBase)
+	u64(c, &st.Brk)
+	list(c, &st.VMAs, 17, func(c *coder, v *VMA) {
+		u64(c, &v.Base)
+		u64(c, &v.Length)
+		u8(c, &v.Prot)
+		c.str(&v.Name)
+	})
+	list(c, &st.Pages, 17, func(c *coder, pg *PageRef) {
+		u64(c, &pg.VPN)
+		u64(c, &pg.Key)
+		u8(c, &pg.Prot)
+	})
+	list(c, &st.Handlers, 9, func(c *coder, h *Handler) {
+		u8(c, &h.Sig)
+		u64(c, &h.PC)
+	})
+
+	list(c, &p.Events, 1, (*coder).event)
+
+	c.regs(&p.EndState.Regs)
+	u64(c, &p.EndState.PC)
+	list(c, &p.EndState.Pages, 16, func(c *coder, pg *PageHash) {
+		u64(c, &pg.VPN)
+		u64(c, &pg.Sum)
+	})
+}
+
+// config is the layout's config block, which Config.Digest hashes.
+func (c *coder) config(cfg *Config) {
+	u64(c, &cfg.PageSize)
+	u64(c, &cfg.Quantum)
+	u64(c, &cfg.SkidBuffer)
+	c.f64(&cfg.TimeoutScale)
+	c.boolean(&cfg.CompareStates)
+	c.boolean(&cfg.SoftDirtyTracking)
+	c.boolean(&cfg.CompareFullMemory)
+	u64(c, &cfg.HashSeed)
+}
+
+func (c *coder) event(ev *Event) {
+	u8(c, &ev.Kind)
+	switch ev.Kind {
+	case EvSyscall:
+		s := payload(c, &ev.Syscall)
+		u16(c, &s.Info.Nr)
+		for i := range s.Info.Args {
+			u64(c, &s.Info.Args[i])
+		}
+		u8(c, &s.Class)
+		list(c, &s.In, 12, (*coder).region)
+		u64(c, &s.Ret)
+		list(c, &s.Out, 12, (*coder).region)
+		u64(c, &s.MmapFixedAddr)
+	case EvNondet:
+		n := payload(c, &ev.Nondet)
+		u64(c, &n.PC)
+		u64(c, &n.Value)
+	case EvSignalInternal, EvSignalExternal:
+		s := payload(c, &ev.Signal)
+		u8(c, &s.Sig)
+		u64(c, &s.PC)
+		c.point(&s.Point)
+		c.boolean(&s.Fatal)
+	default:
+		if c.decoding {
+			c.fail(fmt.Errorf("%w: unknown event kind %d", ErrCorrupt, ev.Kind))
 		}
 	}
 }
-func (e *enc) regions(rs []Region) {
-	e.u32(uint32(len(rs)))
-	for _, r := range rs {
-		e.u64(r.Addr)
-		e.u32(uint32(len(r.Data)))
-		e.raw(r.Data)
+
+func (c *coder) region(r *Region) {
+	u64(c, &r.Addr)
+	n := uint32(len(r.Data))
+	u32(c, &n)
+	if !c.decoding {
+		c.buf = append(c.buf, r.Data...)
+		return
+	}
+	if n > maxDataLen {
+		c.fail(fmt.Errorf("%w: region length %d", ErrCorrupt, n))
+		return
+	}
+	if b := c.take(int(n)); len(b) > 0 {
+		r.Data = append([]byte(nil), b...)
 	}
 }
 
-// --- primitive reader -------------------------------------------------------
-
-// dec is a bounds-checked cursor; after the first error every read returns
-// zero and the error sticks.
-type dec struct {
-	b   []byte
-	off int
-	err error
+func (c *coder) point(e *ExecPoint) {
+	u64(c, &e.Branches)
+	u64(c, &e.PC)
 }
 
-func (d *dec) fail(err error) {
-	if d.err == nil {
-		d.err = err
-	}
-}
-
-func (d *dec) raw(n int) []byte {
-	if d.err != nil {
-		return nil
-	}
-	if n < 0 || len(d.b)-d.off < n {
-		d.fail(ErrTruncated)
-		return nil
-	}
-	out := d.b[d.off : d.off+n]
-	d.off += n
-	return out
-}
-
-func (d *dec) u8() uint8 {
-	b := d.raw(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-func (d *dec) u16() uint16 {
-	b := d.raw(2)
-	if b == nil {
-		return 0
-	}
-	return uint16(b[0]) | uint16(b[1])<<8
-}
-
-func (d *dec) u32() uint32 {
-	b := d.raw(4)
-	if b == nil {
-		return 0
-	}
-	return uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
-}
-
-func (d *dec) u64() uint64 {
-	b := d.raw(8)
-	if b == nil {
-		return 0
-	}
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-func (d *dec) i64() int64   { return int64(d.u64()) }
-func (d *dec) f64() float64 { return math.Float64frombits(d.u64()) }
-
-func (d *dec) bool() bool {
-	switch d.u8() {
-	case 0:
-		return false
-	case 1:
-		return true
-	default:
-		d.fail(fmt.Errorf("%w: non-canonical boolean", ErrCorrupt))
-		return false
-	}
-}
-
-func (d *dec) str() string {
-	n := d.u32()
-	if d.err != nil {
-		return ""
-	}
-	if n > maxStringLen {
-		d.fail(fmt.Errorf("%w: string length %d", ErrCorrupt, n))
-		return ""
-	}
-	return string(d.raw(int(n)))
-}
-
-// count reads a collection count, rejecting values that could not possibly
-// fit in the remaining input given a minimum element size.
-func (d *dec) count(minElem int) int {
-	n := d.u32()
-	if d.err != nil {
-		return 0
-	}
-	if n > maxCount || int(n)*minElem > len(d.b)-d.off {
-		d.fail(fmt.Errorf("%w: count %d exceeds input", ErrCorrupt, n))
-		return 0
-	}
-	return int(n)
-}
-
-func (d *dec) regs(r *RegFile) {
+func (c *coder) regs(r *proc.Regs) {
 	for i := range r.X {
-		r.X[i] = d.u64()
+		u64(c, &r.X[i])
 	}
 	for i := range r.F {
-		r.F[i] = d.u64()
+		c.f64(&r.F[i])
 	}
 	for i := range r.V {
 		for j := range r.V[i] {
-			r.V[i][j] = d.u64()
+			u64(c, &r.V[i][j])
 		}
 	}
 }
 
-func (d *dec) regions() []Region {
-	n := d.count(12)
-	if n == 0 {
+func (c *coder) instr(in *isa.Instr) {
+	u8(c, &in.Op)
+	u8(c, &in.Rd)
+	u8(c, &in.Ra)
+	u8(c, &in.Rb)
+	u64(c, &in.Imm)
+}
+
+// --- primitives -----------------------------------------------------------------
+
+// coder runs the layout in one direction. Encoding appends each field to
+// buf and never writes to the value it walks, not even a field's own value
+// back; decoding reads each field from buf into place. A decode error
+// sticks: every later read yields zero and consumes nothing.
+type coder struct {
+	decoding bool
+	buf      []byte
+	off      int // decode cursor
+	err      error
+}
+
+func (c *coder) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+}
+
+// take consumes the next n input bytes, or fails with ErrTruncated.
+func (c *coder) take(n int) []byte {
+	if c.err != nil {
 		return nil
 	}
-	out := make([]Region, n)
-	for i := range out {
-		out[i].Addr = d.u64()
-		ln := d.u32()
-		if d.err != nil {
-			return out
-		}
-		if ln > maxDataLen {
-			d.fail(fmt.Errorf("%w: region length %d", ErrCorrupt, ln))
-			return out
-		}
-		if b := d.raw(int(ln)); b != nil && ln > 0 {
-			out[i].Data = append([]byte(nil), b...)
-		}
+	if len(c.buf)-c.off < n {
+		c.fail(ErrTruncated)
+		return nil
 	}
-	return out
+	b := c.buf[c.off : c.off+n]
+	c.off += n
+	return b
+}
+
+func u8[T ~uint8](c *coder, v *T) {
+	if !c.decoding {
+		c.buf = append(c.buf, uint8(*v))
+	} else if b := c.take(1); b != nil {
+		*v = T(b[0])
+	}
+}
+
+func u16[T ~uint16](c *coder, v *T) {
+	if !c.decoding {
+		c.buf = binary.LittleEndian.AppendUint16(c.buf, uint16(*v))
+	} else if b := c.take(2); b != nil {
+		*v = T(binary.LittleEndian.Uint16(b))
+	}
+}
+
+func u32[T ~uint32](c *coder, v *T) {
+	if !c.decoding {
+		c.buf = binary.LittleEndian.AppendUint32(c.buf, uint32(*v))
+	} else if b := c.take(4); b != nil {
+		*v = T(binary.LittleEndian.Uint32(b))
+	}
+}
+
+// u64 codes any 64-bit integer field; signed values travel two's-complement.
+func u64[T ~uint64 | ~int64 | ~int](c *coder, v *T) {
+	if !c.decoding {
+		c.buf = binary.LittleEndian.AppendUint64(c.buf, uint64(*v))
+	} else if b := c.take(8); b != nil {
+		*v = T(binary.LittleEndian.Uint64(b))
+	}
+}
+
+// f64 codes a float as its bit pattern, so every NaN payload survives.
+func (c *coder) f64(v *float64) {
+	bits := math.Float64bits(*v)
+	u64(c, &bits)
+	if c.decoding {
+		*v = math.Float64frombits(bits)
+	}
+}
+
+// boolean codes one byte, 0 or 1; decoding rejects any other value.
+func (c *coder) boolean(v *bool) {
+	var b uint8
+	if *v {
+		b = 1
+	}
+	u8(c, &b)
+	if c.decoding {
+		if b > 1 {
+			c.fail(fmt.Errorf("%w: non-canonical boolean", ErrCorrupt))
+		}
+		*v = b == 1
+	}
+}
+
+// str codes a length-prefixed string of at most maxStringLen bytes.
+func (c *coder) str(s *string) {
+	n := uint32(len(*s))
+	u32(c, &n)
+	if !c.decoding {
+		c.buf = append(c.buf, *s...)
+		return
+	}
+	if n > maxStringLen {
+		c.fail(fmt.Errorf("%w: string length %d", ErrCorrupt, n))
+		return
+	}
+	*s = string(c.take(int(n)))
+}
+
+func (c *coder) magic() {
+	if !c.decoding {
+		c.buf = append(c.buf, magic[:]...)
+	} else if b := c.take(len(magic)); b != nil && [6]byte(b) != magic {
+		c.fail(ErrMagic)
+	}
+}
+
+// list codes a count-prefixed array of elements, each coded by elem.
+// Decoding rejects a count the rest of the input could not hold at minElem
+// bytes an element, leaves an empty array nil, and stops at the first error.
+func list[T any](c *coder, s *[]T, minElem int, elem func(*coder, *T)) {
+	n := uint32(len(*s))
+	u32(c, &n)
+	if c.decoding {
+		if c.err != nil || n == 0 {
+			return
+		}
+		if n > maxCount || int(n)*minElem > len(c.buf)-c.off {
+			c.fail(fmt.Errorf("%w: count %d exceeds input", ErrCorrupt, n))
+			return
+		}
+		*s = make([]T, n)
+	}
+	for i := range *s {
+		if c.err != nil {
+			return
+		}
+		elem(c, &(*s)[i])
+	}
+}
+
+// payload is an event's payload to code into: the one it has when
+// encoding, a new one stored into the event when decoding.
+func payload[T any](c *coder, p **T) *T {
+	if c.decoding {
+		*p = new(T)
+	}
+	return *p
 }

@@ -4,12 +4,15 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"math"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sync"
 	"testing"
 
 	"parallaft/internal/isa"
+	"parallaft/internal/oskernel"
 	"parallaft/internal/pagestore"
 )
 
@@ -48,7 +51,7 @@ func fixturePacket() *CheckPacket {
 
 	p.Start.Regs.X[0] = 0xdead
 	p.Start.Regs.X[14] = 0x7ffff000
-	p.Start.Regs.F[2] = 0x400921fb54442d18 // bits of pi
+	p.Start.Regs.F[2] = math.Pi
 	p.Start.Regs.V[1] = [isa.VLanes]uint64{1, 2, 3, 4}
 	p.Start.PC = 100
 	p.Start.BrkBase = 0x200000
@@ -66,8 +69,7 @@ func fixturePacket() *CheckPacket {
 
 	p.Events = []Event{
 		{Kind: EvSyscall, Syscall: &SyscallEvent{
-			Nr:   7,
-			Args: [5]uint64{0x100000, 16, 0, 0, 0},
+			Info: oskernel.Info{Nr: 7, Args: oskernel.Args{0x100000, 16, 0, 0, 0}},
 			In:   []Region{{Addr: 0x100000, Data: []byte("sixteen bytes!!!")}},
 			Ret:  16,
 		}},
@@ -77,8 +79,7 @@ func fixturePacket() *CheckPacket {
 			Sig: 4, PC: 410, Point: ExecPoint{Branches: 5000, PC: 410}, Fatal: true,
 		}},
 		{Kind: EvSyscall, Syscall: &SyscallEvent{
-			Nr:            11,
-			Args:          [5]uint64{0, 0x8000, 3, 2, 0},
+			Info:          oskernel.Info{Nr: 11, Args: oskernel.Args{0, 0x8000, 3, 2, 0}},
 			Class:         1,
 			Ret:           0x300000,
 			MmapFixedAddr: 0x300000,
@@ -159,6 +160,59 @@ func TestRoundTripPreservesEverything(t *testing.T) {
 	}
 	if b2 := Encode(got); !bytes.Equal(b2, b) {
 		t.Fatal("re-encoding the decoded packet changed the bytes")
+	}
+
+	// Float registers travel as bit patterns: a signalling NaN, a quiet NaN
+	// with a payload and -0 come back bit for bit (DeepEqual cannot say so:
+	// NaN != NaN).
+	odd := []float64{
+		math.Float64frombits(0x7ff0_0000_0000_0001), // signalling NaN
+		math.Float64frombits(0x7ff8_0000_dead_beef), // quiet NaN, payload
+		math.Copysign(0, -1),
+	}
+	for i, f := range odd {
+		p.Start.Regs.F[i] = f
+		p.EndState.Regs.F[len(p.EndState.Regs.F)-1-i] = f
+	}
+	b = Encode(p)
+	got, err = Decode(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b2 := Encode(got); !bytes.Equal(b2, b) {
+		t.Fatal("re-encoding a packet with NaN and -0 registers changed the bytes")
+	}
+	for i := range p.Start.Regs.F {
+		if g, w := math.Float64bits(got.Start.Regs.F[i]), math.Float64bits(p.Start.Regs.F[i]); g != w {
+			t.Errorf("start F%d = %#x, want %#x", i, g, w)
+		}
+		if g, w := math.Float64bits(got.EndState.Regs.F[i]), math.Float64bits(p.EndState.Regs.F[i]); g != w {
+			t.Errorf("end F%d = %#x, want %#x", i, g, w)
+		}
+	}
+}
+
+// TestEncodeIsReadOnly: encoding only reads its packet, so one packet may be
+// encoded by many goroutines at once. Under the race detector this fails for
+// a coder that stores anything into the packet, even a field's own value.
+func TestEncodeIsReadOnly(t *testing.T) {
+	p := fixturePacket()
+	want := Encode(p)
+	const workers = 8
+	outs := make([][]byte, workers)
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			outs[i] = Encode(p)
+		}(i)
+	}
+	wg.Wait()
+	for i, out := range outs {
+		if !bytes.Equal(out, want) {
+			t.Errorf("encoder %d: %d bytes differ from the serial encoding's %d", i, len(out), len(want))
+		}
 	}
 }
 
@@ -298,6 +352,23 @@ func FuzzPacketRoundTrip(f *testing.F) {
 	f.Add(Encode(small))
 	f.Add([]byte{})
 	f.Add([]byte("PAFTPK"))
+	// One packet per event kind with every typed field at its maximum.
+	for _, ev := range []Event{
+		{Kind: EvSyscall, Syscall: &SyscallEvent{
+			Info:  oskernel.Info{Nr: 0xffff, Args: oskernel.Args{math.MaxUint64, 0, 0, 0, math.MaxUint64}},
+			Class: 0xff,
+			In:    []Region{{Addr: math.MaxUint64, Data: []byte{0xff}}},
+			Ret:   math.MinInt64,
+		}},
+		{Kind: EvNondet, Nondet: &NondetEvent{PC: math.MaxUint64, Value: math.MaxUint64}},
+		{Kind: EvSignalInternal, Signal: &SignalEvent{Sig: 0xff, PC: math.MaxUint64, Fatal: true}},
+		{Kind: EvSignalExternal, Signal: &SignalEvent{Sig: 0xff, PC: math.MaxUint64,
+			Point: ExecPoint{Branches: math.MaxUint64, PC: math.MaxUint64}, Fatal: true}},
+	} {
+		one := fixturePacket()
+		one.Events = []Event{ev}
+		f.Add(Encode(one))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := Decode(data)
