@@ -2,8 +2,11 @@ package stats
 
 import (
 	"flag"
+	"fmt"
+	"math"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"parallaft/internal/core"
@@ -150,4 +153,28 @@ func TestGoldenTable2Output(t *testing.T) {
 		t.Fatal(err)
 	}
 	goldenCompare(t, "golden_table2.txt", FormatTable2(res))
+}
+
+// TestGoldenFig10Trials pins the figure-10 campaign trial by trial: the
+// rendered outcome table, then every trial's segment, injection instant (as
+// its bit pattern), target register bit, outcome and detail. How a campaign
+// reaches a trial's injected segment is a host-side choice; no byte here may
+// depend on it.
+func TestGoldenFig10Trials(t *testing.T) {
+	r := goldenRunner()
+	r.Scale = 0.05
+	r.Parallel = 2
+	rows, err := r.RunFig10([]string{"429.mcf", "458.sjeng", "470.lbm"}, 2, r.Scale)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sb strings.Builder
+	sb.WriteString(FormatFig10(rows))
+	for _, row := range rows {
+		for _, tr := range row.Report.Trials {
+			fmt.Fprintf(&sb, "%s seg %d at %#016x %s: %s %q\n", row.Benchmark, tr.Segment,
+				math.Float64bits(tr.AtNs), tr.Target, tr.Outcome, tr.Detail)
+		}
+	}
+	goldenCompare(t, "golden_fig10.txt", sb.String())
 }
