@@ -19,7 +19,10 @@
 // contention, matching the paper's observation that contention dominates.
 package cache
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // Level identifies where an access was satisfied.
 type Level uint8
@@ -55,9 +58,7 @@ type Geometry struct {
 func (g Geometry) SizeBytes(lineSize int) int { return g.Sets * g.Ways * lineSize }
 
 // A line is valid iff its gen equals its cache's: invalidating one line
-// writes gen 0 (never a live generation), invalidating all of them bumps the
-// cache's generation — the trick mem's TLB uses, so a reset costs no memclr
-// of the tag array.
+// writes gen 0 (never a live generation).
 type line struct {
 	tag uint64 // (asid << 40) | lineAddr — see key()
 	gen uint32
@@ -190,22 +191,6 @@ func (c *setAssoc) flush(asid uint64) {
 		}
 	}
 	c.asidLines[asid] = 0
-}
-
-// reset invalidates every line by generation and clears the small side
-// arrays, the LRU clock and the counters: the next access sequence hits,
-// misses and evicts exactly as on a new cache.
-func (c *setAssoc) reset() {
-	c.gen++
-	if c.gen == 0 {
-		// Generation counter wrapped: hard-clear so lines filled under an
-		// ancient generation cannot come back to life.
-		clear(c.lines)
-		c.gen = 1
-	}
-	clear(c.mru)
-	clear(c.asidLines)
-	c.clock, c.hits, c.misses = 0, 0, 0
 }
 
 // Config describes the whole hierarchy.
@@ -361,25 +346,19 @@ func (h *Hierarchy) FlushASID(asid uint64) {
 // CoreStats returns a copy of the per-core access statistics.
 func (h *Hierarchy) CoreStats(core int) LevelStats { return h.stats[core] }
 
-// ResetStats zeroes all per-core statistics (the tag arrays keep their
-// contents).
-func (h *Hierarchy) ResetStats() {
-	for i := range h.stats {
-		h.stats[i] = LevelStats{}
+// CopyFrom puts h, built from src's configuration, in src's exact state:
+// every tag, generation, LRU clock, MRU way, per-ASID line count and access
+// counter. It only reads src.
+func (h *Hierarchy) CopyFrom(src *Hierarchy) {
+	from := slices.Concat(src.l1, src.l2)
+	for i, c := range slices.Concat(h.l1, h.l2) {
+		s := from[i]
+		copy(c.lines, s.lines)
+		copy(c.mru, s.mru)
+		c.asidLines = append(c.asidLines[:0], s.asidLines...)
+		c.gen, c.clock, c.hits, c.misses = s.gen, s.clock, s.hits, s.misses
 	}
-}
-
-// Reset leaves the hierarchy indistinguishable from a newly built one without
-// paying New's allocation and clearing of the tag arrays again: what a
-// long-lived owner (Machine.Reset) calls between runs.
-func (h *Hierarchy) Reset() {
-	for _, c := range h.l1 {
-		c.reset()
-	}
-	for _, c := range h.l2 {
-		c.reset()
-	}
-	h.ResetStats()
+	copy(h.stats, src.stats)
 }
 
 // LineSize returns the configured line size in bytes.

@@ -151,14 +151,6 @@ func TestStatsHelpers(t *testing.T) {
 	if mr := st.MissRatio(); mr != 0.5 {
 		t.Errorf("miss ratio = %v, want 0.5", mr)
 	}
-	h.ResetStats()
-	if h.CoreStats(0).Total() != 0 {
-		t.Error("ResetStats did not clear counts")
-	}
-	// the tag arrays survive a stats reset
-	if lvl := h.Access(0, 1, 0); lvl != L1Hit {
-		t.Errorf("tags lost on ResetStats: %v", lvl)
-	}
 }
 
 func TestLevelString(t *testing.T) {
@@ -172,14 +164,14 @@ func TestWorkingSetBehaviourMatchesCapacity(t *testing.T) {
 	// that fits the big L1 but not the little one.
 	h := newTestHierarchy()
 	sweep := func(core int, asid uint64, bytes uint64) (l1Frac float64) {
-		h.ResetStats()
+		before := h.CoreStats(core)
 		for pass := 0; pass < 8; pass++ {
 			for addr := uint64(0); addr < bytes; addr += 64 {
 				h.Access(core, asid, addr)
 			}
 		}
 		st := h.CoreStats(core)
-		return float64(st.Counts[L1Hit]) / float64(st.Total())
+		return float64(st.Counts[L1Hit]-before.Counts[L1Hit]) / float64(st.Total()-before.Total())
 	}
 	bigL1 := sweep(0, 10, 768)    // fits big L1 (1 KiB)
 	littleL1 := sweep(1, 11, 768) // exceeds little L1 (512 B)
@@ -225,51 +217,52 @@ func allCaches(h *Hierarchy) []*setAssoc {
 	return append(append([]*setAssoc(nil), h.l1...), h.l2...)
 }
 
-// TestResetEqualsNew: a hierarchy that has been used and Reset must decide
-// every hit, miss and eviction of the next trace exactly as a newly built
-// one does — across repeated resets, with ASID flushes in the trace, and
-// across the generation counter's wrap.
-func TestResetEqualsNew(t *testing.T) {
+// TestCopyFromEqualsSource: a hierarchy copied from another must decide every
+// hit, miss and eviction of the next trace exactly as its source does, and
+// count them alike — over a used hierarchy, again over the copy, from a
+// source at the last generation before the counter wraps, and after ASID
+// flushes on both sides.
+func TestCopyFromEqualsSource(t *testing.T) {
 	const n = 20_000
-	fresh := newTestHierarchy()
-	want := driveTrace(fresh, 42, n)
-
-	check := func(t *testing.T, h *Hierarchy) {
+	check := func(t *testing.T, h, src *Hierarchy) {
 		t.Helper()
-		got := driveTrace(h, 42, n)
+		got, want := driveTrace(h, 42, n), driveTrace(src, 42, n)
 		for i := range want {
 			if got[i] != want[i] {
-				t.Fatalf("access %d satisfied at %v on the reset hierarchy, %v on a new one", i, got[i], want[i])
+				t.Fatalf("access %d satisfied at %v on the copy, %v on its source", i, got[i], want[i])
 			}
 		}
 		for core := 0; core < 2; core++ {
-			if g, w := h.CoreStats(core), fresh.CoreStats(core); g != w {
-				t.Errorf("core %d stats %+v after reset, %+v on a new hierarchy", core, g, w)
+			if g, w := h.CoreStats(core), src.CoreStats(core); g != w {
+				t.Errorf("core %d stats %+v on the copy, %+v on its source", core, g, w)
 			}
 		}
 		for i, c := range allCaches(h) {
-			f := allCaches(fresh)[i]
-			if c.hits != f.hits || c.misses != f.misses || c.clock != f.clock {
-				t.Errorf("cache %d: hits/misses/clock %d/%d/%d after reset, %d/%d/%d new",
-					i, c.hits, c.misses, c.clock, f.hits, f.misses, f.clock)
+			s := allCaches(src)[i]
+			if c.hits != s.hits || c.misses != s.misses || c.clock != s.clock || c.gen != s.gen {
+				t.Errorf("cache %d: hits/misses/clock/gen %d/%d/%d/%d on the copy, %d/%d/%d/%d on its source",
+					i, c.hits, c.misses, c.clock, c.gen, s.hits, s.misses, s.clock, s.gen)
 			}
 		}
 	}
 
+	src := newTestHierarchy()
+	driveTrace(src, 5, n)
 	h := newTestHierarchy()
 	t.Run("after use", func(t *testing.T) {
 		driveTrace(h, 7, n) // a different trace leaves different lines behind
-		h.Reset()
-		check(t, h)
+		h.CopyFrom(src)
+		check(t, h, src)
 	})
 	t.Run("again", func(t *testing.T) {
-		h.Reset()
-		check(t, h)
+		driveTrace(h, 9, n)
+		h.CopyFrom(src)
+		check(t, h, src)
 	})
 	t.Run("across the generation wrap", func(t *testing.T) {
-		for _, c := range allCaches(h) {
-			// Stamp the resident lines with the last generation before the
-			// wrap, then reset over it.
+		for _, c := range allCaches(src) {
+			// Stamp the source's resident lines with the last generation
+			// before the wrap; the copy must carry it as it is.
 			for i := range c.lines {
 				if c.lines[i].gen == c.gen {
 					c.lines[i].gen = ^uint32(0)
@@ -277,22 +270,13 @@ func TestResetEqualsNew(t *testing.T) {
 			}
 			c.gen = ^uint32(0)
 		}
-		h.Reset()
-		for _, c := range allCaches(h) {
-			if c.gen != 1 {
-				t.Fatalf("generation after the wrap is %d, want 1", c.gen)
-			}
-		}
-		check(t, h)
-		// Lines filled in generation 1 before a wrap must not come back to
-		// life when the counter reaches 1 again: the wrap cleared them.
-		h.Reset()
-		check(t, h)
+		h.CopyFrom(src)
+		check(t, h, src)
 	})
 	t.Run("after a flush", func(t *testing.T) {
-		h.FlushASID(1)
+		src.FlushASID(1)
 		h.FlushASID(2)
-		h.Reset()
-		check(t, h)
+		h.CopyFrom(src)
+		check(t, h, src)
 	})
 }

@@ -23,7 +23,6 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
-	"sync/atomic"
 )
 
 // Result is one job's outcome. Run returns results indexed by submission
@@ -56,61 +55,103 @@ func Workers(n int) int {
 }
 
 // Run executes n independent jobs on up to workers goroutines (Workers
-// semantics; 1 runs everything inline on the caller's goroutine — the
-// serial path) and returns their results in submission order.
+// semantics; 1 runs them one after another, in order — the serial path) and
+// returns their results in submission order.
 func Run[T any](workers, n int, fn func(i int) (T, error)) []Result[T] {
 	return RunProgress(workers, n, nil, fn)
 }
 
 // RunProgress is Run with a progress/ETA reporter (nil = silent).
 func RunProgress[T any](workers, n int, pr *Progress, fn func(i int) (T, error)) []Result[T] {
-	out := make([]Result[T], n)
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
-	finish := func(i int) {
-		if perr, isPanic := out[i].Err.(*PanicError); isPanic {
-			pr.notePanic(perr)
-		}
-		pr.Step(1)
-	}
-	if workers <= 1 {
+	return Stream(workers, pr, func(submit func(job func() (T, error))) {
 		for i := 0; i < n; i++ {
-			out[i] = runOne(i, fn)
-			finish(i)
+			submit(func() (T, error) { return fn(i) })
 		}
-		return out
-	}
-	var next atomic.Int64
+	})
+}
+
+// Stream is RunProgress for jobs that appear while it runs: feed, on a
+// goroutine of its own that holds one of the workers' slots until it
+// returns, hands jobs to submit, and a free worker runs each as soon as it
+// is submitted and drops it once run. With one worker the jobs run in order
+// after feed. Results come back in submission order; a panic in feed is
+// re-raised on the caller's goroutine.
+func Stream[T any](workers int, pr *Progress, feed func(submit func(job func() (T, error)))) []Result[T] {
+	var (
+		mu        sync.Mutex
+		more      = sync.NewCond(&mu)
+		jobs      []func() (T, error)
+		out       []Result[T]
+		next      int
+		fed       bool
+		feedPanic any
+	)
+	slots := make(chan struct{}, Workers(workers))
+	slots <- struct{}{} // feed's
+	go func() {
+		defer func() {
+			feedPanic = recover()
+			mu.Lock()
+			fed = true
+			mu.Unlock()
+			more.Broadcast()
+			<-slots
+		}()
+		feed(func(job func() (T, error)) {
+			mu.Lock()
+			jobs = append(jobs, job)
+			out = append(out, Result[T]{})
+			mu.Unlock()
+			more.Signal()
+		})
+	}()
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
+	for w := 0; w < cap(slots); w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
+				mu.Lock()
+				for next == len(jobs) && !fed {
+					more.Wait()
+				}
+				if next == len(jobs) {
+					mu.Unlock()
 					return
 				}
-				out[i] = runOne(i, fn)
-				finish(i)
+				i, job := next, jobs[next]
+				jobs[next] = nil
+				next++
+				mu.Unlock()
+				slots <- struct{}{}
+				res := runOne(i, job)
+				<-slots
+				mu.Lock()
+				out[i] = res
+				mu.Unlock()
+				if perr, isPanic := res.Err.(*PanicError); isPanic {
+					pr.notePanic(perr)
+				}
+				pr.Step(1)
 			}
 		}()
 	}
 	wg.Wait()
+	if feedPanic != nil {
+		panic(feedPanic)
+	}
 	return out
 }
 
-// runOne executes one job with panic containment.
-func runOne[T any](i int, fn func(i int) (T, error)) (res Result[T]) {
+// runOne executes job i with panic containment.
+func runOne[T any](i int, job func() (T, error)) (res Result[T]) {
 	res.Index = i
 	defer func() {
 		if v := recover(); v != nil {
 			res.Err = &PanicError{Value: v, Stack: debug.Stack()}
 		}
 	}()
-	res.Value, res.Err = fn(i)
+	res.Value, res.Err = job()
 	return
 }
 

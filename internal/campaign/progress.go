@@ -58,6 +58,17 @@ func NewProgressWith(w io.Writer, label string, total int, reg *telemetry.Regist
 	return p
 }
 
+// Grow adds n jobs to the campaign's total.
+func (p *Progress) Grow(n int) {
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.totalN += n
+	p.total.Add(float64(n))
+}
+
 // Step records n finished jobs and emits a progress line with an ETA
 // extrapolated from the mean per-job wall time so far.
 func (p *Progress) Step(n int) {

@@ -47,7 +47,7 @@ func goldenCompare(t *testing.T, name, got string) {
 type substrate struct {
 	name  string
 	new   func() *checker
-	reset bool // reset the machine before every packet
+	reset bool // copy a freshly built machine over the checker's before every packet
 }
 
 // timedOn is a Timed checker on the given core of m.
@@ -89,11 +89,12 @@ func requireSubstrateIndependent(t *testing.T, store *pagestore.Store, pkts []*p
 		go func() {
 			defer wg.Done()
 			c := sub.new()
-			var probes uint64 // cache accesses over the whole run
+			fresh := c.m.Clone() // as New built it
+			var probes uint64    // cache accesses over the whole run
 			for i, pkt := range pkts {
 				if sub.reset {
 					probes += c.m.Caches.CoreStats(c.core.ID).Total()
-					c.m.Reset()
+					c.m.CopyFrom(fresh)
 				}
 				v, err := c.check(store, pkt)
 				if err != nil {

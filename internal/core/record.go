@@ -34,7 +34,14 @@ func (r *Runtime) Run(prog *asm.Program) (*RunStats, error) {
 
 	// The first boundary is program start: checkpoint plus first checker.
 	r.startSegment()
+	return r.Resume()
+}
 
+// Resume steps the actor with the earliest clock until every actor is done
+// or a detection stands, then finishes the run as Run does. It starts at the
+// actor boundary the run stands at, between two steps: a started run's
+// first, or the one a restored snapshot was taken at.
+func (r *Runtime) Resume() (*RunStats, error) {
 	for {
 		for r.detected == nil {
 			actor, ok := r.pickActor()
@@ -45,14 +52,16 @@ func (r *Runtime) Run(prog *asm.Program) (*RunStats, error) {
 				if err := r.stepMain(); err != nil {
 					return nil, err
 				}
-			} else {
-				r.stepChecker(actor.rep)
+				continue
 			}
+			if r.atFirstDispatch != nil && actor.rep.idx == 0 && actor.rep.startNs == 0 {
+				r.atFirstDispatch(actor.rep.seg.Index)
+			}
+			r.stepChecker(actor.rep)
 		}
-		if r.detected != nil && r.cfg.EnableRecovery && r.tryRecover() {
-			continue // recovered: keep executing
+		if r.detected == nil || !r.cfg.EnableRecovery || !r.tryRecover() {
+			break
 		}
-		break
 	}
 
 	r.finish()

@@ -542,6 +542,12 @@ type Runtime struct {
 	// exportErr latches the first packet-export failure (Config.Export);
 	// surfaced by Run as an infrastructure error, never as a detection.
 	exportErr error
+
+	// On a spine (RunSpine): atFirstDispatch is called at the actor
+	// boundary just before a segment's replica 0 is first dispatched, and
+	// retired with each row RunStats.Segments gains.
+	atFirstDispatch func(segment int)
+	retired         func(SegmentStat)
 }
 
 // NewRuntime creates a Parallaft (or RAFT-configured) runtime over an

@@ -277,6 +277,9 @@ func (r *Runtime) retire(seg *Segment, outcome string) {
 		}
 	}
 	r.stats.Segments = append(r.stats.Segments, stat)
+	if r.retired != nil {
+		r.retired(stat)
+	}
 	r.sched.drop(seg)
 	r.releaseSegment(seg, true)
 	r.tm.segRetired.Inc()

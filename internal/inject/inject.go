@@ -121,8 +121,8 @@ func (r *Report) DetectionComplete() bool {
 
 // Campaign runs the §5.6 protocol for one program.
 type Campaign struct {
-	// NewEngine builds a fresh, identically seeded engine per run so every
-	// trial replays the identical execution.
+	// NewEngine builds the engine of the profile run, whose snapshots every
+	// trial starts from.
 	NewEngine func() *sim.Engine
 	Program   *asm.Program
 	Config    core.Config
@@ -167,64 +167,63 @@ func randTarget(rng *rand.Rand) Target {
 	}
 }
 
-// Run executes the campaign: one clean profiling run, then trials. The
-// trials — the hottest loop of the §5.6 campaign, every one a full
-// simulation — are independent, so they fan out across workers. Each trial
-// seeds its own rng from its (segment, trial) coordinates rather than
-// drawing from a shared stream, which makes the report independent of both
-// scheduling and the Parallel setting; trials are collected in (segment,
-// trial) order so the report is also byte-stable.
+// Run executes the campaign: one clean profiling run, then trials. Up to its
+// flip a trial is the clean run, so it skips that prefix: the profiling run
+// is the spine (core.Runtime.RunSpine), which snapshots the run just before
+// each segment's checker is first dispatched, and every trial and redraw of
+// the segment restores that snapshot, or where the spine kept none, the
+// latest one before. A segment's trials start once the spine has verified
+// it, which fixes its clean checker duration, so they overlap the rest of
+// the spine, which holds one of the Parallel workers while it runs.
+//
+// Each trial seeds its own rng from its (segment, trial) coordinates rather
+// than drawing from a shared stream, which makes the report independent of
+// both scheduling and the Parallel setting; trials are collected in
+// (segment, trial) order so the report is also byte-stable.
 func (c *Campaign) Run() (*Report, error) {
-	// Profile run: per-segment checker durations, reference output.
-	profEngine := c.NewEngine()
-	profRT := core.NewRuntime(profEngine, c.Config)
-	prof, err := profRT.Run(c.Program)
-	if err != nil {
-		return nil, fmt.Errorf("inject: profile run: %w", err)
+	var (
+		prof     *core.RunStats
+		spineErr error
+		segments []int // each trial's segment, in submission order
+	)
+	pr := campaign.NewProgressWith(c.Progress, "inject "+c.Program.Name, 0, c.Telemetry)
+	results := campaign.Stream(c.Parallel, pr, func(submit func(func() (ran, error))) {
+		bases := map[int]*core.Snapshot{} // of the segments not yet verified
+		var latest *core.Snapshot
+		prof, spineErr = core.NewRuntime(c.NewEngine(), c.Config).RunSpine(c.Program,
+			func(seg int, s *core.Snapshot) { bases[seg], latest = s, s },
+			func(stat core.SegmentStat) {
+				base := bases[stat.Index]
+				delete(bases, stat.Index)
+				if base == nil { // replica 0 never ran, so no trial can land
+					base = latest
+				}
+				for trial := 0; stat.CheckerNs > 0 && trial < c.trials(); trial++ {
+					segments = append(segments, stat.Index)
+					pr.Grow(1)
+					submit(func() (ran, error) { return c.trial(base, stat.Index, trial, stat.CheckerNs), nil })
+				}
+			})
+	})
+	if spineErr != nil {
+		return nil, fmt.Errorf("inject: profile run: %w", spineErr)
 	}
 	if prof.Detected != nil {
 		return nil, fmt.Errorf("inject: profile run detected a phantom error: %v", prof.Detected)
 	}
 
-	type slot struct {
-		segment int
-		trial   int
-		cleanNs float64 // the segment's clean checker duration t
-	}
-	var slots []slot
-	for _, segStat := range prof.Segments {
-		if segStat.CheckerNs <= 0 {
-			continue
-		}
-		for trial := 0; trial < c.trials(); trial++ {
-			slots = append(slots, slot{segStat.Index, trial, segStat.CheckerNs})
-		}
-	}
-
-	pr := campaign.NewProgressWith(c.Progress, "inject "+c.Program.Name, len(slots), c.Telemetry)
-	results := campaign.RunProgress(c.Parallel, len(slots), pr, func(i int) (Trial, error) {
-		s := slots[i]
-		seed := campaign.DeriveSeed(c.Seed, "inject", c.Program.Name,
-			fmt.Sprintf("seg%d", s.segment), fmt.Sprintf("trial%d", s.trial))
-		rng := rand.New(rand.NewSource(seed))
-		var tr Trial
-		for attempt := 0; attempt < c.redraws(); attempt++ {
-			at := rng.Float64() * 1.1 * s.cleanNs
-			tr = c.runOne(s.segment, at, randTarget(rng), prof)
-			if tr.Outcome != OutcomeFailed {
-				break
-			}
-		}
-		return tr, nil
-	})
-
 	rep := &Report{Benchmark: c.Program.Name}
 	for i, res := range results {
-		tr := res.Value
-		if res.Err != nil {
+		tr := res.Value.Trial
+		switch {
+		case res.Err != nil:
 			// A panicking simulation surfaces as a failed trial row rather
 			// than killing the campaign.
-			tr = Trial{Segment: slots[i].segment, Outcome: OutcomeFailed, Detail: res.Err.Error()}
+			tr = Trial{Segment: segments[i], Outcome: OutcomeFailed, Detail: res.Err.Error()}
+		case tr.Outcome == OutcomeBenign && (string(res.Value.stdout) != string(prof.Stdout) || res.Value.exitCode != prof.ExitCode):
+			// Should be unreachable: the fault was in the checker, so the
+			// main's output cannot change. Treated as benign-with-note.
+			tr.Detail = "output differs without detection"
 		}
 		rep.Trials = append(rep.Trials, tr)
 		rep.Counts[tr.Outcome]++
@@ -232,50 +231,70 @@ func (c *Campaign) Run() (*Report, error) {
 	return rep, nil
 }
 
-// runOne executes a single trial.
-func (c *Campaign) runOne(segment int, atNs float64, target Target, prof *core.RunStats) Trial {
-	tr := Trial{Segment: segment, AtNs: atNs, Target: target, Outcome: OutcomeFailed}
+// ran is a trial with what the report still compares with the profiling
+// run's once that has finished: a benign trial's output.
+type ran struct {
+	Trial
+	stdout   []byte
+	exitCode int64
+}
 
-	landed := false
-	cfg := c.Config
-	cfg.ReplicaHook = func(segIdx, rep int, checker *proc.Process, elapsed float64) {
-		if landed || rep != 0 || segIdx != segment || elapsed < atNs {
+// trial runs one trial of segment: draws an injection instant and a target
+// bit, restores base, and redraws while the flip does not land.
+func (c *Campaign) trial(base *core.Snapshot, segment, trial int, cleanNs float64) ran {
+	seed := campaign.DeriveSeed(c.Seed, "inject", c.Program.Name,
+		fmt.Sprintf("seg%d", segment), fmt.Sprintf("trial%d", trial))
+	rng := rand.New(rand.NewSource(seed))
+	var r ran
+	for attempt := 0; attempt < c.redraws(); attempt++ {
+		at, target := rng.Float64()*1.1*cleanNs, randTarget(rng)
+		var landed bool
+		rt := base.Restore(trialHook(segment, at, target, &landed))
+		stats, err := rt.Resume()
+		r = judge(Trial{Segment: segment, AtNs: at, Target: target}, stats, err, landed)
+		rt.Release()
+		if r.Outcome != OutcomeFailed {
+			break
+		}
+	}
+	return r
+}
+
+// trialHook is a trial's Config.ReplicaHook: it flips the target bit in
+// replica 0 of the segment once the checker has run atNs, and reports
+// whether it did through landed.
+func trialHook(segment int, atNs float64, target Target, landed *bool) func(int, int, *proc.Process, float64) {
+	return func(segIdx, rep int, checker *proc.Process, elapsed float64) {
+		if *landed || rep != 0 || segIdx != segment || elapsed < atNs {
 			return
 		}
 		checker.FlipRegisterBit(target.Class, target.Index, target.Lane, target.Bit)
-		landed = true
+		*landed = true
 	}
+}
 
-	rt := core.NewRuntime(c.NewEngine(), cfg)
-	stats, err := rt.Run(c.Program)
+// judge classifies a trial's run.
+func judge(tr Trial, stats *core.RunStats, err error, landed bool) ran {
+	tr.Outcome = OutcomeFailed
 	if err != nil {
-		tr.Outcome = OutcomeFailed
 		tr.Detail = err.Error()
-		return tr
+		return ran{Trial: tr}
 	}
 	if !landed {
-		return tr // checker finished before the injection instant; redraw
+		return ran{Trial: tr} // checker finished before the injection instant; redraw
 	}
 
 	switch {
 	case stats.Detected == nil:
-		if string(stats.Stdout) == string(prof.Stdout) && stats.ExitCode == prof.ExitCode {
-			tr.Outcome = OutcomeBenign
-		} else {
-			// Should be unreachable: the fault was in the checker, so the
-			// main's output cannot change. Treated as benign-with-note.
-			tr.Outcome = OutcomeBenign
-			tr.Detail = "output differs without detection"
-		}
+		tr.Outcome = OutcomeBenign
+		return ran{Trial: tr, stdout: stats.Stdout, exitCode: stats.ExitCode}
 	case stats.Detected.IsException():
 		tr.Outcome = OutcomeException
-		tr.Detail = stats.Detected.Detail
 	case stats.Detected.IsTimeout():
 		tr.Outcome = OutcomeTimeout
-		tr.Detail = stats.Detected.Detail
 	default:
 		tr.Outcome = OutcomeDetected
-		tr.Detail = stats.Detected.Detail
 	}
-	return tr
+	tr.Detail = stats.Detected.Detail
+	return ran{Trial: tr}
 }

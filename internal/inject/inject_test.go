@@ -1,9 +1,11 @@
 package inject
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
+	"parallaft/internal/campaign"
 	"parallaft/internal/core"
 	"parallaft/internal/machine"
 	"parallaft/internal/oskernel"
@@ -192,5 +194,78 @@ func TestCampaignRejectsPhantomConfig(t *testing.T) {
 	camp := &Campaign{NewEngine: newEngine, Program: testProgram(), Config: cfg, Seed: 1}
 	if _, err := camp.Run(); err == nil {
 		t.Error("campaign accepted a profile run with detections")
+	}
+}
+
+// fromScratch runs a campaign's trials the way they ran before snapshots:
+// each attempt a fresh runtime from t=0 with the trial's hook, its draws
+// taken in the same order. It returns the trials in report order and the
+// number of redraws.
+func fromScratch(t *testing.T, c *Campaign) ([]Trial, int) {
+	t.Helper()
+	prof, err := core.NewRuntime(c.NewEngine(), c.Config).Run(c.Program)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var trials []Trial
+	redraws := 0
+	for _, st := range prof.Segments {
+		for trial := 0; st.CheckerNs > 0 && trial < c.trials(); trial++ {
+			rng := rand.New(rand.NewSource(campaign.DeriveSeed(c.Seed, "inject", c.Program.Name,
+				fmt.Sprintf("seg%d", st.Index), fmt.Sprintf("trial%d", trial))))
+			var r ran
+			for attempt := 0; attempt < c.redraws(); attempt++ {
+				at, target := rng.Float64()*1.1*st.CheckerNs, randTarget(rng)
+				var landed bool
+				cfg := c.Config
+				cfg.ReplicaHook = trialHook(st.Index, at, target, &landed)
+				stats, err := core.NewRuntime(c.NewEngine(), cfg).Run(c.Program)
+				if r = judge(Trial{Segment: st.Index, AtNs: at, Target: target}, stats, err, landed); r.Outcome != OutcomeFailed {
+					break
+				}
+				redraws++
+			}
+			if r.Outcome == OutcomeBenign && (string(r.stdout) != string(prof.Stdout) || r.exitCode != prof.ExitCode) {
+				r.Detail = "output differs without detection"
+			}
+			trials = append(trials, r.Trial)
+		}
+	}
+	return trials, redraws
+}
+
+// TestSharedPrefixTrialsMatchFromScratch: every trial a campaign starts from
+// a snapshot — segment, injection instant, target, outcome and detail — is
+// the trial run from t=0, for the paper's one checker and for three diverse
+// replicas, with a seed whose draws include redraws.
+func TestSharedPrefixTrialsMatchFromScratch(t *testing.T) {
+	one := core.DefaultConfig()
+	one.SlicePeriodCycles = 150_000
+	three := one
+	three.Checkers, three.Diversity = 3, []string{"skid2x", "coldcache"}
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+	}{{"main+1", one}, {"main+3 skid2x,coldcache", three}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := &Campaign{NewEngine: newEngine, Program: testProgram(), Config: tc.cfg,
+				TrialsPerSegment: 2, Seed: 4, Parallel: 2}
+			rep, err := c.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, redraws := fromScratch(t, c)
+			if redraws == 0 {
+				t.Error("no trial redrew: pick a seed whose draws miss the checker")
+			}
+			if len(rep.Trials) != len(want) {
+				t.Fatalf("%d trials, %d from t=0", len(rep.Trials), len(want))
+			}
+			for i := range want {
+				if rep.Trials[i] != want[i] {
+					t.Errorf("trial %d:\n from a snapshot %+v\n from t=0        %+v", i, rep.Trials[i], want[i])
+				}
+			}
+		})
 	}
 }

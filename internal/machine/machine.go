@@ -117,13 +117,6 @@ func (c *Core) ActiveEnergyJ() float64 {
 	return j
 }
 
-// ResetEnergy zeroes the core's activity accounting.
-func (c *Core) ResetEnergy() {
-	for i := range c.activeNs {
-		c.activeNs[i] = 0
-	}
-}
-
 // CostModel maps instruction cost classes and cache levels to time.
 type CostModel struct {
 	// ClassCycles is the base cycle cost of each cost class per core kind;
@@ -204,11 +197,13 @@ type Machine struct {
 	SliceByInstructions bool
 
 	dramAccesses uint64
+	cfg          Config // what New built it from
 }
 
 // New assembles a machine from a configuration.
 func New(cfg Config) *Machine {
 	m := &Machine{
+		cfg:                 cfg,
 		Name:                cfg.Name,
 		Cost:                cfg.Cost,
 		Power:               cfg.Power,
@@ -253,24 +248,25 @@ func (m *Machine) CountDRAMAccess() { m.dramAccesses++ }
 // DRAMAccesses returns the DRAM transfer count so far.
 func (m *Machine) DRAMAccesses() uint64 { return m.dramAccesses }
 
-// ResetEnergy zeroes all energy accounting (core activity and DRAM counts).
-func (m *Machine) ResetEnergy() {
-	for _, c := range m.Cores {
-		c.ResetEnergy()
+// CopyFrom puts m in src's exact state: every core's operating point, active
+// time books and activity class, the cache hierarchy and the DRAM count. m
+// must be built from src's configuration; charge observers stay as
+// attached. It only reads src.
+func (m *Machine) CopyFrom(src *Machine) {
+	for i, c := range m.Cores {
+		s := src.Cores[i]
+		c.freqIdx, c.act = s.freqIdx, s.act
+		copy(c.activeNs, s.activeNs)
 	}
-	m.dramAccesses = 0
+	m.Caches.CopyFrom(src.Caches)
+	m.dramAccesses = src.dramAccesses
 }
 
-// Reset returns the machine to the state New left it in — empty books, every
-// core at the top of its ladder, cold caches — without reallocating or
-// clearing the cache tag arrays, for an owner that keeps one machine across
-// runs. Activity classes and sinks are left to whoever attached them.
-func (m *Machine) Reset() {
-	m.ResetEnergy()
-	for _, c := range m.Cores {
-		c.SetMaxFreq()
-	}
-	m.Caches.Reset()
+// Clone returns an independent machine in m's exact state.
+func (m *Machine) Clone() *Machine {
+	c := New(m.cfg)
+	c.CopyFrom(m)
+	return c
 }
 
 // EnergyJ integrates total energy over a run of wallNs nanoseconds: dynamic

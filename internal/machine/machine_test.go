@@ -83,7 +83,6 @@ func TestDVFSClamping(t *testing.T) {
 
 func TestEnergyIntegration(t *testing.T) {
 	m := New(AppleM2Like())
-	m.ResetEnergy()
 	c := m.BigCores()[0]
 	c.AccountActive(1e6) // 1 ms at max frequency
 	wantJ := 1e6 * 1e-9 * c.Ladder[len(c.Ladder)-1].ActiveMW * 1e-3
@@ -121,10 +120,6 @@ func TestEnergyBreakdownMatchesTotal(t *testing.T) {
 	}
 	if m.DRAMAccesses() != 100 {
 		t.Errorf("DRAM accesses = %d", m.DRAMAccesses())
-	}
-	m.ResetEnergy()
-	if m.EnergyJ(0) != 0 || m.DRAMAccesses() != 0 {
-		t.Error("ResetEnergy incomplete")
 	}
 }
 
@@ -204,10 +199,11 @@ func TestMachineString(t *testing.T) {
 	}
 }
 
-// TestResetEqualsNew: a machine that has run at scaled-down frequencies,
-// booked time and DRAM traffic and warmed its caches must, after Reset, keep
-// the same books for the next run as a newly built one — bit for bit.
-func TestResetEqualsNew(t *testing.T) {
+// TestCopyFromEqualsSource: a machine that has run at scaled-down
+// frequencies, booked time and DRAM traffic and warmed its caches, copied
+// from a captured machine, must keep the captured machine's books for the
+// next run — bit for bit.
+func TestCopyFromEqualsSource(t *testing.T) {
 	run := func(m *Machine, salt uint64) {
 		for i, c := range m.Cores {
 			c.AccountActive(1000 + float64(salt) + float64(i)/3)
@@ -218,29 +214,40 @@ func TestResetEqualsNew(t *testing.T) {
 			}
 		}
 	}
+	src := New(BigOnly())
+	src.Cores[1].SetFreqIndex(2)
+	run(src, 1)
+	captured := src.Clone()
+
 	used := New(BigOnly())
 	for _, c := range used.Cores {
 		c.SetFreqIndex(1)
 	}
 	run(used, 3)
-	used.Reset()
+	used.CopyFrom(captured)
 
-	fresh := New(BigOnly())
 	run(used, 0)
-	run(fresh, 0)
+	run(captured, 0)
 	const wallNs = 1e6
-	if g, w := used.EnergyJ(wallNs), fresh.EnergyJ(wallNs); math.Float64bits(g) != math.Float64bits(w) {
-		t.Errorf("EnergyJ %v after Reset, %v on a new machine", g, w)
+	if g, w := used.EnergyJ(wallNs), captured.EnergyJ(wallNs); math.Float64bits(g) != math.Float64bits(w) {
+		t.Errorf("EnergyJ %v on the copy, %v on the captured machine", g, w)
 	}
-	if g, w := used.DRAMAccesses(), fresh.DRAMAccesses(); g != w {
-		t.Errorf("DRAMAccesses %d after Reset, %d on a new machine", g, w)
+	if g, w := used.DRAMAccesses(), captured.DRAMAccesses(); g != w {
+		t.Errorf("DRAMAccesses %d on the copy, %d on the captured machine", g, w)
 	}
 	for i, c := range used.Cores {
-		if c.FreqIndex() != fresh.Cores[i].FreqIndex() {
-			t.Errorf("core %d at ladder point %d after Reset, %d on a new machine", i, c.FreqIndex(), fresh.Cores[i].FreqIndex())
+		if c.FreqIndex() != captured.Cores[i].FreqIndex() {
+			t.Errorf("core %d at ladder point %d on the copy, %d on the captured machine", i, c.FreqIndex(), captured.Cores[i].FreqIndex())
 		}
-		if g, w := used.Caches.CoreStats(i), fresh.Caches.CoreStats(i); g != w {
-			t.Errorf("core %d cache stats %+v after Reset, %+v on a new machine", i, g, w)
+		if g, w := math.Float64bits(c.ActiveNs()), math.Float64bits(captured.Cores[i].ActiveNs()); g != w {
+			t.Errorf("core %d active time %v on the copy, %v on the captured machine", i, c.ActiveNs(), captured.Cores[i].ActiveNs())
 		}
+		if g, w := used.Caches.CoreStats(i), captured.Caches.CoreStats(i); g != w {
+			t.Errorf("core %d cache stats %+v on the copy, %+v on the captured machine", i, g, w)
+		}
+	}
+	// The capture is independent of the machine it was taken from.
+	if g, w := src.DRAMAccesses(), captured.DRAMAccesses(); g == w {
+		t.Errorf("the source machine's DRAM count %d moved with its capture's", g)
 	}
 }

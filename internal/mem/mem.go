@@ -116,6 +116,9 @@ type Frame struct {
 	// recycled marks a frame this package allocated, which returns to the
 	// free list when its last reference goes (see the package comment).
 	recycled bool
+	// borrowed marks bytes shared with a snapshot (see Cloner): they are
+	// never written in place, poisoned or put on the free list.
+	borrowed bool
 }
 
 // frameIDs allocates stable frame identities process-wide.
@@ -158,7 +161,7 @@ func (as *AddressSpace) newFrame(zero bool) *Frame {
 // unref drops one reference to f and recycles it if that was the last.
 func (as *AddressSpace) unref(f *Frame) {
 	f.ref--
-	if f.ref == 0 && f.recycled {
+	if f.ref == 0 && f.recycled && !f.borrowed {
 		if poisonReleased {
 			f.data[0] = 0xa5
 			for n := 1; n < len(f.data); n *= 2 {
@@ -297,16 +300,8 @@ func (as *AddressSpace) PageSize() uint64 { return as.pageSize }
 // Stats returns the accumulated event counts.
 func (as *AddressSpace) Stats() Stats { return as.stats }
 
-// ResetStats zeroes the accumulated event counts.
-func (as *AddressSpace) ResetStats() { as.stats = Stats{} }
-
 // VPN returns the virtual page number containing addr.
 func (as *AddressSpace) VPN(addr uint64) uint64 { return addr >> as.pageShift }
-
-// PageBase returns the base address of the page containing addr.
-func (as *AddressSpace) PageBase(addr uint64) uint64 {
-	return addr &^ (as.pageSize - 1)
-}
 
 func (as *AddressSpace) invalidateTLB() {
 	as.tlbGen++
@@ -528,27 +523,67 @@ func (as *AddressSpace) FindFree(hint, length uint64) uint64 {
 // The child's soft-dirty bits are copied from the parent's (callers that
 // want a clean slate call ClearSoftDirty on the clone).
 func (as *AddressSpace) Fork() *AddressSpace {
-	child := &AddressSpace{
+	as.invalidateTLB()
+	return as.copyWith(func(f *Frame) *Frame { f.ref++; return f })
+}
+
+// copyWith copies the address space's mappings, break and page table,
+// backing each page with frameOf(its frame).
+func (as *AddressSpace) copyWith(frameOf func(*Frame) *Frame) *AddressSpace {
+	c := &AddressSpace{
 		pageSize:  as.pageSize,
 		pageShift: as.pageShift,
 		pages:     make(map[uint64]*pte, len(as.pages)),
-		vmas:      make([]VMA, len(as.vmas)),
+		vmas:      slices.Clone(as.vmas),
 		brk:       as.brk,
 		brkBase:   as.brkBase,
 	}
-	copy(child.vmas, as.vmas)
-	// One pte slab for the whole child page table: a fork is O(pages) map
-	// inserts plus a single allocation, not an allocation per page. The
-	// capacity is exact, so the slab never reallocates and the stored
-	// pointers stay valid.
+	// One pte slab for the whole page table: a copy is O(pages) map inserts
+	// plus a single allocation, not an allocation per page. The capacity is
+	// exact, so the slab never reallocates and the stored pointers stay
+	// valid.
 	slab := make([]pte, 0, len(as.pages))
 	for vpn, p := range as.pages {
-		p.frame.ref++
-		slab = append(slab, pte{frame: p.frame, prot: p.prot, softDirty: p.softDirty})
-		child.pages[vpn] = &slab[len(slab)-1]
+		slab = append(slab, pte{frame: frameOf(p.frame), prot: p.prot, softDirty: p.softDirty})
+		c.pages[vpn] = &slab[len(slab)-1]
 	}
-	as.invalidateTLB()
-	return child
+	return c
+}
+
+// Cloner copies the address spaces of a whole run for a snapshot. Its one
+// old→new frame map keeps a frame two of them share one frame, with its
+// reference count, write generation and hash memo, so that copy-on-write,
+// dirty discovery and the comparison's shortcuts decide as before. Source and
+// copy share the pages' bytes, marked borrowed, until a store on either side
+// gives that side bytes of its own (lookupWrite). Copying a snapshot only
+// reads it, so it may be copied by several goroutines at once.
+type Cloner struct{ frames map[*Frame]*Frame }
+
+// NewCloner returns a cloner with an empty frame map.
+func NewCloner() *Cloner { return &Cloner{frames: make(map[*Frame]*Frame)} }
+
+// Clone copies as, stats included, each page on the copy of its frame. When
+// it lends source bytes it had not lent before, it flushes the source's
+// TLBs, so that no store reaches them unchecked.
+func (c *Cloner) Clone(as *AddressSpace) *AddressSpace {
+	lent := false
+	dst := as.copyWith(func(f *Frame) *Frame {
+		nf := c.frames[f]
+		if nf == nil {
+			if !f.borrowed {
+				f.borrowed, lent = true, true
+			}
+			nf = new(Frame)
+			*nf = *f
+			c.frames[f] = nf
+		}
+		return nf
+	})
+	if lent {
+		as.invalidateTLB()
+	}
+	dst.stats = as.stats
+	return dst
 }
 
 // Release drops every frame reference held by the address space, recycling
@@ -588,8 +623,8 @@ func (as *AddressSpace) lookupWrite(addr uint64) (*pte, bool, *Fault) {
 	vpn := addr >> as.pageShift
 	e := &as.tlbWrite[vpn&(tlbSize-1)]
 	if e.gen == as.tlbGen && e.vpn == vpn && e.p != nil {
-		// A cached write translation is never COW-shared: any Fork since
-		// the fill invalidated the TLB.
+		// A cached write translation is never COW-shared nor borrowed: any
+		// Fork or Cloner.Clone since the fill invalidated the TLB.
 		e.p.softDirty = true
 		e.p.frame.noteWrite()
 		return e.p, false, nil
@@ -602,14 +637,21 @@ func (as *AddressSpace) lookupWrite(addr uint64) (*pte, bool, *Fault) {
 		return nil, false, &Fault{Addr: addr, Write: true, Kind: FaultProt}
 	}
 	cow := false
-	if p.frame.ref > 1 {
+	switch f := p.frame; {
+	case f.ref > 1:
 		nf := as.newFrame(false) // the copy overwrites every byte
-		copy(nf.data, p.frame.data)
-		p.frame.ref--
+		copy(nf.data, f.data)
+		f.ref--
 		p.frame = nf
 		as.stats.COWCopies++
 		as.stats.COWBytes += as.pageSize
 		cow = true
+	case f.borrowed:
+		// The frame is ours alone, its bytes a snapshot's too. Taking bytes
+		// of our own is no simulated copy-on-write: nothing is counted.
+		buf := as.newFrame(false).data
+		copy(buf, f.data)
+		f.data, f.borrowed = buf, false
 	}
 	p.softDirty = true
 	p.frame.noteWrite()
@@ -782,17 +824,6 @@ func AppendDiffFrames(a, b *AddressSpace, buf []uint64) []uint64 {
 	return out
 }
 
-// PageData returns the frame contents backing the given virtual page number,
-// or nil if unmapped. The returned slice aliases the frame; callers must
-// treat it as read-only.
-func (as *AddressSpace) PageData(vpn uint64) []byte {
-	p, ok := as.pages[vpn]
-	if !ok {
-		return nil
-	}
-	return p.frame.data
-}
-
 // FrameAt returns the frame backing the given virtual page number, or nil
 // if unmapped. Frames are shared COW across forks, so comparing the frames
 // two address spaces hold at the same page is an O(1) content-equality
@@ -838,11 +869,6 @@ func (as *AddressSpace) MapCountOf(addr uint64) int {
 // PageCount returns the number of mapped pages.
 func (as *AddressSpace) PageCount() int { return len(as.pages) }
 
-// RSSBytes returns the resident set size: every mapped page counted in full.
-func (as *AddressSpace) RSSBytes() uint64 {
-	return uint64(len(as.pages)) * as.pageSize
-}
-
 // PSSBytes returns the proportional set size: each page's size divided by
 // the number of address spaces sharing its frame. The paper samples summed
 // PSS to measure memory overhead because COW sharing makes RSS misleading
@@ -861,17 +887,4 @@ func (as *AddressSpace) PSSBytes() float64 {
 		}
 	}
 	return pss
-}
-
-// SharedWith reports how many pages this address space currently shares
-// (map count > 1) versus owns privately.
-func (as *AddressSpace) SharedWith() (shared, private int) {
-	for _, p := range as.pages {
-		if p.frame.ref > 1 {
-			shared++
-		} else {
-			private++
-		}
-	}
-	return shared, private
 }

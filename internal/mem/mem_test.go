@@ -293,8 +293,8 @@ func TestPSSAccounting(t *testing.T) {
 	if total != 5*pg {
 		t.Errorf("PSS sum after COW = %v, want %v", total, 5*pg)
 	}
-	if parent.RSSBytes() != 4*pg || child.RSSBytes() != 4*pg {
-		t.Error("RSS should count full pages regardless of sharing")
+	if parent.PageCount() != 4 || child.PageCount() != 4 {
+		t.Error("each side should still map every page, shared or not")
 	}
 }
 
@@ -336,9 +336,10 @@ func TestVMAListAndSharedCounts(t *testing.T) {
 		t.Errorf("VMAs not sorted: %+v", vmas)
 	}
 	child := as.Fork()
-	shared, private := child.SharedWith()
-	if shared != 2 || private != 0 {
-		t.Errorf("shared/private = %d/%d, want 2/0", shared, private)
+	for _, r := range child.FrameRefs() {
+		if r.Frame.MapCount() != 2 {
+			t.Errorf("page %#x: map count %d after fork, want 2", r.VPN, r.Frame.MapCount())
+		}
 	}
 }
 

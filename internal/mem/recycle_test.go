@@ -98,7 +98,7 @@ func TestFreeListConcurrentUse(t *testing.T) {
 				}
 				child.Release()
 				fresh := NewAddressSpace(pg)
-				if err := fresh.Map(0, pg, ProtRW, "fresh"); err != nil || !bytes.Equal(fresh.PageData(0), make([]byte, pg)) {
+				if err := fresh.Map(0, pg, ProtRW, "fresh"); err != nil || !bytes.Equal(fresh.FrameAt(0).Data(), make([]byte, pg)) {
 					t.Errorf("worker %d cycle %d: a freshly mapped page is not zero (%v)", w, c, err)
 					return
 				}

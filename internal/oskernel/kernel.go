@@ -15,8 +15,10 @@ package oskernel
 import (
 	"bytes"
 	"fmt"
-	"math/rand"
+	"maps"
+	"slices"
 
+	"parallaft/internal/lazyrand"
 	"parallaft/internal/mem"
 	"parallaft/internal/proc"
 )
@@ -260,7 +262,7 @@ type procState struct {
 type Kernel struct {
 	fs    map[string]*file
 	procs map[int]*procState
-	rng   *rand.Rand
+	rng   lazyrand.Stream // ASLR and getrandom
 
 	// Now supplies the current simulated time in nanoseconds; the
 	// simulation engine installs it.
@@ -283,7 +285,7 @@ func NewKernel(pageSize uint64, seed int64) *Kernel {
 	k := &Kernel{
 		fs:            make(map[string]*file),
 		procs:         make(map[int]*procState),
-		rng:           rand.New(rand.NewSource(seed)),
+		rng:           lazyrand.New(seed),
 		Now:           func() float64 { return 0 },
 		pageSize:      pageSize,
 		baseSyscallNs: 260,
@@ -296,17 +298,37 @@ func NewKernel(pageSize uint64, seed int64) *Kernel {
 	return k
 }
 
+// Clone copies the kernel for a snapshot of a run: files, fds, offsets,
+// stdout, rng and counters. Now is rebuilt by the engine before any syscall.
+func (k *Kernel) Clone() *Kernel {
+	c := *k
+	c.Now = func() float64 { return 0 }
+	c.rng = k.rng.Copy()
+	files := make(map[*file]*file)
+	copyOf := func(f *file) *file {
+		if files[f] == nil {
+			files[f] = &file{name: f.name, data: slices.Clone(f.data), dev: f.dev}
+		}
+		return files[f]
+	}
+	c.fs = make(map[string]*file, len(k.fs))
+	for name, f := range k.fs {
+		c.fs[name] = copyOf(f)
+	}
+	c.procs = make(map[int]*procState, len(k.procs))
+	for pid, st := range k.procs {
+		fds := maps.Clone(st.fds)
+		for fd, e := range fds {
+			fds[fd] = &fdEntry{f: copyOf(e.f), off: e.off}
+		}
+		c.procs[pid] = &procState{fds, st.nextFD, bytes.NewBuffer(slices.Clone(st.stdout.Bytes()))}
+	}
+	return &c
+}
+
 // AddFile installs a regular file in the in-memory file system.
 func (k *Kernel) AddFile(name string, data []byte) {
 	k.fs[name] = &file{name: name, data: data}
-}
-
-// FileData returns the contents of a regular file, or nil.
-func (k *Kernel) FileData(name string) []byte {
-	if f, ok := k.fs[name]; ok {
-		return f.data
-	}
-	return nil
 }
 
 // Register sets up kernel state (fd table, stdout buffer) for a process.
@@ -382,7 +404,7 @@ func (k *Kernel) readCStr(p *proc.Process, addr uint64) (string, bool) {
 // replay (§4.3.2).
 func (k *Kernel) PickMmapAddr(p *proc.Process, length uint64) uint64 {
 	const window = 1 << 30
-	hint := uint64(0x4000_0000) + uint64(k.rng.Int63n(window))&^(k.pageSize-1)
+	hint := uint64(0x4000_0000) + uint64(k.rng.Rand().Int63n(window))&^(k.pageSize-1)
 	return p.AS.FindFree(hint, length)
 }
 
@@ -473,7 +495,7 @@ func (k *Kernel) Execute(p *proc.Process, env proc.ExecEnv, info Info) Result {
 			got = 0
 		case devURandom:
 			for i := range buf {
-				buf[i] = byte(k.rng.Intn(256))
+				buf[i] = byte(k.rng.Rand().Intn(256))
 			}
 			got = int64(n)
 		default:
@@ -528,7 +550,7 @@ func (k *Kernel) Execute(p *proc.Process, env proc.ExecEnv, info Info) Result {
 		addr, n := a[0], a[1]
 		buf := make([]byte, n)
 		for i := range buf {
-			buf[i] = byte(k.rng.Intn(256))
+			buf[i] = byte(k.rng.Rand().Intn(256))
 		}
 		if f := p.AS.Write(addr, buf); f != nil {
 			return Result{Ret: -EFAULT}

@@ -20,12 +20,14 @@ package proc
 
 import (
 	"fmt"
+	"maps"
 	"math"
-	"math/rand"
+	"slices"
 	"strings"
 
 	"parallaft/internal/cache"
 	"parallaft/internal/isa"
+	"parallaft/internal/lazyrand"
 	"parallaft/internal/machine"
 	"parallaft/internal/mem"
 )
@@ -248,10 +250,8 @@ type Process struct {
 	// ct caches per-environment instruction timing tables across Run calls.
 	ct costTables
 
-	// rngSeed seeds the PMU noise source; rng is created on first draw, so
-	// checkpoint forks (which never execute) skip math/rand state setup.
-	rngSeed int64
-	rng     *rand.Rand
+	// rng is the PMU noise source (skid, overcount).
+	rng lazyrand.Stream
 
 	// Profiling state (see SetSampler): sample points are absolute values of
 	// the user-cycle clock, spaced samplePeriod cycles apart, so sampling is
@@ -277,19 +277,8 @@ func New(pid int, asid uint64, name string, code []isa.Instr, as *mem.AddressSpa
 		breakpoints: make(map[uint64]struct{}),
 		Handlers:    make(map[Signal]uint64),
 		maxSkid:     defaultMaxSkid,
-		rngSeed:     seed,
+		rng:         lazyrand.New(seed),
 	}
-}
-
-// rand returns the PMU noise source, created on first draw. The state
-// depends only on the seed and the draw sequence, so lazy creation is
-// invisible to determinism; it exists because most forks are checkpoints
-// that never execute, and math/rand seeding is costly relative to a fork.
-func (p *Process) rand() *rand.Rand {
-	if p.rng == nil {
-		p.rng = rand.New(rand.NewSource(p.rngSeed))
-	}
-	return p.rng
 }
 
 // defaultMaxSkid bounds counter-overflow skid in retired instructions.
@@ -315,6 +304,20 @@ func (p *Process) Fork(pid int, asid uint64, name string, seed int64) *Process {
 		child.Handlers[sig] = h
 	}
 	return child
+}
+
+// Clone copies the process, on as, for a snapshot of its run: registers, PMU
+// state and noise stream, breakpoints, handlers, limits and timing books.
+// Code and predecoded program stay shared; the cost tables are rebuilt.
+func (p *Process) Clone(as *mem.AddressSpace) *Process {
+	c := *p
+	c.AS = as
+	c.breakpoints = maps.Clone(p.breakpoints)
+	c.bpBits = slices.Clone(p.bpBits)
+	c.Handlers = maps.Clone(p.Handlers)
+	c.ct = costTables{}
+	c.rng = p.rng.Copy()
+	return &c
 }
 
 // --- PMU -----------------------------------------------------------------
@@ -363,7 +366,7 @@ func (p *Process) SetSampler(s Sampler, periodCycles float64) {
 // supervisor (interrupt/exception returns overcount instructions-retired on
 // real hardware).
 func (p *Process) supervisorStop() {
-	p.instrNoise += uint64(p.rand().Intn(3))
+	p.instrNoise += uint64(p.rng.Rand().Intn(3))
 }
 
 // --- breakpoints -----------------------------------------------------------
@@ -379,26 +382,12 @@ func (p *Process) SetBreakpoint(pc uint64) {
 	}
 }
 
-// ClearBreakpoint removes a code breakpoint.
-func (p *Process) ClearBreakpoint(pc uint64) {
-	delete(p.breakpoints, pc)
-	if p.bpBits != nil && pc < uint64(len(p.Code)) {
-		p.bpBits[pc>>6] &^= 1 << (pc & 63)
-	}
-}
-
 // ClearAllBreakpoints removes every breakpoint.
 func (p *Process) ClearAllBreakpoints() {
 	clear(p.breakpoints)
 	for i := range p.bpBits {
 		p.bpBits[i] = 0
 	}
-}
-
-// HasBreakpoint reports whether a breakpoint is set at pc.
-func (p *Process) HasBreakpoint(pc uint64) bool {
-	_, ok := p.breakpoints[pc]
-	return ok
 }
 
 // --- signals ----------------------------------------------------------------
@@ -775,7 +764,7 @@ func (p *Process) Run(env ExecEnv, budget uint64) Stop {
 			if armed && !ovf && branches >= target {
 				ovf = true
 				if p.maxSkid > 0 {
-					skid = uint64(p.rand().Intn(int(p.maxSkid + 1)))
+					skid = uint64(p.rng.Rand().Intn(int(p.maxSkid + 1)))
 				}
 			}
 		} else if ovf && skid > 0 {

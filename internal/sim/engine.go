@@ -77,6 +77,36 @@ func New(m *machine.Machine, k *oskernel.Kernel, l *oskernel.Loader) *Engine {
 	}
 }
 
+// Clone copies the engine for a snapshot of a run: machine, kernel, loader
+// and the live tasks, in the order the contention sum follows. procOf maps a
+// process to its copy; taskOf maps any task, live or retired, to its one copy.
+func (e *Engine) Clone(procOf func(*proc.Process) *proc.Process) (c *Engine, taskOf func(*Task) *Task) {
+	cp := *e
+	c = &cp
+	c.M = e.M.Clone()
+	c.K = e.K.Clone()
+	c.L = e.L.Clone(c.K)
+	copies := make(map[*Task]*Task)
+	taskOf = func(t *Task) *Task {
+		if t == nil {
+			return nil
+		}
+		n := copies[t]
+		if n == nil {
+			n = new(Task)
+			*n = *t
+			n.P, n.Core = procOf(t.P), c.M.Cores[t.Core.ID]
+			copies[t] = n
+		}
+		return n
+	}
+	c.tasks = make([]*Task, len(e.tasks))
+	for i, t := range e.tasks {
+		c.tasks[i] = taskOf(t)
+	}
+	return c, taskOf
+}
+
 // refDRAMRate is the DRAM service capacity used for contention weighting:
 // one line every 15 ns. A task's weight is its observed miss rate over this
 // capacity, so a big-core pointer chase weighs several times more than a

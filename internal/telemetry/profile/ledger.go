@@ -112,9 +112,6 @@ func (l *Ledger) Finish(wallNs float64, m *machine.Machine) {
 // ClassNs returns the simulated nanoseconds charged to one activity class.
 func (l *Ledger) ClassNs(a machine.Activity) float64 { return l.classNs[a] }
 
-// ClassJ returns the active joules charged to one activity class.
-func (l *Ledger) ClassJ(a machine.Activity) float64 { return l.classJ[a] }
-
 // ClassCharges returns how many individual charges one class absorbed.
 func (l *Ledger) ClassCharges(a machine.Activity) uint64 { return l.classCharges[a] }
 

@@ -52,9 +52,6 @@ func NewWindowSampler(reg *telemetry.Registry, intervalNs float64, limit int) *W
 	return &WindowSampler{reg: reg, interval: intervalNs, limit: limit}
 }
 
-// IntervalNs returns the window length in simulated nanoseconds.
-func (ws *WindowSampler) IntervalNs() float64 { return ws.interval }
-
 // Tick advances the sampler to the simulated instant nowNs, closing any
 // windows that ended at or before it. Cheap when no window boundary has
 // been crossed (one compare); nil-safe.
