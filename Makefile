@@ -40,8 +40,9 @@ race-short:
 #              overhead ledger, and the decision stream plus lifecycle spans of a
 #              main+3 run (cmd/parallaft).
 #   Lint|Total the metric/span naming lint that keeps the telemetry golden honest.
-#   Reconcile  the ledger's exact invariant: per-activity sums equal the machine's
-#              sim-time and energy books bit for bit.
+#   Reconcile  the ledger's exact invariant: no charge of the machine's books is
+#              unattributed (and the classes sum to the cores' books up to float
+#              reassociation), over clean, recovery and NMR runs and the suite.
 # Regenerate a golden after an intentional model change by running its package
 # with `-run <TestName> -update`; review the testdata/ diff like code.
 golden:
@@ -89,15 +90,16 @@ bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
 # Allocation pins for the hot paths: zero for interpreter dispatch under both
-# cost policies, the steady-state comparator, a steady-state one-replica vote
-# (every segment end of the paper's design) and the event recorder's nil and
-# over-limit paths (every record method), and no page-sized buffers in a warm
+# cost policies, a core's per-charge accounting (time and activity books), the
+# steady-state comparator, a steady-state one-replica vote (every segment end
+# of the paper's design) and the event recorder's nil and over-limit paths
+# (every record method), and no page-sized buffers in a warm
 # checkd worker's start-state rebuild or in a steady-state copy-on-write (its
 # frame comes from mem's free list). Run without -race:
 # the detector's own instrumentation allocates, so the guard tests carry a
 # !race build tag.
 alloc-guard:
-	$(GO) test ./internal/mem ./internal/proc ./internal/compare ./internal/checkd ./internal/telemetry ./internal/telemetry/profile -run 'AllocFree|AllocationFree' -v
+	$(GO) test ./internal/mem ./internal/proc ./internal/machine ./internal/compare ./internal/checkd ./internal/telemetry ./internal/telemetry/profile -run 'AllocFree|AllocationFree' -v
 
 # The tracked size figure (ROADMAP: it should go down): non-test Go lines
 # outside benchmark/, which is counted on its own.

@@ -122,7 +122,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	fs.StringVar(&o.profileOut, "profile-out", "", "write a gzipped pprof-format sim-clock CPU profile to this file (go tool pprof reads it)")
 	fs.StringVar(&o.profileFolded, "profile-folded", "", "write the same profile as folded-stacks text (actor;core;symbol;block count) to this file")
 	fs.Float64Var(&o.profilePeriod, "profile-period", 0, "sim cycles between profile samples (0 = default 50000)")
-	fs.BoolVar(&o.ledger, "ledger", false, "attribute every simulated cycle and joule to an activity class, verify the attribution reconciles exactly with the time/energy books, and print the overhead breakdown (a \"ledger\" block under -stats-json)")
+	fs.BoolVar(&o.ledger, "ledger", false, "attribute every simulated cycle and joule to an activity class, verify that no charge went unattributed, and print the overhead breakdown (a \"ledger\" block under -stats-json)")
 	fs.StringVar(&o.windowsFile, "metric-windows", "", "write fixed sim-clock-interval snapshots of the metrics registry (counter deltas, gauge levels) as JSONL to this file")
 	fs.Float64Var(&o.windowMs, "window-interval-ms", 1.0, "simulated milliseconds per -metric-windows interval")
 	if err := fs.Parse(argv); err != nil {
@@ -278,20 +278,14 @@ func (o *options) runOne(r *stats.Runner, mode stats.Mode, prog *asm.Program, ex
 	}
 	cfg.Metrics = reg
 	o.trace.SetMetrics(reg)
-	// The profiler, ledger, and window sampler are per-run: each program
-	// gets a fresh machine, so the books they reconcile against restart
-	// (a multi-program run takes only the ledger, printed per program).
+	// The profiler and window sampler are per-run, and so is the ledger:
+	// each program gets a fresh machine, so its books restart (a
+	// multi-program run takes only the ledger, printed per program).
 	var profiler *profile.Recorder
 	if o.profileOut != "" || o.profileFolded != "" {
 		profiler = profile.NewRecorder(o.profilePeriod)
 		profiler.SetMetrics(reg)
 		cfg.Profiler = profiler
-	}
-	var ledger *profile.Ledger
-	if o.ledger {
-		ledger = profile.NewLedger()
-		ledger.SetMetrics(reg)
-		cfg.Ledger = ledger
 	}
 	var windows *profile.WindowSampler
 	if o.windowsFile != "" {
@@ -367,13 +361,16 @@ func (o *options) runOne(r *stats.Runner, mode stats.Mode, prog *asm.Program, ex
 		}
 		fmt.Fprintf(stderr, "windows: %d metric windows written to %s\n", len(windows.Windows()), o.windowsFile)
 	}
-	if ledger != nil {
+	var ledger *profile.Summary
+	if o.ledger {
 		// The attribution invariant is a correctness gate, not advisory
-		// output: a charge the ledger missed (or double-counted) means the
-		// breakdown below lies about where the overhead went.
-		if err := ledger.Reconcile(e.M); err != nil {
+		// output: an unclassed charge means the breakdown below lies about
+		// where the overhead went.
+		s := profile.Summarize(e.M, st.AllWallNs)
+		if err := s.Reconcile(); err != nil {
 			return err
 		}
+		ledger = &s
 	}
 	if o.statsJSON {
 		obj := map[string]any{
@@ -387,7 +384,7 @@ func (o *options) runOne(r *stats.Runner, mode stats.Mode, prog *asm.Program, ex
 			obj["farm"] = fr
 		}
 		if ledger != nil {
-			obj["ledger"] = ledger.Summarize()
+			obj["ledger"] = ledger
 		}
 		if err := emitJSON(stdout, obj); err != nil {
 			return err

@@ -164,9 +164,8 @@ type Farm struct {
 	nodeIdx map[string]int // spec → stable metric index
 	rr      int            // round-robin cursor
 
-	pending    []*flight // awaiting dispatch, sorted by seq
-	unresolved int       // submitted but not yet resolved to a verdict
-	resolved   map[int]bool
+	pending    []*flight          // awaiting dispatch, sorted by seq
+	unresolved int                // submitted but not yet resolved to a verdict
 	ready      map[int]readyEntry // resolved, awaiting in-order delivery
 	nextSeq    int
 	deliverSeq int
@@ -187,7 +186,6 @@ func New(store *pagestore.Store, opts Options) *Farm {
 		store:          store,
 		tm:             newFarmMetrics(opts.Metrics),
 		nodeIdx:        make(map[string]int),
-		resolved:       make(map[int]bool),
 		ready:          make(map[int]readyEntry),
 		out:            make(chan checkd.Verdict, 64),
 		dispatcherDone: make(chan struct{}),
@@ -323,7 +321,7 @@ func (f *Farm) dispatcher() {
 		}
 		fl := f.pending[0]
 		f.pending = f.pending[1:]
-		if f.resolved[fl.seq] {
+		if f.resolvedLocked(fl.seq) {
 			f.mu.Unlock()
 			continue
 		}
@@ -482,7 +480,7 @@ func (f *Farm) evict(n *node, reason error) {
 	}
 	stranded := make([]*flight, 0, len(n.bySeq))
 	for _, fl := range n.bySeq {
-		if !f.resolved[fl.seq] {
+		if !f.resolvedLocked(fl.seq) {
 			fl.enqueuedAt = time.Now() // the dispatch wait restarts here
 			fl.uploadDone = time.Time{}
 			stranded = append(stranded, fl)
@@ -524,10 +522,9 @@ type readyEntry struct {
 // raced an eviction, or a redispatched copy answered twice — is dropped.
 // Callers hold f.mu.
 func (f *Farm) resolveLocked(fl *flight, n *node, v checkd.Verdict) {
-	if f.resolved[fl.seq] {
+	if f.resolvedLocked(fl.seq) {
 		return
 	}
-	f.resolved[fl.seq] = true
 	v.Seq = fl.seq
 	f.ready[fl.seq] = readyEntry{v: v, resolvedAt: time.Now(), fl: fl}
 	f.unresolved--
@@ -540,6 +537,13 @@ func (f *Farm) resolveLocked(fl *flight, n *node, v checkd.Verdict) {
 	}
 	f.tm.inflight.Set(float64(f.unresolved))
 	f.cond.Broadcast()
+}
+
+// resolvedLocked reports whether seq has its verdict: delivered already, or
+// in ready awaiting delivery. Callers hold f.mu.
+func (f *Farm) resolvedLocked(seq int) bool {
+	_, ok := f.ready[seq]
+	return ok || seq < f.deliverSeq
 }
 
 // delivery releases verdicts to the consumer in global submission order.

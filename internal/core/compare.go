@@ -160,5 +160,4 @@ func (r *Runtime) finish() {
 		r.stats.EnergyJ = 0
 	}
 	r.cfg.Windows.Flush(allWall)
-	r.cfg.Ledger.Finish(allWall, r.e.M)
 }

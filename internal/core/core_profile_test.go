@@ -1,23 +1,36 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"parallaft/internal/machine"
 	"parallaft/internal/proc"
+	"parallaft/internal/sim"
 	"parallaft/internal/telemetry"
 	"parallaft/internal/telemetry/profile"
 )
 
-// TestLedgerReconciles is the attribution invariant on a clean run: the
-// per-activity sums equal the machine's time book bit-for-bit, the energy
-// recomputation matches, and not one charge landed unattributed.
+// reconcileLedger reads the ledger off a finished run and asserts the
+// attribution invariant: not one charge landed unattributed, and the classes
+// sum to the cores' own active-time books up to float reassociation.
+func reconcileLedger(t *testing.T, e *sim.Engine, st *RunStats) {
+	t.Helper()
+	s := profile.Summarize(e.M, st.AllWallNs)
+	if err := s.Reconcile(); err != nil {
+		t.Fatalf("reconcile: %v", err)
+	}
+	if math.Abs(s.ActiveSimNs-s.BookNs) > 1e-9*s.BookNs {
+		t.Errorf("classes sum to %.17g ns, the cores' books to %.17g ns", s.ActiveSimNs, s.BookNs)
+	}
+}
+
+// TestLedgerReconciles is the attribution invariant on a clean run, with
+// both guest classes charged.
 func TestLedgerReconciles(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SlicePeriodCycles = 40_000
-	ledger := profile.NewLedger()
-	cfg.Ledger = ledger
 	e := newTestEngine(7)
 	rt := NewRuntime(e, cfg)
 	stats, err := rt.Run(testProgram(40_000))
@@ -27,15 +40,9 @@ func TestLedgerReconciles(t *testing.T) {
 	if stats.Detected != nil {
 		t.Fatalf("false positive: %v", stats.Detected)
 	}
-	if err := ledger.Reconcile(e.M); err != nil {
-		t.Fatalf("reconcile: %v", err)
-	}
-	if n := ledger.ClassCharges(machine.ActUnattributed); n != 0 {
-		t.Errorf("%d charges landed in the unattributed class", n)
-	}
-	if ledger.ClassNs(machine.ActGuestMain) <= 0 || ledger.ClassNs(machine.ActGuestChecker) <= 0 {
-		t.Errorf("guest classes empty: main=%v checker=%v",
-			ledger.ClassNs(machine.ActGuestMain), ledger.ClassNs(machine.ActGuestChecker))
+	reconcileLedger(t, e, stats)
+	if main, chk := e.M.Charged(machine.ActGuestMain).Ns, e.M.Charged(machine.ActGuestChecker).Ns; main <= 0 || chk <= 0 {
+		t.Errorf("guest classes empty: main=%v checker=%v", main, chk)
 	}
 }
 
@@ -43,8 +50,6 @@ func TestLedgerReconciles(t *testing.T) {
 // time; the invariant must survive the extra process and its charges.
 func TestLedgerReconcilesUnderRecovery(t *testing.T) {
 	cfg := recoveryConfig()
-	ledger := profile.NewLedger()
-	cfg.Ledger = ledger
 	fired := false
 	cfg.ReplicaHook = func(seg, rep int, c *proc.Process, _ float64) {
 		if fired || seg < 1 || rep != 0 {
@@ -62,10 +67,8 @@ func TestLedgerReconcilesUnderRecovery(t *testing.T) {
 	if stats.Detected != nil {
 		t.Fatalf("fault not absorbed: %v", stats.Detected)
 	}
-	if err := ledger.Reconcile(e.M); err != nil {
-		t.Fatalf("reconcile after recovery: %v", err)
-	}
-	if ledger.ClassNs(machine.ActRecovery) <= 0 {
+	reconcileLedger(t, e, stats)
+	if e.M.Charged(machine.ActRecovery).Ns <= 0 {
 		t.Errorf("arbitration charged no recovery time")
 	}
 }
@@ -76,8 +79,6 @@ func TestLedgerReconcilesNMR(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.SlicePeriodCycles = 40_000
 	cfg.Checkers = 3
-	ledger := profile.NewLedger()
-	cfg.Ledger = ledger
 	e := newTestEngine(7)
 	rt := NewRuntime(e, cfg)
 	stats, err := rt.Run(testProgram(40_000))
@@ -87,10 +88,8 @@ func TestLedgerReconcilesNMR(t *testing.T) {
 	if stats.Detected != nil {
 		t.Fatalf("false positive: %v", stats.Detected)
 	}
-	if err := ledger.Reconcile(e.M); err != nil {
-		t.Fatalf("reconcile under NMR: %v", err)
-	}
-	if ledger.ClassNs(machine.ActVote) <= 0 {
+	reconcileLedger(t, e, stats)
+	if e.M.Charged(machine.ActVote).Ns <= 0 {
 		t.Errorf("NMR run charged no vote-hash time")
 	}
 }

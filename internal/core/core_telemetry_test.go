@@ -95,9 +95,9 @@ func TestTelemetryCleanRun(t *testing.T) {
 }
 
 // TestTelemetryIsObservationOnly is the determinism guarantee: a run with
-// the full telemetry stack enabled — including the sampling profiler, the
-// overhead ledger and the window sampler — must produce byte-identical
-// stats to a run without it. Telemetry consumes no simulated time.
+// the full telemetry stack enabled — including the sampling profiler and
+// the window sampler — must produce byte-identical stats to a run without
+// it. Telemetry consumes no simulated time.
 func TestTelemetryIsObservationOnly(t *testing.T) {
 	run := func(withTelemetry bool) *RunStats {
 		cfg := DefaultConfig()
@@ -109,7 +109,6 @@ func TestTelemetryIsObservationOnly(t *testing.T) {
 			cfg.Trace = telemetry.NewRecorder(0)
 			cfg.Trace.SetDir(t.TempDir())
 			cfg.Profiler = profile.NewRecorder(10_000)
-			cfg.Ledger = profile.NewLedger()
 			cfg.Windows = profile.NewWindowSampler(reg, 1e5, 0)
 		}
 		e := newTestEngine(7)

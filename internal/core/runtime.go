@@ -173,13 +173,6 @@ type Config struct {
 	// with or without it.
 	Profiler *profile.Recorder
 
-	// Ledger, when set, is attached to the machine as its charge observer:
-	// every simulated active nanosecond the run accounts is classed to
-	// exactly one activity (guest, fork, COW, barrier, record, replay,
-	// compare, vote, recovery) and reconciled bit-for-bit against the
-	// machine's own books by Ledger.Reconcile. Observation-only.
-	Ledger *profile.Ledger
-
 	// Windows, when set, is ticked with the main's simulated clock so the
 	// registry in Metrics becomes a time series of fixed sim-clock interval
 	// deltas. Observation-only.
@@ -582,10 +575,6 @@ func NewRuntime(e *sim.Engine, cfg Config) *Runtime {
 	r.tm = newCoreMetrics(cfg.Metrics, cfg.Checkers)
 	r.voteReq = r.newVoteRequest()
 	r.sched = newScheduler(r)
-	if cfg.Ledger != nil {
-		cfg.Ledger.Attach(e.M)
-		cfg.Ledger.SetMetrics(cfg.Metrics)
-	}
 	if cfg.Profiler != nil {
 		cfg.Profiler.SetMetrics(cfg.Metrics)
 	}

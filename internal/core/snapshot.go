@@ -32,8 +32,6 @@ func (c *Config) snapshottable() error {
 	switch {
 	case c.Profiler != nil:
 		return &SnapshotError{"Profiler"}
-	case c.Ledger != nil:
-		return &SnapshotError{"Ledger"}
 	case c.Windows != nil:
 		return &SnapshotError{"Windows"}
 	case c.Export != nil:

@@ -28,10 +28,23 @@ func snapshotEngine() *sim.Engine {
 	return sim.New(m, k, oskernel.NewLoader(k, m.PageSize, 17))
 }
 
-// diffStats reports the first difference between two RunStats, walking every
-// field — unexported books, per-segment rows and the detection included —
-// and comparing floats by bit pattern; "" when they are identical.
-func diffStats(a, b *RunStats) string {
+// runEnd is what a finished run leaves: its statistics and the overhead
+// ledger read off its machine.
+type runEnd struct {
+	Stats  *RunStats
+	Ledger profile.Summary
+}
+
+// endOf is the end of r, whose Run or Resume has just returned st.
+func endOf(r *Runtime, st *RunStats) runEnd {
+	return runEnd{st, profile.Summarize(r.e.M, st.AllWallNs)}
+}
+
+// diffEnds reports the first difference between two run ends, walking every
+// field — unexported books, per-segment rows, the detection and every
+// ledger class included — and comparing floats by bit pattern; "" when they
+// are identical.
+func diffEnds(a, b runEnd) string {
 	var walk func(path string, x, y reflect.Value) string
 	walk = func(path string, x, y reflect.Value) string {
 		switch x.Kind() {
@@ -79,11 +92,11 @@ func diffStats(a, b *RunStats) string {
 				return fmt.Sprintf("%s: %d vs %d", path, x.Uint(), y.Uint())
 			}
 		default:
-			panic("diffStats: unhandled kind " + x.Kind().String() + " at " + path)
+			panic("diffEnds: unhandled kind " + x.Kind().String() + " at " + path)
 		}
 		return ""
 	}
-	return walk("RunStats", reflect.ValueOf(a).Elem(), reflect.ValueOf(b).Elem())
+	return walk("run", reflect.ValueOf(a), reflect.ValueOf(b))
 }
 
 // snapshotCase is one protected run the snapshot invariant is checked on.
@@ -132,21 +145,46 @@ func snapshotCases() []snapshotCase {
 
 // snapshotEverySegment runs prog as a spine that snapshots every segment,
 // whatever the pages the snapshots borrow.
-func snapshotEverySegment(cfg Config, prog *asm.Program, at func(int, *Snapshot)) (*RunStats, error) {
+func snapshotEverySegment(cfg Config, prog *asm.Program, at func(int, *Snapshot)) (runEnd, error) {
+	return runToEnd(cfg, prog, func(r *Runtime) {
+		r.atFirstDispatch = func(seg int) { at(seg, &Snapshot{r.clone(nil)}) }
+	})
+}
+
+// runToEnd runs prog on a new engine, with rig (when set) applied to the
+// runtime first.
+func runToEnd(cfg Config, prog *asm.Program, rig func(*Runtime)) (runEnd, error) {
 	r := NewRuntime(snapshotEngine(), cfg)
-	r.atFirstDispatch = func(seg int) { at(seg, &Snapshot{r.clone(nil)}) }
-	return r.Run(prog)
+	if rig != nil {
+		rig(r)
+	}
+	st, err := r.Run(prog)
+	if err != nil {
+		return runEnd{}, err
+	}
+	return endOf(r, st), nil
+}
+
+// resumeToEnd restores s with hook and runs it to the end.
+func resumeToEnd(s *Snapshot, hook func(segment, replica int, checker *proc.Process, elapsedNs float64)) (runEnd, error) {
+	r := s.Restore(hook)
+	st, err := r.Resume()
+	if err != nil {
+		return runEnd{}, err
+	}
+	return endOf(r, st), nil
 }
 
 // TestSnapshotRestoreEqualsUninterrupted: a run restored from the snapshot
 // of any segment and run to the end, and the spine that took the snapshots,
-// both end with the statistics of a run that took none — every float bit for
-// bit, stdout, the per-segment rows, and the COW, dirty-page, identity-skip
-// and memo-hit counters.
+// both end with the statistics and the overhead ledger of a run that took
+// none — every float bit for bit, stdout, the per-segment rows, the COW,
+// dirty-page, identity-skip and memo-hit counters, and every activity
+// class's time, energy and charge count.
 func TestSnapshotRestoreEqualsUninterrupted(t *testing.T) {
 	for _, tc := range snapshotCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			want, err := NewRuntime(snapshotEngine(), tc.cfg).Run(tc.prog)
+			want, err := runToEnd(tc.cfg, tc.prog, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -161,8 +199,8 @@ func TestSnapshotRestoreEqualsUninterrupted(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if d := diffStats(spine, want); d != "" {
-				t.Fatalf("the spine's stats differ from a run without snapshots: %s", d)
+			if d := diffEnds(spine, want); d != "" {
+				t.Fatalf("the spine's end differs from a run without snapshots: %s", d)
 			}
 			if len(snaps) < 3 {
 				t.Fatalf("%d snapshots; the case should have several segments", len(snaps))
@@ -172,17 +210,17 @@ func TestSnapshotRestoreEqualsUninterrupted(t *testing.T) {
 				snaps = []taken{snaps[0], snaps[len(snaps)/2], snaps[len(snaps)-1]}
 			}
 			for _, s := range snaps {
-				got, err := s.snap.Restore(tc.cfg.ReplicaHook).Resume()
+				got, err := resumeToEnd(s.snap, tc.cfg.ReplicaHook)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if d := diffStats(got, want); d != "" {
+				if d := diffEnds(got, want); d != "" {
 					t.Errorf("restored at segment %d: %s", s.seg, d)
 				}
 			}
-			if tc.cfg.EnableRecovery && (want.RecoveredCheckerFaults != 1 || want.Rollbacks != 1) {
+			if tc.cfg.EnableRecovery && (want.Stats.RecoveredCheckerFaults != 1 || want.Stats.Rollbacks != 1) {
 				t.Errorf("recovered checker faults %d, rollbacks %d: the case should exercise both",
-					want.RecoveredCheckerFaults, want.Rollbacks)
+					want.Stats.RecoveredCheckerFaults, want.Stats.Rollbacks)
 			}
 		})
 	}
@@ -195,12 +233,12 @@ func TestSnapshotRestoreEqualsUninterrupted(t *testing.T) {
 func TestSnapshotConcurrentRestores(t *testing.T) {
 	prog := workload.Get("470.lbm").Gen(0.03)[0]
 	cfg := DefaultConfig()
-	want, err := NewRuntime(snapshotEngine(), cfg).Run(prog)
+	want, err := runToEnd(cfg, prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var wg sync.WaitGroup
-	got := make([]*RunStats, 2)
+	got := make([]runEnd, 2)
 	errs := make([]error, 2)
 	spine, err := snapshotEverySegment(cfg, prog, func(seg int, s *Snapshot) {
 		if seg != 1 {
@@ -210,7 +248,7 @@ func TestSnapshotConcurrentRestores(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				got[i], errs[i] = s.Restore(nil).Resume()
+				got[i], errs[i] = resumeToEnd(s, nil)
 			}()
 		}
 	})
@@ -218,14 +256,14 @@ func TestSnapshotConcurrentRestores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d := diffStats(spine, want); d != "" {
+	if d := diffEnds(spine, want); d != "" {
 		t.Errorf("spine: %s", d)
 	}
 	for i := range got {
 		if errs[i] != nil {
 			t.Fatal(errs[i])
 		}
-		if d := diffStats(got[i], want); d != "" {
+		if d := diffEnds(got[i], want); d != "" {
 			t.Errorf("restore %d: %s", i, d)
 		}
 	}
@@ -236,7 +274,6 @@ func TestSnapshotConcurrentRestores(t *testing.T) {
 func TestSnapshotRefusesAccumulators(t *testing.T) {
 	for name, set := range map[string]func(*Config){
 		"Profiler": func(c *Config) { c.Profiler = &profile.Recorder{} },
-		"Ledger":   func(c *Config) { c.Ledger = &profile.Ledger{} },
 		"Windows":  func(c *Config) { c.Windows = &profile.WindowSampler{} },
 		"Export":   func(c *Config) { c.Export = &packet.Exporter{} },
 	} {

@@ -2,18 +2,17 @@ package machine
 
 // Activity classifies what a slice of simulated active time was spent on.
 // Every AccountActive charge happens under exactly one activity class: the
-// runtime sets the core's current class around each operation, and an
-// attached ActiveSink observes the very same float64 charges, in the very
-// same order, that the core's own energy book accumulates. That shared
-// observation stream is what lets the overhead ledger reconcile bit-exactly
-// against the books (see internal/telemetry/profile).
+// runtime sets the core's current class around each operation, and the
+// charge lands in the machine's per-class books in the same call that adds
+// it to the core's per-frequency book. The overhead ledger
+// (internal/telemetry/profile) is a view of those books.
 //
 // The classes mirror the paper's overhead taxonomy: guest execution (main
 // and checker replicas), slicing barriers, checkpoint forks and COW page
 // copies, dirty-page enumeration, event recording and replay steering,
 // end-of-segment hashing for compare and vote, and recovery work. Remote
 // farm stages (dispatch, upload, remote verify) spend host wall time, not
-// simulated time, and are tracked by the ledger separately.
+// simulated time; the telemetry recorder's stage spans carry them.
 type Activity uint8
 
 // Activity classes. ActUnattributed is the zero value: a charge observed
@@ -66,13 +65,17 @@ func (a Activity) String() string {
 	return "activity(?)"
 }
 
-// ActiveSink observes every AccountActive charge on a core it is attached
-// to: the exact ns value the book absorbed, the core it landed on, the
-// ladder point it was charged at, and the activity class in effect.
-// Observation-only: a sink must not mutate the core.
-type ActiveSink interface {
-	OnActive(c *Core, act Activity, freqIdx int, ns float64)
+// ActivityTotals is one activity class's share of a machine's active books:
+// simulated nanoseconds, dynamic joules, and how many charges made them up.
+type ActivityTotals struct {
+	Ns      float64
+	J       float64
+	Charges uint64
 }
+
+// Charged returns the totals of every charge made under a, on any core,
+// added in charge order since the machine was built.
+func (m *Machine) Charged(a Activity) ActivityTotals { return m.acts[a] }
 
 // SetActivity declares the class for subsequent AccountActive charges on
 // this core and returns the previous class so narrow scopes can restore it.
@@ -85,17 +88,3 @@ func (c *Core) SetActivity(a Activity) Activity {
 
 // Activity returns the core's current activity class.
 func (c *Core) Activity() Activity { return c.act }
-
-// SetActiveSink attaches (or, with nil, detaches) the charge observer.
-func (c *Core) SetActiveSink(s ActiveSink) { c.sink = s }
-
-// ActiveNsAt returns the active time accumulated at one ladder point — the
-// book value the ledger's per-core mirror must match bit for bit.
-func (c *Core) ActiveNsAt(freqIdx int) float64 { return c.activeNs[freqIdx] }
-
-// SetActiveSink attaches the observer to every core of the machine.
-func (m *Machine) SetActiveSink(s ActiveSink) {
-	for _, c := range m.Cores {
-		c.SetActiveSink(s)
-	}
-}

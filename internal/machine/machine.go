@@ -59,11 +59,11 @@ type Core struct {
 	freqIdx  int
 	activeNs []float64 // active time accumulated at each ladder point
 
-	// Observation-only attribution state (see activity.go): the current
-	// activity class and the optional charge observer. Neither feeds the
-	// cost or energy model.
+	// Attribution (see activity.go): the current activity class and the
+	// machine's per-class books every charge also lands in. Neither feeds
+	// the cost or energy model.
 	act  Activity
-	sink ActiveSink
+	acts *[NumActivities]ActivityTotals
 }
 
 // FreqGHz returns the current operating frequency.
@@ -89,14 +89,14 @@ func (c *Core) SetFreqIndex(i int) {
 // SetMaxFreq moves the core to its highest operating point.
 func (c *Core) SetMaxFreq() { c.freqIdx = len(c.Ladder) - 1 }
 
-// AccountActive records ns of execution at the current operating point. An
-// attached sink observes the identical charge — same float, same order — so
-// the attribution ledger can mirror the book bit for bit.
+// AccountActive records ns of execution at the current operating point, and
+// adds it to the machine's books for the current activity class.
 func (c *Core) AccountActive(ns float64) {
 	c.activeNs[c.freqIdx] += ns
-	if c.sink != nil {
-		c.sink.OnActive(c, c.act, c.freqIdx, ns)
-	}
+	t := &c.acts[c.act]
+	t.Ns += ns
+	t.J += ns * c.Ladder[c.freqIdx].ActiveMW * 1e-12
+	t.Charges++
 }
 
 // ActiveNs returns the total active nanoseconds across all points.
@@ -197,7 +197,8 @@ type Machine struct {
 	SliceByInstructions bool
 
 	dramAccesses uint64
-	cfg          Config // what New built it from
+	acts         [NumActivities]ActivityTotals // machine-wide, in charge order
+	cfg          Config                        // what New built it from
 }
 
 // New assembles a machine from a configuration.
@@ -217,6 +218,7 @@ func New(cfg Config) *Machine {
 		c.ID = i
 		c.activeNs = make([]float64, len(c.Ladder))
 		c.freqIdx = len(c.Ladder) - 1
+		c.acts = &m.acts
 		m.Cores = append(m.Cores, &c)
 		isBig[i] = c.Kind == Big
 		cluster[i] = c.Cluster
@@ -249,9 +251,9 @@ func (m *Machine) CountDRAMAccess() { m.dramAccesses++ }
 func (m *Machine) DRAMAccesses() uint64 { return m.dramAccesses }
 
 // CopyFrom puts m in src's exact state: every core's operating point, active
-// time books and activity class, the cache hierarchy and the DRAM count. m
-// must be built from src's configuration; charge observers stay as
-// attached. It only reads src.
+// time books and activity class, the per-class books, the cache hierarchy
+// and the DRAM count. m must be built from src's configuration. It only
+// reads src.
 func (m *Machine) CopyFrom(src *Machine) {
 	for i, c := range m.Cores {
 		s := src.Cores[i]
@@ -259,7 +261,7 @@ func (m *Machine) CopyFrom(src *Machine) {
 		copy(c.activeNs, s.activeNs)
 	}
 	m.Caches.CopyFrom(src.Caches)
-	m.dramAccesses = src.dramAccesses
+	m.dramAccesses, m.acts = src.dramAccesses, src.acts
 }
 
 // Clone returns an independent machine in m's exact state.

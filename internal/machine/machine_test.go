@@ -200,12 +200,13 @@ func TestMachineString(t *testing.T) {
 }
 
 // TestCopyFromEqualsSource: a machine that has run at scaled-down
-// frequencies, booked time and DRAM traffic and warmed its caches, copied
-// from a captured machine, must keep the captured machine's books for the
-// next run — bit for bit.
+// frequencies, booked time under several activity classes and DRAM traffic
+// and warmed its caches, copied from a captured machine, must keep the
+// captured machine's books for the next run — bit for bit.
 func TestCopyFromEqualsSource(t *testing.T) {
 	run := func(m *Machine, salt uint64) {
 		for i, c := range m.Cores {
+			c.SetActivity(Activity(1 + (i+int(salt))%int(NumActivities-1)))
 			c.AccountActive(1000 + float64(salt) + float64(i)/3)
 			for a := uint64(0); a < 4096; a++ {
 				if m.Caches.Access(c.ID, 1+salt, a*64*(1+salt)) == cache.DRAM {
@@ -234,6 +235,12 @@ func TestCopyFromEqualsSource(t *testing.T) {
 	}
 	if g, w := used.DRAMAccesses(), captured.DRAMAccesses(); g != w {
 		t.Errorf("DRAMAccesses %d on the copy, %d on the captured machine", g, w)
+	}
+	for a := Activity(0); a < NumActivities; a++ {
+		g, w := used.Charged(a), captured.Charged(a)
+		if math.Float64bits(g.Ns) != math.Float64bits(w.Ns) || math.Float64bits(g.J) != math.Float64bits(w.J) || g.Charges != w.Charges {
+			t.Errorf("%s: %+v on the copy, %+v on the captured machine", a, g, w)
+		}
 	}
 	for i, c := range used.Cores {
 		if c.FreqIndex() != captured.Cores[i].FreqIndex() {

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 
-	"parallaft/internal/campaign"
 	"parallaft/internal/core"
 	"parallaft/internal/inject"
 	"parallaft/internal/workload"
@@ -41,8 +40,7 @@ func (r *Runner) RunSuite(names []string, withRAFT bool) (*SuiteResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr := r.newProgress("suite", len(ws))
-	results := campaign.RunProgress(r.Parallel, len(ws), pr, func(i int) (*Comparison, error) {
+	cs, err := fanOut(r, "suite", len(ws), func(i int) (*Comparison, error) {
 		c, err := r.Compare(ws[i], withRAFT)
 		if err != nil {
 			return nil, err
@@ -52,14 +50,10 @@ func (r *Runner) RunSuite(names []string, withRAFT bool) (*SuiteResult, error) {
 		}
 		return c, nil
 	})
-	sr := &SuiteResult{}
-	for _, res := range results {
-		if res.Err != nil {
-			return nil, res.Err
-		}
-		sr.Comparisons = append(sr.Comparisons, res.Value)
+	if err != nil {
+		return nil, err
 	}
-	return sr, nil
+	return &SuiteResult{Comparisons: cs}, nil
 }
 
 func (sr *SuiteResult) geomeans() (parPerf, raftPerf, parEnergy, raftEnergy, parMem, raftMem float64) {
@@ -180,18 +174,14 @@ func (r *Runner) RunFig9(benchmarks []string, periods []float64) ([]SweepPoint, 
 	if periods == nil {
 		periods = Fig9Periods
 	}
-	ws := make([]*workload.Workload, len(benchmarks))
-	for i, name := range benchmarks {
-		if ws[i] = workload.Get(name); ws[i] == nil {
-			return nil, fmt.Errorf("stats: unknown workload %q", name)
-		}
+	ws, err := resolveWorkloads(benchmarks)
+	if err != nil {
+		return nil, err
 	}
-
-	basePr := r.newProgress("fig9 baselines", len(ws))
-	bases := campaign.RunProgress(r.Parallel, len(ws), basePr, func(i int) (*SessionResult, error) {
+	bases, err := fanOut(r, "fig9 baselines", len(ws), func(i int) (*SessionResult, error) {
 		return r.RunWorkload(ws[i], ModeBaseline)
 	})
-	if err := campaign.FirstErr(bases); err != nil {
+	if err != nil {
 		return nil, err
 	}
 
@@ -205,8 +195,7 @@ func (r *Runner) RunFig9(benchmarks []string, periods []float64) ([]SweepPoint, 
 			cells = append(cells, cell{b, p})
 		}
 	}
-	pr := r.newProgress("fig9 sweep", len(cells))
-	points := campaign.RunProgress(r.Parallel, len(cells), pr, func(i int) (SweepPoint, error) {
+	return fanOut(r, "fig9 sweep", len(cells), func(i int) (SweepPoint, error) {
 		w, period := ws[cells[i].bench], cells[i].period
 		sweep := *r
 		sweep.ConfigTweak = func(c *core.Config) {
@@ -220,7 +209,7 @@ func (r *Runner) RunFig9(benchmarks []string, periods []float64) ([]SweepPoint, 
 		if err != nil {
 			return SweepPoint{}, err
 		}
-		c := &Comparison{Name: w.Name, Baseline: bases[cells[i].bench].Value, Parallaft: par}
+		c := &Comparison{Name: w.Name, Baseline: bases[cells[i].bench], Parallaft: par}
 		f, _, lc, _ := c.Breakdown()
 		return SweepPoint{
 			Benchmark:    w.Name,
@@ -230,14 +219,6 @@ func (r *Runner) RunFig9(benchmarks []string, periods []float64) ([]SweepPoint, 
 			Combined:     c.PerfOverhead(ModeParallaft),
 		}, nil
 	})
-	out := make([]SweepPoint, 0, len(points))
-	for _, res := range points {
-		if res.Err != nil {
-			return nil, res.Err
-		}
-		out = append(out, res.Value)
-	}
-	return out, nil
 }
 
 // FormatFig9 renders the three panels of figure 9.
@@ -388,8 +369,7 @@ func (r *Runner) RunStress() ([]StressRow, error) {
 		"stress.sigusr1": 39.8,
 	}
 	sws := workload.Stress()
-	pr := r.newProgress("stress", len(sws))
-	results := campaign.RunProgress(r.Parallel, len(sws), pr, func(i int) (StressRow, error) {
+	return fanOut(r, "stress", len(sws), func(i int) (StressRow, error) {
 		w := sws[i]
 		base, err := r.RunWorkload(w, ModeBaseline)
 		if err != nil {
@@ -410,14 +390,6 @@ func (r *Runner) RunStress() ([]StressRow, error) {
 			PaperParallaX: paper[w.Name],
 		}, nil
 	})
-	var rows []StressRow
-	for _, res := range results {
-		if res.Err != nil {
-			return nil, res.Err
-		}
-		rows = append(rows, res.Value)
-	}
-	return rows, nil
 }
 
 // FormatStress renders the §5.7 numbers.

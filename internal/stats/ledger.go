@@ -3,11 +3,8 @@ package stats
 import (
 	"fmt"
 
-	"parallaft/internal/campaign"
-	"parallaft/internal/core"
 	"parallaft/internal/machine"
 	"parallaft/internal/telemetry/profile"
-	"parallaft/internal/workload"
 )
 
 // LedgerRow is one workload's reconciled overhead attribution: where every
@@ -36,58 +33,28 @@ func (r *LedgerRow) share(name string) float64 {
 var ledgerWorkloads = []string{"429.mcf", "433.milc", "470.lbm"}
 
 // RunLedger runs the overhead-attribution experiment: one Parallaft session
-// per workload with a fresh ledger attached, each verified against the
-// machine's time and energy books by the reconciliation invariant before it
-// is reported. A reconcile failure fails the experiment — a breakdown that
-// does not sum to the books is not worth printing. Pass nil for the default
+// per workload, its ledger checked by the reconciliation invariant before it
+// is reported. A reconcile failure fails the experiment — a breakdown with
+// unclassed charges is not worth printing. Pass nil for the default
 // three-benchmark subset.
 func (r *Runner) RunLedger(names []string) ([]LedgerRow, error) {
 	if names == nil {
 		names = ledgerWorkloads
 	}
-	ws := make([]*workload.Workload, 0, len(names))
-	for _, n := range names {
-		w := workload.Get(n)
-		if w == nil {
-			return nil, fmt.Errorf("ledger: unknown workload %q", n)
-		}
-		ws = append(ws, w)
+	ws, err := resolveWorkloads(names)
+	if err != nil {
+		return nil, err
 	}
-
-	pr := r.newProgress("ledger", len(ws))
-	results := campaign.RunProgress(r.Parallel, len(ws), pr, func(i int) (LedgerRow, error) {
-		w := ws[i]
-		cfg := r.RuntimeConfig(ModeParallaft)
-		// One ledger per session: its mirrors are bound to one machine's
-		// cores. Multi-input workloads get one ledger per program too, so
-		// each is reconciled against its own engine.
-		row := LedgerRow{Name: w.Name}
-		agg := profile.Summary{}
-		for _, prog := range w.Gen(r.Scale) {
-			ledger := profile.NewLedger()
-			pcfg := cfg
-			pcfg.Ledger = ledger
-			e := r.NewEngine()
-			rt := core.NewRuntime(e, pcfg)
-			if _, err := rt.Run(prog); err != nil {
-				return LedgerRow{}, fmt.Errorf("ledger %s %s: %w", w.Name, prog.Name, err)
-			}
-			if err := ledger.Reconcile(e.M); err != nil {
-				return LedgerRow{}, fmt.Errorf("ledger %s %s: %w", w.Name, prog.Name, err)
-			}
-			agg = addSummaries(agg, ledger.Summarize())
+	return fanOut(r, "ledger", len(ws), func(i int) (LedgerRow, error) {
+		s, err := r.RunWorkload(ws[i], ModeParallaft)
+		if err != nil {
+			return LedgerRow{}, err
 		}
-		row.Summary = agg
-		return row, nil
+		if err := s.Ledger.Reconcile(); err != nil {
+			return LedgerRow{}, fmt.Errorf("ledger %s: %w", ws[i].Name, err)
+		}
+		return LedgerRow{Name: ws[i].Name, Summary: s.Ledger}, nil
 	})
-	var rows []LedgerRow
-	for _, res := range results {
-		if res.Err != nil {
-			return nil, res.Err
-		}
-		rows = append(rows, res.Value)
-	}
-	return rows, nil
 }
 
 // addSummaries folds one program's summary into a workload aggregate,
@@ -117,15 +84,16 @@ func addSummaries(a, b profile.Summary) profile.Summary {
 	a.DRAMDynJ += b.DRAMDynJ
 	a.EnergyJ += b.EnergyJ
 	a.WallSimNs += b.WallSimNs
+	a.BookNs += b.BookNs
 	return a
 }
 
 // FormatLedger renders the overhead-breakdown table: per workload, each
 // activity class's share of the active simulated time, with the absolute
-// active/wall books the shares were cut from. Every row passed the
-// reconciliation invariant (per-class sums bit-equal to the machine's time
-// book, energy recomputed identically), which is what separates this table
-// from a sampled profile: the shares sum to exactly 100% of the books.
+// active/wall books the shares were cut from. The classes are the machine's
+// own books and every row passed the reconciliation invariant (no charge
+// unclassed), which is what separates this table from a sampled profile:
+// the shares cover every charge of the books.
 func FormatLedger(rows []LedgerRow) string {
 	t := &Table{Header: []string{
 		"workload", "active-ms", "main%", "checker%", "cow%", "fork%",

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"math"
 	"runtime"
 	"strings"
 	"testing"
@@ -9,10 +10,29 @@ import (
 	"parallaft/internal/workload"
 )
 
+// reconciledRows asserts the attribution invariant on every row: no charge
+// unattributed, and the classes summing to the cores' own active-time books
+// up to float reassociation.
+func reconciledRows(t *testing.T, rows []LedgerRow) {
+	t.Helper()
+	for _, row := range rows {
+		s := row.Summary
+		if err := s.Reconcile(); err != nil {
+			t.Errorf("%s: %v", row.Name, err)
+		}
+		if s.ActiveSimNs <= 0 {
+			t.Errorf("%s: empty ledger", row.Name)
+		}
+		if math.Abs(s.ActiveSimNs-s.BookNs) > 1e-9*s.BookNs {
+			t.Errorf("%s: classes sum to %.17g ns, the cores' books to %.17g ns", row.Name, s.ActiveSimNs, s.BookNs)
+		}
+	}
+}
+
 // TestLedgerReconcilesAcrossSuite drives the attribution invariant over the
-// full workload suite: every program of every workload runs with a ledger
-// attached, and RunLedger fails if any of them does not reconcile exactly
-// against its machine's time and energy books. Scale is reduced — the
+// full workload suite: RunLedger reads the ledger of every program of every
+// workload and fails if any charge went unattributed, and every row's
+// classes must sum to its machines' time books. Scale is reduced — the
 // invariant is structural, not length-dependent. 0.14 is the smallest scale
 // at which every workload still charges the same activity classes as at 0.2
 // (below it 403.gcc takes no slicing barrier).
@@ -31,11 +51,7 @@ func TestLedgerReconcilesAcrossSuite(t *testing.T) {
 	if len(rows) != len(names) {
 		t.Fatalf("rows = %d, workloads = %d", len(rows), len(names))
 	}
-	for _, row := range rows {
-		if row.Summary.ActiveSimNs <= 0 {
-			t.Errorf("%s: empty ledger", row.Name)
-		}
-	}
+	reconciledRows(t, rows)
 }
 
 // TestLedgerReconcilesUnderNMR: the invariant with three voting replicas —
@@ -53,9 +69,10 @@ func TestLedgerReconcilesUnderNMR(t *testing.T) {
 	if err != nil {
 		t.Fatalf("RunLedger with -checkers 3: %v", err)
 	}
-	if len(rows) != 1 || rows[0].Summary.ActiveSimNs <= 0 {
+	if len(rows) != 1 {
 		t.Fatalf("unexpected rows: %+v", rows)
 	}
+	reconciledRows(t, rows)
 }
 
 // TestFormatLedgerShape: the rendered table has one row per workload and

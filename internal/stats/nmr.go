@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 
-	"parallaft/internal/campaign"
 	"parallaft/internal/core"
 	"parallaft/internal/proc"
 )
@@ -93,8 +92,7 @@ func (r *Runner) RunNMR() ([]NMRRow, error) {
 		}},
 	}
 
-	pr := r.newProgress("nmr", len(scenarios))
-	results := campaign.RunProgress(r.Parallel, len(scenarios), pr, func(i int) (NMRRow, error) {
+	return fanOut(r, "nmr", len(scenarios), func(i int) (NMRRow, error) {
 		sc := scenarios[i]
 		cfg := r.nmrConfig()
 		sc.rig(&cfg)
@@ -116,14 +114,6 @@ func (r *Runner) RunNMR() ([]NMRRow, error) {
 				bytes.Equal(stats.Stdout, base.Stdout),
 		}, nil
 	})
-	var rows []NMRRow
-	for _, res := range results {
-		if res.Err != nil {
-			return nil, res.Err
-		}
-		rows = append(rows, res.Value)
-	}
-	return rows, nil
 }
 
 // FormatNMR renders the voting-outcome table — the Table-2 extension for

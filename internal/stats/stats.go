@@ -17,6 +17,7 @@ import (
 	"parallaft/internal/oskernel"
 	"parallaft/internal/sim"
 	"parallaft/internal/telemetry"
+	"parallaft/internal/telemetry/profile"
 	"parallaft/internal/workload"
 )
 
@@ -74,6 +75,10 @@ type SessionResult struct {
 	CheckerLittleInstrs uint64
 	CheckerBigInstrs    uint64
 
+	// Ledger is the overhead ledger of a checking session, summed over its
+	// programs (zero for a baseline session).
+	Ledger profile.Summary
+
 	Detected *core.DetectedError
 	Stdout   []byte
 }
@@ -129,16 +134,26 @@ type Runner struct {
 	Flight *telemetry.Recorder
 }
 
-// newProgress builds the campaign reporter for one experiment, wired to
-// every sink the runner carries. Campaign panics dump the flight recorder
-// even when no progress writer or registry is attached.
-func (r *Runner) newProgress(label string, n int) *campaign.Progress {
+// fanOut runs one experiment's n independent jobs over r.Parallel workers,
+// reporting to every sink the runner carries (campaign panics dump the
+// flight recorder even when no progress writer or registry is attached).
+// Values come back in input order; on failure, the lowest-index error is
+// returned, as a serial loop stopping at the first failure would report.
+func fanOut[T any](r *Runner, label string, n int, fn func(i int) (T, error)) ([]T, error) {
 	pr := campaign.NewProgressWith(r.Progress, label, n, r.Telemetry)
 	if pr == nil && r.Flight != nil {
 		pr = campaign.NewProgressWith(io.Discard, label, n, nil)
 	}
 	pr.SetFlight(r.Flight, r.Telemetry)
-	return pr
+	results := campaign.RunProgress(r.Parallel, n, pr, fn)
+	if err := campaign.FirstErr(results); err != nil {
+		return nil, err
+	}
+	out := make([]T, n)
+	for i, res := range results {
+		out[i] = res.Value
+	}
+	return out, nil
 }
 
 // NewRunner returns a runner on the Apple-M2-like preset at scale 1.
@@ -237,6 +252,7 @@ func (r *Runner) RunWorkload(w *workload.Workload, mode Mode) (*SessionResult, e
 			agg.CheckerBigInstrs += stats.CheckerBigInstrs
 			agg.CheckerLittleInstrs += stats.CheckerLittleInstrs
 			pssWeighted += stats.AvgPSSBytes * stats.AllWallNs
+			agg.Ledger = addSummaries(agg.Ledger, profile.Summarize(e.M, stats.AllWallNs))
 			agg.Stdout = append(agg.Stdout, stats.Stdout...)
 			if stats.Detected != nil && agg.Detected == nil {
 				agg.Detected = stats.Detected

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"parallaft/internal/asm"
-	"parallaft/internal/campaign"
 	"parallaft/internal/core"
 	"parallaft/internal/oskernel"
 	"parallaft/internal/proc"
@@ -128,8 +127,7 @@ func (r *Runner) RunTable2() (*Table2Result, error) {
 		detected bool
 		segment  int
 	}
-	pr := r.newProgress("table2", len(scenarios))
-	results := campaign.RunProgress(r.Parallel, len(scenarios), pr, func(i int) (verdict, error) {
+	results, err := fanOut(r, "table2", len(scenarios), func(i int) (verdict, error) {
 		sc := scenarios[i]
 		mode := ModeParallaft
 		if sc.raftMode {
@@ -149,16 +147,16 @@ func (r *Runner) RunTable2() (*Table2Result, error) {
 		}
 		return v, nil
 	})
-	if err := campaign.FirstErr(results); err != nil {
+	if err != nil {
 		return nil, err
 	}
-	res.ParallaftDetectsSilent = results[0].Value.detected
-	if results[0].Value.detected {
-		res.ParallaftSilentSegment = results[0].Value.segment
+	res.ParallaftDetectsSilent = results[0].detected
+	if results[0].detected {
+		res.ParallaftSilentSegment = results[0].segment
 	}
-	res.RAFTDetectsSilent = results[1].Value.detected
-	res.ParallaftDetectsSyscall = results[2].Value.detected
-	res.RAFTDetectsSyscall = results[3].Value.detected
+	res.RAFTDetectsSilent = results[1].detected
+	res.ParallaftDetectsSyscall = results[2].detected
+	res.RAFTDetectsSyscall = results[3].detected
 	return res, nil
 }
 

@@ -60,15 +60,11 @@ func fullyInstrumentedRegistry(t *testing.T) *telemetry.Registry {
 	rec := telemetry.NewRecorder(0)
 	rec.SetMetrics(reg)
 	cfg.Trace = rec
-	// Profiler + overhead ledger attached, so the paft_profile_* and
-	// paft_ledger_* instruments register and the charge/sample hot paths
-	// exercise them during the run.
+	// Profiler attached, so the paft_profile_* instruments register and the
+	// sample hot path exercises them during the run.
 	profiler := profile.NewRecorder(0)
 	profiler.SetMetrics(reg)
 	cfg.Profiler = profiler
-	ledger := profile.NewLedger()
-	ledger.SetMetrics(reg)
-	cfg.Ledger = ledger
 	rt := core.NewRuntime(sim.New(m, k, l), cfg)
 	if _, err := rt.Run(lintProgram()); err != nil {
 		t.Fatalf("instrumented run: %v", err)
