@@ -5,8 +5,12 @@
 package checkd
 
 import (
+	"bytes"
+	"encoding/binary"
 	"runtime"
 	"testing"
+
+	"parallaft/internal/pagestore"
 )
 
 // TestWarmRebuildAllocFree pins what adopting start pages by reference buys:
@@ -42,5 +46,42 @@ func TestWarmRebuildAllocFree(t *testing.T) {
 	if perRebuild > copied/10 {
 		t.Errorf("a warm rebuild allocates %d bytes for %d start pages of %d bytes: page data is being copied",
 			perRebuild, len(pkt.Start.Pages), pkt.Config.PageSize)
+	}
+}
+
+// TestFrameReaderAllocFree pins the reused read buffer: in steady state a
+// chunk frame read into the store allocates the store's own copy of the
+// chunk and a little bookkeeping, not a second, per-frame payload buffer.
+func TestFrameReaderAllocFree(t *testing.T) {
+	const chunkLen, frames = 4096, 64
+	var stream bytes.Buffer
+	for i := 0; i < frames; i++ {
+		payload := make([]byte, 8+chunkLen)
+		binary.LittleEndian.PutUint64(payload, uint64(i))
+		payload[8] = byte(i)
+		if err := WriteFrame(&stream, FrameChunk, payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+	store := pagestore.New(0)
+	r := newFrameReader(&stream)
+	read := func() {
+		typ, payload, err := r.next()
+		if err != nil || typ != FrameChunk {
+			t.Fatalf("frame = (%q, %v)", typ, err)
+		}
+		store.Insert(pagestore.Key(binary.LittleEndian.Uint64(payload)), payload[8:])
+	}
+	read() // sizes the payload buffer
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 1; i < frames; i++ {
+		read()
+	}
+	runtime.ReadMemStats(&after)
+	perFrame := (after.TotalAlloc - before.TotalAlloc) / (frames - 1)
+	t.Logf("%d bytes allocated per %d-byte chunk frame", perFrame, chunkLen)
+	if perFrame > chunkLen+chunkLen/4 {
+		t.Errorf("a chunk frame read allocates %d bytes for a %d-byte chunk: more than the store's copy", perFrame, chunkLen)
 	}
 }

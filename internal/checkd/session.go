@@ -1,6 +1,7 @@
 package checkd
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -40,9 +41,9 @@ type Reply struct {
 // as the in-process executor would.
 //
 // Send, Ping and Finish may be called from different goroutines; they are
-// serialised. The reply callback runs on the session's reader goroutine, in
-// verdict order; while it runs nothing is read, so it must not wait on the
-// session's own writes.
+// serialised, and each flushes its frames once before it returns. The reply
+// callback runs on the session's reader goroutine, in verdict order; while it
+// runs nothing is read, so it must not wait on the session's own writes.
 type Session struct {
 	conn  io.ReadWriter
 	addr  string
@@ -54,9 +55,14 @@ type Session struct {
 	deadline     func(time.Time) error
 	writeTimeout time.Duration
 
-	wmu    sync.Mutex // held across one whole Send, Ping or Finish (lock/unlock)
-	werr   error      // first write failure; the stream is cut mid-frame after it
-	sent   int        // packets written, for ConnError.Packet
+	wmu    sync.Mutex    // held across one whole Send, Ping or Finish (lock/unlock)
+	w      *bufio.Writer // over out, flushed before wmu is released
+	out    countWriter   // the conn, counting the bytes it took
+	queued int64         // bytes handed to w
+	chunks []chunkMark   // the chunk frames in w
+	hdr    [13]byte      // a frame header and, for a chunk, its key
+	werr   error         // first write failure; the stream is cut mid-frame after it
+	sent   int           // packets written, for ConnError.Packet
 	keybuf []pagestore.Key
 
 	mu        sync.Mutex                 // never held across I/O, so Idle and Resident never wait on a peer
@@ -66,6 +72,27 @@ type Session struct {
 	verdicts int // verdict frames read; the reader goroutine's own
 	done     chan struct{}
 	err      error // the session's end state; written before done closes
+}
+
+// countWriter is the conn under a session's buffer: it counts the bytes the
+// conn took, which is how a failed flush finds the frame it cut.
+type countWriter struct {
+	w io.Writer
+	n int64
+}
+
+func (c *countWriter) Write(p []byte) (int, error) {
+	n, err := c.w.Write(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// chunkMark is a buffered chunk frame: where it ends in the stream, and what
+// becomes resident once the conn has taken it whole.
+type chunkMark struct {
+	end  int64
+	key  pagestore.Key
+	size int
 }
 
 // SendStats is what one Send put on the wire: chunks written (and their
@@ -89,10 +116,12 @@ func OpenSession(conn io.ReadWriter, store *pagestore.Store, reply func(Reply), 
 		store:        store,
 		reply:        reply,
 		writeTimeout: writeTimeout,
+		out:          countWriter{w: conn},
 		resident:     make(map[pagestore.Key]struct{}),
 		lastFrame:    time.Now(),
 		done:         make(chan struct{}),
 	}
+	s.w = bufio.NewWriterSize(&s.out, wireBuffer)
 	if d, ok := conn.(interface{ SetWriteDeadline(time.Time) error }); ok && writeTimeout > 0 {
 		s.deadline = d.SetWriteDeadline
 	}
@@ -105,8 +134,9 @@ func OpenSession(conn io.ReadWriter, store *pagestore.Store, reply func(Reply), 
 // a frame that is not the protocol's (ErrProtocol).
 func (s *Session) read() {
 	defer close(s.done)
+	r := newFrameReader(s.conn)
 	for {
-		typ, payload, err := ReadFrame(s.conn)
+		typ, payload, err := r.next()
 		if err != nil {
 			s.err = &ConnError{Addr: s.addr, Op: "read verdict", Packet: s.verdicts, Err: err}
 			return
@@ -164,13 +194,43 @@ func (s *Session) Resident() int {
 	return len(s.resident)
 }
 
-// write puts one frame on the wire; pkt is the index of the packet the frame
-// belongs to, -1 for none. Callers hold the write side (lock).
-func (s *Session) write(op string, pkt int, typ byte, payload []byte) error {
-	if s.werr == nil {
-		if err := WriteFrame(s.conn, typ, payload); err != nil {
-			s.werr = &ConnError{Addr: s.addr, Op: op, Packet: pkt, Err: err}
+// write buffers one frame. A chunk's payload is its key and the store's own
+// bytes, copied nowhere but into the buffer. w keeps the first failure.
+func (s *Session) write(typ byte, key pagestore.Key, payload []byte) {
+	h := s.hdr[:5]
+	if typ == FrameChunk {
+		h = binary.LittleEndian.AppendUint64(h, uint64(key))
+	}
+	h[0] = typ
+	binary.LittleEndian.PutUint32(h[1:], uint32(len(h)-5+len(payload)))
+	s.w.Write(h)       //nolint:errcheck // see flush
+	s.w.Write(payload) //nolint:errcheck
+	s.queued += int64(len(h) + len(payload))
+	if typ == FrameChunk {
+		s.chunks = append(s.chunks, chunkMark{s.queued, key, len(payload)})
+	}
+}
+
+// flush ends a Send, Ping or Finish: it puts the buffered frames on the wire
+// and commits (to resident and st) the chunk frames the conn took whole. A
+// failure names the frame holding the first byte the conn did not take: a
+// chunk, or else the call's last frame, op.
+func (s *Session) flush(op string, pkt int, st *SendStats) error {
+	err := s.w.Flush()
+	s.mu.Lock()
+	for _, c := range s.chunks {
+		if err != nil && c.end > s.out.n {
+			op = "send chunk"
+			break
 		}
+		s.resident[c.key] = struct{}{}
+		st.Chunks++
+		st.ChunkBytes += uint64(c.size)
+	}
+	s.mu.Unlock()
+	s.chunks = s.chunks[:0]
+	if err != nil && s.werr == nil {
+		s.werr = &ConnError{Addr: s.addr, Op: op, Packet: pkt, Err: err}
 	}
 	return s.werr
 }
@@ -202,25 +262,12 @@ func (s *Session) Send(pkt *packet.CheckPacket) (SendStats, error) {
 	for _, k := range s.keybuf {
 		if _, held := s.resident[k]; held {
 			st.Resident++
-			continue
+		} else if data := s.store.Get(k); data != nil { // else not ours to judge: the server's verdict will name the chunk
+			s.write(FrameChunk, k, data)
 		}
-		data := s.store.Get(k)
-		if data == nil {
-			continue // not ours to judge: the server's verdict will name the chunk
-		}
-		payload := make([]byte, 8+len(data))
-		binary.LittleEndian.PutUint64(payload, uint64(k))
-		copy(payload[8:], data)
-		if err := s.write("send chunk", s.sent, FrameChunk, payload); err != nil {
-			return st, err
-		}
-		s.mu.Lock()
-		s.resident[k] = struct{}{}
-		s.mu.Unlock()
-		st.Chunks++
-		st.ChunkBytes += uint64(len(data))
 	}
-	if err := s.write("send packet", s.sent, FramePacket, packet.Encode(pkt)); err != nil {
+	s.write(FramePacket, 0, packet.Encode(pkt))
+	if err := s.flush("send packet", s.sent, &st); err != nil {
 		return st, err
 	}
 	s.sent++
@@ -231,7 +278,8 @@ func (s *Session) Send(pkt *packet.CheckPacket) (SendStats, error) {
 func (s *Session) Ping(payload []byte) error {
 	s.lock()
 	defer s.unlock()
-	return s.write("send heartbeat", -1, FrameHeartbeat, payload)
+	s.write(FrameHeartbeat, 0, payload)
+	return s.flush("send heartbeat", -1, nil) // no chunks, so no stats
 }
 
 // Finish tells the server no more packets are coming: it drains its queue,
@@ -240,5 +288,6 @@ func (s *Session) Ping(payload []byte) error {
 func (s *Session) Finish() error {
 	s.lock()
 	defer s.unlock()
-	return s.write("send done", -1, FrameDone, nil)
+	s.write(FrameDone, 0, nil)
+	return s.flush("send done", -1, nil)
 }

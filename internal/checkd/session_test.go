@@ -7,7 +7,10 @@ import (
 	"errors"
 	"io"
 	"net"
+	"path/filepath"
 	"reflect"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -259,6 +262,26 @@ func FuzzSessionRead(f *testing.F) {
 	f.Add([]byte{FrameVerdict, 2, 0, 0, 0, '{', '{'})
 	f.Add([]byte{FrameVerdict, 0xff, 0xff, 0xff, 0xff})
 	f.Add([]byte{'?', 0, 0, 0, 0})
+	// The reader's reused buffer: a verdict shorter than the one before it
+	// (the same JSON, less trailing space), then a frame header that is the
+	// last five bytes of one buffered read.
+	var verdict []byte
+	for _, fr := range parseFrames(f, healthy) {
+		if fr.typ == FrameVerdict {
+			verdict = fr.payload
+			break
+		}
+	}
+	encodeFrames := func(frames ...tappedFrame) []byte {
+		var b bytes.Buffer
+		for _, fr := range frames {
+			WriteFrame(&b, fr.typ, fr.payload) //nolint:errcheck // a Buffer takes everything
+		}
+		return b.Bytes()
+	}
+	padded := append(slices.Clone(verdict), bytes.Repeat([]byte(" "), 64)...)
+	f.Add(encodeFrames(tappedFrame{FrameVerdict, padded}, tappedFrame{FrameVerdict, verdict}, tappedFrame{FrameDone, nil}))
+	f.Add(append(encodeFrames(tappedFrame{FrameHeartbeat, make([]byte, wireBuffer-10)}), healthy...))
 
 	f.Fuzz(func(t *testing.T, stream []byte) {
 		replies := 0
@@ -281,4 +304,102 @@ func FuzzSessionRead(f *testing.F) {
 			t.Fatalf("unclassified session error %T: %v", err, err)
 		}
 	})
+}
+
+// countConn counts the Write calls that reach the socket.
+type countConn struct {
+	net.Conn
+	writes atomic.Int32
+}
+
+func (c *countConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// countListener hands out the server's side of each conn counted.
+type countListener struct {
+	net.Listener
+	accepted chan *countConn
+}
+
+func (l countListener) Accept() (net.Conn, error) {
+	conn, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	c := &countConn{Conn: conn}
+	l.accepted <- c
+	return c, nil
+}
+
+// TestSendWritesOnce pins the buffered wire: a Send whose frames fit the
+// buffer reaches the socket in one write, chunks and packet together, and
+// so do a Ping, a Finish and a verdict the server sends on its own.
+func TestSendWritesOnce(t *testing.T) {
+	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(120_000))
+	ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "checkd.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	accepted := make(chan *countConn, 1)
+	srv := NewServer(Options{Workers: 1})
+	go srv.Serve(countListener{ln, accepted}) //nolint:errcheck // nil on Shutdown
+	defer srv.Shutdown()
+	conn, err := net.Dial("unix", ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(time.Minute)) //nolint:errcheck // a regression is a hang
+	client := &countConn{Conn: conn}
+	replies := make(chan Reply, len(pkts))
+	s := OpenSession(client, store, func(r Reply) { replies <- r }, 0)
+	server := <-accepted
+
+	sent := make(map[pagestore.Key]bool)
+	fitting := 0
+	for i, p := range pkts {
+		size := 5 + len(packet.Encode(p))
+		for _, k := range p.ChunkKeys(nil) {
+			if !sent[k] {
+				sent[k] = true
+				size += 5 + 8 + len(store.Get(k))
+			}
+		}
+		client.writes.Store(0)
+		server.writes.Store(0)
+		if _, err := s.Send(p); err != nil {
+			t.Fatalf("Send %d: %v", i, err)
+		}
+		<-replies
+		if n := client.writes.Load(); size <= wireBuffer && n != 1 {
+			t.Errorf("Send %d of %d bytes took %d writes, want 1", i, size, n)
+		}
+		if size <= wireBuffer {
+			fitting++
+		}
+		if n := server.writes.Load(); n != 1 {
+			t.Errorf("verdict %d took %d server writes, want 1", i, n)
+		}
+	}
+	if fitting == 0 {
+		t.Fatalf("no Send fits the %d-byte buffer", wireBuffer)
+	}
+	t.Logf("%d of %d Sends fit the buffer", fitting, len(pkts))
+	for _, op := range []struct {
+		name string
+		do   func() error
+	}{{"Ping", func() error { return s.Ping([]byte("ping")) }}, {"Finish", s.Finish}} {
+		client.writes.Store(0)
+		if err := op.do(); err != nil {
+			t.Fatalf("%s: %v", op.name, err)
+		}
+		if n := client.writes.Load(); n != 1 {
+			t.Errorf("%s took %d writes, want 1", op.name, n)
+		}
+	}
+	if err := s.Wait(); err != nil {
+		t.Fatalf("Wait: %v", err)
+	}
 }

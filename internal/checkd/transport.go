@@ -1,6 +1,7 @@
 package checkd
 
 import (
+	"bufio"
 	"encoding/binary"
 	"encoding/json"
 	"errors"
@@ -39,6 +40,13 @@ import (
 // over Unix sockets and TCP. Session (session.go) is the client half — every
 // 'C', 'P', 'H' and 'D' a client sends is written there — and
 // internal/checkfarm drives many sessions at once.
+//
+// Both ends buffer. A client's Send, Ping and Finish each end in one flush;
+// the server flushes a verdict when no other is ready behind it, and every
+// other frame at once. A flush that fails is charged by byte offset: the
+// ConnError names the frame that held the first byte the conn did not take.
+// Each end reads every frame into one reused payload buffer, so a consumer
+// copies whatever it keeps.
 const (
 	FrameChunk     = 'C'
 	FramePacket    = 'P'
@@ -82,20 +90,44 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 // ReadFrame reads one protocol frame, rejecting oversized length prefixes
 // with ErrFrameTooLarge before allocating anything.
 func ReadFrame(r io.Reader) (byte, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	f := frameReader{r: r}
+	return f.next()
+}
+
+// wireBuffer is the size of the buffer at each end of a connection, both
+// ways: one flush carries a Send's chunks and packet, one read many frames.
+const wireBuffer = 64 << 10
+
+// frameReader reads frames through a buffer into one reused payload, valid
+// until the next read: the store interns a copy of a chunk, packet.Decode
+// copies every region, and json.Unmarshal shares nothing with its input.
+type frameReader struct {
+	r       io.Reader
+	hdr     [5]byte
+	payload []byte
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	return &frameReader{r: bufio.NewReaderSize(r, wireBuffer)}
+}
+
+func (f *frameReader) next() (byte, []byte, error) {
+	if _, err := io.ReadFull(f.r, f.hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[1:])
+	n := binary.LittleEndian.Uint32(f.hdr[1:])
 	if n > MaxFrameLen {
 		return 0, nil, fmt.Errorf("%w: frame %q length %d exceeds %d-byte limit",
-			ErrFrameTooLarge, hdr[0], n, MaxFrameLen)
+			ErrFrameTooLarge, f.hdr[0], n, MaxFrameLen)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
+	if uint32(cap(f.payload)) < n {
+		f.payload = make([]byte, n)
+	}
+	payload := f.payload[:n]
+	if _, err := io.ReadFull(f.r, payload); err != nil {
 		return 0, nil, err
 	}
-	return hdr[0], payload, nil
+	return f.hdr[0], payload, nil
 }
 
 // Server serves the checking service over a listener (normally a Unix
@@ -187,24 +219,30 @@ func (s *Server) serveConn(conn net.Conn) {
 	x := NewExecutor(store, xopts)
 
 	var wmu sync.Mutex // 'V'/'E'/'H'/'D' frames interleave from two goroutines
-	send := func(typ byte, payload []byte) error {
+	w := bufio.NewWriterSize(conn, wireBuffer)
+	// send buffers one frame and, unless another is ready to follow it, flushes.
+	send := func(typ byte, payload []byte, more bool) error {
 		wmu.Lock()
 		defer wmu.Unlock()
 		s.tm.framesWritten.Inc()
 		s.tm.bytesWritten.Add(uint64(5 + len(payload)))
 		s.opts.Trace.Frame("send", typ, len(payload))
-		return WriteFrame(conn, typ, payload)
+		if err := WriteFrame(w, typ, payload); err != nil || more {
+			return err
+		}
+		return w.Flush()
 	}
 
 	writerDone := make(chan struct{})
 	go func() {
 		defer close(writerDone)
-		for v := range x.Verdicts() {
+		verdicts := x.Verdicts()
+		for v := range verdicts {
 			b, err := json.Marshal(Reply{Verdict: v, Span: v.span})
 			if err != nil {
 				return
 			}
-			if send(FrameVerdict, b) != nil {
+			if send(FrameVerdict, b, len(verdicts) > 0) != nil {
 				return
 			}
 		}
@@ -214,10 +252,11 @@ func (s *Server) serveConn(conn net.Conn) {
 		x.Close()
 		<-writerDone
 	}()
-	fail := func(msg string) { send(FrameError, []byte(msg)) } //nolint:errcheck // the session ends either way
+	fail := func(msg string) { send(FrameError, []byte(msg), false) } //nolint:errcheck // the session ends either way
 
+	r := newFrameReader(conn)
 	for {
-		typ, payload, err := ReadFrame(conn)
+		typ, payload, err := r.next()
 		if err != nil {
 			return // a vanished client: drop the session, nothing to report to
 		}
@@ -246,13 +285,13 @@ func (s *Server) serveConn(conn net.Conn) {
 			// Echo the ping verbatim: liveness is proven by any reply, and
 			// an opaque payload lets the client correlate pings however it
 			// likes (checkfarm sends a monotone sequence number).
-			if send(FrameHeartbeat, payload) != nil {
+			if send(FrameHeartbeat, payload, false) != nil {
 				return
 			}
 		case FrameDone:
 			x.Close()
 			<-writerDone
-			send(FrameDone, nil) //nolint:errcheck // the session is over
+			send(FrameDone, nil, false) //nolint:errcheck // the session is over
 			return
 		default:
 			fail(fmt.Sprintf("unexpected frame type %q", typ))

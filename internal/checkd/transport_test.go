@@ -8,6 +8,7 @@ import (
 	"net"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -195,18 +196,21 @@ func TestServerEchoesHeartbeat(t *testing.T) {
 	}
 }
 
-// failingConn drops the connection after allowing a fixed number of writes,
-// standing in for a node dying mid-session.
+// failingConn drops the connection after taking a fixed number of bytes,
+// standing in for a node dying mid-session: the write that crosses the
+// budget takes what fits and fails.
 type failingConn struct {
-	writesLeft int
+	bytesLeft int
 }
 
 func (c *failingConn) Read(p []byte) (int, error) { return 0, io.ErrClosedPipe }
 func (c *failingConn) Write(p []byte) (int, error) {
-	if c.writesLeft <= 0 {
-		return 0, io.ErrClosedPipe
+	if len(p) > c.bytesLeft {
+		n := c.bytesLeft
+		c.bytesLeft = 0
+		return n, io.ErrClosedPipe
 	}
-	c.writesLeft--
+	c.bytesLeft -= len(p)
 	return len(p), nil
 }
 func (c *failingConn) RemoteAddr() net.Addr {
@@ -223,39 +227,43 @@ func TestCheckOverTypedConnError(t *testing.T) {
 	if len(pkts) < 2 {
 		t.Fatalf("want several packets, got %d", len(pkts))
 	}
-	// WriteFrame issues two Write calls per frame (header, payload), and a
-	// packet's frames are its not-yet-sent chunks followed by the packet.
+	// A packet's frames are its not-yet-sent chunks (a 5-byte header, the
+	// 8-byte key, the chunk) followed by the packet (header and encoding).
+	// The budget is in bytes, so the conn dies inside the frame that holds
+	// byte number budget, however the session batches its writes.
 	sent := make(map[pagestore.Key]bool)
-	chunkWrites := func(p *packet.CheckPacket) int {
+	chunkBytes := func(p *packet.CheckPacket) int {
 		n := 0
 		for _, k := range p.ChunkKeys(nil) {
 			if !sent[k] {
 				sent[k] = true
-				n += 2
+				n += 5 + 8 + len(store.Get(k))
 			}
 		}
 		return n
 	}
-	first := chunkWrites(pkts[0]) + 2
-	second := chunkWrites(pkts[1])
+	packetBytes := func(p *packet.CheckPacket) int { return 5 + len(packet.Encode(p)) }
+	chunks0 := chunkBytes(pkts[0])
+	first := chunks0 + packetBytes(pkts[0])
+	second := chunkBytes(pkts[1])
 	if second == 0 {
 		t.Fatal("packet 1 brings no chunk of its own; the victim should dirty pages every segment")
 	}
 
 	cases := []struct {
 		name       string
-		writes     int
+		budget     int
 		wantOp     string
 		wantPacket int
 	}{
-		{"dies mid-chunk-upload", first / 2, "send chunk", 0},
+		{"dies mid-chunk-upload", chunks0 / 2, "send chunk", 0},
 		{"dies uploading a later packet's chunk", first + 1, "send chunk", 1},
 		{"dies sending a packet", first + second + 1, "send packet", 1},
 		{"dies awaiting verdicts", 1 << 30, "read verdict", 0},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			conn := &failingConn{writesLeft: tc.writes}
+			conn := &failingConn{bytesLeft: tc.budget}
 			_, err := CheckOver(conn, store, pkts)
 			var ce *ConnError
 			if !errors.As(err, &ce) {
@@ -278,6 +286,40 @@ func TestCheckOverTypedConnError(t *testing.T) {
 				t.Error("connection failure also matched *RemoteError; the classes must be disjoint")
 			}
 		})
+	}
+}
+
+// TestSendCountsOnlyWholeChunks pins the byte-offset rule of a failed flush:
+// a chunk frame the conn took whole is uploaded, resident and counted, and
+// the one holding the first byte it did not take is the failure, whether
+// the cut falls on its first byte or inside it. After it nothing is written.
+func TestSendCountsOnlyWholeChunks(t *testing.T) {
+	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(120_000))
+	keys := pkts[0].ChunkKeys(nil)
+	if len(keys) < 2 {
+		t.Fatalf("packet 0 references %d chunks, want 2 or more", len(keys))
+	}
+	sent := keys[:len(keys)-1] // all but the last chunk go out whole
+	whole := 0                 // the stream offset where they end
+	var wholeBytes uint64
+	for _, k := range sent {
+		whole += 5 + 8 + len(store.Get(k))
+		wholeBytes += uint64(len(store.Get(k)))
+	}
+	for _, budget := range []int{whole, whole + 3} {
+		s := OpenSession(&failingConn{bytesLeft: budget}, store, func(Reply) {}, 0)
+		st, err := s.Send(pkts[0])
+		var ce *ConnError
+		if !errors.As(err, &ce) || ce.Op != "send chunk" || ce.Packet != 0 {
+			t.Fatalf("budget %d: Send = %v, want a ConnError cutting packet 0's last chunk", budget, err)
+		}
+		if st.Chunks != len(sent) || st.ChunkBytes != wholeBytes || s.Resident() != len(sent) {
+			t.Errorf("budget %d: %+v with %d resident, want the %d whole chunks (%d bytes)",
+				budget, st, s.Resident(), len(sent), wholeBytes)
+		}
+		if _, again := s.Send(pkts[1]); again != err {
+			t.Errorf("budget %d: a Send after the failure = %v, want the first failure %v", budget, again, err)
+		}
 	}
 }
 
@@ -336,4 +378,76 @@ func TestSocketRejectsUnrunnablePackets(t *testing.T) {
 	if err != nil || len(verdicts) != 1 || !verdicts[0].OK {
 		t.Fatalf("healthy packet after rejections: verdicts=%v err=%v", verdicts, err)
 	}
+}
+
+// TestFrameReaderReuseDoesNotAlias: a reader reuses one payload buffer, so
+// what a consumer keeps must not point into it. A decoded packet and a
+// chunk the store took must be unchanged after later frames overwrite every
+// byte they were read from.
+func TestFrameReaderReuseDoesNotAlias(t *testing.T) {
+	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(120_000))
+	// The victim makes no syscall that carries memory; give the packet one,
+	// so a decoder that kept its input's region bytes has something to lose.
+	// The reference is the same encoding decoded from bytes nobody reuses.
+	want := *pkts[0]
+	want.Events = append(slices.Clone(want.Events), packet.Event{Kind: packet.EvSyscall,
+		Syscall: &packet.SyscallEvent{In: []packet.Region{{Addr: 0x1000, Data: []byte("written by the main")}},
+			Out: []packet.Region{{Addr: 0x2000, Data: bytes.Repeat([]byte{7}, 300)}}}})
+	enc := packet.Encode(&want)
+	keys := want.ChunkKeys(nil)
+	key := keys[len(keys)-1]
+	chunk := binary.LittleEndian.AppendUint64(nil, uint64(key))
+	chunk = append(chunk, store.Get(key)...)
+	// The first frame sizes the buffer for all of them; the last differs
+	// from both the packet and the chunk in every byte.
+	size := max(len(enc), len(chunk))
+	overwrite := make([]byte, size)
+	for i := range overwrite {
+		for overwrite[i] == at(enc, i) || overwrite[i] == at(chunk, i) {
+			overwrite[i]++
+		}
+	}
+	var stream bytes.Buffer
+	for _, fr := range []struct {
+		typ     byte
+		payload []byte
+	}{{FrameHeartbeat, make([]byte, size)}, {FramePacket, enc}, {FrameChunk, chunk}, {FrameHeartbeat, overwrite}} {
+		if err := WriteFrame(&stream, fr.typ, fr.payload); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r := newFrameReader(&stream)
+	read := func(want byte) []byte {
+		typ, payload, err := r.next()
+		if err != nil || typ != want {
+			t.Fatalf("frame = (%q, %v), want %q", typ, err, want)
+		}
+		return payload
+	}
+	first := read(FrameHeartbeat)
+	got, err := packet.Decode(read(FramePacket))
+	if err != nil {
+		t.Fatalf("Decode: %v", err)
+	}
+	dst := pagestore.New(0)
+	payload := read(FrameChunk)
+	dst.Insert(key, payload[8:])
+	if last := read(FrameHeartbeat); &last[0] != &first[0] || &payload[0] != &first[0] {
+		t.Fatal("the reader did not reuse its payload buffer; this test shows nothing")
+	}
+	if ref, err := packet.Decode(enc); err != nil || !reflect.DeepEqual(got, ref) {
+		t.Error("a decoded packet changed when its frame's buffer was reused: it aliases the frame")
+	}
+	if !bytes.Equal(dst.Get(key), store.Get(key)) {
+		t.Error("a stored chunk changed when its frame's buffer was reused: it aliases the frame")
+	}
+}
+
+// at is b[i], or 0 past its end.
+func at(b []byte, i int) byte {
+	if i < len(b) {
+		return b[i]
+	}
+	return 0
 }

@@ -29,6 +29,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"sync"
 
 	"parallaft/internal/hashx"
 	"parallaft/internal/isa"
@@ -307,13 +308,21 @@ func (p *CheckPacket) ChunkKeys(dst []pagestore.Key) []pagestore.Key {
 	return dst
 }
 
+// encoders are coders whose buffers have grown to the packets they carried:
+// Encode appends into one and allocates its result once, at its final size,
+// instead of growing a fresh buffer through every packet.
+var encoders = sync.Pool{New: func() any { return new(coder) }}
+
 // Encode serializes the packet. The output is deterministic: one packet has
 // exactly one encoding. Encode writes p.Version verbatim (not the package
 // constant), so version-mismatch handling is testable end to end.
 func Encode(p *CheckPacket) []byte {
-	c := coder{buf: make([]byte, 0, 1024)}
+	c := encoders.Get().(*coder)
+	c.buf = c.buf[:0]
 	c.packet(p)
-	return c.buf
+	b := append([]byte(nil), c.buf...)
+	encoders.Put(c)
+	return b
 }
 
 // Decode deserializes a packet. It never panics: malformed input yields a
