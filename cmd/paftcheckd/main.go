@@ -46,8 +46,6 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		listen    = fs.String("listen", "", "serve the checking service on this endpoint: a Unix socket path, or tcp:host:port")
 		connect   = fs.String("connect", "", "with -verify: send the packets to a daemon at this endpoint (Unix socket path or tcp:host:port) instead of checking in-process")
 		workers   = fs.Int("workers", 4, "concurrent replay workers")
-		queue     = fs.Int("queue", 0, "intake queue depth (0 = 2x workers); a full queue blocks the producer")
-		retries   = fs.Int("retries", 2, "retries for packets whose chunks have not arrived yet")
 		quiet     = fs.Bool("quiet", false, "print only failing verdicts and the summary")
 		metrics   = fs.String("metrics-addr", "", "with -listen: serve Prometheus text metrics on this TCP address at /metrics (e.g. 127.0.0.1:9141)")
 		flightDir = fs.String("flight-dir", "", "with -listen: arm the flight recorder and dump it as JSONL into this directory on SIGQUIT")
@@ -63,7 +61,7 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	case *connect != "" && *verifyDir == "":
 		return cli.Exit(stderr, "paftcheckd", cli.Usagef("-connect requires -verify (it names the daemon that checks the directory)"))
 	}
-	opts := checkd.Options{Workers: *workers, QueueDepth: *queue, Retries: *retries}
+	opts := checkd.Options{Workers: *workers}
 
 	switch {
 	case *listen != "":

@@ -1,7 +1,6 @@
 package checkd
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -13,21 +12,10 @@ import (
 
 // Options configures an Executor.
 type Options struct {
-	// Workers is the number of concurrent replay workers (default 4).
+	// Workers is the number of concurrent replay workers (default 4). The
+	// intake queue holds 2×Workers packets; a full queue makes Submit
+	// block, applying backpressure to the producer.
 	Workers int
-	// QueueDepth bounds the intake queue; a full queue makes Submit block,
-	// applying backpressure to the producer (default 2×Workers).
-	QueueDepth int
-	// Retries is how many times a packet whose chunks are missing is
-	// retried before the miss becomes an infrastructure verdict — under a
-	// streaming transport the chunks may simply not have arrived yet
-	// (default 2).
-	Retries int
-	// RetryDelay spaces the retries (default 2ms).
-	RetryDelay time.Duration
-	// WantDigest pins the config digest packets must carry. Zero pins to
-	// the first accepted packet's digest instead.
-	WantDigest uint64
 	// Metrics, when set, receives the daemon's telemetry: queue depth,
 	// worker utilization, verdict latency and counters. Executors (and the
 	// socket server's per-connection stores) sharing one registry compose
@@ -44,23 +32,6 @@ type Options struct {
 	// sets it, to put the span in the verdict's Reply; in-process users
 	// neither pay for nor see it.
 	observe bool
-}
-
-func (o *Options) fill() {
-	if o.Workers <= 0 {
-		o.Workers = 4
-	}
-	if o.QueueDepth <= 0 {
-		o.QueueDepth = 2 * o.Workers
-	}
-	if o.Retries < 0 {
-		o.Retries = 0
-	} else if o.Retries == 0 {
-		o.Retries = 2
-	}
-	if o.RetryDelay <= 0 {
-		o.RetryDelay = 2 * time.Millisecond
-	}
 }
 
 // Executor checks packets with a bounded worker pool and emits verdicts in
@@ -81,8 +52,7 @@ type Executor struct {
 	reorder sync.WaitGroup
 
 	mu     sync.Mutex
-	digest uint64
-	pinned bool
+	digest uint64 // the stream's, pinned by its first accepted packet
 	seq    int
 	closed bool
 }
@@ -102,16 +72,17 @@ type verdictTimed struct {
 
 // NewExecutor creates an executor reading chunks from store.
 func NewExecutor(store *pagestore.Store, opts Options) *Executor {
-	opts.fill()
+	if opts.Workers <= 0 {
+		opts.Workers = 4
+	}
+	depth := 2 * opts.Workers
 	x := &Executor{
 		store:   store,
 		opts:    opts,
 		tm:      newCheckdMetrics(opts.Metrics),
-		intake:  make(chan job, opts.QueueDepth),
-		results: make(chan verdictTimed, opts.QueueDepth),
-		out:     make(chan Verdict, opts.QueueDepth),
-		digest:  opts.WantDigest,
-		pinned:  opts.WantDigest != 0,
+		intake:  make(chan job, depth),
+		results: make(chan verdictTimed, depth),
+		out:     make(chan Verdict, depth),
 	}
 	x.tm.workers.Add(float64(opts.Workers))
 	for i := 0; i < opts.Workers; i++ {
@@ -166,7 +137,7 @@ func (x *Executor) admit(pkt *packet.CheckPacket) error {
 		return fmt.Errorf("%w: packet carries %#x but its config digests to %#x",
 			ErrConfigDigest, pkt.ConfigDigest, d)
 	}
-	if x.pinned && pkt.ConfigDigest != x.digest {
+	if x.seq > 0 && pkt.ConfigDigest != x.digest {
 		return fmt.Errorf("%w: stream pinned to %#x, packet carries %#x",
 			ErrConfigDigest, x.digest, pkt.ConfigDigest)
 	}
@@ -180,7 +151,6 @@ func (x *Executor) admit(pkt *packet.CheckPacket) error {
 		return fmt.Errorf("%w: no instruction limit", ErrUnrunnable)
 	}
 	x.digest = pkt.ConfigDigest
-	x.pinned = true
 	return nil
 }
 
@@ -216,35 +186,18 @@ func (x *Executor) worker() {
 	}
 }
 
-// check runs one packet on the worker's checker, retrying chunk misses: with
-// a streaming transport the pages may be in flight while the packet is
-// already queued.
+// check runs one packet on the worker's checker, once. A chunk the store
+// lacks is an infrastructure verdict at once: Session sends a packet's chunks
+// ahead of the packet, so waiting would not make one appear.
 func (x *Executor) check(c *checker, j job) Verdict {
 	var start time.Time
 	spanned := j.pkt.TraceID != 0 && (x.opts.observe || x.opts.Trace != nil)
 	if spanned {
 		start = time.Now()
 	}
-	var v Verdict
-	var err error
-	for attempt := 0; ; attempt++ {
-		v, err = c.check(x.store, j.pkt)
-		if err == nil || !errors.Is(err, ErrMissingChunk) || attempt >= x.opts.Retries {
-			break
-		}
-		// One retry == one more check attempt, regardless of how many
-		// chunks that attempt found missing (rebuild fails at the first).
-		x.tm.retries.Inc()
-		time.Sleep(x.opts.RetryDelay)
-	}
+	v, err := c.check(x.store, j.pkt)
 	v.Seq = j.seq
 	if err != nil {
-		if errors.Is(err, ErrMissingChunk) {
-			// The budgeted attempts are the bound on a permanently missing
-			// chunk: the loop above never spins past opts.Retries, it
-			// abandons the packet with this typed error.
-			err = fmt.Errorf("abandoned after %d retries: %w", x.opts.Retries, err)
-		}
 		v.OK = false
 		v.Infra = err.Error()
 		v.infraErr = err

@@ -127,14 +127,6 @@ func TestSubmitTypedRejections(t *testing.T) {
 		}
 	})
 
-	t.Run("explicit pin", func(t *testing.T) {
-		x := NewExecutor(store, Options{WantDigest: pkts[0].ConfigDigest + 1})
-		defer x.Close()
-		if err := x.Submit(pkts[0]); !errors.Is(err, ErrConfigDigest) {
-			t.Fatalf("Submit against foreign pin = %v, want ErrConfigDigest", err)
-		}
-	})
-
 	t.Run("closed", func(t *testing.T) {
 		x := NewExecutor(store, Options{})
 		x.Close()
@@ -211,11 +203,10 @@ func TestMissingChunkBecomesInfraVerdict(t *testing.T) {
 	if len(pkts) == 0 {
 		t.Fatal("run exported no packets")
 	}
-	// An empty store: every chunk reference misses, the retries exhaust,
-	// and the failure surfaces as an infrastructure verdict — never as a
-	// detection.
+	// An empty store: every chunk reference misses, and the failure
+	// surfaces as an infrastructure verdict — never as a detection.
 	empty := pagestore.New(core.PageHashSeed)
-	verdicts, err := CheckAll(empty, pkts[:1], Options{Retries: 1, RetryDelay: 1})
+	verdicts, err := CheckAll(empty, pkts[:1], Options{})
 	if err != nil {
 		t.Fatalf("CheckAll: %v", err)
 	}
@@ -256,12 +247,10 @@ func TestVerdictsOrderedUnderConcurrency(t *testing.T) {
 	}
 }
 
-// TestPermanentlyMissingChunkRetriesBounded drops one page chunk from an
-// otherwise-complete store forever and checks the retry contract: the
-// counter increments once per re-attempt of the packet — not once per
-// missing chunk — the loop stops at the retry budget instead of spinning,
-// and the abandoned packet carries a typed ErrMissingChunk the caller can
-// errors.Is against.
+// TestPermanentlyMissingChunkRetriesBounded drops page chunks from an
+// otherwise-complete store forever. The bound is one attempt: the packet is
+// checked once, and its infrastructure verdict carries a typed
+// ErrMissingChunk the caller can errors.Is against.
 func TestPermanentlyMissingChunkRetriesBounded(t *testing.T) {
 	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(120_000))
 	if len(pkts) == 0 {
@@ -272,11 +261,10 @@ func TestPermanentlyMissingChunkRetriesBounded(t *testing.T) {
 		t.Fatalf("packet has %d start pages, need at least 2", len(pkt.Start.Pages))
 	}
 
-	// Evict two of the packet's page chunks permanently: no retry can ever
-	// make them appear. Two, so a per-chunk (rather than per-attempt)
-	// retry counter would double-count. Releasing until reclaim drops the
-	// chunk no matter how many checkpoints shared it; a chunk may back
-	// several pages of the start state, so count distinct keys.
+	// Evict two of the packet's page chunks permanently. Releasing until
+	// reclaim drops the chunk no matter how many checkpoints shared it; a
+	// chunk may back several pages of the start state, so count distinct
+	// keys.
 	dropped := 0
 	seen := map[pagestore.Key]bool{}
 	for _, pg := range pkt.Start.Pages {
@@ -292,13 +280,7 @@ func TestPermanentlyMissingChunkRetriesBounded(t *testing.T) {
 		}
 	}
 
-	const retries = 3
-	reg := telemetry.NewRegistry()
-	retryCounter := reg.Counter("paft_checkd_chunk_retries_total",
-		"packet checks re-attempted because a chunk had not arrived yet")
-	verdicts, err := CheckAll(store, pkts[:1], Options{
-		Retries: retries, RetryDelay: 1, Metrics: reg,
-	})
+	verdicts, err := CheckAll(store, pkts[:1], Options{})
 	if err != nil {
 		t.Fatalf("CheckAll: %v", err)
 	}
@@ -311,8 +293,5 @@ func TestPermanentlyMissingChunkRetriesBounded(t *testing.T) {
 	}
 	if !errors.Is(v.InfraErr(), ErrMissingChunk) {
 		t.Fatalf("InfraErr() = %v, want a wrapped ErrMissingChunk", v.InfraErr())
-	}
-	if got := retryCounter.Value(); got != retries {
-		t.Fatalf("retry counter = %d, want exactly %d (once per re-attempt)", got, retries)
 	}
 }

@@ -30,8 +30,9 @@ var (
 	ErrUnrunnable = fmt.Errorf("checkd: unrunnable packet: %w", packet.ErrCorrupt)
 
 	// ErrMissingChunk: a content-addressed chunk referenced by a packet is
-	// not (yet) in the store. Transient under a streaming transport — the
-	// executor retries before giving up.
+	// not in the store when the packet is checked. Session sends a packet's
+	// chunks ahead of it, so the executor gives the packet an infrastructure
+	// verdict at once instead of waiting.
 	ErrMissingChunk = errors.New("checkd: referenced chunk missing from store")
 
 	// ErrClosed: Submit after Close.

@@ -80,13 +80,13 @@ type Verdict struct {
 }
 
 // InfraErr returns the typed infrastructure error behind Infra, or nil. For
-// a packet abandoned after exhausting its chunk-miss retries this unwraps
-// to ErrMissingChunk.
+// a packet that names a chunk the store lacks this unwraps to
+// ErrMissingChunk.
 func (v Verdict) InfraErr() error { return v.infraErr }
 
 // NewInfraVerdict builds the verdict for a packet that could not be checked
-// at all: the dispatcher-side analogue of the executor's retry-exhausted
-// path. err is kept typed (InfraErr) as well as rendered into Infra, so
+// at all: the dispatcher-side analogue of the executor's missing-chunk
+// verdict. err is kept typed (InfraErr) as well as rendered into Infra, so
 // consumers can errors.Is against sentinels like checkfarm's ErrNoNodes.
 // The caller assigns Seq.
 func NewInfraVerdict(pkt *packet.CheckPacket, err error) Verdict {
@@ -250,7 +250,7 @@ func (c *checker) rebuildAddressSpace(store *pagestore.Store, pageSize uint64, s
 	as := mem.NewAddressSpace(pageSize)
 	defer func() {
 		if err != nil {
-			as.Release() // a retry must find the cached frames unshared
+			as.Release() // the next packet must find the cached frames unshared
 		}
 	}()
 	var vmaPages uint64

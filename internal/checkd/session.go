@@ -37,8 +37,8 @@ type Reply struct {
 // failed write or a broken stream is a *ConnError (retryable elsewhere), an
 // 'E' frame is a *RemoteError (not), damage to the stream wraps ErrProtocol;
 // a chunk its own store lacks is none of these — the packet goes anyway and
-// the server answers with its bounded-retry ErrMissingChunk verdict, exactly
-// as the in-process executor would.
+// the server answers with its ErrMissingChunk verdict, exactly as the
+// in-process executor would.
 //
 // Send, Ping and Finish may be called from different goroutines; they are
 // serialised, and each flushes its frames once before it returns. The reply

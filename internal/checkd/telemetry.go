@@ -14,7 +14,6 @@ type checkdMetrics struct {
 
 	submitted  *telemetry.Counter
 	rejections *telemetry.Counter
-	retries    *telemetry.Counter
 
 	verdictsOK    *telemetry.Counter
 	verdictsFail  *telemetry.Counter
@@ -43,8 +42,6 @@ func newCheckdMetrics(reg *telemetry.Registry) checkdMetrics {
 		"check packets accepted into the intake queue")
 	m.rejections = reg.Counter("paft_checkd_rejections_total",
 		"packets rejected at intake (version or config-digest mismatch)")
-	m.retries = reg.Counter("paft_checkd_chunk_retries_total",
-		"packet checks re-attempted because a chunk had not arrived yet")
 	m.verdictsOK = reg.Counter("paft_checkd_verdicts_ok_total",
 		"verdicts delivered with a passing comparison")
 	m.verdictsFail = reg.Counter("paft_checkd_verdicts_failed_total",

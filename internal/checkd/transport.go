@@ -27,8 +27,10 @@ import (
 //	                  'E' error                      intake rejection or protocol error (fatal)
 //	                  'D' done                       all verdicts sent
 //
-// Chunks for a packet must precede it on the stream (the executor's retry
-// loop tolerates slight reordering). Each connection gets its own store and
+// Chunks for a packet must precede it on the stream. The executor checks a
+// packet once, against the chunks its connection's store holds by then, so a
+// chunk sent after its packet can miss it; the packet's verdict is then
+// ErrMissingChunk. Each connection gets its own store and
 // executor: connections are independent verdict streams. There is one frame
 // per verdict: a Reply is the Verdict's own JSON object plus, for a packet
 // that carried a trace ID, the node's remote-verify span as one optional

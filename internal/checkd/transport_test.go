@@ -3,6 +3,7 @@ package checkd
 import (
 	"bytes"
 	"encoding/binary"
+	"encoding/json"
 	"errors"
 	"io"
 	"net"
@@ -92,6 +93,63 @@ func TestSocketRejectsBadVersion(t *testing.T) {
 	}
 	if !strings.Contains(remote.Msg, "version") {
 		t.Fatalf("remote error %q does not mention the version", remote.Msg)
+	}
+}
+
+// TestPacketBeforeItsChunkIsAMissingChunkVerdict: a packet's chunks must
+// precede it on the stream. A packet written before one of its chunks is
+// checked against the chunks already there and answered at once with the
+// missing-chunk infrastructure verdict (the wire carries its text); the
+// chunk written after it serves the next packet on the same connection,
+// which passes.
+func TestPacketBeforeItsChunkIsAMissingChunkVerdict(t *testing.T) {
+	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(120_000))
+	_, sock := startServer(t, Options{Workers: 1})
+	conn, err := net.Dial("unix", sock)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second)) //nolint:errcheck // a hang fails the read below
+	write := func(typ byte, payload []byte) {
+		t.Helper()
+		if err := WriteFrame(conn, typ, payload); err != nil {
+			t.Fatalf("write %q: %v", typ, err)
+		}
+	}
+	chunk := func(k pagestore.Key) {
+		write(FrameChunk, append(binary.LittleEndian.AppendUint64(nil, uint64(k)), store.Get(k)...))
+	}
+	verdict := func() Verdict {
+		t.Helper()
+		typ, payload, err := ReadFrame(conn)
+		if err != nil || typ != FrameVerdict {
+			t.Fatalf("read verdict: frame %q, err %v", typ, err)
+		}
+		var r Reply
+		if err := json.Unmarshal(payload, &r); err != nil {
+			t.Fatalf("verdict frame: %v", err)
+		}
+		return r.Verdict
+	}
+
+	keys := pkts[0].ChunkKeys(nil)
+	late := keys[len(keys)-1]
+	for _, k := range keys[:len(keys)-1] {
+		chunk(k)
+	}
+	write(FramePacket, packet.Encode(pkts[0]))
+	if v := verdict(); v.OK || v.ErrorKind != "" || !strings.Contains(v.Infra, ErrMissingChunk.Error()) {
+		t.Fatalf("packet ahead of chunk %#x: verdict %+v, want the missing-chunk infra verdict", uint64(late), v)
+	}
+	chunk(late)
+	write(FramePacket, packet.Encode(pkts[0]))
+	if v := verdict(); !v.OK || v.Seq != 1 {
+		t.Fatalf("packet after its chunk: verdict %+v, want seq 1 passing", v)
+	}
+	write(FrameDone, nil)
+	if typ, _, err := ReadFrame(conn); err != nil || typ != FrameDone {
+		t.Fatalf("end of session: frame %q, err %v", typ, err)
 	}
 }
 

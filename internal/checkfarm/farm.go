@@ -39,6 +39,11 @@ var ErrClosed = errors.New("checkfarm: farm closed")
 // errHeartbeat is the eviction reason for a node that stopped answering.
 var errHeartbeat = errors.New("checkfarm: heartbeat timeout")
 
+// writeTimeout bounds every frame write, and the wait for a node's last
+// verdicts at Close, so a wedged peer surfaces as an eviction instead of a
+// stuck dispatcher.
+const writeTimeout = 30 * time.Second
+
 // Options configures a Farm. The zero value is usable: default dialer,
 // half-second heartbeats with a two-second timeout, three dispatch attempts
 // per packet, no telemetry.
@@ -52,10 +57,6 @@ type Options struct {
 	// before evicting the node.
 	HeartbeatInterval time.Duration
 	HeartbeatTimeout  time.Duration
-
-	// WriteTimeout bounds every frame write so a wedged peer surfaces as
-	// an eviction instead of a stuck dispatcher.
-	WriteTimeout time.Duration
 
 	// MaxAttempts caps how many nodes a packet may be dispatched to before
 	// the farm gives up with an infrastructure verdict.
@@ -83,9 +84,6 @@ func (o *Options) withDefaults() {
 	}
 	if o.HeartbeatTimeout <= 0 {
 		o.HeartbeatTimeout = 4 * o.HeartbeatInterval
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 30 * time.Second
 	}
 	if o.MaxAttempts <= 0 {
 		o.MaxAttempts = 3
@@ -229,7 +227,7 @@ func (f *Farm) AddNode(spec string) error {
 	n.idx = idx
 	n.actor = fmt.Sprintf("node%d", idx)
 	// The session must be open before the dispatcher can pick the node.
-	n.sess = checkd.OpenSession(conn, f.store, func(r checkd.Reply) { f.onReply(n, r) }, f.opts.WriteTimeout)
+	n.sess = checkd.OpenSession(conn, f.store, func(r checkd.Reply) { f.onReply(n, r) }, writeTimeout)
 	f.nodes = append(f.nodes, n)
 	f.all = append(f.all, n)
 	f.tm.joins.Inc()
@@ -297,7 +295,7 @@ func (f *Farm) Close() {
 		if n.sess.Finish() == nil {
 			select {
 			case <-n.sess.Done():
-			case <-time.After(f.opts.WriteTimeout):
+			case <-time.After(writeTimeout):
 			}
 		}
 		n.conn.Close()

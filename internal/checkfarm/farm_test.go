@@ -92,10 +92,10 @@ func TestFarmMatchesInProcess(t *testing.T) {
 
 // TestFarmMissingChunkIsAVerdictNotAnEviction: a packet naming a chunk the
 // farm's own store does not hold says nothing about any node. It goes out
-// like any other, the node answers with the daemon's bounded-retry missing-
-// chunk verdict — the one CheckAll gives — and its neighbours' packets are
-// checked as usual. Reading the gap as a node failure would evict the whole
-// healthy fleet, node by node, over one bad packet.
+// like any other, the node answers with the daemon's missing-chunk verdict —
+// the one CheckAll gives — and its neighbours' packets are checked as usual.
+// Reading the gap as a node failure would evict the whole healthy fleet, node
+// by node, over one bad packet.
 func TestFarmMissingChunkIsAVerdictNotAnEviction(t *testing.T) {
 	_, store, pkts := runExported(t, smallSliceConfig(), victimProgram(240_000))
 	if len(pkts) < 4 {
@@ -214,6 +214,13 @@ func TestFarmNodeDiesMidChunkUpload(t *testing.T) {
 		}
 	}
 	farm.Close()
+	defer func() {
+		if t.Failed() { // name the cause: which node went, and why
+			for _, s := range farm.NodeStats() {
+				t.Logf("node %d (%s): live %v, %d verdicts, evicted: %q", s.Index, s.Addr, s.Live, s.Verdicts, s.EvictReason)
+			}
+		}
+	}()
 
 	if vs := got(); !reflect.DeepEqual(vs, want) {
 		t.Fatalf("verdicts after mid-upload death differ from in-process:\n farm %+v\nlocal %+v", vs, want)

@@ -1,24 +1,17 @@
-package raft
+package core
 
 import (
 	"testing"
 
 	"parallaft/internal/asm"
-	"parallaft/internal/core"
-	"parallaft/internal/machine"
 	"parallaft/internal/oskernel"
 	"parallaft/internal/proc"
-	"parallaft/internal/sim"
 )
 
-func newEngine(seed int64) *sim.Engine {
-	m := machine.New(machine.AppleM2Like())
-	k := oskernel.NewKernel(m.PageSize, seed)
-	l := oskernel.NewLoader(k, m.PageSize, seed)
-	return sim.New(m, k, l)
-}
-
-func prog() *asm.Program {
+// raftVictim loops over a buffer, then writes "out\n" and exits 9: one
+// syscall whose data a checker fault can reach, and registers it never
+// passes to one.
+func raftVictim() *asm.Program {
 	b := asm.NewBuilder("raft-victim")
 	b.Ascii("msg", "out\n")
 	b.Space("buf", 16*1024)
@@ -47,8 +40,8 @@ func prog() *asm.Program {
 	return b.MustBuild()
 }
 
-func TestConfigMatchesPaperModel(t *testing.T) {
-	cfg := Config()
+func TestRAFTConfigMatchesPaperModel(t *testing.T) {
+	cfg := RAFTConfig()
 	if cfg.SlicePeriodCycles != 0 || cfg.SlicePeriodInstrs != 0 {
 		t.Error("RAFT must not slice periodically (§5.1 modification 1)")
 	}
@@ -63,8 +56,8 @@ func TestConfigMatchesPaperModel(t *testing.T) {
 	}
 }
 
-func TestCleanRun(t *testing.T) {
-	st, err := Run(newEngine(3), prog())
+func TestRAFTVictimCleanRun(t *testing.T) {
+	st, err := NewRuntime(newTestEngine(3), RAFTConfig()).Run(raftVictim())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,10 +81,10 @@ func TestCleanRun(t *testing.T) {
 	}
 }
 
-func TestDetectsSyscallVisibleError(t *testing.T) {
-	p := prog()
+func TestRAFTDetectsSyscallVisibleError(t *testing.T) {
+	p := raftVictim()
 	msg := p.Symbols["msg"]
-	cfg := Config()
+	cfg := RAFTConfig()
 	fired := false
 	cfg.ReplicaHook = func(_, _ int, c *proc.Process, _ float64) {
 		if fired {
@@ -101,21 +94,20 @@ func TestDetectsSyscallVisibleError(t *testing.T) {
 		c.AS.StoreByte(msg, v^1) //nolint:errcheck
 		fired = true
 	}
-	rt := core.NewRuntime(newEngine(3), cfg)
-	st, err := rt.Run(p)
+	st, err := NewRuntime(newTestEngine(3), cfg).Run(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Detected == nil {
 		t.Fatal("RAFT missed corruption of syscall data")
 	}
-	if st.Detected.Kind != core.ErrSyscallMismatch {
+	if st.Detected.Kind != ErrSyscallMismatch {
 		t.Errorf("kind = %v, want syscall mismatch", st.Detected.Kind)
 	}
 }
 
-func TestMissesSyscallInvisibleError(t *testing.T) {
-	cfg := Config()
+func TestRAFTMissesSyscallInvisibleError(t *testing.T) {
+	cfg := RAFTConfig()
 	fired := false
 	cfg.ReplicaHook = func(_, _ int, c *proc.Process, _ float64) {
 		if fired {
@@ -124,8 +116,7 @@ func TestMissesSyscallInvisibleError(t *testing.T) {
 		c.Regs.X[11] ^= 1 << 9 // dead register: never reaches a syscall
 		fired = true
 	}
-	rt := core.NewRuntime(newEngine(3), cfg)
-	st, err := rt.Run(prog())
+	st, err := NewRuntime(newTestEngine(3), cfg).Run(raftVictim())
 	if err != nil {
 		t.Fatal(err)
 	}

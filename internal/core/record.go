@@ -26,7 +26,7 @@ func (r *Runtime) Run(prog *asm.Program) (*RunStats, error) {
 	r.mainCore.SetMaxFreq()
 	r.mainTask = r.e.NewTask(main, r.mainCore, 0)
 	r.stats.Benchmark = prog.Name
-	r.nextSampleNs = r.cfg.SampleIntervalNs
+	r.nextSampleNs = sim.PSSSampleIntervalNs
 	if r.cfg.Profiler != nil {
 		r.cfg.Profiler.SetProgram(prog)
 	}
@@ -241,7 +241,7 @@ func (r *Runtime) startSegmentWith(cp *checkpoint) {
 		if i > 0 {
 			name = fmt.Sprintf("checker%d.%d", seg.Index, i)
 		}
-		r.chargeSysMain(machine.ActFork, r.cfg.ForkBaseNs+float64(r.main.AS.PageCount())*r.cfg.ForkPerPageNs)
+		r.chargeSysMain(machine.ActFork, forkBaseNs+float64(r.main.AS.PageCount())*forkPerPageNs)
 		rep := r.newReplica(seg, i, r.e.L.Fork(r.main, name))
 		rep.Checker.AS.ClearSoftDirty()
 		rep.forkNs = r.mainTask.Clock
@@ -253,11 +253,11 @@ func (r *Runtime) startSegmentWith(cp *checkpoint) {
 	// Dirty-tracking epoch: clear the main's soft-dirty bits *after* the
 	// previous segment's end checkpoint inherited them.
 	if r.cfg.Tracking == TrackSoftDirty {
-		r.chargeRuntimeMain(machine.ActDirtyPages, float64(r.main.AS.PageCount())*r.cfg.DirtyClearPerPageNs)
+		r.chargeRuntimeMain(machine.ActDirtyPages, float64(r.main.AS.PageCount())*dirtyClearPerPageNs)
 		r.main.AS.ClearSoftDirty()
 	}
 	// Performance-counter setup for execution-point recording (§4.2.1).
-	r.chargeRuntimeMain(machine.ActRecord, r.cfg.CounterSetupNs)
+	r.chargeRuntimeMain(machine.ActRecord, counterSetupNs)
 
 	seg.pos = len(r.segments)
 	r.segments = append(r.segments, seg)
@@ -303,7 +303,7 @@ func (r *Runtime) takeBoundary() {
 		return
 	}
 	// Tracer stop + counter read at the boundary (§4.2.1).
-	r.chargeRuntimeMain(machine.ActBarrier, r.cfg.BoundaryStopNs)
+	r.chargeRuntimeMain(machine.ActBarrier, boundaryStopNs)
 	r.stats.Slices++
 
 	cp := r.forkCheckpoint(fmt.Sprintf("cp%d", r.stats.Checkpoints))
@@ -454,7 +454,7 @@ func (r *Runtime) recordSyscall() error {
 	rec := &packet.SyscallEvent{Info: info, Class: model.Class}
 	rec.In = captureRegions(p, model.In(r.e.K, p, info.Args))
 	for _, reg := range rec.In {
-		r.chargeRuntimeMain(machine.ActRecord, float64(len(reg.Data))*r.cfg.RecordByteNs)
+		r.chargeRuntimeMain(machine.ActRecord, float64(len(reg.Data))*recordByteNs)
 	}
 
 	// Eagerly pass the syscall to the OS (§3.4): effects escape before the
@@ -469,7 +469,7 @@ func (r *Runtime) recordSyscall() error {
 	// Capture outputs for replay.
 	rec.Out = captureRegions(p, model.Out(r.e.K, p, info.Args, res.Ret))
 	for _, reg := range rec.Out {
-		r.chargeRuntimeMain(machine.ActRecord, float64(len(reg.Data))*r.cfg.RecordByteNs)
+		r.chargeRuntimeMain(machine.ActRecord, float64(len(reg.Data))*recordByteNs)
 	}
 
 	// ASLR pinning: remember where the kernel put an address-less mmap so
@@ -601,12 +601,13 @@ func (r *Runtime) wakeChecker(seg *Segment) {
 }
 
 // samplePSS accumulates proportional-set-size samples of main plus running
-// checkers (checkpoints excluded, §5.4) every SampleIntervalNs.
+// checkers (checkpoints excluded, §5.4) every sim.PSSSampleIntervalNs, the
+// period the baseline samples at.
 func (r *Runtime) samplePSS() {
-	if r.cfg.SampleIntervalNs <= 0 || r.mainTask.Clock < r.nextSampleNs {
+	if r.mainTask.Clock < r.nextSampleNs {
 		return
 	}
-	r.nextSampleNs = r.mainTask.Clock + r.cfg.SampleIntervalNs
+	r.nextSampleNs = r.mainTask.Clock + sim.PSSSampleIntervalNs
 	pss := r.main.AS.PSSBytes()
 	for _, seg := range r.segments {
 		if seg.compared {

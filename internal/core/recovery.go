@@ -56,7 +56,7 @@ func (r *Runtime) tryRecover() bool {
 	if seg == nil {
 		return false // detection without a live segment: unrecoverable
 	}
-	if seg.recoveries >= r.cfg.RecoveryMaxRetries {
+	if seg.recoveries >= recoveryMaxRetries {
 		r.stats.UnrecoverableFault = true
 		return false
 	}
@@ -64,7 +64,7 @@ func (r *Runtime) tryRecover() bool {
 
 	// A permanent fault keeps corrupting fresh segments; the global
 	// rollback budget turns that into a terminating diagnosis.
-	if r.stats.Rollbacks >= r.cfg.RecoveryMaxRollbacks {
+	if r.stats.Rollbacks >= recoveryMaxRollbacks {
 		r.stats.UnrecoverableFault = true
 		return false
 	}

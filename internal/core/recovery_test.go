@@ -97,7 +97,6 @@ func TestRecoveryRollsBackMainFault(t *testing.T) {
 // instead of looping forever.
 func TestRecoveryPermanentFaultTerminates(t *testing.T) {
 	cfg := recoveryConfig()
-	cfg.RecoveryMaxRetries = 2
 	cfg.MainHook = func(m *proc.Process, _ float64) {
 		if m.Instrs > 100_000 {
 			m.Regs.X[1] ^= 1 << 7 // keeps corrupting after every restore

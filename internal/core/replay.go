@@ -45,7 +45,7 @@ const (
 // read through seg (Log.Events, End, EndIsExit, MainInstrs, sealed).
 type replayEngine struct {
 	host replayHost
-	cfg  *Config // cost knobs and TimeoutScale
+	cfg  *Config // TimeoutScale and the interception mechanism
 	e    *sim.Engine
 	seg  *Segment
 
@@ -130,7 +130,7 @@ func (en *replayEngine) ensureTarget() {
 		c.SetBreakpoint(want.PC)
 		en.phase = phaseStepped
 	}
-	en.host.charge(machine.ActReplay, en.cfg.CounterSetupNs)
+	en.host.charge(machine.ActReplay, counterSetupNs)
 }
 
 // enterStepped switches from counting to breakpointing on the current
@@ -139,7 +139,7 @@ func (en *replayEngine) enterStepped() {
 	en.Checker.DisarmBranchCounter()
 	en.Checker.SetBreakpoint(en.target.PC)
 	en.phase = phaseStepped
-	en.host.charge(machine.ActReplay, en.cfg.CounterSetupNs)
+	en.host.charge(machine.ActReplay, counterSetupNs)
 }
 
 // atTarget reports whether the checker is exactly at the active target.
@@ -219,11 +219,11 @@ func (en *replayEngine) handleStop(stop proc.Stop) {
 
 	case proc.StopCounter:
 		// Undershoot phase done; switch to breakpointing (§4.2.2).
-		en.host.charge(machine.ActReplay, en.cfg.BreakpointHitNs)
+		en.host.charge(machine.ActReplay, breakpointHitNs)
 		en.enterStepped()
 
 	case proc.StopBreakpoint:
-		en.host.charge(machine.ActReplay, en.cfg.BreakpointHitNs)
+		en.host.charge(machine.ActReplay, breakpointHitNs)
 		rel := en.Checker.Branches
 		switch {
 		case en.atTarget():
@@ -278,7 +278,7 @@ func (en *replayEngine) replaySyscall() {
 	// Compare input data (e.g. the bytes passed to write) byte-for-byte.
 	model := oskernel.ModelOf(info.Nr)
 	chkIn := captureRegions(c, model.In(en.e.K, c, info.Args))
-	en.host.charge(machine.ActReplay, float64(bytesIn(chkIn))*en.cfg.RecordByteNs)
+	en.host.charge(machine.ActReplay, float64(bytesIn(chkIn))*recordByteNs)
 	if !regionsEqual(chkIn, rec.In) {
 		en.fail(ErrSyscallMismatch, "%v input data differs", info.Nr)
 		return
@@ -329,7 +329,7 @@ func (en *replayEngine) replaySyscall() {
 			return
 		}
 		for _, out := range rec.Out {
-			en.host.charge(machine.ActReplay, float64(len(out.Data))*en.cfg.RecordByteNs)
+			en.host.charge(machine.ActReplay, float64(len(out.Data))*recordByteNs)
 			if f := c.AS.Write(out.Addr, out.Data); f != nil {
 				en.fail(ErrSyscallMismatch,
 					"replaying %v output into checker faulted at %#x", info.Nr, f.Addr)

@@ -72,32 +72,6 @@ type Config struct {
 	// the footnote-11 ablation.
 	MigrateNewest bool
 
-	// Runtime-work cost knobs (nanoseconds). Event-driven costs
-	// (TracerStopNs, RecordByteNs) are kept at realistic absolute size so
-	// the §5.7 syscall/signal stress ratios reproduce; segment-machinery
-	// costs (BoundaryStopNs, BreakpointHitNs, CounterSetupNs) are scaled
-	// with the 1:2500 segment length so per-segment runtime work keeps the
-	// paper's small share (§5.2.1).
-	TracerStopNs        float64 // one ptrace-style stop round trip (syscalls, signals, nondet)
-	BoundaryStopNs      float64 // the tracer stop at a slicing boundary
-	BreakpointHitNs     float64 // one breakpoint/counter stop during end-point replay
-	RecordByteNs        float64 // capturing or checking one recorded byte
-	HashByteNs          float64 // hashing one byte during comparison
-	ForkBaseNs          float64 // fixed fork cost
-	ForkPerPageNs       float64 // per-PTE fork cost
-	DirtyClearPerPageNs float64 // clearing soft-dirty bits per page
-	CounterSetupNs      float64 // arming a performance counter
-
-	// SampleIntervalNs is the PSS sampling period (§5.4; the paper's 0.5 s
-	// scaled by the simulation time scale).
-	SampleIntervalNs float64
-
-	// CompareWorkers bounds the host-side hashing pool of the comparison
-	// subsystem (internal/compare); 0 picks a GOMAXPROCS-capped default.
-	// It only affects host wall-clock: the simulated comparison cost and
-	// every experiment output are identical for any value.
-	CompareWorkers int
-
 	// ReplicaHook, when set, is invoked before every dispatch of every
 	// checker replica with the segment index, the replica index, the checker
 	// process, and the checker's elapsed segment time. The fault injector
@@ -135,13 +109,6 @@ type Config struct {
 	// main faults roll the main back to the newest induction-verified
 	// checkpoint. Detection remains guaranteed either way.
 	EnableRecovery bool
-	// RecoveryMaxRetries bounds recovery attempts per segment, so a
-	// permanent fault still terminates with a diagnosis.
-	RecoveryMaxRetries int
-	// RecoveryMaxRollbacks bounds rollbacks across the whole run: a
-	// permanent fault that keeps corrupting fresh segments would otherwise
-	// roll back forever.
-	RecoveryMaxRollbacks int
 
 	// Trace, when set, is the run's event recorder. It receives the
 	// runtime's decisions (segments, replay events, scheduling, detections),
@@ -204,13 +171,41 @@ type Config struct {
 	Quantum uint64
 }
 
+// Runtime-work costs (nanoseconds). Event-driven costs (ptraceStopNs,
+// recordByteNs) are kept at realistic absolute size so the §5.7
+// syscall/signal stress ratios reproduce; segment-machinery costs
+// (boundaryStopNs, breakpointHitNs, counterSetupNs) are scaled with the
+// 1:2500 segment length so per-segment runtime work keeps the paper's small
+// share (§5.2.1).
+const (
+	ptraceStopNs        float64 = 17000 // one ptrace-style stop round trip (syscalls, signals, nondet)
+	boundaryStopNs      float64 = 500   // the tracer stop at a slicing boundary
+	breakpointHitNs     float64 = 70    // one breakpoint/counter stop during end-point replay
+	recordByteNs        float64 = 6.0   // capturing or checking one recorded byte
+	hashByteNs          float64 = 0.002 // hashing one byte during comparison
+	forkBaseNs          float64 = 900   // fixed fork cost
+	forkPerPageNs       float64 = 10    // per-PTE fork cost
+	dirtyClearPerPageNs float64 = 3     // clearing soft-dirty bits per page
+	counterSetupNs      float64 = 120   // arming a performance counter
+)
+
+// Recovery budgets: recoveryMaxRetries bounds recovery attempts per segment,
+// so a permanent fault still terminates with a diagnosis; recoveryMaxRollbacks
+// bounds rollbacks and forward repairs across the whole run, since a
+// permanent fault that keeps corrupting fresh segments would otherwise roll
+// back forever.
+const (
+	recoveryMaxRetries   = 2
+	recoveryMaxRollbacks = 8
+)
+
 // tracerStopNs returns the per-stop supervision cost under the active
 // interception mechanism.
 func (c *Config) tracerStopNs() float64 {
 	if c.InProcessInterception {
-		return c.TracerStopNs / 12
+		return ptraceStopNs / 12
 	}
-	return c.TracerStopNs
+	return ptraceStopNs
 }
 
 // DefaultSlicePeriodCycles is the scaled equivalent of the paper's 5-billion
@@ -221,26 +216,16 @@ const DefaultSlicePeriodCycles = 2_000_000
 // main evaluation.
 func DefaultConfig() Config {
 	return Config{
-		SlicePeriodCycles:   DefaultSlicePeriodCycles,
-		SlicePeriodInstrs:   DefaultSlicePeriodCycles, // used in instruction mode
-		MaxLiveSegments:     12,
-		SkidBuffer:          32,
-		TimeoutScale:        1.1,
-		CompareStates:       true,
-		Tracking:            TrackFrameDiff,
-		EnableDVFS:          true,
-		EnableMigration:     true,
-		TracerStopNs:        17000,
-		BoundaryStopNs:      500,
-		BreakpointHitNs:     70,
-		RecordByteNs:        6.0,
-		HashByteNs:          0.002,
-		ForkBaseNs:          900,
-		ForkPerPageNs:       10,
-		DirtyClearPerPageNs: 3,
-		CounterSetupNs:      120,
-		SampleIntervalNs:    200_000,
-		Quantum:             sim.DefaultQuantum,
+		SlicePeriodCycles: DefaultSlicePeriodCycles,
+		SlicePeriodInstrs: DefaultSlicePeriodCycles, // used in instruction mode
+		MaxLiveSegments:   12,
+		SkidBuffer:        32,
+		TimeoutScale:      1.1,
+		CompareStates:     true,
+		Tracking:          TrackFrameDiff,
+		EnableDVFS:        true,
+		EnableMigration:   true,
+		Quantum:           sim.DefaultQuantum,
 	}
 }
 
@@ -555,12 +540,6 @@ func NewRuntime(e *sim.Engine, cfg Config) *Runtime {
 	if cfg.MaxLiveSegments == 0 {
 		cfg.MaxLiveSegments = 12
 	}
-	if cfg.RecoveryMaxRetries == 0 {
-		cfg.RecoveryMaxRetries = 2
-	}
-	if cfg.RecoveryMaxRollbacks == 0 {
-		cfg.RecoveryMaxRollbacks = 8
-	}
 	if cfg.Checkers > 1 && !cfg.CompareStates {
 		panic("core: Checkers > 1 requires CompareStates (the NMR vote is a state comparison)")
 	}
@@ -717,7 +696,7 @@ func (r *Runtime) releaseCP(cp *checkpoint) {
 // returned checkpoint starts with zero references; each holding segment
 // adds one.
 func (r *Runtime) forkCheckpoint(name string) *checkpoint {
-	cost := r.cfg.ForkBaseNs + float64(r.main.AS.PageCount())*r.cfg.ForkPerPageNs
+	cost := forkBaseNs + float64(r.main.AS.PageCount())*forkPerPageNs
 	r.chargeSysMain(machine.ActFork, cost)
 	p := r.e.L.Fork(r.main, name)
 	r.stats.Checkpoints++

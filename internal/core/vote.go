@@ -72,7 +72,7 @@ func (r *Runtime) maybeVote(seg *Segment) {
 	// comparison it needed. Their energy is charged to the first placed
 	// replica's core. The books are simulated: independent of host-side
 	// shortcuts.
-	hashNs := float64(vres.HashedBytes) * r.cfg.HashByteNs
+	hashNs := float64(vres.HashedBytes) * hashByteNs
 	r.settleAt(seg, max(seg.checkerDoneNs(), seg.mainEndNs)+hashNs)
 	pairwise := len(seg.Replicas) == 1
 	act := machine.ActVote
@@ -159,7 +159,6 @@ func (r *Runtime) newVoteRequest() compare.VoteRequest {
 	req := compare.VoteRequest{
 		CheckerMode: r.cfg.checkerDirtyMode(),
 		Seed:        hashSeed,
-		Workers:     r.cfg.CompareWorkers,
 	}
 	switch {
 	case r.cfg.CompareFullMemory:
@@ -311,7 +310,7 @@ func (r *Runtime) forwardRepair(seg *Segment, agreed *replica) bool {
 	if seg.EndIsExit || r.main.Exited {
 		return false
 	}
-	if r.stats.ForwardRepairs+r.stats.Rollbacks >= r.cfg.RecoveryMaxRollbacks {
+	if r.stats.ForwardRepairs+r.stats.Rollbacks >= recoveryMaxRollbacks {
 		return false
 	}
 	// The repair happens after everything observed so far, the vote that

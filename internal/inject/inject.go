@@ -128,9 +128,7 @@ type Campaign struct {
 	Config    core.Config
 	// TrialsPerSegment is 5 in the paper.
 	TrialsPerSegment int
-	// MaxRedraws bounds retries when an injection fails to land.
-	MaxRedraws int
-	Seed       int64
+	Seed             int64
 	// Parallel fans the trials out over this many workers (<= 0 = one per
 	// CPU, 1 = serial). Every trial derives its own rng seed from (Seed,
 	// segment, trial), so the report is identical for any worker count.
@@ -149,12 +147,8 @@ func (c *Campaign) trials() int {
 	return 5
 }
 
-func (c *Campaign) redraws() int {
-	if c.MaxRedraws > 0 {
-		return c.MaxRedraws
-	}
-	return 6
-}
+// maxDraws bounds the draws of one trial when an injection fails to land.
+const maxDraws = 6
 
 func randTarget(rng *rand.Rand) Target {
 	switch rng.Intn(3) {
@@ -246,7 +240,7 @@ func (c *Campaign) trial(base *core.Snapshot, segment, trial int, cleanNs float6
 		fmt.Sprintf("seg%d", segment), fmt.Sprintf("trial%d", trial))
 	rng := rand.New(rand.NewSource(seed))
 	var r ran
-	for attempt := 0; attempt < c.redraws(); attempt++ {
+	for attempt := 0; attempt < maxDraws; attempt++ {
 		at, target := rng.Float64()*1.1*cleanNs, randTarget(rng)
 		var landed bool
 		rt := base.Restore(trialHook(segment, at, target, &landed))

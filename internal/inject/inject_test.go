@@ -214,7 +214,7 @@ func fromScratch(t *testing.T, c *Campaign) ([]Trial, int) {
 			rng := rand.New(rand.NewSource(campaign.DeriveSeed(c.Seed, "inject", c.Program.Name,
 				fmt.Sprintf("seg%d", st.Index), fmt.Sprintf("trial%d", trial))))
 			var r ran
-			for attempt := 0; attempt < c.redraws(); attempt++ {
+			for attempt := 0; attempt < maxDraws; attempt++ {
 				at, target := rng.Float64()*1.1*st.CheckerNs, randTarget(rng)
 				var landed bool
 				cfg := c.Config

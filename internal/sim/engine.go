@@ -49,16 +49,6 @@ type Engine struct {
 
 	tasks []*Task
 
-	// ContentionCoeff scales how much each concurrent DRAM-heavy task
-	// inflates every other task's DRAM latency.
-	ContentionCoeff float64
-	// FabricCoeff is a uniform slowdown per concurrently live task,
-	// modelling interconnect/prefetcher/SoC-fabric interference that hits
-	// even cache-resident code when many cores are active.
-	FabricCoeff float64
-	// Quantum is the per-dispatch instruction budget.
-	Quantum uint64
-
 	// MaxInstr aborts any single RunBaseline after this many instructions
 	// (a runaway-guest guard); zero means no limit.
 	MaxInstr uint64
@@ -67,14 +57,7 @@ type Engine struct {
 // New creates an engine over a machine. The loader seed is also the
 // kernel's (already set by the caller when constructing them).
 func New(m *machine.Machine, k *oskernel.Kernel, l *oskernel.Loader) *Engine {
-	return &Engine{
-		M:               m,
-		K:               k,
-		L:               l,
-		ContentionCoeff: 1.1,
-		FabricCoeff:     0.02,
-		Quantum:         DefaultQuantum,
-	}
+	return &Engine{M: m, K: k, L: l}
 }
 
 // Clone copies the engine for a snapshot of a run: machine, kernel, loader
@@ -106,6 +89,15 @@ func (e *Engine) Clone(procOf func(*proc.Process) *proc.Process) (c *Engine, tas
 	}
 	return c, taskOf
 }
+
+// contentionCoeff scales how much each concurrent DRAM-heavy task inflates
+// every other task's DRAM latency.
+const contentionCoeff = 1.1
+
+// fabricCoeff is a uniform slowdown per concurrently live task, modelling
+// interconnect/prefetcher/SoC-fabric interference that hits even
+// cache-resident code when many cores are active.
+const fabricCoeff = 0.02
 
 // refDRAMRate is the DRAM service capacity used for contention weighting:
 // one line every 15 ns. A task's weight is its observed miss rate over this
@@ -147,7 +139,7 @@ func (e *Engine) Contention(t *Task) float64 {
 		}
 		load += o.dramRate / refDRAMRate
 	}
-	return 1 + e.ContentionCoeff*load
+	return 1 + contentionCoeff*load
 }
 
 // Run dispatches the task for up to budget instructions, advancing its
@@ -155,7 +147,7 @@ func (e *Engine) Contention(t *Task) float64 {
 func (e *Engine) Run(t *Task, budget uint64) proc.Stop {
 	p := t.P
 	before := p.UserNs + p.SysNs
-	fabric := e.FabricCoeff * float64(len(e.tasks)-1)
+	fabric := fabricCoeff * float64(len(e.tasks)-1)
 	if fabric > 0.08 {
 		fabric = 0.08 // interference saturates; more co-runners stop adding
 	}
@@ -272,8 +264,8 @@ type BaselineResult struct {
 	AvgPSS   float64
 }
 
-// PSSSampleIntervalNs is the baseline memory-sampling period, matching the
-// runtimes' default (the paper's 0.5 s at the simulation time scale).
+// PSSSampleIntervalNs is the memory-sampling period of the baseline and of
+// the protected runtime (the paper's 0.5 s at the simulation time scale).
 const PSSSampleIntervalNs = 200_000
 
 // RunBaseline executes a program to completion, untraced, on the given
@@ -296,7 +288,7 @@ func (e *Engine) RunBaseline(prog *asm.Program, core *machine.Core) (*BaselineRe
 		if e.MaxInstr != 0 && p.Instrs > e.MaxInstr {
 			return nil, fmt.Errorf("sim: %s exceeded instruction cap %d", prog.Name, e.MaxInstr)
 		}
-		stop := e.Run(t, e.Quantum)
+		stop := e.Run(t, DefaultQuantum)
 		if t.Clock >= nextSample {
 			nextSample = t.Clock + PSSSampleIntervalNs
 			pssAccum += p.AS.PSSBytes()

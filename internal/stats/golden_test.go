@@ -16,7 +16,7 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite golden files with current output")
 
 // The goldens pin the rendered experiment outputs byte for byte. The
-// simulated cost model (DirtyPagesHashed, BytesHashed, HashByteNs charging)
+// simulated cost model (DirtyPagesHashed, BytesHashed, hashByteNs charging)
 // is part of the paper's methodology; host-side optimisations of the
 // comparison path — frame-identity fast paths, memoized hashes, concurrent
 // hashing — must leave every one of these tables untouched.
