@@ -21,16 +21,18 @@ race:
 	$(GO) test -race ./...
 
 # The sim-heavy comparisons are ~6x slower under the race detector; this is
-# the quick pre-push variant (full coverage of the campaign pool included).
+# the quick pre-push variant (full coverage of the campaign pool and the
+# injection campaign included, and core's forks running beside their source).
 race-short:
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/campaign ./internal/inject
+	$(GO) test -race ./internal/campaign ./internal/inject && $(GO) test -race -run 'Fork' ./internal/core
 
 # Everything pinned byte for byte, one row per kind of pin: a -run pattern and
 # the packages it selects tests in.
 #   Golden     the simulated books and what is derived from them, which host-side
 #              optimisations must not move: per-segment comparison accounting
-#              (core), the experiment tables and the main+3 NMR campaign (stats),
+#              (core), the experiment tables, the main+3 NMR campaign and the
+#              figure-10 injection campaign trial by trial (stats),
 #              the packet wire format, offload parity with the in-process checker
 #              (checkd), the whole suite sharded over a three-node farm with one
 #              node killed and one joined (checkfarm; it carries a !race tag, the

@@ -23,6 +23,7 @@ import (
 	"runtime"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 )
 
 // Result is one job's outcome. Run returns results indexed by submission
@@ -55,101 +56,42 @@ func Workers(n int) int {
 }
 
 // Run executes n independent jobs on up to workers goroutines (Workers
-// semantics; 1 runs them one after another, in order — the serial path) and
-// returns their results in submission order.
+// semantics; 1 runs everything inline on the caller's goroutine — the
+// serial path) and returns their results in submission order.
 func Run[T any](workers, n int, fn func(i int) (T, error)) []Result[T] {
 	return RunProgress(workers, n, nil, fn)
 }
 
 // RunProgress is Run with a progress/ETA reporter (nil = silent).
 func RunProgress[T any](workers, n int, pr *Progress, fn func(i int) (T, error)) []Result[T] {
-	return Stream(workers, pr, func(submit func(job func() (T, error))) {
-		for i := 0; i < n; i++ {
-			submit(func() (T, error) { return fn(i) })
+	out := make([]Result[T], n)
+	var next atomic.Int64
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
+			out[i] = Contain(pr, i, func() (T, error) { return fn(i) })
 		}
-	})
-}
-
-// Stream is RunProgress for jobs that appear while it runs: feed, on a
-// goroutine of its own that holds one of the workers' slots until it
-// returns, hands jobs to submit, and a free worker runs each as soon as it
-// is submitted and drops it once run. With one worker the jobs run in order
-// after feed. Results come back in submission order; a panic in feed is
-// re-raised on the caller's goroutine.
-func Stream[T any](workers int, pr *Progress, feed func(submit func(job func() (T, error)))) []Result[T] {
-	var (
-		mu        sync.Mutex
-		more      = sync.NewCond(&mu)
-		jobs      []func() (T, error)
-		out       []Result[T]
-		next      int
-		fed       bool
-		feedPanic any
-	)
-	slots := make(chan struct{}, Workers(workers))
-	slots <- struct{}{} // feed's
-	go func() {
-		defer func() {
-			feedPanic = recover()
-			mu.Lock()
-			fed = true
-			mu.Unlock()
-			more.Broadcast()
-			<-slots
-		}()
-		feed(func(job func() (T, error)) {
-			mu.Lock()
-			jobs = append(jobs, job)
-			out = append(out, Result[T]{})
-			mu.Unlock()
-			more.Signal()
-		})
-	}()
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < cap(slots); w++ {
+	for w := 1; w < min(Workers(workers), n); w++ {
 		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				for next == len(jobs) && !fed {
-					more.Wait()
-				}
-				if next == len(jobs) {
-					mu.Unlock()
-					return
-				}
-				i, job := next, jobs[next]
-				jobs[next] = nil
-				next++
-				mu.Unlock()
-				slots <- struct{}{}
-				res := runOne(i, job)
-				<-slots
-				mu.Lock()
-				out[i] = res
-				mu.Unlock()
-				if perr, isPanic := res.Err.(*PanicError); isPanic {
-					pr.notePanic(perr)
-				}
-				pr.Step(1)
-			}
-		}()
+		go func() { defer wg.Done(); work() }()
 	}
+	work() // the caller is one of the workers
 	wg.Wait()
-	if feedPanic != nil {
-		panic(feedPanic)
-	}
 	return out
 }
 
-// runOne executes job i with panic containment.
-func runOne[T any](i int, job func() (T, error)) (res Result[T]) {
+// Contain runs job i, a panic in it becoming a *PanicError result, and
+// counts it done on pr.
+func Contain[T any](pr *Progress, i int, job func() (T, error)) (res Result[T]) {
 	res.Index = i
 	defer func() {
 		if v := recover(); v != nil {
-			res.Err = &PanicError{Value: v, Stack: debug.Stack()}
+			perr := &PanicError{Value: v, Stack: debug.Stack()}
+			res.Err = perr
+			pr.notePanic(perr)
 		}
+		pr.Step(1)
 	}()
 	res.Value, res.Err = job()
 	return

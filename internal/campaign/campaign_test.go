@@ -166,52 +166,3 @@ func TestZeroJobs(t *testing.T) {
 		t.Errorf("zero jobs returned %d results", len(results))
 	}
 }
-
-// TestStreamRunsJobsAsTheyArrive: a job submitted while feed still runs
-// starts before feed returns, feed and the jobs together never run more
-// than the worker count, results come back in submission order, and a
-// panic in feed reaches the caller once the jobs have run.
-func TestStreamRunsJobsAsTheyArrive(t *testing.T) {
-	const workers = 3
-	var running, peak atomic.Int32
-	enter := func() func() {
-		n := running.Add(1)
-		for p := peak.Load(); n > p && !peak.CompareAndSwap(p, n); p = peak.Load() {
-		}
-		return func() { running.Add(-1) }
-	}
-	res := Stream(workers, nil, func(submit func(func() (int, error))) {
-		defer enter()()
-		started := make(chan struct{})
-		submit(func() (int, error) { close(started); return 0, nil })
-		<-started
-		for i := 1; i < 40; i++ {
-			submit(func() (int, error) {
-				defer enter()()
-				time.Sleep(100 * time.Microsecond)
-				return i, nil
-			})
-		}
-	})
-	for i, r := range res {
-		if r.Index != i || r.Value != i || r.Err != nil {
-			t.Errorf("result %d: %+v", i, r)
-		}
-	}
-	if p := peak.Load(); p > workers {
-		t.Errorf("%d running at once, %d workers", p, workers)
-	}
-
-	ran := false
-	func() {
-		defer func() {
-			if v := recover(); v != "feed failed" || !ran {
-				t.Errorf("recovered %v with the job run: %v", v, ran)
-			}
-		}()
-		Stream(2, nil, func(submit func(func() (int, error))) {
-			submit(func() (int, error) { ran = true; return 0, nil })
-			panic("feed failed")
-		})
-	}()
-}

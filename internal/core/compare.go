@@ -97,43 +97,12 @@ func (r *Runtime) removeSegment(seg *Segment) {
 	seg.pos = -1
 }
 
-// finish drains remaining segments, computes wall times and energy, and
-// fills the stats block.
+// finish computes wall times and energy and fills the stats block. Every
+// segment that can be decided already was: maybeVote runs wherever one of
+// its conditions becomes true.
 func (r *Runtime) finish() {
 	mainWall := r.mainTask.Clock
 	allWall := mainWall
-
-	// Drain remaining checkers (last-checker sync, §5.2.1). On detection
-	// the application is terminated instead, mirroring §4.4.
-	for r.detected == nil {
-		var pick *replica
-		for _, s := range r.segments {
-			if s.compared {
-				continue
-			}
-			for _, rep := range s.Replicas {
-				if rep.Task != nil && !rep.Checker.Exited && !rep.terminal() && !rep.waiting {
-					if pick == nil || rep.Task.Clock < pick.Task.Clock {
-						pick = rep
-					}
-				}
-			}
-		}
-		if pick == nil {
-			break
-		}
-		r.stepChecker(pick)
-	}
-
-	for _, s := range append([]*Segment(nil), r.segments...) {
-		if r.detected != nil {
-			break
-		}
-		if s.compared {
-			continue
-		}
-		r.maybeVote(s)
-	}
 
 	if r.maxCompareNs > allWall {
 		allWall = r.maxCompareNs

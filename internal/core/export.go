@@ -29,7 +29,7 @@ const PageHashSeed uint64 = hashSeed
 func (r *Runtime) exportConfig() packet.Config {
 	return packet.Config{
 		PageSize:          r.main.AS.PageSize(),
-		Quantum:           r.cfg.Quantum,
+		Quantum:           sim.DefaultQuantum,
 		SkidBuffer:        r.cfg.SkidBuffer,
 		TimeoutScale:      r.cfg.TimeoutScale,
 		CompareStates:     r.cfg.CompareStates,
@@ -153,7 +153,6 @@ func (h *packetHost) diverged(d *DetectedError) {
 // states are never entered.
 func ReplayPacket(e *sim.Engine, task *sim.Task, pkt *packet.CheckPacket) *DetectedError {
 	cfg := Config{
-		Quantum:      pkt.Config.Quantum,
 		SkidBuffer:   pkt.Config.SkidBuffer,
 		TimeoutScale: pkt.Config.TimeoutScale,
 	}
@@ -173,7 +172,7 @@ func ReplayPacket(e *sim.Engine, task *sim.Task, pkt *packet.CheckPacket) *Detec
 			continue
 		}
 		// Same deliberate quantum offset as in-process checkers (stepChecker).
-		en.handleStop(e.Run(task, cfg.Quantum+37))
+		en.handleStop(e.Run(task, pkt.Config.Quantum+37))
 	}
 	return h.detected
 }

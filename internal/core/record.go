@@ -37,13 +37,13 @@ func (r *Runtime) Run(prog *asm.Program) (*RunStats, error) {
 	return r.Resume()
 }
 
-// Resume steps the actor with the earliest clock until every actor is done
-// or a detection stands, then finishes the run as Run does. It starts at the
-// actor boundary the run stands at, between two steps: a started run's
-// first, or the one a restored snapshot was taken at.
+// Resume steps the actor with the earliest clock until every actor is done,
+// a detection stands or a focused segment is decided, then finishes the run
+// as Run does. It starts at the actor boundary the run stands at, between
+// two steps: a started run's first, or the one a fork was taken at.
 func (r *Runtime) Resume() (*RunStats, error) {
 	for {
-		for r.detected == nil {
+		for r.detected == nil && (r.focus == nil || !r.focus.compared) {
 			actor, ok := r.pickActor()
 			if !ok {
 				break // everything finished
@@ -54,8 +54,8 @@ func (r *Runtime) Resume() (*RunStats, error) {
 				}
 				continue
 			}
-			if r.atFirstDispatch != nil && actor.rep.idx == 0 && actor.rep.startNs == 0 {
-				r.atFirstDispatch(actor.rep.seg.Index)
+			if r.dispatch != nil && actor.rep.idx == 0 && !r.dispatch(actor.rep.seg.Index, actor.rep.elapsedNs()) {
+				return nil, nil
 			}
 			r.stepChecker(actor.rep)
 		}
@@ -77,6 +77,9 @@ type actorRef struct {
 	rep  *replica
 }
 
+// pickActor returns the runnable actor with the earliest clock. In a run
+// focused on a sealed segment (Focus) that is one of the segment's
+// replicas, while any can run.
 func (r *Runtime) pickActor() (actorRef, bool) {
 	var best actorRef
 	found := false
@@ -88,6 +91,20 @@ func (r *Runtime) pickActor() (actorRef, bool) {
 			bestClock = clock
 		}
 	}
+	considerReplicas := func(seg *Segment) {
+		for _, rep := range seg.Replicas {
+			// A waiting replica is blocked on the main recording more events;
+			// one ahead of the main must not outrun it architecturally.
+			if rep.Task != nil && !rep.terminal() && !rep.Checker.Exited && !rep.waiting && !r.checkerAheadOfMain(rep) {
+				consider(actorRef{task: rep.Task, rep: rep}, rep.Task.Clock)
+			}
+		}
+	}
+	if f := r.focus; f != nil && f.sealed {
+		if considerReplicas(f); found {
+			return best, true
+		}
+	}
 	if !r.main.Exited {
 		if r.mainBlocked() {
 			r.mainStalled = true
@@ -96,20 +113,8 @@ func (r *Runtime) pickActor() (actorRef, bool) {
 		}
 	}
 	for _, seg := range r.segments {
-		if seg.compared {
-			continue
-		}
-		for _, rep := range seg.Replicas {
-			if rep.Task == nil || rep.terminal() || rep.Checker.Exited {
-				continue
-			}
-			if rep.waiting {
-				continue // blocked on the main recording more events
-			}
-			if r.checkerAheadOfMain(rep) {
-				continue // must not outrun the main architecturally
-			}
-			consider(actorRef{task: rep.Task, rep: rep}, rep.Task.Clock)
+		if !seg.compared {
+			considerReplicas(seg)
 		}
 	}
 	if !found && !r.main.Exited && r.mainBlocked() {
@@ -161,7 +166,7 @@ func (r *Runtime) checkerAheadOfMain(rep *replica) bool {
 		return false
 	}
 	mainRel := r.main.Branches - rep.seg.mainStartBranches
-	margin := uint64(r.cfg.Quantum) // conservative: one quantum of branches
+	margin := uint64(sim.DefaultQuantum) // conservative: one quantum of branches
 	return rep.Checker.Branches+margin >= mainRel
 }
 
@@ -174,7 +179,7 @@ func (r *Runtime) stepMain() error {
 		r.cfg.MainHook(r.main, r.mainTask.Clock)
 	}
 	prev := r.mainTask.Core.SetActivity(machine.ActGuestMain)
-	stop := r.e.Run(r.mainTask, r.cfg.Quantum)
+	stop := r.e.Run(r.mainTask, sim.DefaultQuantum)
 	r.mainTask.Core.SetActivity(prev)
 	r.samplePSS()
 	r.cfg.Windows.Tick(r.mainTask.Clock)

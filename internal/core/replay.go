@@ -506,6 +506,14 @@ func (r *Runtime) newReplica(seg *Segment, idx int, checker *proc.Process) *repl
 	return rep
 }
 
+// elapsedNs is the checker time its next dispatch hands Config.ReplicaHook.
+func (rep *replica) elapsedNs() float64 {
+	if rep.startNs == 0 {
+		return 0
+	}
+	return rep.Task.Clock - rep.startNs
+}
+
 // stepChecker dispatches a checker replica for one quantum and hands the
 // stop to its replay engine.
 func (r *Runtime) stepChecker(rep *replica) {
@@ -515,7 +523,7 @@ func (r *Runtime) stepChecker(rep *replica) {
 		rep.startNs = rep.Task.Clock
 	}
 	if r.cfg.ReplicaHook != nil && !seg.arb {
-		r.cfg.ReplicaHook(seg.Index, rep.idx, c, rep.Task.Clock-rep.startNs)
+		r.cfg.ReplicaHook(seg.Index, rep.idx, c, rep.elapsedNs())
 	}
 	if rep.begin() {
 		return
@@ -529,7 +537,7 @@ func (r *Runtime) stepChecker(rep *replica) {
 	before := c.UserNs + c.SysNs
 	beforeInstrs := c.Instrs
 	prev := rep.Task.Core.SetActivity(rep.guest)
-	stop := r.e.Run(rep.Task, r.cfg.Quantum+37+rep.quantumOff)
+	stop := r.e.Run(rep.Task, sim.DefaultQuantum+37+rep.quantumOff)
 	rep.Task.Core.SetActivity(prev)
 	delta := c.UserNs + c.SysNs - before
 	if rep.onBig {

@@ -166,9 +166,6 @@ type Config struct {
 	// costs drop by roughly an order of magnitude. The stress benches
 	// quantify the difference.
 	InProcessInterception bool
-
-	// Quantum is the dispatch budget in instructions.
-	Quantum uint64
 }
 
 // Runtime-work costs (nanoseconds). Event-driven costs (ptraceStopNs,
@@ -225,7 +222,6 @@ func DefaultConfig() Config {
 		Tracking:          TrackFrameDiff,
 		EnableDVFS:        true,
 		EnableMigration:   true,
-		Quantum:           sim.DefaultQuantum,
 	}
 }
 
@@ -521,19 +517,18 @@ type Runtime struct {
 	// surfaced by Run as an infrastructure error, never as a detection.
 	exportErr error
 
-	// On a spine (RunSpine): atFirstDispatch is called at the actor
-	// boundary just before a segment's replica 0 is first dispatched, and
-	// retired with each row RunStats.Segments gains.
-	atFirstDispatch func(segment int)
-	retired         func(SegmentStat)
+	// A forking run (RunForking) calls dispatch at the actor boundary before
+	// each dispatch of a segment's replica 0, and retired with each row
+	// RunStats.Segments gains. A focused run (Focus) ends once focus is
+	// decided.
+	dispatch func(segment int, elapsedNs float64) bool
+	retired  func(SegmentStat)
+	focus    *Segment
 }
 
 // NewRuntime creates a Parallaft (or RAFT-configured) runtime over an
 // engine. The main process runs on the machine's first big core.
 func NewRuntime(e *sim.Engine, cfg Config) *Runtime {
-	if cfg.Quantum == 0 {
-		cfg.Quantum = sim.DefaultQuantum
-	}
 	if cfg.TimeoutScale == 0 {
 		cfg.TimeoutScale = 1.1
 	}
@@ -600,7 +595,7 @@ func (r *Runtime) applyDiversity(rep *replica) {
 	case "skid4x":
 		rep.skid = 4 * r.cfg.SkidBuffer
 	case "quantum":
-		rep.quantumOff = r.cfg.Quantum / 3
+		rep.quantumOff = sim.DefaultQuantum / 3
 	case "bigcore":
 		rep.preferBig = true
 	case "coldcache":

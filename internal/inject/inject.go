@@ -2,13 +2,20 @@
 // segment, first profile the checker's clean execution time t, then run
 // several trials in which a random register bit is flipped at a uniform
 // random point in [0, 1.1t) of the checker's execution, and classify
-// Parallaft's response.
+// Parallaft's response. A trial runs from its flip to its segment's
+// verdict: it is forked from a second pass of the profile run at the
+// dispatch where the flip lands, and stepped only as far as that segment
+// needs (Campaign.Run).
 package inject
 
 import (
+	"cmp"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
+	"sync"
 
 	"parallaft/internal/asm"
 	"parallaft/internal/campaign"
@@ -121,17 +128,18 @@ func (r *Report) DetectionComplete() bool {
 
 // Campaign runs the §5.6 protocol for one program.
 type Campaign struct {
-	// NewEngine builds the engine of the profile run, whose snapshots every
-	// trial starts from.
+	// NewEngine builds the engine of each of the campaign's two passes:
+	// the profile run, and the run every trial is forked from.
 	NewEngine func() *sim.Engine
 	Program   *asm.Program
 	Config    core.Config
 	// TrialsPerSegment is 5 in the paper.
 	TrialsPerSegment int
 	Seed             int64
-	// Parallel fans the trials out over this many workers (<= 0 = one per
-	// CPU, 1 = serial). Every trial derives its own rng seed from (Seed,
-	// segment, trial), so the report is identical for any worker count.
+	// Parallel bounds the simulations running at once, the second pass
+	// and the trials' forks, to this many workers (<= 0 = one per CPU, 1 =
+	// serial). Every trial derives its own rng seed from (Seed, segment,
+	// trial), so the report is identical for any worker count.
 	Parallel int
 	// Progress, when set, receives per-trial progress/ETA lines.
 	Progress io.Writer
@@ -161,97 +169,175 @@ func randTarget(rng *rand.Rand) Target {
 	}
 }
 
-// Run executes the campaign: one clean profiling run, then trials. Up to its
-// flip a trial is the clean run, so it skips that prefix: the profiling run
-// is the spine (core.Runtime.RunSpine), which snapshots the run just before
-// each segment's checker is first dispatched, and every trial and redraw of
-// the segment restores that snapshot, or where the spine kept none, the
-// latest one before. A segment's trials start once the spine has verified
-// it, which fixes its clean checker duration, so they overlap the rest of
-// the spine, which holds one of the Parallel workers while it runs.
-//
-// Each trial seeds its own rng from its (segment, trial) coordinates rather
-// than drawing from a shared stream, which makes the report independent of
-// both scheduling and the Parallel setting; trials are collected in
-// (segment, trial) order so the report is also byte-stable.
+// Run executes the campaign as two passes of one deterministic run. The
+// profile run draws a segment's trials as it retires (draw). The second pass
+// then forks each trial, focused on its segment, at the first replica-0
+// dispatch whose elapsed time reaches its instant (core.Runtime.Fork, Focus):
+// the flip lands on the fork's first dispatch and the trial ends at the
+// segment's verdict. Trials seed their rngs from their (segment, trial)
+// coordinates, so the report is independent of scheduling and of Parallel.
+// Config.EnableRecovery is refused: a recovered detection continues the run
+// past the segment's verdict.
 func (c *Campaign) Run() (*Report, error) {
-	var (
-		prof     *core.RunStats
-		spineErr error
-		segments []int // each trial's segment, in submission order
-	)
-	pr := campaign.NewProgressWith(c.Progress, "inject "+c.Program.Name, 0, c.Telemetry)
-	results := campaign.Stream(c.Parallel, pr, func(submit func(func() (ran, error))) {
-		bases := map[int]*core.Snapshot{} // of the segments not yet verified
-		var latest *core.Snapshot
-		prof, spineErr = core.NewRuntime(c.NewEngine(), c.Config).RunSpine(c.Program,
-			func(seg int, s *core.Snapshot) { bases[seg], latest = s, s },
-			func(stat core.SegmentStat) {
-				base := bases[stat.Index]
-				delete(bases, stat.Index)
-				if base == nil { // replica 0 never ran, so no trial can land
-					base = latest
-				}
-				for trial := 0; stat.CheckerNs > 0 && trial < c.trials(); trial++ {
-					segments = append(segments, stat.Index)
-					pr.Grow(1)
-					submit(func() (ran, error) { return c.trial(base, stat.Index, trial, stat.CheckerNs), nil })
-				}
-			})
-	})
-	if spineErr != nil {
-		return nil, fmt.Errorf("inject: profile run: %w", spineErr)
-	}
-	if prof.Detected != nil {
-		return nil, fmt.Errorf("inject: profile run detected a phantom error: %v", prof.Detected)
-	}
+	rep, _, err := c.run()
+	return rep, err
+}
 
-	rep := &Report{Benchmark: c.Program.Name}
-	for i, res := range results {
-		tr := res.Value.Trial
-		switch {
-		case res.Err != nil:
-			// A panicking simulation surfaces as a failed trial row rather
-			// than killing the campaign.
-			tr = Trial{Segment: segments[i], Outcome: OutcomeFailed, Detail: res.Err.Error()}
-		case tr.Outcome == OutcomeBenign && (string(res.Value.stdout) != string(prof.Stdout) || res.Value.exitCode != prof.ExitCode):
-			// Should be unreachable: the fault was in the checker, so the
-			// main's output cannot change. Treated as benign-with-note.
-			tr.Detail = "output differs without detection"
-		}
-		rep.Trials = append(rep.Trials, tr)
+// run is Run, returning as well the plan its two passes shared.
+func (c *Campaign) run() (*Report, *plan, error) {
+	if c.Config.EnableRecovery {
+		return nil, nil, errors.New("inject: a campaign cannot run with Config.EnableRecovery")
+	}
+	p := &plan{drawn: map[int][]fork{}}
+	pr := campaign.NewProgressWith(c.Progress, "inject "+c.Program.Name, 0, c.Telemetry)
+	lastNs := map[int]float64{} // by segment
+	rt := core.NewRuntime(c.NewEngine(), c.Config)
+	prof, err := rt.RunForking(c.Program,
+		func(seg int, elapsedNs float64) bool { lastNs[seg] = elapsedNs; return true },
+		func(stat core.SegmentStat) { c.draw(p, pr, stat, lastNs) })
+	rt.Release() // its frames serve the forking run
+	switch {
+	case err != nil:
+		return nil, nil, fmt.Errorf("inject: profile run: %w", err)
+	case prof.Detected != nil:
+		return nil, nil, fmt.Errorf("inject: profile run detected a phantom error: %v", prof.Detected)
+	}
+	switch err := c.forkTrials(p, pr); {
+	case err != nil:
+		return nil, nil, fmt.Errorf("inject: forking run: %w", err)
+	case p.err != nil:
+		return nil, nil, p.err
+	case p.left > 0:
+		return nil, nil, fmt.Errorf("inject: %d planned flips found no dispatch to land on", p.left)
+	}
+	rep := &Report{Benchmark: c.Program.Name, Trials: p.rows}
+	for _, tr := range rep.Trials {
 		rep.Counts[tr.Outcome]++
 	}
-	return rep, nil
+	return rep, p, nil
 }
 
-// ran is a trial with what the report still compares with the profiling
-// run's once that has finished: a benign trial's output.
-type ran struct {
-	Trial
-	stdout   []byte
-	exitCode int64
-}
-
-// trial runs one trial of segment: draws an injection instant and a target
-// bit, restores base, and redraws while the flip does not land.
-func (c *Campaign) trial(base *core.Snapshot, segment, trial int, cleanNs float64) ran {
-	seed := campaign.DeriveSeed(c.Seed, "inject", c.Program.Name,
-		fmt.Sprintf("seg%d", segment), fmt.Sprintf("trial%d", trial))
-	rng := rand.New(rand.NewSource(seed))
-	var r ran
-	for attempt := 0; attempt < maxDraws; attempt++ {
-		at, target := rng.Float64()*1.1*cleanNs, randTarget(rng)
-		var landed bool
-		rt := base.Restore(trialHook(segment, at, target, &landed))
-		stats, err := rt.Resume()
-		r = judge(Trial{Segment: segment, AtNs: at, Target: target}, stats, err, landed)
-		rt.Release()
-		if r.Outcome != OutcomeFailed {
-			break
+// forkTrials is the second pass. A fork runs on a goroutine of its own while
+// fewer than Parallel-1 do, and otherwise on the pass's, which waits for it,
+// so no more than Parallel simulations run at once. It returns once every
+// fork has run.
+func (c *Campaign) forkTrials(p *plan, pr *campaign.Progress) error {
+	others := make(chan struct{}, campaign.Workers(c.Parallel)-1)
+	var forks sync.WaitGroup
+	defer forks.Wait()
+	src := core.NewRuntime(c.NewEngine(), c.Config)
+	defer src.Release()
+	_, err := src.RunForking(c.Program, func(seg int, elapsedNs float64) bool {
+		for _, f := range p.due(seg, elapsedNs) {
+			p.forked(1)
+			var landed bool
+			rt := src.Fork(trialHook(seg, f.AtNs, f.Target, &landed))
+			rt.Focus(seg)
+			run := func() {
+				p.done(f.row, campaign.Contain(pr, f.row, func() (Trial, error) { return runTrial(rt, f.Trial, &landed) }))
+			}
+			select {
+			case others <- struct{}{}:
+				forks.Add(1)
+				go func() { defer forks.Done(); run(); <-others }()
+			default:
+				run()
+			}
 		}
+		return p.left > 0
+	}, nil)
+	return err
+}
+
+// fork is a planned trial: its landing draw and its row.
+type fork struct {
+	Trial
+	row int
+}
+
+// plan is what the two passes of a campaign share.
+type plan struct {
+	rows  []Trial        // every trial, in report order
+	drawn map[int][]fork // by segment: the forks not yet taken, by instant
+	left  int            // forks not yet taken, over all segments
+	mu    sync.Mutex     // guards what forks write: rows, err, forks and peak
+	err   error          // a fork's flip did not land
+	forks int            // alive; with peak, read only by tests
+	peak  int            // the most forks alive at once
+}
+
+// forked counts n forks more alive.
+func (p *plan) forked(n int) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.forks += n
+	p.peak = max(p.peak, p.forks)
+}
+
+// draw makes the trials of a segment the profile run retired, which fixes
+// its clean checker duration: per trial up to maxDraws (instant, target)
+// draws. A draw lands iff its instant is at most the segment's last
+// replica-0 elapsed time, so the first that does is planned as a fork, and a
+// trial none of whose draws lands is a failed row, with no simulation.
+func (c *Campaign) draw(p *plan, pr *campaign.Progress, stat core.SegmentStat, lastNs map[int]float64) {
+	last, dispatched := lastNs[stat.Index]
+	for trial := 0; stat.CheckerNs > 0 && trial < c.trials(); trial++ {
+		rng := rand.New(rand.NewSource(campaign.DeriveSeed(c.Seed, "inject", c.Program.Name,
+			fmt.Sprintf("seg%d", stat.Index), fmt.Sprintf("trial%d", trial))))
+		tr := Trial{Segment: stat.Index, Outcome: OutcomeFailed}
+		landed := false
+		for attempt := 0; attempt < maxDraws && !landed; attempt++ {
+			tr.AtNs, tr.Target = rng.Float64()*1.1*stat.CheckerNs, randTarget(rng)
+			landed = dispatched && tr.AtNs <= last
+		}
+		pr.Grow(1)
+		if landed {
+			p.drawn[stat.Index] = append(p.drawn[stat.Index], fork{tr, len(p.rows)})
+			p.left++
+		} else {
+			pr.Step(1)
+		}
+		p.rows = append(p.rows, tr)
 	}
-	return r
+	slices.SortStableFunc(p.drawn[stat.Index], func(a, b fork) int { return cmp.Compare(a.AtNs, b.AtNs) })
+}
+
+// due takes segment's planned forks whose instant elapsedNs reaches.
+func (p *plan) due(segment int, elapsedNs float64) []fork {
+	q, n := p.drawn[segment], 0
+	for n < len(q) && q[n].AtNs <= elapsedNs {
+		n++
+	}
+	p.drawn[segment], p.left = q[n:], p.left-n
+	return q[:n]
+}
+
+// done books a fork's trial in its row; a contained panic is a failed row,
+// with the panic as its detail.
+func (p *plan) done(row int, res campaign.Result[Trial]) {
+	var perr *campaign.PanicError
+	p.forked(-1)
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case errors.As(res.Err, &perr):
+		p.rows[row].Detail = perr.Error()
+	case res.Err != nil:
+		p.err = cmp.Or(p.err, res.Err)
+	default:
+		p.rows[row] = res.Value
+	}
+}
+
+// runTrial resumes a trial's fork to its segment's verdict and classifies
+// it. A flip that does not land is the campaign's error, not a trial's.
+func runTrial(rt *core.Runtime, tr Trial, landed *bool) (Trial, error) {
+	stats, err := rt.Resume()
+	rt.Release()
+	if err == nil && !*landed {
+		return tr, fmt.Errorf("inject: segment %d: the flip at %v ns did not land in its fork", tr.Segment, tr.AtNs)
+	}
+	return judge(tr, stats, err), nil
 }
 
 // trialHook is a trial's Config.ReplicaHook: it flips the target bit in
@@ -268,20 +354,16 @@ func trialHook(segment int, atNs float64, target Target, landed *bool) func(int,
 }
 
 // judge classifies a trial's run.
-func judge(tr Trial, stats *core.RunStats, err error, landed bool) ran {
+func judge(tr Trial, stats *core.RunStats, err error) Trial {
 	tr.Outcome = OutcomeFailed
 	if err != nil {
 		tr.Detail = err.Error()
-		return ran{Trial: tr}
+		return tr
 	}
-	if !landed {
-		return ran{Trial: tr} // checker finished before the injection instant; redraw
-	}
-
 	switch {
 	case stats.Detected == nil:
 		tr.Outcome = OutcomeBenign
-		return ran{Trial: tr, stdout: stats.Stdout, exitCode: stats.ExitCode}
+		return tr
 	case stats.Detected.IsException():
 		tr.Outcome = OutcomeException
 	case stats.Detected.IsTimeout():
@@ -290,5 +372,5 @@ func judge(tr Trial, stats *core.RunStats, err error, landed bool) ran {
 		tr.Outcome = OutcomeDetected
 	}
 	tr.Detail = stats.Detected.Detail
-	return ran{Trial: tr}
+	return tr
 }

@@ -2,6 +2,7 @@ package inject
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -197,10 +198,10 @@ func TestCampaignRejectsPhantomConfig(t *testing.T) {
 	}
 }
 
-// fromScratch runs a campaign's trials the way they ran before snapshots:
-// each attempt a fresh runtime from t=0 with the trial's hook, its draws
-// taken in the same order. It returns the trials in report order and the
-// number of redraws.
+// fromScratch runs a campaign's trials the way they ran before forks: each
+// attempt a fresh runtime from t=0 with the trial's hook, its draws taken in
+// the same order, redrawn while the flip does not land. It returns the
+// trials in report order and the number of redraws.
 func fromScratch(t *testing.T, c *Campaign) ([]Trial, int) {
 	t.Helper()
 	prof, err := core.NewRuntime(c.NewEngine(), c.Config).Run(c.Program)
@@ -213,22 +214,26 @@ func fromScratch(t *testing.T, c *Campaign) ([]Trial, int) {
 		for trial := 0; st.CheckerNs > 0 && trial < c.trials(); trial++ {
 			rng := rand.New(rand.NewSource(campaign.DeriveSeed(c.Seed, "inject", c.Program.Name,
 				fmt.Sprintf("seg%d", st.Index), fmt.Sprintf("trial%d", trial))))
-			var r ran
+			var tr Trial
 			for attempt := 0; attempt < maxDraws; attempt++ {
 				at, target := rng.Float64()*1.1*st.CheckerNs, randTarget(rng)
 				var landed bool
 				cfg := c.Config
 				cfg.ReplicaHook = trialHook(st.Index, at, target, &landed)
 				stats, err := core.NewRuntime(c.NewEngine(), cfg).Run(c.Program)
-				if r = judge(Trial{Segment: st.Index, AtNs: at, Target: target}, stats, err, landed); r.Outcome != OutcomeFailed {
+				tr = Trial{Segment: st.Index, AtNs: at, Target: target, Outcome: OutcomeFailed}
+				if err != nil || landed {
+					tr = judge(tr, stats, err)
+				}
+				if tr.Outcome != OutcomeFailed {
+					if tr.Outcome == OutcomeBenign && (string(stats.Stdout) != string(prof.Stdout) || stats.ExitCode != prof.ExitCode) {
+						tr.Detail = "output differs without detection"
+					}
 					break
 				}
 				redraws++
 			}
-			if r.Outcome == OutcomeBenign && (string(r.stdout) != string(prof.Stdout) || r.exitCode != prof.ExitCode) {
-				r.Detail = "output differs without detection"
-			}
-			trials = append(trials, r.Trial)
+			trials = append(trials, tr)
 		}
 	}
 	return trials, redraws
@@ -267,5 +272,61 @@ func TestSharedPrefixTrialsMatchFromScratch(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestCampaignBoundsForksAlive: however many trials are due at once, no
+// more forks are alive than the campaign has workers.
+func TestCampaignBoundsForksAlive(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.SlicePeriodCycles = 150_000
+	for _, parallel := range []int{1, 2, 3} {
+		c := &Campaign{NewEngine: newEngine, Program: testProgram(), Config: cfg,
+			TrialsPerSegment: 4, Seed: 4, Parallel: parallel}
+		rep, p, err := c.run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p.peak < 1 || p.peak > parallel || p.forks != 0 {
+			t.Errorf("Parallel %d: at most %d forks alive, %d at the end", parallel, p.peak, p.forks)
+		}
+		t.Logf("Parallel %d: %d trials, at most %d forks alive", parallel, len(rep.Trials), p.peak)
+	}
+}
+
+// TestCampaignRefusesRecovery: a recovered detection continues the run,
+// which a trial ended at its segment's verdict cannot match, so a campaign
+// with recovery is refused before it runs anything.
+func TestCampaignRefusesRecovery(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.EnableRecovery = true
+	c := &Campaign{NewEngine: func() *sim.Engine {
+		t.Error("a campaign with recovery built an engine")
+		return newEngine()
+	}, Program: testProgram(), Config: cfg, Seed: 1}
+	if _, err := c.Run(); err == nil {
+		t.Error("a campaign with Config.EnableRecovery ran")
+	}
+}
+
+// TestUnlandedFlipIsAnError: a fork whose planned flip does not land is the
+// campaign's error, never a failed trial row.
+func TestUnlandedFlipIsAnError(t *testing.T) {
+	cfg := core.DefaultConfig()
+	cfg.SlicePeriodCycles = 150_000
+	src := core.NewRuntime(newEngine(), cfg)
+	var err error
+	if _, runErr := src.RunForking(testProgram(), func(seg int, _ float64) bool {
+		var landed bool
+		tr := Trial{Segment: seg, AtNs: math.Inf(1)}
+		rt := src.Fork(trialHook(seg, tr.AtNs, tr.Target, &landed))
+		rt.Focus(seg)
+		_, err = runTrial(rt, tr, &landed)
+		return false
+	}, nil); runErr != nil {
+		t.Fatal(runErr)
+	}
+	if err == nil {
+		t.Error("a fork whose flip never landed was judged as a trial")
 	}
 }

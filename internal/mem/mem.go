@@ -116,9 +116,11 @@ type Frame struct {
 	// recycled marks a frame this package allocated, which returns to the
 	// free list when its last reference goes (see the package comment).
 	recycled bool
-	// borrowed marks bytes shared with a snapshot (see Cloner): they are
+	// lent, while these bytes are shared with a fork of the run (see
+	// Cloner), counts the frames holding them, this one included; it is nil
+	// while they are this frame's alone. Bytes another frame still holds are
 	// never written in place, poisoned or put on the free list.
-	borrowed bool
+	lent *atomic.Int32
 }
 
 // frameIDs allocates stable frame identities process-wide.
@@ -161,7 +163,10 @@ func (as *AddressSpace) newFrame(zero bool) *Frame {
 // unref drops one reference to f and recycles it if that was the last.
 func (as *AddressSpace) unref(f *Frame) {
 	f.ref--
-	if f.ref == 0 && f.recycled && !f.borrowed {
+	if f.ref > 0 || !f.giveBack() {
+		return
+	}
+	if f.recycled {
 		if poisonReleased {
 			f.data[0] = 0xa5
 			for n := 1; n < len(f.data); n *= 2 {
@@ -173,6 +178,17 @@ func (as *AddressSpace) unref(f *Frame) {
 		fl.frames = append(fl.frames, f)
 		fl.Unlock()
 	}
+}
+
+// giveBack drops f's hold on lent bytes and reports whether they are f's
+// alone afterwards: no fork holds them, and no fork can take them again.
+func (f *Frame) giveBack() bool {
+	l := f.lent
+	if l == nil {
+		return true
+	}
+	f.lent = nil
+	return l.Add(-1) == 0
 }
 
 // NewSharedFrame wraps caller-owned bytes that will never be mutated again
@@ -550,13 +566,15 @@ func (as *AddressSpace) copyWith(frameOf func(*Frame) *Frame) *AddressSpace {
 	return c
 }
 
-// Cloner copies the address spaces of a whole run for a snapshot. Its one
+// Cloner copies the address spaces of a whole run for a fork. Its one
 // old→new frame map keeps a frame two of them share one frame, with its
 // reference count, write generation and hash memo, so that copy-on-write,
 // dirty discovery and the comparison's shortcuts decide as before. Source and
-// copy share the pages' bytes, marked borrowed, until a store on either side
-// gives that side bytes of its own (lookupWrite). Copying a snapshot only
-// reads it, so it may be copied by several goroutines at once.
+// copy share the pages' bytes, lent, until a store on either side gives that
+// side bytes of its own (lookupWrite), or the side is released. Bytes every
+// other holder has let go of are written in place and recycled again, so a
+// source that outlives its forks stops copying. Copying only reads the
+// source, so the source may run on while the copy runs on another goroutine.
 type Cloner struct{ frames map[*Frame]*Frame }
 
 // NewCloner returns a cloner with an empty frame map.
@@ -570,9 +588,11 @@ func (c *Cloner) Clone(as *AddressSpace) *AddressSpace {
 	dst := as.copyWith(func(f *Frame) *Frame {
 		nf := c.frames[f]
 		if nf == nil {
-			if !f.borrowed {
-				f.borrowed, lent = true, true
+			if f.lent == nil {
+				f.lent, lent = new(atomic.Int32), true
+				f.lent.Store(1)
 			}
+			f.lent.Add(1)
 			nf = new(Frame)
 			*nf = *f
 			c.frames[f] = nf
@@ -623,7 +643,7 @@ func (as *AddressSpace) lookupWrite(addr uint64) (*pte, bool, *Fault) {
 	vpn := addr >> as.pageShift
 	e := &as.tlbWrite[vpn&(tlbSize-1)]
 	if e.gen == as.tlbGen && e.vpn == vpn && e.p != nil {
-		// A cached write translation is never COW-shared nor borrowed: any
+		// A cached write translation is never COW-shared nor lent: any
 		// Fork or Cloner.Clone since the fill invalidated the TLB.
 		e.p.softDirty = true
 		e.p.frame.noteWrite()
@@ -646,12 +666,17 @@ func (as *AddressSpace) lookupWrite(addr uint64) (*pte, bool, *Fault) {
 		as.stats.COWCopies++
 		as.stats.COWBytes += as.pageSize
 		cow = true
-	case f.borrowed:
-		// The frame is ours alone, its bytes a snapshot's too. Taking bytes
-		// of our own is no simulated copy-on-write: nothing is counted.
-		buf := as.newFrame(false).data
-		copy(buf, f.data)
-		f.data, f.borrowed = buf, false
+	case f.lent != nil:
+		// The frame is ours alone, its bytes perhaps a fork's too. Taking
+		// bytes of our own is no simulated copy-on-write: nothing is
+		// counted. The copy is made before the hold is dropped, so the
+		// other holder cannot start writing in place while it is read.
+		if f.lent.Load() > 1 {
+			buf := as.newFrame(false).data
+			copy(buf, f.data)
+			f.data = buf
+		}
+		f.giveBack()
 	}
 	p.softDirty = true
 	p.frame.noteWrite()

@@ -158,3 +158,43 @@ func TestSharedFrameNeverRecycled(t *testing.T) {
 		t.Errorf("the shared frame's memo says %#x, want %#x", got, want)
 	}
 }
+
+// TestLentBytesComeBack: a clone's pages read the source's bytes while a
+// store on either side copies them away; once the clone is released, the
+// source writes its pages in place again, and the bytes only the clone still
+// held go back to the free list.
+func TestLentBytesComeBack(t *testing.T) {
+	const base = 0x10000
+	src := newAS(t)
+	mustMap(t, src, base, 2*pg)
+	if f := src.Write(base, bytes.Repeat([]byte{0x11}, 2*pg)); f != nil {
+		t.Fatal(f)
+	}
+	v0, v1 := src.VPN(base), src.VPN(base+pg)
+	lent0 := &src.FrameAt(v0).Data()[0]
+	clone := NewCloner().Clone(src)
+
+	if cow, f := src.StoreByte(base, 0x22); f != nil || cow {
+		t.Fatalf("store to lent bytes: cow=%v fault=%v, want an uncounted copy", cow, f)
+	}
+	if &src.FrameAt(v0).Data()[0] == lent0 {
+		t.Fatal("the source wrote in place bytes its clone still holds")
+	}
+	if b, _ := clone.LoadByte(base); b != 0x11 {
+		t.Fatalf("the clone reads %#x after the source's store, want 0x11", b)
+	}
+
+	clone.Release()
+	lent1 := &src.FrameAt(v1).Data()[0]
+	if _, f := src.StoreByte(base+pg, 0x33); f != nil {
+		t.Fatal(f)
+	}
+	if &src.FrameAt(v1).Data()[0] != lent1 {
+		t.Error("the source copied bytes its released clone had given back")
+	}
+	fresh := newAS(t)
+	mustMap(t, fresh, base, pg)
+	if &fresh.FrameAt(fresh.VPN(base)).Data()[0] != lent0 {
+		t.Error("Map did not take the bytes only the released clone held")
+	}
+}

@@ -298,7 +298,7 @@ func NewKernel(pageSize uint64, seed int64) *Kernel {
 	return k
 }
 
-// Clone copies the kernel for a snapshot of a run: files, fds, offsets,
+// Clone copies the kernel for a fork of a run: files, fds, offsets,
 // stdout, rng and counters. Now is rebuilt by the engine before any syscall.
 func (k *Kernel) Clone() *Kernel {
 	c := *k

@@ -24,7 +24,7 @@ func NewLoader(k *Kernel, pageSize uint64, seed int64) *Loader {
 	return &Loader{kernel: k, pageSize: pageSize, nextPID: 100, nextASID: 1, seed: seed}
 }
 
-// Clone copies the loader for a snapshot of a run, onto k, the kernel's copy.
+// Clone copies the loader for a fork of a run, onto k, the kernel's copy.
 func (l *Loader) Clone(k *Kernel) *Loader {
 	c := *l
 	c.kernel = k

@@ -60,7 +60,7 @@ func New(m *machine.Machine, k *oskernel.Kernel, l *oskernel.Loader) *Engine {
 	return &Engine{M: m, K: k, L: l}
 }
 
-// Clone copies the engine for a snapshot of a run: machine, kernel, loader
+// Clone copies the engine for a fork of a run: machine, kernel, loader
 // and the live tasks, in the order the contention sum follows. procOf maps a
 // process to its copy; taskOf maps any task, live or retired, to its one copy.
 func (e *Engine) Clone(procOf func(*proc.Process) *proc.Process) (c *Engine, taskOf func(*Task) *Task) {
