@@ -32,11 +32,6 @@ type Program struct {
 	Labels  map[string]uint64 // code label -> instruction index
 }
 
-// DataEnd returns the first address past the data+BSS image.
-func (p *Program) DataEnd() uint64 {
-	return DataBase + uint64(len(p.Data)) + p.BSS
-}
-
 // Validate checks every instruction against the ISA operand rules.
 func (p *Program) Validate() error {
 	if len(p.Code) == 0 {

@@ -57,18 +57,18 @@ type Geometry struct {
 // SizeBytes returns the cache capacity for a given line size.
 func (g Geometry) SizeBytes(lineSize int) int { return g.Sets * g.Ways * lineSize }
 
-// A line is valid iff its gen equals its cache's: invalidating one line
-// writes gen 0 (never a live generation).
+// A line is valid iff its LRU stamp is non-zero: the clock advances before
+// every stamp, and invalidating a line writes 0. So the smallest stamp in a
+// set is an invalid way if there is one, and its least recently used line
+// otherwise.
 type line struct {
 	tag uint64 // (asid << 40) | lineAddr — see key()
-	gen uint32
 	lru uint64
 }
 
 type setAssoc struct {
 	geom  Geometry
 	lines []line // Sets*Ways, set-major
-	gen   uint32 // current generation, never 0
 	clock uint64
 	mask  uint64
 
@@ -81,8 +81,6 @@ type setAssoc struct {
 	// ASID can stop as soon as its last line is invalidated instead of
 	// always walking the whole tag array.
 	asidLines []uint32
-
-	hits, misses uint64
 }
 
 func newSetAssoc(g Geometry) *setAssoc {
@@ -95,7 +93,6 @@ func newSetAssoc(g Geometry) *setAssoc {
 	return &setAssoc{
 		geom:  g,
 		lines: make([]line, g.Sets*g.Ways),
-		gen:   1,
 		mask:  uint64(g.Sets - 1),
 		mru:   make([]uint16, g.Sets),
 	}
@@ -114,14 +111,13 @@ func (c *setAssoc) countLine(asid uint64, d int32) {
 // fastHit probes only the set's MRU way. It is small enough for the
 // compiler to inline at AccessRange's call sites, so the dominant case —
 // another access to the line just touched — never pays a function call.
-// A hit updates the same clock/LRU/hit state a full access would.
+// A hit updates the same clock and LRU state a full access would.
 func (c *setAssoc) fastHit(tag uint64) bool {
 	setIdx := int(tag & c.mask)
 	w := &c.lines[setIdx*c.geom.Ways+int(c.mru[setIdx])]
-	if w.gen == c.gen && w.tag == tag {
+	if w.lru != 0 && w.tag == tag {
 		c.clock++
 		w.lru = c.clock
-		c.hits++
 		return true
 	}
 	return false
@@ -130,42 +126,34 @@ func (c *setAssoc) fastHit(tag uint64) bool {
 // access probes the cache and fills on miss; returns true on hit.
 func (c *setAssoc) access(tag uint64) bool {
 	c.clock++
-	gen := c.gen
 	setIdx := int(tag & c.mask)
 	set := setIdx * c.geom.Ways
 	ways := c.lines[set : set+c.geom.Ways]
 	if m := c.mru[setIdx]; int(m) < len(ways) {
-		if w := &ways[m]; w.gen == gen && w.tag == tag {
+		if w := &ways[m]; w.lru != 0 && w.tag == tag {
 			w.lru = c.clock
-			c.hits++
 			return true
 		}
 	}
 	victim := 0
 	var victimLRU uint64 = ^uint64(0)
 	for i := range ways {
-		valid := ways[i].gen == gen
-		if valid && ways[i].tag == tag {
+		if ways[i].lru != 0 && ways[i].tag == tag {
 			ways[i].lru = c.clock
-			c.hits++
 			c.mru[setIdx] = uint16(i)
 			return true
 		}
-		if !valid {
-			victim = i
-			victimLRU = 0
-		} else if ways[i].lru < victimLRU {
+		if ways[i].lru < victimLRU {
 			victim = i
 			victimLRU = ways[i].lru
 		}
 	}
-	if v := &ways[victim]; v.gen == gen {
-		c.countLine(v.tag>>asidShift, -1)
+	if victimLRU != 0 {
+		c.countLine(ways[victim].tag>>asidShift, -1)
 	}
-	ways[victim] = line{tag: tag, gen: gen, lru: c.clock}
+	ways[victim] = line{tag: tag, lru: c.clock}
 	c.mru[setIdx] = uint16(victim)
 	c.countLine(tag>>asidShift, 1)
-	c.misses++
 	return false
 }
 
@@ -182,8 +170,8 @@ func (c *setAssoc) flush(asid uint64) {
 		return
 	}
 	for i := range c.lines {
-		if c.lines[i].gen == c.gen && c.lines[i].tag>>asidShift == asid {
-			c.lines[i].gen = 0
+		if c.lines[i].lru != 0 && c.lines[i].tag>>asidShift == asid {
+			c.lines[i].lru = 0
 			remaining--
 			if remaining == 0 {
 				break
@@ -209,30 +197,6 @@ type Hierarchy struct {
 	l1        []*setAssoc // per core
 	l2        []*setAssoc // per cluster
 	coreL2    []int       // core -> cluster
-	stats     []LevelStats
-}
-
-// LevelStats counts accesses per satisfaction level for one core.
-type LevelStats struct {
-	Counts [NumLevels]uint64
-}
-
-// Total returns the total number of accesses.
-func (s LevelStats) Total() uint64 {
-	var t uint64
-	for _, c := range s.Counts {
-		t += c
-	}
-	return t
-}
-
-// MissRatio returns the fraction of accesses that reached DRAM.
-func (s LevelStats) MissRatio() float64 {
-	t := s.Total()
-	if t == 0 {
-		return 0
-	}
-	return float64(s.Counts[DRAM]) / float64(t)
 }
 
 const asidShift = 40 // line addresses occupy the low 40 bits of a tag
@@ -253,7 +217,6 @@ func New(cfg Config, coreIsBig []bool, coreCluster []int) *Hierarchy {
 		l1:        make([]*setAssoc, len(coreIsBig)),
 		l2:        make([]*setAssoc, len(cfg.L2)),
 		coreL2:    make([]int, len(coreCluster)),
-		stats:     make([]LevelStats, len(coreIsBig)),
 	}
 	for i, big := range coreIsBig {
 		if big {
@@ -277,14 +240,13 @@ func (h *Hierarchy) key(asid, addr uint64) uint64 {
 // on the given core, and returns the level that satisfied it.
 func (h *Hierarchy) Access(core int, asid, addr uint64) Level {
 	tag := h.key(asid, addr)
-	lvl := DRAM
 	if h.l1[core].access(tag) {
-		lvl = L1Hit
-	} else if h.l2[h.coreL2[core]].access(tag) {
-		lvl = L2Hit
+		return L1Hit
 	}
-	h.stats[core].Counts[lvl]++
-	return lvl
+	if h.l2[h.coreL2[core]].access(tag) {
+		return L2Hit
+	}
+	return DRAM
 }
 
 // AccessRange simulates an access spanning [addr, addr+size); it touches
@@ -296,35 +258,26 @@ func (h *Hierarchy) AccessRange(core int, asid, addr uint64, size int) Level {
 	last := (addr + uint64(size) - 1) >> h.lineShift
 	l1 := h.l1[core]
 	l2 := h.l2[h.coreL2[core]]
-	st := &h.stats[core]
 	base := asid << asidShift
 	if first == last { // the common case: the access stays in one line
 		tag := base | first&(1<<asidShift-1)
-		if l1.fastHit(tag) {
-			st.Counts[L1Hit]++
+		if l1.fastHit(tag) || l1.access(tag) {
 			return L1Hit
 		}
-		lvl := DRAM
-		if l1.access(tag) {
-			lvl = L1Hit
-		} else if l2.access(tag) {
-			lvl = L2Hit
+		if l2.access(tag) {
+			return L2Hit
 		}
-		st.Counts[lvl]++
-		return lvl
+		return DRAM
 	}
 	worst := L1Hit
 	for lineAddr := first; lineAddr <= last; lineAddr++ {
 		tag := base | lineAddr&(1<<asidShift-1)
 		lvl := DRAM
-		if l1.fastHit(tag) {
-			lvl = L1Hit
-		} else if l1.access(tag) {
+		if l1.fastHit(tag) || l1.access(tag) {
 			lvl = L1Hit
 		} else if l2.access(tag) {
 			lvl = L2Hit
 		}
-		st.Counts[lvl]++
 		if lvl > worst {
 			worst = lvl
 		}
@@ -343,12 +296,9 @@ func (h *Hierarchy) FlushASID(asid uint64) {
 	}
 }
 
-// CoreStats returns a copy of the per-core access statistics.
-func (h *Hierarchy) CoreStats(core int) LevelStats { return h.stats[core] }
-
 // CopyFrom puts h, built from src's configuration, in src's exact state:
-// every tag, generation, LRU clock, MRU way, per-ASID line count and access
-// counter. It only reads src.
+// every tag, LRU stamp and clock, MRU way and per-ASID line count. It only
+// reads src.
 func (h *Hierarchy) CopyFrom(src *Hierarchy) {
 	from := slices.Concat(src.l1, src.l2)
 	for i, c := range slices.Concat(h.l1, h.l2) {
@@ -356,9 +306,8 @@ func (h *Hierarchy) CopyFrom(src *Hierarchy) {
 		copy(c.lines, s.lines)
 		copy(c.mru, s.mru)
 		c.asidLines = append(c.asidLines[:0], s.asidLines...)
-		c.gen, c.clock, c.hits, c.misses = s.gen, s.clock, s.hits, s.misses
+		c.clock = s.clock
 	}
-	copy(h.stats, src.stats)
 }
 
 // LineSize returns the configured line size in bytes.

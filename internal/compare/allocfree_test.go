@@ -5,6 +5,7 @@
 package compare
 
 import (
+	"runtime"
 	"testing"
 
 	"parallaft/internal/mem"
@@ -15,9 +16,11 @@ import (
 // protected run; after the first comparison has sized its scratch (union
 // runs, discovery buffers, job list), every later clean boundary — the
 // overwhelmingly common case — must reuse it outright. Both shapes below
-// stay on the serial path and a nil mismatch, so the measured trace is
-// discovery + identity/memo hashing + accounting, nothing else.
+// stay on the serial path (one P makes the pool one worker) and a nil
+// mismatch, so the measured trace is discovery + identity/memo hashing +
+// accounting, nothing else.
 func TestComparatorRunAllocFree(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	const pages = 64
 	main := mem.NewAddressSpace(pg)
 	mustMap(t, main, 0x10000, pages*pg)
@@ -34,7 +37,7 @@ func TestComparatorRunAllocFree(t *testing.T) {
 	}{
 		// All frames COW-shared: the identity fast path handles every page.
 		{"identity", Request{Ref: ref, Chk: chk, Discovery: FullMemory,
-			CheckerMode: mem.DirtySoft, Seed: seed, Workers: 1}},
+			CheckerMode: mem.DirtySoft, Seed: seed}},
 		// Checker rewrote its pages with identical values: frames differ,
 		// so the pages are content-hashed — served by the frame hash memo
 		// after the warm-up run.
@@ -45,7 +48,7 @@ func TestComparatorRunAllocFree(t *testing.T) {
 				mustStore(t, chk2, 0x10000+i*pg, i^0xabc)
 			}
 			return Request{Ref: ref, Chk: chk2, Discovery: FullMemory,
-				CheckerMode: mem.DirtySoft, Seed: seed, Workers: 1}
+				CheckerMode: mem.DirtySoft, Seed: seed}
 		}()},
 	}
 	for _, tc := range cases {

@@ -17,8 +17,9 @@
 //     checkpoints or hashed again during recovery arbitration is hashed
 //     at most once per generation;
 //   - concurrent hashing: pages that do need host hashing are fanned out
-//     over a bounded worker pool, with the mismatch chosen by minimal
-//     dirty-set index so the reported page is independent of scheduling.
+//     over a worker pool of min(4, GOMAXPROCS, jobs/32) goroutines, with
+//     the mismatch chosen by minimal dirty-set index so the result is
+//     independent of the pool's size and of scheduling.
 //
 // Callers receive both books: Result.HashedBytes feeds the simulated
 // timing/energy accounting (byte-identical with the pre-refactor path),
@@ -68,10 +69,6 @@ type Request struct {
 
 	// Seed seeds the page hashes; it must be identical on both sides.
 	Seed uint64
-	// Workers bounds the host hashing pool; 0 picks a default capped by
-	// GOMAXPROCS, and any negative value forces the serial path. The
-	// result is identical for any value.
-	Workers int
 }
 
 // MismatchKind classifies a memory mismatch.
@@ -161,7 +158,7 @@ func (c *Comparator) Run(req Request) Result {
 	// mismatch so the simulated accounting — which models hashers that
 	// process the whole dirty set — is unaffected by where the first
 	// difference sits.
-	inline := workerCount(req.Workers, len(dirty)) <= 1
+	inline := workerCount(len(dirty)) <= 1
 	jobs := c.jobs[:0]
 	structuralIdx := -1
 	var structuralVPN uint64
@@ -193,7 +190,7 @@ func (c *Comparator) Run(req Request) Result {
 		}
 	}
 	if !inline {
-		contentIdx, contentVPN = c.hashJobs(req.Seed, jobs, workerCount(req.Workers, len(jobs)), &res)
+		contentIdx, contentVPN = c.hashJobs(req.Seed, jobs, &res)
 	}
 	c.jobs = jobs[:0]
 
@@ -309,14 +306,13 @@ func (c *Comparator) addAllMapped(as *mem.AddressSpace) {
 
 // hashJobs hashes every job and returns the minimal dirty-set index (and
 // its vpn) among content mismatches, or -1. Counters accumulate into res.
-func (c *Comparator) hashJobs(seed uint64, jobs []hashJob, workers int, res *Result) (int, uint64) {
+func (c *Comparator) hashJobs(seed uint64, jobs []hashJob, res *Result) (int, uint64) {
 	if len(jobs) == 0 {
 		return -1, 0
 	}
-	if workers <= 1 || len(jobs) < workers {
-		// Serial path: too few jobs to pay for goroutines (workerCount
-		// bounds workers by the job count, so this also catches callers
-		// handing a worker count straight to this function).
+	workers := workerCount(len(jobs))
+	if workers == 1 {
+		// Serial path: too few jobs to pay for goroutines.
 		return hashChunk(seed, jobs, res)
 	}
 
@@ -395,29 +391,12 @@ func hashPair(seed uint64, ref, chk *mem.Frame, res *Result) bool {
 	return refSum != chkSum
 }
 
-// defaultWorkers is the pool size when the request leaves Workers at 0.
+// defaultWorkers caps the hashing pool.
 const defaultWorkers = 4
 
-// workerCount resolves the pool size: bounded by the request, GOMAXPROCS,
-// and the number of jobs that make a worker worthwhile. A negative request
-// is a caller bug; it degrades to the serial path rather than silently
-// getting a bigger pool than an explicit "1" would.
-func workerCount(requested, jobs int) int {
-	w := requested
-	switch {
-	case w < 0:
-		return 1
-	case w == 0:
-		w = defaultWorkers
-	}
-	if p := runtime.GOMAXPROCS(0); w > p {
-		w = p
-	}
-	if byLoad := jobs / concurrencyThreshold; w > byLoad {
-		w = byLoad
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
+// workerCount is the hashing pool's size for a number of jobs: bounded by
+// defaultWorkers, GOMAXPROCS and the number of jobs that make a worker
+// worthwhile, and never below 1 (the serial path).
+func workerCount(jobs int) int {
+	return max(1, min(defaultWorkers, runtime.GOMAXPROCS(0), jobs/concurrencyThreshold))
 }

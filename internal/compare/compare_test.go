@@ -2,6 +2,7 @@ package compare
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 
 	"parallaft/internal/mem"
@@ -147,7 +148,8 @@ func TestHashMemoAcrossRuns(t *testing.T) {
 }
 
 // TestResultIndependentOfWorkers: the full Result — verdict, mismatch page,
-// and every counter — must not depend on the worker count.
+// and every counter — must not depend on the worker count, varied through
+// GOMAXPROCS.
 func TestResultIndependentOfWorkers(t *testing.T) {
 	const pages = 100
 	// Fresh state per worker count: hash memos persist on frames, so
@@ -165,15 +167,14 @@ func TestResultIndependentOfWorkers(t *testing.T) {
 		return Request{Ref: ref, Chk: chk, Discovery: FullMemory,
 			CheckerMode: mem.DirtySoft, Seed: seed}
 	}
-	want := Run(mkReq()) // workers auto
+	want := Run(mkReq())
 	if want.Mismatch == nil || want.Mismatch.VPN != 0x10000/pg+17 {
 		t.Fatalf("mismatch = %+v, want content at first diverged page", want.Mismatch)
 	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, w := range []int{1, 2, 3, 8} {
-		req := mkReq()
-		req.Workers = w
-		got := Run(req)
-		if !reflect.DeepEqual(got, want) {
+		runtime.GOMAXPROCS(w)
+		if got := Run(mkReq()); !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: result %+v (mismatch %+v) != %+v (mismatch %+v)",
 				w, got, got.Mismatch, want, want.Mismatch)
 		}
@@ -242,52 +243,46 @@ func TestDiscoveryModesAgreeOnDivergence(t *testing.T) {
 }
 
 func TestWorkerCount(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	cases := []struct {
-		requested, jobs, max int
+		procs, jobs, want int
 	}{
-		{0, 0, 1},  // no jobs: one worker (inline)
-		{0, 31, 1}, // below threshold: stay sequential
+		{8, 0, 1},  // no jobs: one worker (inline)
+		{8, 31, 1}, // below threshold: stay sequential
 		{1, 10_000, 1},
 		{8, 64, 2}, // load-bounded
 		{2, 10_000, 2},
+		{8, 10_000, defaultWorkers},
 	}
 	for _, tc := range cases {
-		if got := workerCount(tc.requested, tc.jobs); got > tc.max || got < 1 {
-			t.Errorf("workerCount(%d, %d) = %d, want in [1,%d]",
-				tc.requested, tc.jobs, got, tc.max)
+		runtime.GOMAXPROCS(tc.procs)
+		if got := workerCount(tc.jobs); got != tc.want {
+			t.Errorf("GOMAXPROCS %d: workerCount(%d) = %d, want %d", tc.procs, tc.jobs, got, tc.want)
 		}
 	}
 }
 
-// TestWorkerCountDegenerateRequests is the satellite regression for the
-// pool-size resolution: zero (the documented default) and negative
-// (a caller bug) requests, and worker counts exceeding the job count, must
-// degrade toward the serial path rather than spawning idle goroutines.
+// TestWorkerCountDegenerateRequests: job counts too small to pay for a
+// goroutine, or smaller than the pool, degrade toward the serial path
+// rather than spawning idle goroutines.
 func TestWorkerCountDegenerateRequests(t *testing.T) {
-	for _, n := range []int{-1, -3, -100} {
-		if got := workerCount(n, 10_000); got != 1 {
-			t.Errorf("workerCount(%d, 10000) = %d, want 1 (serial)", n, got)
-		}
-	}
-	// Workers never exceed the jobs that justify them.
-	for _, tc := range []struct{ req, jobs int }{
-		{0, 0}, {0, 31}, {16, 5}, {7, 0}, {100, 64},
-	} {
-		got := workerCount(tc.req, tc.jobs)
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	runtime.GOMAXPROCS(16)
+	for _, jobs := range []int{0, 5, 31, 64, 100} {
+		got := workerCount(jobs)
 		if got < 1 {
-			t.Fatalf("workerCount(%d, %d) = %d < 1", tc.req, tc.jobs, got)
+			t.Fatalf("workerCount(%d) = %d < 1", jobs, got)
 		}
-		if got > 1 && got > tc.jobs/concurrencyThreshold {
-			t.Errorf("workerCount(%d, %d) = %d exceeds the per-worker load bound",
-				tc.req, tc.jobs, got)
+		if got > 1 && got > jobs/concurrencyThreshold {
+			t.Errorf("workerCount(%d) = %d exceeds the per-worker load bound", jobs, got)
 		}
 	}
 }
 
 // TestResultDeterministicAcrossWorkerRequests runs one comparison shape
-// under worker requests {0, 1, -3, jobs, jobs+7} and requires bit-identical
-// results: same CacheHits bookkeeping and the mismatch chosen by minimal
-// dirty-set index no matter how the jobs were chunked.
+// under GOMAXPROCS {1, 2, 3, 4, 8} and requires bit-identical results:
+// same CacheHits bookkeeping and the mismatch chosen by minimal dirty-set
+// index no matter how the jobs were chunked.
 func TestResultDeterministicAcrossWorkerRequests(t *testing.T) {
 	const pages = 160
 	// Diverge most pages so the parallel path genuinely engages (jobs is
@@ -309,16 +304,15 @@ func TestResultDeterministicAcrossWorkerRequests(t *testing.T) {
 		return Request{Ref: ref, Chk: chk, Discovery: FullMemory,
 			CheckerMode: mem.DirtySoft, Seed: seed}
 	}
-	jobs := len(diverged)
 	want := Run(mkReq())
 	if want.Mismatch == nil || want.Mismatch.Kind != MismatchContent ||
 		want.Mismatch.VPN != 0x10000/pg+3 {
 		t.Fatalf("mismatch = %+v, want content at the minimal diverged index", want.Mismatch)
 	}
-	for _, w := range []int{0, 1, -3, jobs, jobs + 7} {
-		req := mkReq()
-		req.Workers = w
-		if got := Run(req); !reflect.DeepEqual(got, want) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, w := range []int{1, 2, 3, 4, 8} {
+		runtime.GOMAXPROCS(w)
+		if got := Run(mkReq()); !reflect.DeepEqual(got, want) {
 			t.Errorf("workers=%d: result %+v (mismatch %+v) != %+v (mismatch %+v)",
 				w, got, got.Mismatch, want, want.Mismatch)
 		}

@@ -74,7 +74,6 @@ type VoteRequest struct {
 	Discovery   Discovery
 	CheckerMode mem.DirtyMode
 	Seed        uint64
-	Workers     int
 }
 
 // VoteResult carries the verdict and the summed comparison books.
@@ -153,7 +152,6 @@ func (v *Voter) Vote(req VoteRequest) VoteResult {
 			Discovery:   req.Discovery,
 			CheckerMode: req.CheckerMode,
 			Seed:        req.Seed,
-			Workers:     req.Workers,
 		})
 		slot++
 		account(&cres)

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"testing"
 
 	"parallaft/internal/proc"
@@ -145,11 +146,11 @@ func TestTelemetrySnapshotDeterministic(t *testing.T) {
 		if _, err := rt.Run(testProgram(40_000)); err != nil {
 			t.Fatalf("run: %v", err)
 		}
-		var buf bytes.Buffer
-		if err := reg.WriteJSON(&buf); err != nil {
+		buf, err := json.Marshal(reg.Snapshot())
+		if err != nil {
 			t.Fatalf("snapshot: %v", err)
 		}
-		return buf.Bytes()
+		return buf
 	}
 	a, b := run(), run()
 	if !bytes.Equal(a, b) {

@@ -191,16 +191,6 @@ func (o Op) IsBranch() bool {
 	return o >= OpBeq && o <= OpJr
 }
 
-// IsCondBranch reports whether the opcode is a conditional branch.
-func (o Op) IsCondBranch() bool {
-	return o >= OpBeq && o <= OpBge
-}
-
-// IsMemAccess reports whether the opcode reads or writes data memory.
-func (o Op) IsMemAccess() bool {
-	return o >= OpLd && o <= OpVSt
-}
-
 // IsStore reports whether the opcode writes data memory.
 func (o Op) IsStore() bool {
 	switch o {
@@ -208,13 +198,6 @@ func (o Op) IsStore() bool {
 		return true
 	}
 	return false
-}
-
-// IsNondet reports whether the opcode's result is nondeterministic (differs
-// between executions or between cores) and must be trapped, emulated,
-// recorded and replayed by the supervising runtime (§4.3.4).
-func (o Op) IsNondet() bool {
-	return o == OpRdtsc || o == OpMrs
 }
 
 // AccessSize returns the bytes of data memory touched by a memory opcode,

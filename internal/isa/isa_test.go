@@ -38,12 +38,6 @@ func TestClassification(t *testing.T) {
 			t.Errorf("%v should be a branch", op)
 		}
 	}
-	conds := map[Op]bool{OpBeq: true, OpBne: true, OpBlt: true, OpBge: true}
-	for _, op := range branches {
-		if op.IsCondBranch() != conds[op] {
-			t.Errorf("%v IsCondBranch = %v, want %v", op, op.IsCondBranch(), conds[op])
-		}
-	}
 	for _, op := range []Op{OpAdd, OpLd, OpSyscall, OpHalt, OpRdtsc} {
 		if op.IsBranch() {
 			t.Errorf("%v should not be a branch", op)
@@ -52,7 +46,7 @@ func TestClassification(t *testing.T) {
 
 	stores := []Op{OpSt, OpStB, OpFSt, OpVSt}
 	for _, op := range stores {
-		if !op.IsStore() || !op.IsMemAccess() {
+		if !op.IsStore() || op.AccessSize() == 0 {
 			t.Errorf("%v should be a store and a memory access", op)
 		}
 	}
@@ -61,16 +55,9 @@ func TestClassification(t *testing.T) {
 		if op.IsStore() {
 			t.Errorf("%v should not be a store", op)
 		}
-		if !op.IsMemAccess() {
+		if op.AccessSize() == 0 {
 			t.Errorf("%v should be a memory access", op)
 		}
-	}
-
-	if !OpRdtsc.IsNondet() || !OpMrs.IsNondet() {
-		t.Error("rdtsc and mrs must be nondeterministic")
-	}
-	if OpAdd.IsNondet() || OpSyscall.IsNondet() {
-		t.Error("add/syscall must not be nondeterministic")
 	}
 }
 

@@ -299,11 +299,6 @@ type EnergyBreakdown struct {
 	DRAMDynJ      float64
 }
 
-// Total sums the components.
-func (b EnergyBreakdown) Total() float64 {
-	return b.BigActiveJ + b.LittleActiveJ + b.IdleJ + b.StaticJ + b.DRAMDynJ
-}
-
 // EnergyBreakdownJ returns the decomposed energy for a run of wallNs.
 func (m *Machine) EnergyBreakdownJ(wallNs float64) EnergyBreakdown {
 	var b EnergyBreakdown

@@ -484,8 +484,8 @@ func TestLoaderLayout(t *testing.T) {
 		t.Errorf("stack write at sp-8 faulted: %v", f)
 	}
 	// brk starts past the data
-	if p.AS.CurrentBrk() < prog.DataEnd() {
-		t.Errorf("brk %#x below data end %#x", p.AS.CurrentBrk(), prog.DataEnd())
+	if end := asm.DataBase + uint64(len(prog.Data)) + prog.BSS; p.AS.CurrentBrk() < end {
+		t.Errorf("brk %#x below data end %#x", p.AS.CurrentBrk(), end)
 	}
 	// distinct IDs for a second process
 	p2, _ := l.Exec(prog)

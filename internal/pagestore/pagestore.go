@@ -199,16 +199,6 @@ func (s *Store) Release(k Key) bool {
 	return true
 }
 
-// Refs returns the reference count of the chunk at k (0 when absent).
-func (s *Store) Refs(k Key) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if c, ok := s.chunks[k]; ok {
-		return c.refs
-	}
-	return 0
-}
-
 // Len returns the number of resident chunks.
 func (s *Store) Len() int {
 	s.mu.Lock()

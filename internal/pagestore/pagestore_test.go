@@ -111,24 +111,34 @@ func TestDedupAcrossCheckpointChain(t *testing.T) {
 	as.Release()
 }
 
+// refCount is the reference count of the chunk at k (0 when absent).
+func refCount(s *Store, k Key) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if c, ok := s.chunks[k]; ok {
+		return c.refs
+	}
+	return 0
+}
+
 func TestRefcountLifecycle(t *testing.T) {
 	s := New(1)
 	data := []byte{1, 2, 3, 4}
 	k := s.Put(data)
-	if !s.Contains(k) || s.Refs(k) != 1 {
-		t.Fatalf("after Put: contains=%v refs=%d", s.Contains(k), s.Refs(k))
+	if !s.Contains(k) || refCount(s, k) != 1 {
+		t.Fatalf("after Put: contains=%v refs=%d", s.Contains(k), refCount(s, k))
 	}
 	if k2 := s.Put(data); k2 != k {
 		t.Fatalf("identical content produced different keys: %#x vs %#x", k2, k)
 	}
-	if s.Refs(k) != 2 {
-		t.Fatalf("refs after duplicate put = %d, want 2", s.Refs(k))
+	if refCount(s, k) != 2 {
+		t.Fatalf("refs after duplicate put = %d, want 2", refCount(s, k))
 	}
 	if err := s.Ref(k); err != nil {
 		t.Fatal(err)
 	}
-	if reclaimed := s.Release(k); reclaimed || s.Refs(k) != 2 {
-		t.Fatalf("release 3->2: reclaimed=%v refs=%d", reclaimed, s.Refs(k))
+	if reclaimed := s.Release(k); reclaimed || refCount(s, k) != 2 {
+		t.Fatalf("release 3->2: reclaimed=%v refs=%d", reclaimed, refCount(s, k))
 	}
 	s.Release(k)
 	if reclaimed := s.Release(k); !reclaimed {
@@ -153,8 +163,8 @@ func TestInsertTrustsSenderKey(t *testing.T) {
 	}
 	// A second insert under the same key is a dedup hit, not a replacement.
 	s.Insert(Key(42), []byte("hello"))
-	if s.Refs(Key(42)) != 2 {
-		t.Fatalf("refs = %d, want 2", s.Refs(Key(42)))
+	if refCount(s, Key(42)) != 2 {
+		t.Fatalf("refs = %d, want 2", refCount(s, Key(42)))
 	}
 }
 
@@ -187,8 +197,8 @@ func TestSerializationRoundTrip(t *testing.T) {
 	if string(got.Get(k1)) != "alpha" || string(got.Get(k2)) != "beta" {
 		t.Error("contents did not survive the round trip")
 	}
-	if got.Refs(k1) != 2 || got.Refs(k2) != 1 {
-		t.Errorf("refs = %d,%d, want 2,1", got.Refs(k1), got.Refs(k2))
+	if refCount(got, k1) != 2 || refCount(got, k2) != 1 {
+		t.Errorf("refs = %d,%d, want 2,1", refCount(got, k1), refCount(got, k2))
 	}
 	if st := got.Stats(); st.StoredBytes != uint64(len("alpha")+len("beta")) {
 		t.Errorf("StoredBytes = %d after reload", st.StoredBytes)
@@ -258,8 +268,8 @@ func TestPutFramesMatchesPutFrame(t *testing.T) {
 		if !bytes.Equal(batch.Get(k), perFrame.Get(k)) {
 			t.Errorf("chunk %#x contents diverge between batch and per-frame", k)
 		}
-		if batch.Refs(k) != perFrame.Refs(k) {
-			t.Errorf("chunk %#x refs: batch %d != per-frame %d", k, batch.Refs(k), perFrame.Refs(k))
+		if refCount(batch, k) != refCount(perFrame, k) {
+			t.Errorf("chunk %#x refs: batch %d != per-frame %d", k, refCount(batch, k), refCount(perFrame, k))
 		}
 	}
 }

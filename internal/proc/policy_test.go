@@ -209,16 +209,10 @@ func TestFunctionalMatchesTimed(t *testing.T) {
 							q.Name, q.UserNs, q.UserCycles, q.SysNs, q.DRAMAccesses)
 					}
 				}
-				if policy == Functional {
-					m := env.Machine
-					for _, c := range m.Cores {
-						if s := m.Caches.CoreStats(c.ID); s.Total() != 0 || c.ActiveNs() != 0 {
-							t.Errorf("functional run touched core %d: cache stats %+v, %v active ns", c.ID, s, c.ActiveNs())
-						}
-					}
-					if m.DRAMAccesses() != 0 {
-						t.Errorf("functional run counted %d DRAM accesses on the machine", m.DRAMAccesses())
-					}
+				// A Functional run leaves the machine as New built it: no
+				// cache probe, no clock, no charge, no DRAM access.
+				if policy == Functional && !reflect.DeepEqual(env.Machine, machine.New(machine.AppleM2Like())) {
+					t.Errorf("functional run changed the machine's state")
 				}
 			}
 			if !reflect.DeepEqual(stops[0], stops[1]) {

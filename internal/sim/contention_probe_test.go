@@ -43,7 +43,7 @@ func TestContentionProbe(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		e.Run(t1, 4096)
 	}
-	soloRate := t1.DRAMRate()
+	soloRate := t1.dramRate
 	solo := e.Contention(t1)
 
 	p2, _ := e.L.Exec(chaseProg("b"))
@@ -53,5 +53,5 @@ func TestContentionProbe(t *testing.T) {
 	}
 	withOther := e.Contention(t1)
 	t.Logf("solo rate=%.4f/ns contention solo=%.2f with-little-chaser=%.2f otherRate=%.4f",
-		soloRate, solo, withOther, t2.DRAMRate())
+		soloRate, solo, withOther, t2.dramRate)
 }

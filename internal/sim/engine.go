@@ -38,9 +38,6 @@ type Task struct {
 	retired  bool
 }
 
-// DRAMRate returns the task's smoothed DRAM accesses per nanosecond.
-func (t *Task) DRAMRate() float64 { return t.dramRate }
-
 // Engine drives the machine.
 type Engine struct {
 	M *machine.Machine

@@ -94,15 +94,6 @@ func (s *SessionResult) BigWorkFraction() float64 {
 	return float64(s.CheckerBigInstrs) / float64(tot)
 }
 
-// BigTimeFraction is the checkers' big-core share of execution time.
-func (s *SessionResult) BigTimeFraction() float64 {
-	tot := s.CheckerBigNs + s.CheckerLittleNs
-	if tot == 0 {
-		return 0
-	}
-	return s.CheckerBigNs / tot
-}
-
 // Runner executes sessions on a given machine preset.
 type Runner struct {
 	// MachineCfg builds the platform; fresh per program so cache and

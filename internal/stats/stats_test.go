@@ -181,15 +181,11 @@ func TestIntelRunnerPreset(t *testing.T) {
 
 func TestBigWorkFractionBounds(t *testing.T) {
 	s := &SessionResult{}
-	if s.BigWorkFraction() != 0 || s.BigTimeFraction() != 0 {
-		t.Error("zero-work fractions nonzero")
+	if s.BigWorkFraction() != 0 {
+		t.Error("zero-work fraction nonzero")
 	}
 	s.CheckerBigInstrs, s.CheckerLittleInstrs = 1, 3
 	if got := s.BigWorkFraction(); got != 0.25 {
 		t.Errorf("work fraction = %v", got)
-	}
-	s.CheckerBigNs, s.CheckerLittleNs = 2, 2
-	if got := s.BigTimeFraction(); got != 0.5 {
-		t.Errorf("time fraction = %v", got)
 	}
 }

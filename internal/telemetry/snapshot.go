@@ -1,8 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"io"
 	"math"
 	"sort"
 )
@@ -67,17 +65,4 @@ func (r *Registry) Snapshot() []MetricSnapshot {
 		out = append(out, s)
 	}
 	return out
-}
-
-// WriteJSON writes the snapshot as one JSON array, indented for human and
-// golden-diff use. Deterministic: metrics sorted by name, fields in struct
-// order.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	snap := r.Snapshot()
-	if snap == nil {
-		snap = []MetricSnapshot{}
-	}
-	return enc.Encode(snap)
 }
