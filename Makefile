@@ -92,8 +92,8 @@ bench:
 bench-harness:
 	cd benchmark && $(GO) vet . && $(GO) test .
 
-# Allocation pins for the hot paths: zero for interpreter dispatch under both
-# cost policies, a core's per-charge accounting (time and activity books), the
+# Allocation pins for the hot paths: zero for interpreter dispatch with and
+# without a machine, a core's per-charge accounting (time and activity books), the
 # steady-state comparator, a steady-state one-replica vote (every segment end
 # of the paper's design) and the event recorder's nil and over-limit paths
 # (every record method), and no page-sized buffers in a warm

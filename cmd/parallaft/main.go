@@ -197,7 +197,6 @@ func (o *options) run(fs *flag.FlagSet, stdout, stderr io.Writer) error {
 		tweak(c)
 		if o.period > 0 {
 			c.SlicePeriodCycles = o.period
-			c.SlicePeriodInstrs = uint64(o.period)
 		}
 	}}
 	for _, prog := range progs {

@@ -42,29 +42,12 @@ func TestEveryExportHasACaller(t *testing.T) {
 	type decl struct{ key, pos string }
 	var decls []decl
 	uses := map[string]int{} // identifier -> occurrences outside func names
-	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if d.IsDir() {
-			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
-			return nil
-		}
-		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			return err
-		}
+	walkNonTest(t, func(path string, fset *token.FileSet, f *ast.File) {
 		declNames := map[*ast.Ident]bool{}
 		for _, dd := range f.Decls {
 			if fd, ok := dd.(*ast.FuncDecl); ok {
 				declNames[fd.Name] = true
-				if strings.HasPrefix(filepath.ToSlash(path), "internal/") && fd.Name.IsExported() {
+				if strings.HasPrefix(path, "internal/") && fd.Name.IsExported() {
 					key := fd.Name.Name
 					if fd.Recv != nil {
 						key = recvType(fd.Recv.List[0].Type) + "." + key
@@ -80,11 +63,7 @@ func TestEveryExportHasACaller(t *testing.T) {
 			}
 			return true
 		})
-		return nil
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(decls) == 0 {
 		t.Fatal("found no exported funcs under internal/")
 	}
@@ -108,6 +87,109 @@ func TestEveryExportHasACaller(t *testing.T) {
 		if !needed[key] {
 			t.Errorf("allowlist entry %s matches no export without a caller; drop it", key)
 		}
+	}
+}
+
+// unreadSettingsAllowed names the exported fields of a Config or Options
+// struct under internal/ that no non-test code reads and that stay anyway,
+// each with its reason. A key is "pkg.Type.Field".
+var unreadSettingsAllowed = map[string]string{}
+
+// TestEverySettingIsRead fails for an exported field of a struct named Config
+// or Options under internal/ that no non-test file in the module tree reads,
+// unless it is allowed above. Assigning the field or naming it in a composite
+// literal is not a read: a setting only written changes nothing, and what it
+// claims to configure is decided elsewhere. Like TestEveryExportHasACaller
+// the check is by name: a read of x.F counts for every field named F.
+func TestEverySettingIsRead(t *testing.T) {
+	type decl struct{ key, name, pos string }
+	var decls []decl
+	reads := map[string]int{} // field name -> selector reads
+	walkNonTest(t, func(path string, fset *token.FileSet, f *ast.File) {
+		written := map[ast.Expr]bool{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				st, ok := n.Type.(*ast.StructType)
+				if !ok || !strings.HasPrefix(path, "internal/") || (n.Name.Name != "Config" && n.Name.Name != "Options") {
+					break
+				}
+				for _, fld := range st.Fields.List {
+					for _, name := range fld.Names {
+						if name.IsExported() {
+							key := filepath.Base(filepath.Dir(path)) + "." + n.Name.Name + "." + name.Name
+							decls = append(decls, decl{key, name.Name, fset.Position(name.Pos()).String()})
+						}
+					}
+				}
+			case *ast.AssignStmt:
+				if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
+					for _, lhs := range n.Lhs {
+						written[lhs] = true
+					}
+				}
+			case *ast.SelectorExpr:
+				if !written[n] {
+					reads[n.Sel.Name]++
+				}
+			}
+			return true
+		})
+	})
+	if len(decls) == 0 {
+		t.Fatal("found no Config or Options structs under internal/")
+	}
+	var unread []string
+	needed := map[string]bool{} // allowlist entries some unread field needs
+	for _, d := range decls {
+		if reads[d.name] > 0 {
+			continue
+		}
+		if _, ok := unreadSettingsAllowed[d.key]; ok {
+			needed[d.key] = true
+			continue
+		}
+		unread = append(unread, d.key+" ("+d.pos+")")
+	}
+	sort.Strings(unread)
+	for _, u := range unread {
+		t.Errorf("setting read by no non-test code: %s", u)
+	}
+	for key := range unreadSettingsAllowed {
+		if !needed[key] {
+			t.Errorf("allowlist entry %s matches no unread setting; drop it", key)
+		}
+	}
+}
+
+// walkNonTest parses every non-test Go file in the module tree (benchmark/,
+// cmd/ and examples/ included; testdata and dot directories skipped) and
+// hands each to fn with its slash-separated path.
+func walkNonTest(t *testing.T, fn func(path string, fset *token.FileSet, f *ast.File)) {
+	t.Helper()
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if name := d.Name(); path != "." && (strings.HasPrefix(name, ".") || name == "testdata") {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			return err
+		}
+		fn(filepath.ToSlash(path), fset, f)
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 }
 

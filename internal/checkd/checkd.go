@@ -126,6 +126,10 @@ func (x *Executor) Submit(pkt *packet.CheckPacket) error {
 	return nil
 }
 
+// maxPageSize is the largest page size a checker runs: 64 KiB, the largest
+// arm64 base page (the machine presets use 4 and 16 KiB).
+const maxPageSize = 64 << 10
+
 // admit is Submit's validation; on success it pins the stream's digest.
 // Called with x.mu held.
 func (x *Executor) admit(pkt *packet.CheckPacket) error {
@@ -142,10 +146,11 @@ func (x *Executor) admit(pkt *packet.CheckPacket) error {
 			ErrConfigDigest, x.digest, pkt.ConfigDigest)
 	}
 	// A self-consistent digest says nothing about whether the values can be
-	// run: these two would take a worker down (mem.NewAddressSpace panics)
-	// or hold it forever (no instruction ceiling on a guest that spins).
-	if ps := pkt.Config.PageSize; ps == 0 || ps&(ps-1) != 0 {
-		return fmt.Errorf("%w: page size %d is not a power of two", ErrUnrunnable, ps)
+	// run: a bad page size takes a worker down (mem.NewAddressSpace panics, a
+	// huge zero page cannot be allocated), and no instruction ceiling holds
+	// it forever on a guest that spins.
+	if ps := pkt.Config.PageSize; ps == 0 || ps&(ps-1) != 0 || ps > maxPageSize {
+		return fmt.Errorf("%w: page size %d is not a power of two up to %d", ErrUnrunnable, ps, maxPageSize)
 	}
 	if pkt.InstrLimit == 0 {
 		return fmt.Errorf("%w: no instruction limit", ErrUnrunnable)
@@ -173,11 +178,8 @@ func (x *Executor) Close() {
 func (x *Executor) worker() {
 	defer x.wg.Done()
 	defer x.tm.workers.Add(-1)
-	var c *checker // built for the first packet: an idle worker costs no machine
+	c := newChecker()
 	for j := range x.intake {
-		if c == nil {
-			c = newChecker()
-		}
 		x.tm.queueDepth.Add(-1)
 		x.tm.busyWorkers.Add(1)
 		v := x.check(c, j)

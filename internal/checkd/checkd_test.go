@@ -8,6 +8,7 @@ import (
 	"parallaft/internal/asm"
 	"parallaft/internal/core"
 	"parallaft/internal/machine"
+	"parallaft/internal/mem"
 	"parallaft/internal/oskernel"
 	"parallaft/internal/packet"
 	"parallaft/internal/pagestore"
@@ -138,9 +139,10 @@ func TestSubmitTypedRejections(t *testing.T) {
 
 // unrunnablePackets are well-formed, digest-consistent packets no checker
 // can be built on or bounded by. Before Submit rejected them, the page-size
-// ones panicked a worker goroutine in mem.NewAddressSpace and took the whole
-// daemon down; the spinning one (no instruction ceiling, a loop bound and an
-// end point it never reaches) held its worker forever.
+// ones panicked a worker goroutine in mem.NewAddressSpace, or in allocating
+// the 2^62-byte zero page, and took the whole daemon down; the spinning one
+// (no instruction ceiling, a loop bound and an end point it never reaches)
+// held its worker forever.
 func unrunnablePackets(pkts []*packet.CheckPacket) map[string]*packet.CheckPacket {
 	pageSize := func(ps uint64) *packet.CheckPacket {
 		bad := *pkts[1]
@@ -148,6 +150,9 @@ func unrunnablePackets(pkts []*packet.CheckPacket) map[string]*packet.CheckPacke
 		bad.ConfigDigest = bad.Config.Digest()
 		return &bad
 	}
+	huge := pageSize(1 << 62) // one unbacked page, the whole VMA
+	huge.Start.Pages = nil
+	huge.Start.VMAs = []packet.VMA{{Base: 0, Length: 1 << 62, Prot: uint8(mem.ProtRW), Name: "huge"}}
 	spin := *pkts[1] // starts mid-loop
 	spin.Start.Regs.X[3] = 1 << 62
 	spin.End.Branches = 1 << 62
@@ -155,6 +160,7 @@ func unrunnablePackets(pkts []*packet.CheckPacket) map[string]*packet.CheckPacke
 	return map[string]*packet.CheckPacket{
 		"page size zero":             pageSize(0),
 		"page size not a power of 2": pageSize(3 << 12),
+		"page size of 2^62":          huge,
 		"no instruction limit":       &spin,
 	}
 }

@@ -25,7 +25,7 @@ var (
 
 	// ErrUnrunnable: the packet is well-formed and self-consistent but names
 	// a substrate no checker can be built on or bounded by (a page size that
-	// is not a power of two, no instruction limit). It wraps
+	// is not a power of two up to 64 KiB, no instruction limit). It wraps
 	// packet.ErrCorrupt: such values can only come from outside the exporter.
 	ErrUnrunnable = fmt.Errorf("checkd: unrunnable packet: %w", packet.ErrCorrupt)
 

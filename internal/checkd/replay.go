@@ -35,9 +35,9 @@
 // chunk that does not hold what its key promises fails the end-state
 // comparison like any other wrong byte. None of it reaches a verdict, which
 // is that of a checker built from scratch with private pages.
-// The checker runs proc.Functional, with no cache model and no clock, which
-// no verdict reads: execution points are branch counts and PCs, the timeout
-// counts instructions and skid comes from the packet's PMU seed.
+// The checker runs on no machine, so it has no cache model and keeps no
+// clock, which no verdict reads: execution points are branch counts and PCs,
+// the timeout counts instructions and skid comes from the packet's PMU seed.
 package checkd
 
 import (
@@ -146,12 +146,10 @@ func (t Tally) Err() error {
 // does not depend on the packet, plus what the next packet is likely to share
 // with this one. It belongs to one goroutine.
 type checker struct {
-	// m is here only because the engine hangs a task on a *machine.Core. A
-	// Functional process never probes its caches, and nothing reads its
-	// books, so it needs no reset between packets.
-	m      *machine.Machine
-	core   *machine.Core
-	policy proc.CostPolicy // Functional; tests vary the substrate
+	// m and core are nil: the checker replays with no machine and charges
+	// nothing. Tests set them to replay timed on a machine of their choice.
+	m    *machine.Machine
+	core *machine.Core
 
 	// frames holds the previous packet's start-state frames, and only those,
 	// by chunk key: consecutive segments share most of their pages, and a
@@ -167,18 +165,14 @@ type checker struct {
 	zero *mem.Frame
 }
 
-func newChecker() *checker {
-	m := machine.New(machine.BigOnly())
-	return &checker{m: m, core: m.BigCores()[0], policy: proc.Functional}
-}
+func newChecker() *checker { return &checker{} }
 
-// check runs one packet: start state rebuilt onto the checker's machine with
-// a fresh kernel, loader, engine and process (they carry per-run state and cost
-// little), the record replayed by core's engine, the end state compared
-// against the wire hashes. The returned error is infrastructural only (a
-// chunk missing from the store — possibly transient under a streaming
-// transport — or a packet no substrate can be built from); detections are
-// reported in the Verdict, never as an error.
+// check runs one packet: start state rebuilt with a fresh kernel, loader,
+// engine and process (they carry per-run state and cost little), the record
+// replayed by core's engine, the end state compared against the wire hashes.
+// The returned error is infrastructural only (a missing chunk, possibly
+// transient under a streaming transport, or a packet no substrate can be
+// built from); detections are reported in the Verdict, never as an error.
 func (c *checker) check(store *pagestore.Store, pkt *packet.CheckPacket) (Verdict, error) {
 	v := Verdict{
 		Benchmark: pkt.Benchmark,
@@ -212,7 +206,6 @@ func (c *checker) check(store *pagestore.Store, pkt *packet.CheckPacket) (Verdic
 	k.Register(p.PID)
 	p.Regs = pkt.Start.Regs
 	p.PC = pkt.Start.PC
-	p.Policy = c.policy
 	p.InstrLimit = pkt.InstrLimit
 	p.SetMaxSkid(uint64(pkt.MaxSkid))
 	for _, h := range pkt.Start.Handlers {

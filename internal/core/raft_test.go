@@ -42,7 +42,7 @@ func raftVictim() *asm.Program {
 
 func TestRAFTConfigMatchesPaperModel(t *testing.T) {
 	cfg := RAFTConfig()
-	if cfg.SlicePeriodCycles != 0 || cfg.SlicePeriodInstrs != 0 {
+	if cfg.SlicePeriodCycles != 0 {
 		t.Error("RAFT must not slice periodically (§5.1 modification 1)")
 	}
 	if !cfg.CheckersOnBig {

@@ -208,17 +208,11 @@ func (r *Runtime) stepMain() error {
 // sliceDue checks the slicing period against user cycles (or instructions
 // on instruction-sliced platforms, §5.8).
 func (r *Runtime) sliceDue() bool {
-	if r.current == nil {
+	if r.current == nil || r.cfg.SlicePeriodCycles == 0 {
 		return false
 	}
-	if r.cfg.SliceByInstructions {
-		if r.cfg.SlicePeriodInstrs == 0 {
-			return false
-		}
-		return r.main.Instrs-r.current.mainStartInstrs >= r.cfg.SlicePeriodInstrs
-	}
-	if r.cfg.SlicePeriodCycles == 0 {
-		return false
+	if r.e.M.SliceByInstructions {
+		return r.main.Instrs-r.current.mainStartInstrs >= uint64(r.cfg.SlicePeriodCycles)
 	}
 	return r.main.UserCycles-r.current.mainStartCycles >= r.cfg.SlicePeriodCycles
 }

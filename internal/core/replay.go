@@ -297,9 +297,15 @@ func (en *replayEngine) replaySyscall() {
 			info.Args[0] = rec.MmapFixedAddr
 			info.Args[3] |= oskernel.MapFixed
 		}
-		prev := en.Task.Core.SetActivity(en.guest)
+		core := en.Task.Core // nil for a checker on no machine, which charges nothing
+		var prev machine.Activity
+		if core != nil {
+			prev = core.SetActivity(en.guest)
+		}
 		res := en.e.ExecSyscall(en.Task, info)
-		en.Task.Core.SetActivity(prev)
+		if core != nil {
+			core.SetActivity(prev)
+		}
 		if res.Ret != rec.Ret {
 			en.fail(ErrSyscallMismatch,
 				"%v local result %d differs from recorded %d", info.Nr, res.Ret, rec.Ret)

@@ -31,13 +31,11 @@ const (
 // Parallaft setup; RAFTConfig gives the §5.1 RAFT model.
 type Config struct {
 	// SlicePeriodCycles slices the main execution each time it accumulates
-	// this many user cycles (§4.1). Zero disables periodic slicing (the
-	// RAFT model: one segment for the whole program).
+	// this many user cycles (§4.1), or this many retired instructions on a
+	// machine that slices by instructions (Intel, §5.8, footnote 14). Zero
+	// disables periodic slicing (the RAFT model: one segment for the whole
+	// program).
 	SlicePeriodCycles float64
-	// SliceByInstructions switches the period to retired instructions, as
-	// on Intel (§5.8, footnote 14); SlicePeriodInstrs is then used.
-	SliceByInstructions bool
-	SlicePeriodInstrs   uint64
 
 	// MaxLiveSegments bounds outstanding unverified segments; together
 	// with the slice period it caps detection latency (§3.4). The main
@@ -214,7 +212,6 @@ const DefaultSlicePeriodCycles = 2_000_000
 func DefaultConfig() Config {
 	return Config{
 		SlicePeriodCycles: DefaultSlicePeriodCycles,
-		SlicePeriodInstrs: DefaultSlicePeriodCycles, // used in instruction mode
 		MaxLiveSegments:   12,
 		SkidBuffer:        32,
 		TimeoutScale:      1.1,
@@ -230,7 +227,6 @@ func DefaultConfig() Config {
 func RAFTConfig() Config {
 	c := DefaultConfig()
 	c.SlicePeriodCycles = 0
-	c.SlicePeriodInstrs = 0
 	c.CompareStates = false
 	c.CheckersOnBig = true
 	c.EnableDVFS = false

@@ -7,6 +7,8 @@ import (
 	"parallaft/internal/asm"
 	"parallaft/internal/machine"
 	"parallaft/internal/oskernel"
+	"parallaft/internal/packet"
+	"parallaft/internal/pagestore"
 	"parallaft/internal/sim"
 )
 
@@ -124,6 +126,37 @@ func TestParallaftMatchesBaselineOutput(t *testing.T) {
 	if stats.MainWallNs <= bres.WallNs {
 		t.Errorf("protected main wall %.0f should exceed baseline wall %.0f (tracing overhead)",
 			stats.MainWallNs, bres.WallNs)
+	}
+}
+
+// TestIntelSlicesByInstructions: the slicing unit is the machine's. On an
+// instruction-sliced machine DefaultConfig's period counts retired
+// instructions, with no config flag: every segment but the last retires the
+// period, overshot by less than one main dispatch quantum. (Sliced by
+// cycles, this machine cuts the same program at 16 384 instructions.)
+func TestIntelSlicesByInstructions(t *testing.T) {
+	m := machine.New(machine.IntelLike())
+	k := oskernel.NewKernel(m.PageSize, 7)
+	l := oskernel.NewLoader(k, m.PageSize, 7)
+	const period = 40_000
+	cfg := DefaultConfig()
+	cfg.SlicePeriodCycles = period
+	var pkts []*packet.CheckPacket
+	cfg.Export = &packet.Exporter{Store: pagestore.New(PageHashSeed), Sink: func(p *packet.CheckPacket) error {
+		pkts = append(pkts, p)
+		return nil
+	}}
+	st, err := NewRuntime(sim.New(m, k, l), cfg).Run(testProgram(40_000))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Detected != nil || len(pkts) < 3 {
+		t.Fatalf("detected %v, %d segments; want a clean run of at least 3", st.Detected, len(pkts))
+	}
+	for _, p := range pkts[:len(pkts)-1] {
+		if p.MainInstrs < period || p.MainInstrs >= period+sim.DefaultQuantum {
+			t.Errorf("segment %d retired %d instructions, want [%d, %d)", p.Segment, p.MainInstrs, period, period+sim.DefaultQuantum)
+		}
 	}
 }
 

@@ -179,10 +179,6 @@ type Config struct {
 	// SliceByInstructions selects instruction-based rather than cycle-based
 	// slicing, as the paper does on Intel (§5.8, footnote 14).
 	SliceByInstructions bool
-	// SeparateVoltageDomains records whether little cores can scale voltage
-	// independently (true on Apple, false on Intel) — documentation only;
-	// the effect is baked into the ladders' power numbers.
-	SeparateVoltageDomains bool
 }
 
 // Machine is the assembled simulated processor.
@@ -350,6 +346,8 @@ func defaultCost() CostModel {
 // AppleM2Like returns the scaled Apple-M2-style configuration used for the
 // main evaluation: 4 big cores at up to 3.5 GHz, 4 little cores at up to
 // 2.4 GHz on a separate voltage domain, per-cluster shared L2, 16 KiB pages.
+// Whether the little cores scale voltage on their own (here, unlike on
+// IntelLike) is in the ladders' power numbers; nothing else reads it.
 func AppleM2Like() Config {
 	bigLadder := []FreqPoint{
 		{GHz: 1.0, ActiveMW: 600},
@@ -391,8 +389,7 @@ func AppleM2Like() Config {
 				{Sets: 2048, Ways: 8},  // little cluster: 1 MiB (4 MiB scaled)
 			},
 		},
-		PageSize:               16 * 1024,
-		SeparateVoltageDomains: true,
+		PageSize: 16 * 1024,
 	}
 }
 

@@ -11,34 +11,35 @@ import (
 )
 
 // TestRunAllocFree pins the interpreter dispatch loop at zero allocations
-// per Run, under both cost policies, once the lazy structures (predecode,
+// per Run, with and without a machine, once the lazy structures (predecode,
 // timing tables, TLB, cache state) are warm. The loop mixes ALU work, loads,
 // stores and a taken branch, so every hot dispatch path is on the measured
 // trace; a fresh allocation sneaking into Run, LoadU64/StoreU64 or the cache
 // model fails this immediately.
 func TestRunAllocFree(t *testing.T) {
-	for _, policy := range []CostPolicy{Functional, Timed} {
+	for _, timed := range []bool{false, true} {
 		p, env := newProc(t, dispatchKernel())
-		p.Policy = policy
+		if !timed {
+			env = ExecEnv{}
+		}
 
 		// Warm: first Run predecodes, builds the cost tables and faults the
 		// arena's pages in.
 		if s := p.Run(env, 50_000); s.Reason != StopBudget {
-			t.Fatalf("policy %d: warm-up stop = %v, want budget", policy, s)
+			t.Fatalf("timed=%v: warm-up stop = %v, want budget", timed, s)
 		}
 
 		allocs := testing.AllocsPerRun(10, func() {
 			if s := p.Run(env, 20_000); s.Reason != StopBudget {
-				t.Fatalf("policy %d: stop = %v, want budget", policy, s)
+				t.Fatalf("timed=%v: stop = %v, want budget", timed, s)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("policy %d: steady-state Run allocates %.1f objects per call, want 0", policy, allocs)
+			t.Errorf("timed=%v: steady-state Run allocates %.1f objects per call, want 0", timed, allocs)
 		}
 	}
 
-	// The sampler half is Timed only: a Functional process has no clock to
-	// sample against and refuses a sampler.
+	// The sampler half needs a machine: a run with none never samples.
 	p, env := newProc(t, dispatchKernel())
 	p.Run(env, 50_000)
 

@@ -168,21 +168,27 @@ var policyScenarios = []struct {
 	}},
 }
 
-// TestFunctionalMatchesTimed: one interpreter, two cost policies. Every test
-// program ends in the same architectural state, through the same stops,
-// under Timed and Functional — and Functional leaves every simulated book,
-// the process's and the machine's, empty.
+// TestFunctionalMatchesTimed: one interpreter, run with and without a
+// machine. Every test program ends in the same architectural state, through
+// the same stops, either way — and with no machine every simulated book of
+// the process stays empty, a sampler attached to it never fires, and
+// ChargeSys charges nothing.
 func TestFunctionalMatchesTimed(t *testing.T) {
 	var timedNs float64
 	var cows uint64
+	var timedSamples int
 	reasons := make(map[StopReason]bool)
 	for _, sc := range policyScenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			var stops [2][]Stop
 			var states [2][]archState
-			for i, policy := range []CostPolicy{Timed, Functional} {
+			for i, timed := range []bool{true, false} {
 				p, env := newProc(t, sc.code())
-				p.Policy = policy
+				var samples countingSampler
+				p.SetSampler(&samples, 1)
+				if !timed {
+					env = ExecEnv{}
+				}
 				r := &policyRun{env: env}
 				procs := []*Process{p}
 				if sc.drive == nil {
@@ -196,23 +202,21 @@ func TestFunctionalMatchesTimed(t *testing.T) {
 				}
 				for _, q := range procs {
 					states[i] = append(states[i], stateOf(q))
-					if q.Policy != policy {
-						t.Errorf("%s runs with policy %d, want %d", q.Name, q.Policy, policy)
-					}
-					if policy == Timed {
+					if timed {
 						timedNs += q.UserNs
 						cows += q.AS.Stats().COWCopies
 						continue
 					}
+					q.ChargeSys(env, 1_000)
 					if q.UserNs != 0 || q.UserCycles != 0 || q.SysNs != 0 || q.DRAMAccesses != 0 {
 						t.Errorf("functional %s charged user %v ns, %v cycles, sys %v ns, %d DRAM accesses",
 							q.Name, q.UserNs, q.UserCycles, q.SysNs, q.DRAMAccesses)
 					}
 				}
-				// A Functional run leaves the machine as New built it: no
-				// cache probe, no clock, no charge, no DRAM access.
-				if policy == Functional && !reflect.DeepEqual(env.Machine, machine.New(machine.AppleM2Like())) {
-					t.Errorf("functional run changed the machine's state")
+				if timed {
+					timedSamples += int(samples)
+				} else if samples != 0 {
+					t.Errorf("a run with no machine took %d profile samples", samples)
 				}
 			}
 			if !reflect.DeepEqual(stops[0], stops[1]) {
@@ -234,49 +238,39 @@ func TestFunctionalMatchesTimed(t *testing.T) {
 		})
 	}
 	// The scenarios must reach what they claim to cover, or equality pins
-	// nothing: every stop reason, a copy-on-write copy and a timed clock.
+	// nothing: every stop reason, a copy-on-write copy, a timed clock and a
+	// timed profile sample.
 	for r := StopBudget; r <= StopInstrLimit; r++ {
 		if !reasons[r] {
 			t.Errorf("no scenario stops with %v", r)
 		}
 	}
-	if cows == 0 || timedNs == 0 {
-		t.Errorf("timed scenarios made %d copy-on-write copies and charged %v ns; want both nonzero", cows, timedNs)
+	if cows == 0 || timedNs == 0 || timedSamples == 0 {
+		t.Errorf("timed scenarios made %d copy-on-write copies, charged %v ns and took %d samples; want all nonzero",
+			cows, timedNs, timedSamples)
 	}
 }
 
-type nopSampler struct{}
+// countingSampler counts the samples it is handed.
+type countingSampler int
 
-func (nopSampler) ProfileSample(uint64, machine.CoreKind) {}
-
-// TestSetSamplerRejectsFunctional: a Functional process keeps no clock, so
-// a sampler has nothing to sample against; attaching one is a programming
-// error. Detaching stays harmless.
-func TestSetSamplerRejectsFunctional(t *testing.T) {
-	p, _ := newProc(t, spinProgram())
-	p.Policy = Functional
-	p.SetSampler(nil, 0)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("SetSampler attached a sampler to a Functional process")
-		}
-	}()
-	p.SetSampler(nopSampler{}, 1_000)
-}
+func (c *countingSampler) ProfileSample(uint64, machine.CoreKind) { *c++ }
 
 // BenchmarkRun is the in-tree twin of the benchmark's
-// proc.dispatch_minstr_per_s probe (the same kernel and budget), under
-// both cost policies, so the policy seam's cost on the timed path can be
-// measured beside the functional path's gain.
+// proc.dispatch_minstr_per_s probe (the same kernel and budget), with and
+// without a machine, so the switch's cost on the timed path can be measured
+// beside the functional path's gain.
 func BenchmarkRun(b *testing.B) {
 	const perRun = 100_000
 	for _, bc := range []struct {
-		name   string
-		policy CostPolicy
-	}{{"timed", Timed}, {"functional", Functional}} {
+		name  string
+		timed bool
+	}{{"timed", true}, {"functional", false}} {
 		b.Run(bc.name, func(b *testing.B) {
 			p, env := newProc(b, dispatchKernel())
-			p.Policy = bc.policy
+			if !bc.timed {
+				env = ExecEnv{}
+			}
 			p.Run(env, 50_000)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -158,26 +158,17 @@ type Stop struct {
 	Fault  *mem.Fault // for StopSignal caused by a memory fault
 }
 
-// ExecEnv tells Run where the process is executing.
+// ExecEnv tells Run where the process is executing. Costs are charged iff
+// Machine is set: with none (and a nil Core), as for a checker replaying a
+// packet, Run and ChargeSys keep no clock and charge nothing, not even
+// copy-on-write. Registers, memory, soft-dirty bits, the PMU (counts, skid,
+// noise), breakpoints, InstrLimit and every stop are the same either way.
 type ExecEnv struct {
 	Machine    *machine.Machine
 	Core       *machine.Core
 	Contention float64 // DRAM contention factor, >= 1
 	Fabric     float64 // uniform fabric-interference factor, >= 1
 }
-
-// CostPolicy is what Run charges, chosen once per process (Fork inherits it).
-// Timed charges every instruction through the cost tables and the cache
-// model onto the process's clock and the machine's books. Functional keeps no
-// clock and charges nothing, not even copy-on-write; registers, memory and
-// soft-dirty bits, the PMU (counts, skid, noise), breakpoints, InstrLimit and
-// every stop are Timed's, because none of them reads a clock.
-type CostPolicy uint8
-
-const (
-	Timed CostPolicy = iota
-	Functional
-)
 
 // Sampler receives deterministic sim-clock profile samples from the
 // interpreter dispatch loop: one call each time the process's simulated
@@ -218,8 +209,6 @@ type Process struct {
 	// the PC bound check fires before they could ever be consulted.
 	bpBits     []uint64
 	skipBPOnce bool // resume past a just-hit breakpoint
-
-	Policy CostPolicy // set before the first Run
 
 	// InstrLimit, when nonzero, kills the run with StopInstrLimit once the
 	// exact instruction count reaches it (the supervisor derives it from
@@ -298,7 +287,6 @@ func (p *Process) Fork(pid int, asid uint64, name string, seed int64) *Process {
 	child.Regs = p.Regs
 	child.PC = p.PC
 	child.maxSkid = p.maxSkid
-	child.Policy = p.Policy
 	child.pre = p.pre // the predecoded program is shared like the text
 	for sig, h := range p.Handlers {
 		child.Handlers[sig] = h
@@ -345,17 +333,14 @@ func (p *Process) ReadInstrCounter() uint64 { return p.Instrs + p.instrNoise }
 // SetSampler attaches a profile sampler, scheduling the first sample point
 // periodCycles user cycles from the process's current clock; nil detaches.
 // Fork children start without a sampler (the runtime attaches one per
-// actor), so attaching is always an explicit, deterministic act. A
-// Functional process has no clock to sample against: attaching to one panics.
+// actor), so attaching is always an explicit, deterministic act. A run
+// with no machine keeps no clock and never samples.
 func (p *Process) SetSampler(s Sampler, periodCycles float64) {
 	if s == nil || periodCycles <= 0 {
 		p.sampler = nil
 		p.samplePeriod = 0
 		p.sampleNextCycles = 0
 		return
-	}
-	if p.Policy == Functional {
-		panic("proc: SetSampler on a Functional process, which keeps no clock")
 	}
 	p.sampler = s
 	p.samplePeriod = periodCycles
@@ -410,7 +395,8 @@ func (p *Process) DeliverSignal(sig Signal) bool {
 // --- interpreter ------------------------------------------------------------
 
 // Run interprets instructions until the budget is exhausted or a stop event
-// occurs, accumulating simulated time onto the process and the core if Timed.
+// occurs, accumulating simulated time onto the process and the core if env
+// has a machine.
 //
 // Stop semantics: for StopSyscall and StopNondet the PC rests *on* the
 // unexecuted instruction; the supervisor emulates it and must advance the
@@ -422,25 +408,12 @@ func (p *Process) Run(env ExecEnv, budget uint64) Stop {
 	if p.Exited {
 		return Stop{Reason: StopHalt}
 	}
-	hier := env.Machine.Caches
-	kind := env.Core.Kind
-	freq := env.Core.FreqGHz()
-	coreID := env.Core.ID
-	contention := env.Contention
-	if contention < 1 {
-		contention = 1
-	}
-	fabric := env.Fabric
-	if fabric < 1 {
-		fabric = 1
-	}
-	// The policy is read once: Functional masks every access out of the cache
-	// probe, and its cost tables, never built, make the class cost add zero.
-	timed := p.Policy == Timed
+	// Whether to charge is read once: with no machine, probe masks every
+	// access out of the cache model and the epilogue drops the loop's time.
+	timed := env.Machine != nil
+	hier, kind, freq, fabric, coreID := p.costEnv(env)
 	probe := pfMem
-	if timed {
-		p.ct.ensure(&env.Machine.Cost, kind, freq, contention)
-	} else {
+	if !timed {
 		probe = 0
 	}
 	ct := &p.ct
@@ -458,7 +431,7 @@ func (p *Process) Run(env ExecEnv, budget uint64) Stop {
 	sampler := p.sampler
 	sampleAt := math.Inf(1)
 	var samplePeriodNs float64
-	if sampler != nil && p.samplePeriod > 0 {
+	if timed && sampler != nil && p.samplePeriod > 0 {
 		cycPerNs := fabric * freq
 		sampleAt = (p.sampleNextCycles - p.UserCycles) / cycPerNs
 		samplePeriodNs = p.samplePeriod / cycPerNs
@@ -774,6 +747,18 @@ func (p *Process) Run(env ExecEnv, budget uint64) Stop {
 	return stop
 }
 
+// costEnv is what Run charges against in env, with the cost tables built
+// for it; all zero with no machine. (Run's locals each take one assignment
+// from it, which keeps the timed dispatch loop as fast as it was.)
+func (p *Process) costEnv(env ExecEnv) (hier *cache.Hierarchy, kind machine.CoreKind, freq, fabric float64, coreID int) {
+	if env.Machine == nil {
+		return
+	}
+	kind, freq = env.Core.Kind, env.Core.FreqGHz()
+	p.ct.ensure(&env.Machine.Cost, kind, freq, max(env.Contention, 1))
+	return env.Machine.Caches, kind, freq, max(env.Fabric, 1), env.Core.ID
+}
+
 // chargeCOW accounts the kernel-side cost of a copy-on-write page copy:
 // system time on the process (it does not advance the user-cycle count used
 // for slicing, matching the paper's measurement of fork+COW as system CPU
@@ -797,8 +782,12 @@ func (p *Process) chargeCOW(env ExecEnv) {
 }
 
 // ChargeSys adds supervisor/kernel time to the process (used by the OS and
-// the fault-tolerance runtimes for syscall work, fork, tracing overhead).
+// the fault-tolerance runtimes for syscall work, fork, tracing overhead),
+// if env has a machine.
 func (p *Process) ChargeSys(env ExecEnv, ns float64) {
+	if env.Machine == nil {
+		return
+	}
 	p.SysNs += ns
 	env.Core.AccountActive(ns)
 }

@@ -26,7 +26,7 @@ const DefaultQuantum = 8192
 // Task is one process pinned to one core, with its own wall-clock position.
 type Task struct {
 	P    *proc.Process
-	Core *machine.Core
+	Core *machine.Core // nil on an engine with no machine
 
 	// Clock is this task's position on the simulated wall clock, in ns.
 	Clock float64
@@ -38,7 +38,8 @@ type Task struct {
 	retired  bool
 }
 
-// Engine drives the machine.
+// Engine drives the machine. With a nil M (a checker replaying a packet) it
+// runs tasks on no core and charges nothing, and cannot be cloned.
 type Engine struct {
 	M *machine.Machine
 	K *oskernel.Kernel

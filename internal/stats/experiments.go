@@ -200,7 +200,6 @@ func (r *Runner) RunFig9(benchmarks []string, periods []float64) ([]SweepPoint, 
 		sweep := *r
 		sweep.ConfigTweak = func(c *core.Config) {
 			c.SlicePeriodCycles = period
-			c.SlicePeriodInstrs = uint64(period)
 			if r.ConfigTweak != nil {
 				r.ConfigTweak(c)
 			}

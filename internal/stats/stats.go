@@ -175,9 +175,8 @@ func (r *Runner) NewEngine() *sim.Engine {
 }
 
 // RuntimeConfig is the runtime config of a checking session in mode: the
-// RAFT or Parallaft defaults, soft-dirty tracking with instruction-based
-// slicing when the machine slices by instructions (the x86_64 mechanism,
-// §4.4), then ConfigTweak.
+// RAFT or Parallaft defaults, soft-dirty tracking when the machine slices by
+// instructions (the x86_64 mechanism, §4.4), then ConfigTweak.
 func (r *Runner) RuntimeConfig(mode Mode) core.Config {
 	var cfg core.Config
 	if mode == ModeRAFT {
@@ -185,7 +184,6 @@ func (r *Runner) RuntimeConfig(mode Mode) core.Config {
 	} else {
 		cfg = core.DefaultConfig()
 		if r.MachineCfg().SliceByInstructions {
-			cfg.SliceByInstructions = true
 			cfg.Tracking = core.TrackSoftDirty
 		}
 	}
