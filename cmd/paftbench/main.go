@@ -9,7 +9,6 @@
 //	paftbench -experiment table1          # tables: table1 table2
 //	paftbench -experiment nmr             # main+3 NMR voting-outcome table
 //	paftbench -experiment stress          # §5.7 syscall/signal stress
-//	paftbench -experiment farm            # distributed check-farm soak (kill + join mid-campaign)
 //	paftbench -experiment ledger          # reconciled overhead-attribution breakdown
 //	paftbench -checkers 3 -experiment fig7  # energy cost of N-way replication
 //	paftbench -experiment intel           # §5.8 Intel platform
@@ -26,6 +25,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -67,7 +67,11 @@ func run(argv []string, stdout, stderr io.Writer) int {
 		return 2
 	}
 	return cli.Exit(stderr, "paftbench", func() error {
-		if err := cli.Workers(*parallel); err != nil {
+		if err := errors.Join(
+			cli.Positive("parallel", "worker count", float64(*parallel), false),
+			cli.Positive("scale", "workload scale", *scale, false),
+			cli.Positive("trials", "trial count", float64(*trials), false),
+		); err != nil {
 			return err
 		}
 		presets, err := cli.Replicas(*checkers, *diversity)
@@ -157,9 +161,6 @@ var experiments = []experiment{
 	}},
 	{"stress", false, func(x *bench) (string, error) {
 		return formatted(stats.FormatStress)(x.r.RunStress())
-	}},
-	{"farm", false, func(x *bench) (string, error) {
-		return formatted(stats.FormatFarm)(x.r.RunFarm())
 	}},
 	{"ledger", false, func(x *bench) (string, error) {
 		return formatted(stats.FormatLedger)(x.r.RunLedger(x.names))

@@ -33,10 +33,21 @@ func passesFlagChecks(t *testing.T, args ...string) {
 }
 
 // TestUsageErrorsExitTwo pins the CLI exit-code convention shared with the
-// parallaft binary: bad flags are usage errors (exit 2), not run failures.
+// parallaft binary: bad flags are usage errors (exit 2), not run failures. A
+// scale or trial count of zero or less is one too, not a figure of nonsense
+// or a silent default.
 func TestUsageErrorsExitTwo(t *testing.T) {
 	usageError(t, []string{"-no-such-flag"}, "flag provided but not defined")
 	usageError(t, []string{"-experiment", "fig99"}, "unknown experiment")
+	for _, tc := range []struct{ flag, value, want string }{
+		{"-scale", "0", "-scale must be a positive workload scale"},
+		{"-scale", "-2", "-scale must be a positive workload scale"},
+		{"-trials", "0", "-trials must be a positive trial count"},
+		{"-trials", "-5", "-trials must be a positive trial count"},
+	} {
+		usageError(t, []string{"-experiment", "fig5", "-workloads", "403.gcc", tc.flag, tc.value}, tc.want)
+	}
+	passesFlagChecks(t, "-scale", "0.05", "-trials", "1")
 }
 
 func TestValidateParallel(t *testing.T) {

@@ -61,6 +61,9 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	case *connect != "" && *verifyDir == "":
 		return cli.Exit(stderr, "paftcheckd", cli.Usagef("-connect requires -verify (it names the daemon that checks the directory)"))
 	}
+	if err := cli.Positive("workers", "worker count", float64(*workers), false); err != nil {
+		return cli.Exit(stderr, "paftcheckd", err)
+	}
 	opts := checkd.Options{Workers: *workers}
 
 	switch {
@@ -130,9 +133,7 @@ func serve(sock, metricsAddr, flightDir string, opts checkd.Options, stderr io.W
 	// A stale Unix socket from a previous daemon would block the listen;
 	// TCP endpoints have no such residue.
 	if !checkfarm.IsTCP(sock) {
-		if _, err := os.Stat(sock); err == nil {
-			os.Remove(sock)
-		}
+		os.Remove(sock)
 	}
 	ln, err := checkfarm.Listen(sock)
 	if err != nil {
@@ -215,24 +216,18 @@ func verify(dir, connect string, opts checkd.Options, quiet bool, stdout, stderr
 			return 3
 		}
 		var verdicts []checkd.Verdict
-		if connect != "" {
-			conn, err := checkfarm.Dial(connect)
-			if err != nil {
-				fmt.Fprintln(stderr, "paftcheckd:", err)
-				return 3
-			}
+		if connect == "" {
+			verdicts, err = checkd.CheckAll(store, pkts, opts)
+		} else if conn, derr := checkfarm.Dial(connect); derr != nil {
+			fmt.Fprintln(stderr, "paftcheckd:", derr)
+			return 3
+		} else {
 			verdicts, err = checkd.CheckOver(conn, store, pkts)
 			conn.Close()
-			if err != nil {
-				fmt.Fprintf(stderr, "paftcheckd: %s: %v\n", d, err)
-				return 3
-			}
-		} else {
-			verdicts, err = checkd.CheckAll(store, pkts, opts)
-			if err != nil {
-				fmt.Fprintf(stderr, "paftcheckd: %s: %v\n", d, err)
-				return 3
-			}
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "paftcheckd: %s: %v\n", d, err)
+			return 3
 		}
 		for _, v := range verdicts {
 			t.Add(v)

@@ -22,6 +22,8 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-listen", "x.sock", "-connect", "y.sock"}, "-connect requires -verify"},
 		{[]string{"-connect", "y.sock"}, "-connect requires -verify"},
 		{[]string{"-listen", "x.sock", "-metrics-addr", "no-port"}, "-metrics-addr"},
+		{[]string{"-verify", "x", "-workers", "0"}, "-workers must be a positive worker count"},
+		{[]string{"-listen", "x.sock", "-workers", "-1"}, "-workers must be a positive worker count"},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer

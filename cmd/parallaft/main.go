@@ -1,12 +1,15 @@
-// Command parallaft runs a guest assembly program under Parallaft
-// protection (or the RAFT baseline, or no protection) on the simulated
-// heterogeneous machine, then dumps the statistics block the original
-// artifact prints (Appendix A.7).
+// Command parallaft runs a guest program under Parallaft protection (or the
+// RAFT baseline, or no protection) on the simulated heterogeneous machine,
+// then dumps the statistics block the original artifact prints (Appendix
+// A.7). The program is an assembly file, a paftlang source (a name ending in
+// .pl, compiled first) or a built-in workload.
 //
 // Usage:
 //
-//	parallaft [-mode parallaft|raft|baseline] [-machine apple|intel] prog.pasm [args...]
+//	parallaft [-mode parallaft|raft|baseline] [-machine apple|intel] prog.pasm
+//	parallaft -mode baseline prog.pl       # compile paftlang and run unprotected
 //	parallaft -workload 429.mcf            # run a built-in workload instead
+//	parallaft -S prog.pl                   # print the guest assembly and exit
 //	parallaft -period 2000000 prog.pasm    # slicing period in sim cycles
 //	parallaft -workload 429.mcf -export-packets dir/   # emit check packets
 //	parallaft -workload 429.mcf -stats-json            # machine-readable stats
@@ -54,6 +57,7 @@ type options struct {
 	seed      int64
 	scale     float64
 	list      bool
+	disasm    bool
 	traceFile string
 	traceCap  int
 	exportDir string
@@ -103,11 +107,12 @@ func run(argv []string, stdout, stderr io.Writer) int {
 	var o options
 	fs.StringVar(&o.mode, "mode", "parallaft", "execution mode: parallaft, raft, or baseline")
 	fs.StringVar(&o.machName, "machine", "apple", "machine preset: apple, intel, or big (big cores only)")
-	fs.StringVar(&o.wlName, "workload", "", "run a built-in workload instead of an assembly file")
+	fs.StringVar(&o.wlName, "workload", "", "run a built-in workload instead of a program file")
 	fs.Float64Var(&o.period, "period", 0, "slicing period in sim cycles (0 = default)")
 	fs.Int64Var(&o.seed, "seed", 1, "simulation seed")
 	fs.Float64Var(&o.scale, "scale", 1.0, "workload scale (built-in workloads only)")
 	fs.BoolVar(&o.list, "list", false, "list built-in workloads and exit")
+	fs.BoolVar(&o.disasm, "S", false, "print the guest assembly of every program the invocation would run, and exit")
 	fs.StringVar(&o.traceFile, "trace", "", "write a JSONL trace of runtime decisions to this file")
 	fs.IntVar(&o.traceCap, "trace-limit", 0, "keep at most N records of the event stream behind -trace and -trace-out (0 = unbounded); a truncation marker records the overflow")
 	fs.StringVar(&o.exportDir, "export-packets", "", "export one check packet per sealed segment into this directory (paftcheckd -verify re-checks them)")
@@ -149,6 +154,15 @@ func (o *options) run(fs *flag.FlagSet, stdout, stderr io.Writer) error {
 	if err != nil {
 		return err
 	}
+	if err := errors.Join(
+		cli.Positive("scale", "workload scale", o.scale, false),
+		cli.Positive("period", "cycle count", o.period, true),
+		cli.Positive("profile-period", "cycle count", o.profilePeriod, true),
+		cli.Positive("window-interval-ms", "interval", o.windowMs, false),
+		cli.Positive("trace-limit", "record count", float64(o.traceCap), true),
+	); err != nil {
+		return err
+	}
 	if (o.checkers > 1 || len(presets) > 0) && mode != stats.ModeParallaft {
 		return cli.Usagef("-checkers > 1 or -diversity requires -mode parallaft (the NMR vote is a state comparison)")
 	}
@@ -173,6 +187,12 @@ func (o *options) run(fs *flag.FlagSet, stdout, stderr io.Writer) error {
 	progs, err := cli.Programs(o.wlName, o.scale, fs.Args())
 	if err != nil {
 		return err
+	}
+	if o.disasm {
+		for _, prog := range progs {
+			fmt.Fprint(stdout, prog.Disassemble())
+		}
+		return nil
 	}
 	// The profile and the metric windows follow one program's simulated
 	// clock, which restarts with every program of a multi-input workload.

@@ -24,6 +24,15 @@ func TestUsageErrorsExitTwo(t *testing.T) {
 		{[]string{"-mode", "baseline", "-ledger", "-workload", "stress.getpid"}, "requires a checking mode"},
 		{[]string{"-mode", "baseline", "-profile-out", "x", "-metric-windows", "y", "-workload", "stress.getpid"}, "-metric-windows -profile-out requires"},
 		{[]string{"-metrics-addr", "no-port", "-workload", "stress.getpid"}, "-metrics-addr"},
+		// Numeric values that would be remapped to a default or run a
+		// degenerate guest; zero keeps its documented meaning where it has one.
+		{[]string{"-scale", "0", "-workload", "429.mcf"}, "-scale must be a positive workload scale"},
+		{[]string{"-scale", "-1", "-workload", "429.mcf"}, "-scale must be a positive workload scale"},
+		{[]string{"-period", "-1", "-workload", "stress.getpid"}, "-period must be zero or a positive"},
+		{[]string{"-profile-period", "-1", "-workload", "stress.getpid"}, "-profile-period must be zero or a positive"},
+		{[]string{"-window-interval-ms", "0", "-workload", "stress.getpid"}, "-window-interval-ms must be a positive"},
+		{[]string{"-window-interval-ms", "-1", "-workload", "stress.getpid"}, "-window-interval-ms must be a positive"},
+		{[]string{"-trace-limit", "-1", "-workload", "stress.getpid"}, "-trace-limit must be zero or a positive"},
 	}
 	for _, tc := range cases {
 		var stdout, stderr bytes.Buffer

@@ -14,22 +14,33 @@
 //
 // Layout:
 //
-//	internal/isa       guest instruction set
-//	internal/asm       assembler, program builder, disassembler
-//	internal/hashx     xxHash64 (state comparison)
-//	internal/mem       paged memory: COW, soft-dirty, map counts, ASLR
-//	internal/cache     set-associative cache hierarchy model
-//	internal/machine   heterogeneous cores, DVFS ladders, energy model
-//	internal/proc      interpreter, PMU (branch counters, skid), breakpoints
-//	internal/oskernel  simulated OS: syscall models, files, signals
-//	internal/sim       co-simulation engine, contention, baseline runner
-//	internal/core      Parallaft itself (and the RAFT configuration)
-//	internal/inject    §5.6 fault-injection campaigns
-//	internal/workload  synthetic SPEC CPU2006 analogues + stress tests
-//	internal/stats     experiment harness: every table and figure
-//	cmd/parallaft      run one program under protection
-//	cmd/paftbench      regenerate the paper's tables and figures
-//	cmd/paftasm        assemble / disassemble / run guest programs
+//	internal/isa                guest instruction set
+//	internal/asm                assembler, program builder, disassembler
+//	internal/lang               paftlang, a small language compiled to the guest ISA
+//	internal/hashx              xxHash64 (state comparison)
+//	internal/lazyrand           the simulation's seeded-on-first-draw random streams
+//	internal/mem                paged memory: COW, soft-dirty, map counts, ASLR
+//	internal/cache              set-associative cache hierarchy model
+//	internal/machine            heterogeneous cores, DVFS ladders, energy model
+//	internal/proc               interpreter, PMU (branch counters, skid), breakpoints
+//	internal/oskernel           simulated OS: syscall models, files, signals
+//	internal/sim                co-simulation engine, contention, baseline runner
+//	internal/compare            dirty-page discovery and hashing for state comparison
+//	internal/core               Parallaft itself (and the RAFT configuration)
+//	internal/packet             portable check packets: wire format, export
+//	internal/pagestore          content-addressed chunk store for checkpoint pages
+//	internal/checkd             offloaded checking service: executor, protocol, sessions
+//	internal/checkfarm          check packets sharded over a fleet of checkd nodes
+//	internal/telemetry          metrics registry, lifecycle spans, event recorder
+//	internal/telemetry/profile  sim-clock profiler, overhead ledger, metric windows
+//	internal/inject             §5.6 fault-injection campaigns
+//	internal/campaign           parallel, deterministic pool of independent runs
+//	internal/workload           synthetic SPEC CPU2006 analogues + stress tests
+//	internal/stats              experiment harness: every table and figure
+//	internal/cli                the flag layer the commands share
+//	cmd/parallaft               run one program (.pasm, .pl or built-in) under protection
+//	cmd/paftbench               regenerate the paper's tables and figures
+//	cmd/paftcheckd              checking daemon: re-check exported packets, serve a farm node
 //
 // The benchmarks in bench_test.go regenerate each table and figure at
 // reduced scale; cmd/paftbench runs them at full scale.

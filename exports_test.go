@@ -5,6 +5,7 @@ import (
 	"go/parser"
 	"go/token"
 	"io/fs"
+	"os"
 	"path/filepath"
 	"sort"
 	"strings"
@@ -86,6 +87,40 @@ func TestEveryExportHasACaller(t *testing.T) {
 	for key := range unusedExportsAllowed {
 		if !needed[key] {
 			t.Errorf("allowlist entry %s matches no export without a caller; drop it", key)
+		}
+	}
+}
+
+// TestLayoutNamesEveryPackage fails when doc.go's package map is stale: a
+// package under internal/ or cmd/ that its layout does not list, or a listed
+// path that holds no package.
+func TestLayoutNamesEveryPackage(t *testing.T) {
+	src, err := os.ReadFile("doc.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	listed := map[string]bool{}
+	for _, line := range strings.Split(string(src), "\n") {
+		if row, ok := strings.CutPrefix(line, "//\t"); ok {
+			if f := strings.Fields(row); len(f) > 0 && (strings.HasPrefix(f[0], "internal/") || strings.HasPrefix(f[0], "cmd/")) {
+				listed[f[0]] = true
+			}
+		}
+	}
+	pkgs := map[string]bool{}
+	walkNonTest(t, func(path string, _ *token.FileSet, _ *ast.File) {
+		if strings.HasPrefix(path, "internal/") || strings.HasPrefix(path, "cmd/") {
+			pkgs[filepath.Dir(path)] = true
+		}
+	})
+	for pkg := range pkgs {
+		if !listed[pkg] {
+			t.Errorf("package %s is missing from doc.go's layout", pkg)
+		}
+	}
+	for path := range listed {
+		if !pkgs[path] {
+			t.Errorf("doc.go's layout lists %s, which holds no package", path)
 		}
 	}
 }

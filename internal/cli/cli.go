@@ -18,6 +18,7 @@ import (
 
 	"parallaft/internal/asm"
 	"parallaft/internal/core"
+	"parallaft/internal/lang"
 	"parallaft/internal/stats"
 	"parallaft/internal/telemetry"
 	"parallaft/internal/workload"
@@ -57,8 +58,8 @@ func Mode(name string) (stats.Mode, error) {
 // Replicas checks -checkers and -diversity and returns the preset list
 // (empty elements mean "none"). Zero or negative replicas cannot vote.
 func Replicas(checkers int, diversity string) ([]string, error) {
-	if checkers < 1 {
-		return nil, Usagef("-checkers must be a positive replica count, got %d", checkers)
+	if err := Positive("checkers", "replica count", float64(checkers), false); err != nil {
+		return nil, err
 	}
 	var presets []string
 	if diversity != "" {
@@ -70,15 +71,18 @@ func Replicas(checkers int, diversity string) ([]string, error) {
 	return presets, nil
 }
 
-// Workers checks -parallel. A zero or negative count used to reach the
-// campaign layer unchecked, where it was silently remapped to NumCPU:
-// "-parallel -1" quietly saturating every core is the opposite of what the
-// flag asked for.
-func Workers(n int) error {
-	if n <= 0 {
-		return Usagef("-parallel must be a positive worker count, got %d", n)
+// Positive checks a numeric flag: below zero is a usage error, and so is
+// zero unless it has a documented meaning (zeroOK). No such value may fall
+// back to a default further down or run a degenerate guest with status 0.
+func Positive(flag, what string, v float64, zeroOK bool) error {
+	if v > 0 || zeroOK && v == 0 {
+		return nil
 	}
-	return nil
+	bound := "a positive"
+	if zeroOK {
+		bound = "zero or a positive"
+	}
+	return Usagef("-%s must be %s %s, got %v", flag, bound, what, v)
 }
 
 // Tweak is the runner ConfigTweak behind -checkers, -diversity, -spans and
@@ -163,8 +167,8 @@ func WriteFile(path string, write func(io.Writer) error) error {
 }
 
 // Programs resolves the guest to run: the input programs of a built-in
-// workload at scale, or the one assembly file in args. Any failure is a
-// usage error.
+// workload at scale, or the one file in args, compiled from paftlang if its
+// name ends in .pl and assembled otherwise. Any failure is a usage error.
 func Programs(wlName string, scale float64, args []string) ([]*asm.Program, error) {
 	if wlName != "" {
 		w := workload.Get(wlName)
@@ -174,13 +178,17 @@ func Programs(wlName string, scale float64, args []string) ([]*asm.Program, erro
 		return w.Gen(scale), nil
 	}
 	if len(args) != 1 {
-		return nil, Usagef("expected exactly one assembly file (or -workload)")
+		return nil, Usagef("expected exactly one assembly file or .pl source (or -workload)")
 	}
 	src, err := os.ReadFile(args[0])
 	if err != nil {
 		return nil, usageError{err}
 	}
-	prog, err := asm.Assemble(args[0], string(src))
+	build := asm.Assemble
+	if strings.HasSuffix(args[0], ".pl") {
+		build = lang.Compile
+	}
+	prog, err := build(args[0], string(src))
 	if err != nil {
 		return nil, usageError{err}
 	}
