@@ -57,7 +57,7 @@ func TestSourceFile(t *testing.T) {
 		{[]string{sum}, 0, "exit_code:                       44\nsum 499500"},
 		{[]string{"-mode", "raft", sum}, 0, "exit_code:                       44\nsum 499500"},
 		{[]string{filepath.Join(dir, "missing.pl")}, 2, "no such file"},
-		{[]string{"-S", bad}, 2, "expected an expression"},
+		{[]string{"-S", bad}, 2, bad + ":1:9: expected an expression"},
 	})
 }
 

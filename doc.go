@@ -25,7 +25,7 @@
 //	internal/proc               interpreter, PMU (branch counters, skid), breakpoints
 //	internal/oskernel           simulated OS: syscall models, files, signals
 //	internal/sim                co-simulation engine, contention, baseline runner
-//	internal/compare            dirty-page discovery and hashing for state comparison
+//	internal/compare            dirty-page discovery and page compare for state comparison
 //	internal/core               Parallaft itself (and the RAFT configuration)
 //	internal/packet             portable check packets: wire format, export
 //	internal/pagestore          content-addressed chunk store for checkpoint pages

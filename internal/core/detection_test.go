@@ -380,10 +380,10 @@ func TestFullMemoryCompareAblation(t *testing.T) {
 
 func TestPostForkCorruptionCaughtThroughHashCache(t *testing.T) {
 	// Full-memory comparison maximises reuse inside the comparison
-	// subsystem: untouched pages are identity-skipped and re-compared
-	// frames serve memoized hashes. A post-fork corruption of a page that
-	// earlier comparisons already hashed must still be caught — the write
-	// invalidates the frame's memo, so the cache can never mask it.
+	// subsystem: untouched pages are identity-skipped, and only pages in
+	// two different frames are read. A post-fork corruption of a page that
+	// earlier comparisons already settled must still be caught — the write
+	// gives the checker its own frame, so no shortcut can mask it.
 	prog := loopProgram(120_000)
 	bufAddr := prog.Symbols["buf"]
 	cfg := smallSliceConfig()

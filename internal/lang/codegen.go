@@ -1,6 +1,7 @@
 package lang
 
 import (
+	"errors"
 	"fmt"
 
 	"parallaft/internal/asm"
@@ -40,8 +41,18 @@ type codegen struct {
 	err     error
 }
 
-// Compile translates paftlang source into a runnable guest program.
+// Compile translates paftlang source into a runnable guest program. A
+// compile error is an *Error whose File is name.
 func Compile(name, src string) (*asm.Program, error) {
+	p, err := compile(name, src)
+	var e *Error
+	if errors.As(err, &e) {
+		e.File = name
+	}
+	return p, err
+}
+
+func compile(name, src string) (*asm.Program, error) {
 	prog, err := parse(src)
 	if err != nil {
 		return nil, err

@@ -228,8 +228,8 @@ func TestErrorsCarryPositions(t *testing.T) {
 	if err == nil {
 		t.Fatal("expected an error")
 	}
-	if !strings.Contains(err.Error(), ":2:") {
-		t.Errorf("error %q missing line 2 position", err)
+	if !strings.HasPrefix(err.Error(), "pos:2:") {
+		t.Errorf("error %q does not start with the source's name and line 2", err)
 	}
 }
 

@@ -67,13 +67,14 @@ func (t token) String() string {
 
 // Error is a compile error with a source position.
 type Error struct {
+	File      string // the name Compile was given
 	Line, Col int
 	Msg       string
 }
 
 // Error implements the error interface.
 func (e *Error) Error() string {
-	return fmt.Sprintf("paftlang:%d:%d: %s", e.Line, e.Col, e.Msg)
+	return fmt.Sprintf("%s:%d:%d: %s", e.File, e.Line, e.Col, e.Msg)
 }
 
 func errAt(line, col int, format string, args ...any) *Error {
