@@ -57,26 +57,15 @@ type Geometry struct {
 // SizeBytes returns the cache capacity for a given line size.
 func (g Geometry) SizeBytes(lineSize int) int { return g.Sets * g.Ways * lineSize }
 
-// A line is valid iff its LRU stamp is non-zero: the clock advances before
-// every stamp, and invalidating a line writes 0. So the smallest stamp in a
-// set is an invalid way if there is one, and its least recently used line
-// otherwise.
-type line struct {
-	tag uint64 // (asid << 40) | lineAddr — see key()
-	lru uint64
-}
-
+// A set is its ways' tags in recency order: the most recently used line
+// first, empty ways last. An empty way holds tag 0, which no line has, since
+// ASIDs start at 1 (oskernel.Loader hands out no ASID 0). A hit or a fill
+// moves the line to the front and an eviction drops the last way, so the
+// order is exactly the one LRU stamps would give, with no stamp to write.
 type setAssoc struct {
-	geom  Geometry
-	lines []line // Sets*Ways, set-major
-	clock uint64
-	mask  uint64
-
-	// mru caches, per set, the way index of the most recent hit or fill.
-	// Checking it before the way scan short-circuits the common case of
-	// repeated accesses to the same line without changing which accesses
-	// hit, miss, or evict.
-	mru []uint16
+	ways int
+	mask uint64
+	tags []uint64 // Sets*Ways, set-major: (asid << 40) | lineAddr
 	// asidLines counts valid lines per ASID (index = ASID), so flushing an
 	// ASID can stop as soon as its last line is invalidated instead of
 	// always walking the whole tag array.
@@ -91,10 +80,9 @@ func newSetAssoc(g Geometry) *setAssoc {
 		panic("cache: ways must be positive")
 	}
 	return &setAssoc{
-		geom:  g,
-		lines: make([]line, g.Sets*g.Ways),
-		mask:  uint64(g.Sets - 1),
-		mru:   make([]uint16, g.Sets),
+		ways: g.Ways,
+		mask: uint64(g.Sets - 1),
+		tags: make([]uint64, g.Sets*g.Ways),
 	}
 }
 
@@ -108,75 +96,60 @@ func (c *setAssoc) countLine(asid uint64, d int32) {
 	c.asidLines[asid] = uint32(int32(c.asidLines[asid]) + d)
 }
 
-// fastHit probes only the set's MRU way. It is small enough for the
-// compiler to inline at AccessRange's call sites, so the dominant case —
-// another access to the line just touched — never pays a function call.
-// A hit updates the same clock and LRU state a full access would.
+// fastHit reports whether tag is its set's most recently used line. Such a
+// hit changes no state, so this is one compare and no write, small enough
+// for the compiler to inline at AccessRange's call sites.
 func (c *setAssoc) fastHit(tag uint64) bool {
-	setIdx := int(tag & c.mask)
-	w := &c.lines[setIdx*c.geom.Ways+int(c.mru[setIdx])]
-	if w.lru != 0 && w.tag == tag {
-		c.clock++
-		w.lru = c.clock
-		return true
-	}
-	return false
+	return c.tags[int(tag&c.mask)*c.ways] == tag
 }
 
-// access probes the cache and fills on miss; returns true on hit.
+// access probes the cache and fills on miss; returns true on hit. The line
+// ends up first in its set: the more recent lines shift down one way over
+// the line's old way on a hit, over the first empty way on a fill, and over
+// the last (least recently used) way on an eviction.
 func (c *setAssoc) access(tag uint64) bool {
-	c.clock++
-	setIdx := int(tag & c.mask)
-	set := setIdx * c.geom.Ways
-	ways := c.lines[set : set+c.geom.Ways]
-	if m := c.mru[setIdx]; int(m) < len(ways) {
-		if w := &ways[m]; w.lru != 0 && w.tag == tag {
-			w.lru = c.clock
-			return true
-		}
+	set := int(tag&c.mask) * c.ways
+	ways := c.tags[set : set+c.ways]
+	i := 0
+	for i < len(ways)-1 && ways[i] != tag && ways[i] != 0 {
+		i++
 	}
-	victim := 0
-	var victimLRU uint64 = ^uint64(0)
-	for i := range ways {
-		if ways[i].lru != 0 && ways[i].tag == tag {
-			ways[i].lru = c.clock
-			c.mru[setIdx] = uint16(i)
-			return true
+	hit := ways[i] == tag
+	if !hit {
+		if old := ways[i]; old != 0 {
+			c.countLine(old>>asidShift, -1)
 		}
-		if ways[i].lru < victimLRU {
-			victim = i
-			victimLRU = ways[i].lru
-		}
+		c.countLine(tag>>asidShift, 1)
 	}
-	if victimLRU != 0 {
-		c.countLine(ways[victim].tag>>asidShift, -1)
+	for ; i > 0; i-- {
+		ways[i] = ways[i-1]
 	}
-	ways[victim] = line{tag: tag, lru: c.clock}
-	c.mru[setIdx] = uint16(victim)
-	c.countLine(tag>>asidShift, 1)
-	return false
+	ways[0] = tag
+	return hit
 }
 
 // flush invalidates every line belonging to the given ASID (used when an
-// address space is destroyed, to avoid stale hits for a recycled ASID).
-// The per-ASID line count bounds the walk: a flush of an ASID whose lines
-// were already evicted is O(1), and any other flush stops at the last line.
+// address space is destroyed, to avoid stale hits for a recycled ASID),
+// compacting each set so the lines that stay keep their order. The per-ASID
+// line count bounds the walk: a flush of an ASID whose lines were already
+// evicted is O(1), and any other flush stops at the set of its last line.
 func (c *setAssoc) flush(asid uint64) {
 	if asid >= uint64(len(c.asidLines)) {
 		return
 	}
 	remaining := c.asidLines[asid]
-	if remaining == 0 {
-		return
-	}
-	for i := range c.lines {
-		if c.lines[i].lru != 0 && c.lines[i].tag>>asidShift == asid {
-			c.lines[i].lru = 0
-			remaining--
-			if remaining == 0 {
-				break
+	for set := 0; remaining > 0; set += c.ways {
+		ways := c.tags[set : set+c.ways]
+		kept := 0
+		for _, t := range ways {
+			if t>>asidShift == asid {
+				remaining--
+				continue
 			}
+			ways[kept] = t
+			kept++
 		}
+		clear(ways[kept:])
 	}
 	c.asidLines[asid] = 0
 }
@@ -204,8 +177,8 @@ const asidShift = 40 // line addresses occupy the low 40 bits of a tag
 // New builds a hierarchy for the given per-core layout. coreIsBig[i]
 // selects the L1 geometry for core i; coreCluster[i] selects its L2.
 func New(cfg Config, coreIsBig []bool, coreCluster []int) *Hierarchy {
-	if cfg.LineSize <= 0 || cfg.LineSize&(cfg.LineSize-1) != 0 {
-		panic("cache: line size must be a power of two")
+	if cfg.LineSize < 2 || cfg.LineSize&(cfg.LineSize-1) != 0 {
+		panic("cache: line size must be a power of two of at least 2 bytes")
 	}
 	shift := uint(0)
 	for s := cfg.LineSize; s > 1; s >>= 1 {
@@ -232,27 +205,16 @@ func New(cfg Config, coreIsBig []bool, coreCluster []int) *Hierarchy {
 	return h
 }
 
-func (h *Hierarchy) key(asid, addr uint64) uint64 {
-	return asid<<asidShift | (addr >> h.lineShift & (1<<asidShift - 1))
-}
-
-// Access simulates a data access by the process with the given ASID running
-// on the given core, and returns the level that satisfied it.
+// Access simulates a one-byte data access by the process with the given
+// ASID running on the given core, and returns the level that satisfied it.
 func (h *Hierarchy) Access(core int, asid, addr uint64) Level {
-	tag := h.key(asid, addr)
-	if h.l1[core].access(tag) {
-		return L1Hit
-	}
-	if h.l2[h.coreL2[core]].access(tag) {
-		return L2Hit
-	}
-	return DRAM
+	return h.AccessRange(core, asid, addr, 1)
 }
 
 // AccessRange simulates an access spanning [addr, addr+size); it touches
-// each distinct line and returns the worst (slowest) level observed. The
-// body is Access unrolled per line with the tag built incrementally, since
-// this is the interpreter's per-memory-instruction entry point.
+// each distinct line and returns the worst (slowest) level observed. It is
+// the interpreter's per-memory-instruction entry point, so the tag is built
+// incrementally and a one-line access skips the loop.
 func (h *Hierarchy) AccessRange(core int, asid, addr uint64, size int) Level {
 	first := addr >> h.lineShift
 	last := (addr + uint64(size) - 1) >> h.lineShift
@@ -297,16 +259,13 @@ func (h *Hierarchy) FlushASID(asid uint64) {
 }
 
 // CopyFrom puts h, built from src's configuration, in src's exact state:
-// every tag, LRU stamp and clock, MRU way and per-ASID line count. It only
+// every set's tags in their order and the per-ASID line counts. It only
 // reads src.
 func (h *Hierarchy) CopyFrom(src *Hierarchy) {
 	from := slices.Concat(src.l1, src.l2)
 	for i, c := range slices.Concat(h.l1, h.l2) {
-		s := from[i]
-		copy(c.lines, s.lines)
-		copy(c.mru, s.mru)
-		c.asidLines = append(c.asidLines[:0], s.asidLines...)
-		c.clock = s.clock
+		copy(c.tags, from[i].tags)
+		c.asidLines = append(c.asidLines[:0], from[i].asidLines...)
 	}
 }
 

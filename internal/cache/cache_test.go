@@ -209,8 +209,8 @@ func allCaches(h *Hierarchy) []*setAssoc {
 
 // TestCopyFromEqualsSource: a hierarchy copied from another must decide every
 // hit, miss and eviction of the next trace exactly as its source does, and
-// end with the same clocks — over a used hierarchy, again over the copy, and
-// after ASID flushes on both sides.
+// end with the same tags in the same order — over a used hierarchy, again
+// over the copy, and after ASID flushes on both sides.
 func TestCopyFromEqualsSource(t *testing.T) {
 	const n = 20_000
 	check := func(t *testing.T, h, src *Hierarchy) {
@@ -222,8 +222,8 @@ func TestCopyFromEqualsSource(t *testing.T) {
 			}
 		}
 		for i, c := range allCaches(h) {
-			if s := allCaches(src)[i]; c.clock != s.clock {
-				t.Errorf("cache %d: clock %d on the copy, %d on its source", i, c.clock, s.clock)
+			if s := allCaches(src)[i]; !slices.Equal(c.tags, s.tags) {
+				t.Errorf("cache %d: tags %x on the copy, %x on its source", i, c.tags, s.tags)
 			}
 		}
 	}
@@ -322,11 +322,12 @@ func (r *refLRU) FlushASID(asid uint64) {
 
 // TestMatchesReferenceLRU: every access of a seeded trace, on a big and a
 // little core, is satisfied at the level the plain reference model says.
-// It pins the stamp encoding: a line is valid iff its stamp is non-zero,
-// and the victim is the way with the smallest stamp.
+// It pins the recency order: a set's tags run from the most recently used
+// to the least, empty ways (tag 0) last, and a miss in a full set evicts
+// the last way.
 func TestMatchesReferenceLRU(t *testing.T) {
-	if n := unsafe.Sizeof(line{}); n != 16 {
-		t.Errorf("a line is %d bytes, want 16", n)
+	if n := unsafe.Sizeof(newTestHierarchy().l1[0].tags[0]); n != 8 {
+		t.Errorf("a way is %d bytes, want 8", n)
 	}
 	for seed := uint64(1); seed <= 4; seed++ {
 		h := newTestHierarchy() // core 0 big, core 1 little
@@ -340,6 +341,50 @@ func TestMatchesReferenceLRU(t *testing.T) {
 			if got[i] != want[i] {
 				t.Fatalf("seed %d: access %d satisfied at %v, the reference says %v", seed, i, got[i], want[i])
 			}
+		}
+	}
+}
+
+// TestNewSetsAreEmpty: every way of a new hierarchy holds tag 0, the empty
+// way, so New needs no fill loop and the first access to any set misses.
+func TestNewSetsAreEmpty(t *testing.T) {
+	for i, c := range allCaches(newTestHierarchy()) {
+		if j := slices.IndexFunc(c.tags, func(tag uint64) bool { return tag != 0 }); j >= 0 {
+			t.Errorf("cache %d: way %d of a new hierarchy holds tag %#x", i, j, c.tags[j])
+		}
+	}
+}
+
+// TestMRUAccessWritesNothing: an access to each set's most recently used
+// line hits and leaves every tag of every cache as it was, which is what
+// lets the interpreter skip the call for the line it touched last.
+func TestMRUAccessWritesNothing(t *testing.T) {
+	h := newTestHierarchy()
+	driveTrace(h, 3, 20_000)
+	var before [][]uint64
+	for _, c := range allCaches(h) {
+		before = append(before, slices.Clone(c.tags))
+	}
+	probed := 0
+	for core, c := range h.l1 {
+		for set := 0; set < len(c.tags); set += c.ways {
+			tag := c.tags[set]
+			if tag == 0 {
+				continue
+			}
+			probed++
+			addr := (tag & (1<<asidShift - 1)) << h.lineShift
+			if lvl := h.AccessRange(core, tag>>asidShift, addr+3, 4); lvl != L1Hit {
+				t.Fatalf("core %d: the MRU line of set %d was satisfied at %v", core, set/c.ways, lvl)
+			}
+		}
+	}
+	if probed == 0 {
+		t.Fatal("the trace left no line in any L1; the test probed nothing")
+	}
+	for i, c := range allCaches(h) {
+		if !slices.Equal(c.tags, before[i]) {
+			t.Errorf("cache %d: an MRU access moved tags\nbefore %x\nafter  %x", i, before[i], c.tags)
 		}
 	}
 }

@@ -22,6 +22,7 @@ import (
 	"fmt"
 	"maps"
 	"math"
+	"math/bits"
 	"slices"
 	"strings"
 
@@ -413,7 +414,17 @@ func (p *Process) Run(env ExecEnv, budget uint64) Stop {
 	timed := env.Machine != nil
 	hier, kind, freq, fabric, coreID := p.costEnv(env)
 	probe := pfMem
-	if !timed {
+	// lastLine is the line the previous one-line access of this call
+	// touched. It is its L1 set's most recently used line, since only this
+	// process probes this core's L1 during the call, and an access to that
+	// line is an L1 hit that changes no cache state: it is charged without
+	// the call. cache.New refuses 1-byte lines, so no line address is
+	// noLine.
+	const noLine = ^uint64(0)
+	lastLine, lineShift := noLine, uint(0)
+	if timed {
+		lineShift = uint(bits.TrailingZeros(uint(hier.LineSize())))
+	} else {
 		probe = 0
 	}
 	ct := &p.ct
@@ -516,15 +527,26 @@ func (p *Process) Run(env ExecEnv, budget uint64) Stop {
 		}
 
 		// Timing: base class cost, plus the memory hierarchy for accesses.
-		if fl&probe != 0 {
-			lvl := hier.AccessRange(coreID, p.ASID, r.X[ins.ra]+uint64(ins.imm), int(ins.size))
-			if lvl == cache.DRAM {
-				env.Machine.CountDRAMAccess()
-				p.DRAMAccesses++
+		// The class cost comes first so that the compiler lays it out as
+		// the fall-through, the path of every functional run.
+		if fl&probe == 0 {
+			ns += ct.class[ins.class]
+		} else {
+			a := r.X[ins.ra] + uint64(ins.imm)
+			line, end := a>>lineShift, (a+uint64(ins.size)-1)>>lineShift
+			lvl := cache.L1Hit
+			if line != lastLine || end != line {
+				lvl = hier.AccessRange(coreID, p.ASID, a, int(ins.size))
+				lastLine = line
+				if end != line {
+					lastLine = noLine
+				}
+				if lvl == cache.DRAM {
+					env.Machine.CountDRAMAccess()
+					p.DRAMAccesses++
+				}
 			}
 			ns += ct.mem[ins.memIdx][lvl]
-		} else {
-			ns += ct.class[ins.class]
 		}
 
 		// Deterministic sim-clock sample points: fire when the accrued local

@@ -2,6 +2,7 @@ package proc
 
 import (
 	"math"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -576,5 +577,91 @@ func TestALUMatchesGoSemantics(t *testing.T) {
 	}
 	if err := quick.Check(check, &quick.Config{MaxCount: 2000}); err != nil {
 		t.Error(err)
+	}
+}
+
+// lineMixKernel walks a pointer over the arena in 44-byte steps, so each
+// iteration's loads and stores fall at a different line offset: repeated
+// accesses to one line, word, vector, float and byte accesses that straddle
+// two lines, and a load and a store that straddle two pages. A second
+// pointer steps a line pair at a time through the upper half and touches
+// the pair's second line only with a load that starts in the first line,
+// right after a byte load from that first line.
+func lineMixKernel(iters int64) []isa.Instr {
+	b := asm.NewBuilder("linemix")
+	b.MovI(1, 0)
+	b.MovI(3, iters)
+	b.MovI(4, 0)
+	b.MovI(10, pg-4)
+	b.MovI(11, 0)
+	b.Label("loop")
+	b.AddI(4, 4, 44)
+	b.AndI(4, 4, 2*pg-1)
+	b.Ld(6, 4, 0)
+	b.Ld(7, 4, 8)
+	b.St(4, 16, 6)
+	b.LdB(8, 4, 61)
+	b.St(4, 60, 7)
+	b.VLd(1, 4, 0)
+	b.VSt(4, 64, 1)
+	b.FLd(1, 4, 24)
+	b.FSt(4, 32, 1)
+	b.Ld(9, 10, 0)
+	b.St(10, pg, 9)
+	b.AddI(11, 11, 128)
+	b.AndI(11, 11, pg-1)
+	b.LdB(12, 11, 2*pg+63)
+	b.Ld(12, 11, 2*pg+60)
+	b.AddI(1, 1, 1)
+	b.Blt(1, 3, "loop")
+	b.Halt()
+	return b.MustBuild().Code
+}
+
+// TestSameLineMemoIsExact: Run charges an access to the line its previous
+// one-line access touched as an L1 hit without probing the cache. One Run
+// over the whole kernel must leave the machine's caches byte for byte as a
+// Run per instruction does (each starts with no remembered line), with the
+// same DRAM accesses, instruction count and registers, on a big core and on
+// a little one.
+func TestSameLineMemoIsExact(t *testing.T) {
+	for _, little := range []bool{false, true} {
+		var procs [2]*Process
+		var envs [2]ExecEnv
+		for i := range procs {
+			p, env := newProc(t, lineMixKernel(800))
+			if little {
+				env.Core = env.Machine.LittleCores()[0]
+			}
+			procs[i], envs[i] = p, env
+		}
+		whole, stepped := procs[0], procs[1]
+		if s := whole.Run(envs[0], 1_000_000); s.Reason != StopHalt {
+			t.Fatalf("little=%v: one Run stopped with %v, want halt", little, s)
+		}
+		for i := 0; i < 1_000_000 && !stepped.Exited; i++ {
+			if s := stepped.Run(envs[1], 1); s.Reason != StopBudget && s.Reason != StopHalt {
+				t.Fatalf("little=%v: a one-instruction Run stopped with %v", little, s)
+			}
+		}
+		if !stepped.Exited {
+			t.Fatalf("little=%v: the stepped run never halted", little)
+		}
+		if whole.DRAMAccesses == 0 || whole.DRAMAccesses != stepped.DRAMAccesses {
+			t.Errorf("little=%v: %d DRAM accesses in one Run, %d stepped; want equal and nonzero",
+				little, whole.DRAMAccesses, stepped.DRAMAccesses)
+		}
+		if g, w := envs[0].Machine.DRAMAccesses(), envs[1].Machine.DRAMAccesses(); g != w {
+			t.Errorf("little=%v: the machine counted %d DRAM accesses in one Run, %d stepped", little, g, w)
+		}
+		if whole.Instrs != stepped.Instrs {
+			t.Errorf("little=%v: %d instructions in one Run, %d stepped", little, whole.Instrs, stepped.Instrs)
+		}
+		if !whole.Regs.Equal(&stepped.Regs) {
+			t.Errorf("little=%v: registers differ:%s", little, whole.Regs.Diff(&stepped.Regs))
+		}
+		if !reflect.DeepEqual(envs[0].Machine.Caches, envs[1].Machine.Caches) {
+			t.Errorf("little=%v: one Run left different cache tags than a Run per instruction", little)
+		}
 	}
 }
