@@ -22,10 +22,11 @@ race:
 
 # The sim-heavy comparisons are ~6x slower under the race detector; this is
 # the quick pre-push variant (full coverage of the campaign pool and the
-# injection campaign included, and core's forks running beside their source).
+# injection campaign included, and core's retained segments re-checked
+# beside their run).
 race-short:
 	$(GO) test -race -short ./...
-	$(GO) test -race ./internal/campaign ./internal/inject && $(GO) test -race -run 'Fork' ./internal/core
+	$(GO) test -race ./internal/campaign ./internal/inject && $(GO) test -race -run 'Retain' ./internal/core
 
 # Everything pinned byte for byte, one row per kind of pin: a -run pattern and
 # the packages it selects tests in.

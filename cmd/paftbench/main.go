@@ -146,9 +146,9 @@ var experiments = []experiment{
 		return formatted(stats.FormatFig9)(x.r.RunFig9(x.names, nil))
 	}},
 	{"fig10", false, func(x *bench) (string, error) {
-		// Every trial is forked at its injection and ends at its segment's
-		// verdict, as the paper reruns only the injured segment; the 0.3×
-		// workloads are kept for the campaign's wall time.
+		// Every trial re-checks only its injured segment, as the paper
+		// does, on no machine; the 0.3× workloads are kept for the
+		// campaign's wall time.
 		return formatted(stats.FormatFig10)(x.r.RunFig10(x.names, x.trials, x.r.Scale*0.3))
 	}},
 	{"table2", false, func(x *bench) (string, error) {

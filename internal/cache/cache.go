@@ -21,7 +21,6 @@ package cache
 
 import (
 	"fmt"
-	"slices"
 )
 
 // Level identifies where an access was satisfied.
@@ -255,17 +254,6 @@ func (h *Hierarchy) FlushASID(asid uint64) {
 	}
 	for _, c := range h.l2 {
 		c.flush(asid)
-	}
-}
-
-// CopyFrom puts h, built from src's configuration, in src's exact state:
-// every set's tags in their order and the per-ASID line counts. It only
-// reads src.
-func (h *Hierarchy) CopyFrom(src *Hierarchy) {
-	from := slices.Concat(src.l1, src.l2)
-	for i, c := range slices.Concat(h.l1, h.l2) {
-		copy(c.tags, from[i].tags)
-		c.asidLines = append(c.asidLines[:0], from[i].asidLines...)
 	}
 }
 

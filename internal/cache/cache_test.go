@@ -207,48 +207,6 @@ func allCaches(h *Hierarchy) []*setAssoc {
 	return append(append([]*setAssoc(nil), h.l1...), h.l2...)
 }
 
-// TestCopyFromEqualsSource: a hierarchy copied from another must decide every
-// hit, miss and eviction of the next trace exactly as its source does, and
-// end with the same tags in the same order — over a used hierarchy, again
-// over the copy, and after ASID flushes on both sides.
-func TestCopyFromEqualsSource(t *testing.T) {
-	const n = 20_000
-	check := func(t *testing.T, h, src *Hierarchy) {
-		t.Helper()
-		got, want := driveTrace(h, 42, n), driveTrace(src, 42, n)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("access %d satisfied at %v on the copy, %v on its source", i, got[i], want[i])
-			}
-		}
-		for i, c := range allCaches(h) {
-			if s := allCaches(src)[i]; !slices.Equal(c.tags, s.tags) {
-				t.Errorf("cache %d: tags %x on the copy, %x on its source", i, c.tags, s.tags)
-			}
-		}
-	}
-
-	src := newTestHierarchy()
-	driveTrace(src, 5, n)
-	h := newTestHierarchy()
-	t.Run("after use", func(t *testing.T) {
-		driveTrace(h, 7, n) // a different trace leaves different lines behind
-		h.CopyFrom(src)
-		check(t, h, src)
-	})
-	t.Run("again", func(t *testing.T) {
-		driveTrace(h, 9, n)
-		h.CopyFrom(src)
-		check(t, h, src)
-	})
-	t.Run("after a flush", func(t *testing.T) {
-		src.FlushASID(1)
-		h.FlushASID(2)
-		h.CopyFrom(src)
-		check(t, h, src)
-	})
-}
-
 // refLRU is the plainest model of the same hierarchy: per set, the resident
 // (tag, stamp) pairs, a miss filling over the smallest stamp once the set is
 // full, and a flush dropping an ASID's pairs. It shares no code with the

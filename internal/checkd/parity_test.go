@@ -49,7 +49,7 @@ func goldenCompare(t *testing.T, name, got string) {
 type substrate struct {
 	name  string
 	new   func() *checker
-	reset bool // copy a freshly built machine over the checker's before every packet
+	reset bool // give the checker a freshly built machine before every packet
 }
 
 // timedOn is a checker replaying timed on the given core of m.
@@ -91,15 +91,12 @@ func requireSubstrateIndependent(t *testing.T, store *pagestore.Store, pkts []*p
 		go func() {
 			defer wg.Done()
 			c := sub.new()
-			var fresh *machine.Machine // as New built it
-			if c.m != nil {
-				fresh = c.m.Clone()
-			}
 			probed := false // whether any packet changed the cache model
 			for i, pkt := range pkts {
 				if sub.reset {
-					probed = probed || !reflect.DeepEqual(c.m.Caches, fresh.Caches)
-					c.m.CopyFrom(fresh)
+					fresh := sub.new()
+					probed = probed || !reflect.DeepEqual(c.m.Caches, fresh.m.Caches)
+					c.m, c.core = fresh.m, fresh.core
 				}
 				v, err := c.check(store, pkt)
 				if err != nil {
@@ -111,7 +108,7 @@ func requireSubstrateIndependent(t *testing.T, store *pagestore.Store, pkts []*p
 			}
 			// The seam must have chosen what it says: a checker with a
 			// machine replays timed, probing its cache model.
-			if c.m != nil && !probed && reflect.DeepEqual(c.m.Caches, fresh.Caches) {
+			if c.m != nil && !probed && reflect.DeepEqual(c.m.Caches, sub.new().m.Caches) {
 				t.Errorf("%s: the cache model never changed", sub.name)
 			}
 		}()

@@ -131,9 +131,9 @@ func exportStartState(st *packet.StartState, cp *proc.Process, exp *packet.Expor
 	sort.Slice(st.Handlers, func(i, j int) bool { return st.Handlers[i].Sig < st.Handlers[j].Sig })
 }
 
-// packetHost is the replay host of a packet re-check: it latches the first
-// divergence. Tracer work costs a daemon nothing — its verdict is the whole
-// product.
+// packetHost is the replay host of a re-check on no machine, a packet's or
+// a retained segment's: it latches the first divergence. Tracer work costs
+// it nothing — its verdict is the whole product.
 type packetHost struct{ detected *DetectedError }
 
 func (h *packetHost) charge(machine.Activity, float64) {}

@@ -33,17 +33,11 @@ func (r *Runtime) Run(prog *asm.Program) (*RunStats, error) {
 	r.attachSampler(main, "main")
 
 	// The first boundary is program start: checkpoint plus first checker.
+	// Then the actor with the earliest clock steps until every actor is
+	// done or a detection stands.
 	r.startSegment()
-	return r.Resume()
-}
-
-// Resume steps the actor with the earliest clock until every actor is done,
-// a detection stands or a focused segment is decided, then finishes the run
-// as Run does. It starts at the actor boundary the run stands at, between
-// two steps: a started run's first, or the one a fork was taken at.
-func (r *Runtime) Resume() (*RunStats, error) {
 	for {
-		for r.detected == nil && (r.focus == nil || !r.focus.compared) {
+		for r.detected == nil {
 			actor, ok := r.pickActor()
 			if !ok {
 				break // everything finished
@@ -53,9 +47,6 @@ func (r *Runtime) Resume() (*RunStats, error) {
 					return nil, err
 				}
 				continue
-			}
-			if r.dispatch != nil && actor.rep.idx == 0 && !r.dispatch(actor.rep.seg.Index, actor.rep.elapsedNs()) {
-				return nil, nil
 			}
 			r.stepChecker(actor.rep)
 		}
@@ -77,9 +68,7 @@ type actorRef struct {
 	rep  *replica
 }
 
-// pickActor returns the runnable actor with the earliest clock. In a run
-// focused on a sealed segment (Focus) that is one of the segment's
-// replicas, while any can run.
+// pickActor returns the runnable actor with the earliest clock.
 func (r *Runtime) pickActor() (actorRef, bool) {
 	var best actorRef
 	found := false
@@ -91,20 +80,6 @@ func (r *Runtime) pickActor() (actorRef, bool) {
 			bestClock = clock
 		}
 	}
-	considerReplicas := func(seg *Segment) {
-		for _, rep := range seg.Replicas {
-			// A waiting replica is blocked on the main recording more events;
-			// one ahead of the main must not outrun it architecturally.
-			if rep.Task != nil && !rep.terminal() && !rep.Checker.Exited && !rep.waiting && !r.checkerAheadOfMain(rep) {
-				consider(actorRef{task: rep.Task, rep: rep}, rep.Task.Clock)
-			}
-		}
-	}
-	if f := r.focus; f != nil && f.sealed {
-		if considerReplicas(f); found {
-			return best, true
-		}
-	}
 	if !r.main.Exited {
 		if r.mainBlocked() {
 			r.mainStalled = true
@@ -113,8 +88,15 @@ func (r *Runtime) pickActor() (actorRef, bool) {
 		}
 	}
 	for _, seg := range r.segments {
-		if !seg.compared {
-			considerReplicas(seg)
+		if seg.compared {
+			continue
+		}
+		for _, rep := range seg.Replicas {
+			// A waiting replica is blocked on the main recording more events;
+			// one ahead of the main must not outrun it architecturally.
+			if rep.Task != nil && !rep.terminal() && !rep.Checker.Exited && !rep.waiting && !r.checkerAheadOfMain(rep) {
+				consider(actorRef{task: rep.Task, rep: rep}, rep.Task.Clock)
+			}
 		}
 	}
 	if !found && !r.main.Exited && r.mainBlocked() {

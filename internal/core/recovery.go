@@ -158,7 +158,7 @@ func (r *Runtime) arbitrate(seg *Segment) arbVerdict {
 	// A referee that also diverged from the record or the end point, or
 	// that loses its one-replica vote against the end checkpoint, puts the
 	// fault on the main side.
-	if r.arbErr != nil || r.voter.Vote(*r.voteRequest(shadow)).Verdict != compare.VerdictUnanimous {
+	if r.arbErr != nil || r.voter.vote(shadow).Verdict != compare.VerdictUnanimous {
 		return verdictMainFault
 	}
 	return verdictCheckerFault

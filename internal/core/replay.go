@@ -12,9 +12,10 @@ import (
 
 // This file is the replay state machine — the only one. A checker is a pure
 // function of (start checkpoint, record/replay log, config); replayEngine is
-// that function's steering (§4.2.2) and per-event replay (§4.3). It has two
-// drivers: Runtime.stepChecker (in-process replicas, arbitration referees)
-// and ReplayPacket in export.go (a checkd daemon's own substrate).
+// that function's steering (§4.2.2) and per-event replay (§4.3). It has three
+// drivers: Runtime.stepChecker (in-process replicas, arbitration referees),
+// ReplayPacket in export.go (a checkd daemon's own substrate) and
+// Retained.Recheck in retain.go (a fault-injection trial's).
 //
 // The engine decides everything about the replay itself: where the checker
 // is steered next, whether a stop matches the record, what a divergence is

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"time"
 
-	"parallaft/internal/compare"
 	"parallaft/internal/machine"
 	"parallaft/internal/mem"
 	"parallaft/internal/packet"
@@ -411,9 +410,6 @@ type RunStats struct {
 
 	ContainBarriers int // containment barriers taken (Config.ContainSyscalls)
 
-	Migrations   int // checkers moved from little to big cores
-	ExitMigrated int // checkers migrated at main exit
-	Queued       int // checkers that had to queue for a core
 	// SegmentsOnBig counts segments whose checker touched a big core; the
 	// paper's "checkers do N% of work on big cores" corresponds to
 	// SegmentsOnBig/Slices (each segment is the same amount of work).
@@ -491,9 +487,7 @@ type Runtime struct {
 
 	stats        RunStats
 	tm           coreMetrics
-	voter        compare.Voter       // decides every segment end and arbitration referee
-	voteReq      compare.VoteRequest // reused by every vote; see newVoteRequest
-	voting       *Segment            // the segment voteReq was last filled in for
+	voter        *segmentVoter // decides every segment end and arbitration referee
 	nextSampleNs float64
 	detected     *DetectedError
 	segCounter   int
@@ -513,13 +507,9 @@ type Runtime struct {
 	// surfaced by Run as an infrastructure error, never as a detection.
 	exportErr error
 
-	// A forking run (RunForking) calls dispatch at the actor boundary before
-	// each dispatch of a segment's replica 0, and retired with each row
-	// RunStats.Segments gains. A focused run (Focus) ends once focus is
-	// decided.
-	dispatch func(segment int, elapsedNs float64) bool
-	retired  func(SegmentStat)
-	focus    *Segment
+	// retired, set by RunRetaining, is handed each row RunStats.Segments
+	// gains.
+	retired func(SegmentStat, func() *Retained)
 }
 
 // NewRuntime creates a Parallaft (or RAFT-configured) runtime over an
@@ -543,7 +533,7 @@ func NewRuntime(e *sim.Engine, cfg Config) *Runtime {
 	}
 	r := &Runtime{cfg: cfg, e: e, mainCore: bigs[0]}
 	r.tm = newCoreMetrics(cfg.Metrics, cfg.Checkers)
-	r.voteReq = r.newVoteRequest()
+	r.voter = newSegmentVoter(&r.cfg)
 	r.sched = newScheduler(r)
 	if cfg.Profiler != nil {
 		cfg.Profiler.SetMetrics(cfg.Metrics)
@@ -625,10 +615,6 @@ func (r *Runtime) attachSampler(p *proc.Process, name string) {
 		return
 	}
 	p.SetSampler(r.cfg.Profiler.Actor(name), r.cfg.Profiler.PeriodCycles())
-}
-
-func (r *Runtime) fail(seg int, kind ErrorKind, format string, args ...any) {
-	r.detect(&DetectedError{Kind: kind, Segment: seg, Detail: fmt.Sprintf(format, args...)})
 }
 
 // detect latches d as the run's first detection — or, while arbitrating, as

@@ -83,7 +83,6 @@ func (s *scheduler) place(rep *replica, nowNs float64) {
 			victim := s.pickMigrationVictim()
 			if victim != nil {
 				s.migrate(victim, big)
-				s.r.stats.Migrations++
 				s.r.tm.migrations.Inc()
 				s.lastMigration = s.boundaryCount
 				// Checkers are falling behind: run the pool flat out.
@@ -96,7 +95,6 @@ func (s *scheduler) place(rep *replica, nowNs float64) {
 		}
 	}
 	rep.queued = true
-	s.r.stats.Queued++
 	s.r.tm.queued.Inc()
 	s.r.cfg.Trace.Emit(nowNs, telemetry.Queue, rep.seg.Index, "no core free")
 	s.queue = append(s.queue, rep)
@@ -348,7 +346,6 @@ func (s *scheduler) onMainExit() {
 			break
 		}
 		s.migrate(rep, big)
-		s.r.stats.ExitMigrated++
 		s.r.tm.exitMigrations.Inc()
 	}
 	s.setLittleFreqMax()

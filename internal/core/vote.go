@@ -56,7 +56,7 @@ func (r *Runtime) maybeVote(seg *Segment) {
 		return
 	}
 
-	vres := r.voter.Vote(*r.voteRequest(seg))
+	vres := r.voter.vote(seg)
 	seg.dirtyPages = vres.DirtyPages
 	r.stats.DirtyPagesHashed += vres.DirtyPages
 	r.stats.BytesHashed += vres.HashedBytes
@@ -89,13 +89,7 @@ func (r *Runtime) maybeVote(seg *Segment) {
 	}
 
 	if pairwise {
-		// The paper's comparison: a mismatch is the detection itself,
-		// registers winning over memory.
-		chk, ref := seg.chk().Checker, seg.EndCP.p
-		err := EndRegMismatch(seg.Index, chk, &ref.Regs, ref.PC)
-		if err == nil {
-			err = EndMemMismatch(seg.Index, vres.RefMismatch)
-		}
+		err := pairDetection(seg, &vres)
 		verdict := "ok"
 		if err != nil {
 			r.detect(err)
@@ -135,7 +129,7 @@ func (r *Runtime) maybeVote(seg *Segment) {
 			r.retire(seg, telemetry.OutcomeForwardRepaired)
 			return
 		}
-		r.voteDetect(seg, &vres)
+		r.detect(voteDetection(seg, &vres))
 		r.settle(seg)
 
 	case compare.VerdictNoQuorum:
@@ -147,44 +141,51 @@ func (r *Runtime) maybeVote(seg *Segment) {
 		r.cfg.Trace.Note("no-quorum",
 			fmt.Sprintf("%s seg %d: %d replicas, no majority", r.main.Name, seg.Index, len(seg.Replicas)))
 		r.cfg.Trace.DumpToDir("main", "no-quorum", r.cfg.Metrics)
-		r.voteDetect(seg, &vres)
+		r.detect(voteDetection(seg, &vres))
 		r.settle(seg)
 	}
 }
 
-// newVoteRequest builds the runtime's one reusable vote request: what the
-// configuration fixes, plus register callbacks built once per runtime that
-// read the segment voteRequest last filled in.
-func (r *Runtime) newVoteRequest() compare.VoteRequest {
-	req := compare.VoteRequest{
-		CheckerMode: r.cfg.checkerDirtyMode(),
-		Seed:        hashSeed,
-	}
-	switch {
-	case r.cfg.CompareFullMemory:
-		req.Discovery = compare.FullMemory
-	case r.cfg.Tracking == TrackSoftDirty:
-		req.Discovery = compare.SoftDirty
-	default:
-		req.Discovery = compare.FrameDiff
-	}
-	req.RegsAgreeRef = func(i int) bool {
-		c, ref := r.voting.Replicas[i].Checker, r.voting.EndCP.p
-		return c.Regs.Equal(&ref.Regs) && c.PC == ref.PC
-	}
-	req.RegsAgreePair = func(i, j int) bool {
-		a, b := r.voting.Replicas[i].Checker, r.voting.Replicas[j].Checker
-		return a.Regs.Equal(&b.Regs) && a.PC == b.PC
-	}
-	return req
+// segmentVoter decides segment ends: one compare.Voter and one reusable
+// request, whose register callbacks, built once, read the segment the
+// request was last filled in for.
+type segmentVoter struct {
+	voter  compare.Voter
+	req    compare.VoteRequest
+	voting *Segment
 }
 
-// voteRequest fills the reusable request in for seg's replicas against its
-// end checkpoint: a live segment's vote, or an arbitration shadow's, whose
-// one replica is the referee.
-func (r *Runtime) voteRequest(seg *Segment) *compare.VoteRequest {
-	r.voting = seg
-	req := &r.voteReq
+// newSegmentVoter builds the voter for what cfg fixes of every vote.
+func newSegmentVoter(cfg *Config) *segmentVoter {
+	v := &segmentVoter{req: compare.VoteRequest{
+		CheckerMode: cfg.checkerDirtyMode(),
+		Seed:        hashSeed,
+	}}
+	switch {
+	case cfg.CompareFullMemory:
+		v.req.Discovery = compare.FullMemory
+	case cfg.Tracking == TrackSoftDirty:
+		v.req.Discovery = compare.SoftDirty
+	default:
+		v.req.Discovery = compare.FrameDiff
+	}
+	v.req.RegsAgreeRef = func(i int) bool {
+		c, ref := v.voting.Replicas[i].Checker, v.voting.EndCP.p
+		return c.Regs.Equal(&ref.Regs) && c.PC == ref.PC
+	}
+	v.req.RegsAgreePair = func(i, j int) bool {
+		a, b := v.voting.Replicas[i].Checker, v.voting.Replicas[j].Checker
+		return a.Regs.Equal(&b.Regs) && a.PC == b.PC
+	}
+	return v
+}
+
+// vote runs the vote of seg's replicas against its end checkpoint: a live
+// segment's, an arbitration shadow's, whose one replica is the referee, or a
+// retained segment's re-check.
+func (v *segmentVoter) vote(seg *Segment) compare.VoteResult {
+	v.voting = seg
+	req := &v.req
 	req.Ref = seg.EndCP.p.AS
 	if req.Discovery == compare.FrameDiff {
 		req.Base = seg.StartCP.p.AS
@@ -197,35 +198,39 @@ func (r *Runtime) voteRequest(seg *Segment) *compare.VoteRequest {
 		}
 		req.Replicas = append(req.Replicas, rep.Checker.AS)
 	}
-	return req
+	return v.voter.Vote(*req)
 }
 
-// voteDetect raises the global detection for a vote that found no
-// trustworthy state. A replica's own replay divergence is preferred — it
-// names the event that went wrong, which a state diff cannot.
-func (r *Runtime) voteDetect(seg *Segment, vres *compare.VoteResult) {
+// pairDetection is the paper's comparison of one replica: a mismatch is the
+// detection itself, registers winning over memory.
+func pairDetection(seg *Segment, vres *compare.VoteResult) *DetectedError {
+	chk, ref := seg.chk().Checker, seg.EndCP.p
+	if err := EndRegMismatch(seg.Index, chk, &ref.Regs, ref.PC); err != nil {
+		return err
+	}
+	return EndMemMismatch(seg.Index, vres.RefMismatch)
+}
+
+// voteDetection is the detection of a vote that found no trustworthy state.
+// A replica's own replay divergence is preferred — it names the event that
+// went wrong, which a state diff cannot.
+func voteDetection(seg *Segment, vres *compare.VoteResult) *DetectedError {
 	for _, rep := range seg.Replicas {
 		if d := rep.failed; d != nil {
-			r.detect(&DetectedError{Kind: d.Kind, Segment: seg.Index, Sig: d.Sig,
-				Detail: fmt.Sprintf("replica %d: %s", rep.idx, d.Detail)})
-			return
+			return &DetectedError{Kind: d.Kind, Segment: seg.Index, Sig: d.Sig,
+				Detail: fmt.Sprintf("replica %d: %s", rep.idx, d.Detail)}
 		}
 	}
 	if m := vres.RefMismatch; m != nil {
-		switch m.Kind {
-		case compare.MismatchStructural:
-			r.fail(seg.Index, ErrStructuralMismatch,
-				"page %#x mapped on only one side (replica %d vs end checkpoint)",
-				m.VPN, vres.RefMismatchReplica)
-		case compare.MismatchContent:
-			r.fail(seg.Index, ErrMemMismatch,
-				"page %#x content hash differs (replica %d vs end checkpoint)",
-				m.VPN, vres.RefMismatchReplica)
+		kind, what := ErrMemMismatch, "content hash differs"
+		if m.Kind == compare.MismatchStructural {
+			kind, what = ErrStructuralMismatch, "mapped on only one side"
 		}
-		return
+		return &DetectedError{Kind: kind, Segment: seg.Index, Detail: fmt.Sprintf(
+			"page %#x %s (replica %d vs end checkpoint)", m.VPN, what, vres.RefMismatchReplica)}
 	}
-	r.fail(seg.Index, ErrRegMismatch,
-		"replica registers differ from the end checkpoint with no quorum")
+	return &DetectedError{Kind: ErrRegMismatch, Segment: seg.Index,
+		Detail: "replica registers differ from the end checkpoint with no quorum"}
 }
 
 // settle retires a voted segment, as detected when its verdict raised the
@@ -277,7 +282,7 @@ func (r *Runtime) retire(seg *Segment, outcome string) {
 	}
 	r.stats.Segments = append(r.stats.Segments, stat)
 	if r.retired != nil {
-		r.retired(stat)
+		r.retired(stat, func() *Retained { return r.retain(seg) })
 	}
 	r.sched.drop(seg)
 	r.releaseSegment(seg, true)

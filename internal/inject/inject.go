@@ -2,10 +2,10 @@
 // segment, first profile the checker's clean execution time t, then run
 // several trials in which a random register bit is flipped at a uniform
 // random point in [0, 1.1t) of the checker's execution, and classify
-// Parallaft's response. A trial runs from its flip to its segment's
-// verdict: it is forked from a second pass of the profile run at the
-// dispatch where the flip lands, and stepped only as far as that segment
-// needs (Campaign.Run).
+// Parallaft's response. The campaign is one timed run (Campaign.Run). Each
+// retired segment's trials re-check it on no machine, from a copy of its
+// start checkpoint to its verdict, with the flip landing where the timed
+// run's replica 0 stood when its dispatch reached the trial's instant.
 package inject
 
 import (
@@ -14,7 +14,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"slices"
+	"sort"
 	"sync"
 
 	"parallaft/internal/asm"
@@ -128,17 +128,17 @@ func (r *Report) DetectionComplete() bool {
 
 // Campaign runs the §5.6 protocol for one program.
 type Campaign struct {
-	// NewEngine builds the engine of each of the campaign's two passes:
-	// the profile run, and the run every trial is forked from.
+	// NewEngine builds the engine of the campaign's one timed run.
 	NewEngine func() *sim.Engine
 	Program   *asm.Program
 	Config    core.Config
 	// TrialsPerSegment is 5 in the paper.
 	TrialsPerSegment int
 	Seed             int64
-	// Parallel bounds the simulations running at once, the second pass
-	// and the trials' forks, to this many workers (<= 0 = one per CPU, 1 =
-	// serial). Every trial derives its own rng seed from (Seed, segment,
+	// Parallel bounds the simulations running at once, the timed run and
+	// the retired segments' trials, to this many workers (<= 0 = one per
+	// CPU, 1 = serial), and the retired segments held for their trials to
+	// as many. Every trial derives its own rng seed from (Seed, segment,
 	// trial), so the report is identical for any worker count.
 	Parallel int
 	// Progress, when set, receives per-trial progress/ETA lines.
@@ -169,12 +169,14 @@ func randTarget(rng *rand.Rand) Target {
 	}
 }
 
-// Run executes the campaign as two passes of one deterministic run. The
-// profile run draws a segment's trials as it retires (draw). The second pass
-// then forks each trial, focused on its segment, at the first replica-0
-// dispatch whose elapsed time reaches its instant (core.Runtime.Fork, Focus):
-// the flip lands on the fork's first dispatch and the trial ends at the
-// segment's verdict. Trials seed their rngs from their (segment, trial)
+// Run executes the campaign as one deterministic timed run. Its
+// Config.ReplicaHook notes where replica 0 stands as each of its dispatches
+// begins, with the elapsed time the hook is handed there. As a segment
+// retires, its trials are drawn (draw), and the segment's replay inputs are
+// retained (core.Runtime.RunRetaining) for them. A trial re-checks the
+// retained segment on no machine (core.Retained.Recheck), flipping its target
+// in replica 0 where the first dispatch whose elapsed time reaches its
+// instant began. Trials seed their rngs from their (segment, trial)
 // coordinates, so the report is independent of scheduling and of Parallel.
 // Config.EnableRecovery is refused: a recovered detection continues the run
 // past the segment's verdict.
@@ -183,104 +185,107 @@ func (c *Campaign) Run() (*Report, error) {
 	return rep, err
 }
 
-// run is Run, returning as well the plan its two passes shared.
-func (c *Campaign) run() (*Report, *plan, error) {
+// run is Run, returning as well the book its run and trials shared.
+func (c *Campaign) run() (*Report, *book, error) {
 	if c.Config.EnableRecovery {
 		return nil, nil, errors.New("inject: a campaign cannot run with Config.EnableRecovery")
 	}
-	p := &plan{drawn: map[int][]fork{}}
+	b := &book{}
 	pr := campaign.NewProgressWith(c.Progress, "inject "+c.Program.Name, 0, c.Telemetry)
-	lastNs := map[int]float64{} // by segment
-	rt := core.NewRuntime(c.NewEngine(), c.Config)
-	prof, err := rt.RunForking(c.Program,
-		func(seg int, elapsedNs float64) bool { lastNs[seg] = elapsedNs; return true },
-		func(stat core.SegmentStat) { c.draw(p, pr, stat, lastNs) })
-	rt.Release() // its frames serve the forking run
+	others := make(chan struct{}, campaign.Workers(c.Parallel)-1)
+	var workers sync.WaitGroup
+	turns := map[int][]turn{} // by segment: replica 0's dispatches
+	cfg := c.Config
+	cfg.ReplicaHook = func(seg, rep int, checker *proc.Process, elapsedNs float64) {
+		if rep == 0 {
+			turns[seg] = append(turns[seg], turn{elapsedNs, core.Turn{Instrs: checker.Instrs, PC: checker.PC}})
+		}
+		if c.Config.ReplicaHook != nil {
+			c.Config.ReplicaHook(seg, rep, checker, elapsedNs)
+		}
+	}
+	rt := core.NewRuntime(c.NewEngine(), cfg)
+	b.alive(0, 1)
+	prof, err := rt.RunRetaining(c.Program, func(stat core.SegmentStat, retain func() *core.Retained) {
+		planned := c.draw(b, pr, stat, turns[stat.Index])
+		delete(turns, stat.Index)
+		if len(planned) == 0 {
+			return
+		}
+		s := retain()
+		b.alive(1, 0)
+		select {
+		case others <- struct{}{}:
+			workers.Add(1)
+			go func() { defer workers.Done(); b.runTrials(pr, s, planned); <-others }()
+		default: // the run waits for the segment's trials
+			b.alive(0, -1)
+			b.runTrials(pr, s, planned)
+			b.alive(0, 1)
+		}
+	})
+	b.alive(0, -1)
+	rt.Release()
+	workers.Wait()
 	switch {
 	case err != nil:
-		return nil, nil, fmt.Errorf("inject: profile run: %w", err)
+		return nil, nil, fmt.Errorf("inject: timed run: %w", err)
 	case prof.Detected != nil:
-		return nil, nil, fmt.Errorf("inject: profile run detected a phantom error: %v", prof.Detected)
+		return nil, nil, fmt.Errorf("inject: the timed run detected a phantom error: %v", prof.Detected)
+	case b.err != nil:
+		return nil, nil, b.err
 	}
-	switch err := c.forkTrials(p, pr); {
-	case err != nil:
-		return nil, nil, fmt.Errorf("inject: forking run: %w", err)
-	case p.err != nil:
-		return nil, nil, p.err
-	case p.left > 0:
-		return nil, nil, fmt.Errorf("inject: %d planned flips found no dispatch to land on", p.left)
-	}
-	rep := &Report{Benchmark: c.Program.Name, Trials: p.rows}
+	rep := &Report{Benchmark: c.Program.Name, Trials: b.rows}
 	for _, tr := range rep.Trials {
 		rep.Counts[tr.Outcome]++
 	}
-	return rep, p, nil
+	return rep, b, nil
 }
 
-// forkTrials is the second pass. A fork runs on a goroutine of its own while
-// fewer than Parallel-1 do, and otherwise on the pass's, which waits for it,
-// so no more than Parallel simulations run at once. It returns once every
-// fork has run.
-func (c *Campaign) forkTrials(p *plan, pr *campaign.Progress) error {
-	others := make(chan struct{}, campaign.Workers(c.Parallel)-1)
-	var forks sync.WaitGroup
-	defer forks.Wait()
-	src := core.NewRuntime(c.NewEngine(), c.Config)
-	defer src.Release()
-	_, err := src.RunForking(c.Program, func(seg int, elapsedNs float64) bool {
-		for _, f := range p.due(seg, elapsedNs) {
-			p.forked(1)
-			var landed bool
-			rt := src.Fork(trialHook(seg, f.AtNs, f.Target, &landed))
-			rt.Focus(seg)
-			run := func() {
-				p.done(f.row, campaign.Contain(pr, f.row, func() (Trial, error) { return runTrial(rt, f.Trial, &landed) }))
-			}
-			select {
-			case others <- struct{}{}:
-				forks.Add(1)
-				go func() { defer forks.Done(); run(); <-others }()
-			default:
-				run()
-			}
-		}
-		return p.left > 0
-	}, nil)
-	return err
+// turn is one dispatch of a segment's replica 0 in the timed run: the
+// elapsed time Config.ReplicaHook was handed, and where the checker stood.
+type turn struct {
+	elapsedNs float64
+	at        core.Turn
 }
 
-// fork is a planned trial: its landing draw and its row.
-type fork struct {
+// planned is a drawn trial that lands: the trial, its row, and where its
+// flip lands.
+type planned struct {
 	Trial
 	row int
+	at  core.Turn
 }
 
-// plan is what the two passes of a campaign share.
-type plan struct {
-	rows  []Trial        // every trial, in report order
-	drawn map[int][]fork // by segment: the forks not yet taken, by instant
-	left  int            // forks not yet taken, over all segments
-	mu    sync.Mutex     // guards what forks write: rows, err, forks and peak
-	err   error          // a fork's flip did not land
-	forks int            // alive; with peak, read only by tests
-	peak  int            // the most forks alive at once
+// book is what the timed run and the trials share.
+type book struct {
+	mu   sync.Mutex // guards everything below
+	rows []Trial    // every trial, in report order
+	err  error      // a trial's flip did not land
+	// Alive now and at most, read only by tests: retained segments whose
+	// trials are not done, and simulations running (the timed run while it
+	// steps, and each trial).
+	retained, sims, peakRetained, peakSims int
 }
 
-// forked counts n forks more alive.
-func (p *plan) forked(n int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.forks += n
-	p.peak = max(p.peak, p.forks)
+// alive counts retained segments and simulations more alive.
+func (b *book) alive(retained, sims int) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.retained += retained
+	b.sims += sims
+	b.peakRetained = max(b.peakRetained, b.retained)
+	b.peakSims = max(b.peakSims, b.sims)
 }
 
-// draw makes the trials of a segment the profile run retired, which fixes
-// its clean checker duration: per trial up to maxDraws (instant, target)
-// draws. A draw lands iff its instant is at most the segment's last
-// replica-0 elapsed time, so the first that does is planned as a fork, and a
-// trial none of whose draws lands is a failed row, with no simulation.
-func (c *Campaign) draw(p *plan, pr *campaign.Progress, stat core.SegmentStat, lastNs map[int]float64) {
-	last, dispatched := lastNs[stat.Index]
+// draw makes the trials of a segment the timed run retired, which fixes its
+// clean checker duration: per trial up to maxDraws (instant, target) draws. A
+// draw lands iff its instant is at most the elapsed time of replica 0's last
+// dispatch in the segment, so the first that does is planned at the first
+// dispatch whose elapsed time reaches it, and a trial none of whose draws
+// lands is a failed row, with no simulation.
+func (c *Campaign) draw(b *book, pr *campaign.Progress, stat core.SegmentStat, turns []turn) []planned {
+	var out []planned
 	for trial := 0; stat.CheckerNs > 0 && trial < c.trials(); trial++ {
 		rng := rand.New(rand.NewSource(campaign.DeriveSeed(c.Seed, "inject", c.Program.Name,
 			fmt.Sprintf("seg%d", stat.Index), fmt.Sprintf("trial%d", trial))))
@@ -288,89 +293,67 @@ func (c *Campaign) draw(p *plan, pr *campaign.Progress, stat core.SegmentStat, l
 		landed := false
 		for attempt := 0; attempt < maxDraws && !landed; attempt++ {
 			tr.AtNs, tr.Target = rng.Float64()*1.1*stat.CheckerNs, randTarget(rng)
-			landed = dispatched && tr.AtNs <= last
+			landed = len(turns) > 0 && tr.AtNs <= turns[len(turns)-1].elapsedNs
 		}
 		pr.Grow(1)
-		if landed {
-			p.drawn[stat.Index] = append(p.drawn[stat.Index], fork{tr, len(p.rows)})
-			p.left++
-		} else {
+		if !landed {
 			pr.Step(1)
 		}
-		p.rows = append(p.rows, tr)
-	}
-	slices.SortStableFunc(p.drawn[stat.Index], func(a, b fork) int { return cmp.Compare(a.AtNs, b.AtNs) })
-}
-
-// due takes segment's planned forks whose instant elapsedNs reaches.
-func (p *plan) due(segment int, elapsedNs float64) []fork {
-	q, n := p.drawn[segment], 0
-	for n < len(q) && q[n].AtNs <= elapsedNs {
-		n++
-	}
-	p.drawn[segment], p.left = q[n:], p.left-n
-	return q[:n]
-}
-
-// done books a fork's trial in its row; a contained panic is a failed row,
-// with the panic as its detail.
-func (p *plan) done(row int, res campaign.Result[Trial]) {
-	var perr *campaign.PanicError
-	p.forked(-1)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	switch {
-	case errors.As(res.Err, &perr):
-		p.rows[row].Detail = perr.Error()
-	case res.Err != nil:
-		p.err = cmp.Or(p.err, res.Err)
-	default:
-		p.rows[row] = res.Value
-	}
-}
-
-// runTrial resumes a trial's fork to its segment's verdict and classifies
-// it. A flip that does not land is the campaign's error, not a trial's.
-func runTrial(rt *core.Runtime, tr Trial, landed *bool) (Trial, error) {
-	stats, err := rt.Resume()
-	rt.Release()
-	if err == nil && !*landed {
-		return tr, fmt.Errorf("inject: segment %d: the flip at %v ns did not land in its fork", tr.Segment, tr.AtNs)
-	}
-	return judge(tr, stats, err), nil
-}
-
-// trialHook is a trial's Config.ReplicaHook: it flips the target bit in
-// replica 0 of the segment once the checker has run atNs, and reports
-// whether it did through landed.
-func trialHook(segment int, atNs float64, target Target, landed *bool) func(int, int, *proc.Process, float64) {
-	return func(segIdx, rep int, checker *proc.Process, elapsed float64) {
-		if *landed || rep != 0 || segIdx != segment || elapsed < atNs {
-			return
+		b.mu.Lock()
+		if landed {
+			i := sort.Search(len(turns), func(i int) bool { return turns[i].elapsedNs >= tr.AtNs })
+			out = append(out, planned{tr, len(b.rows), turns[i].at})
 		}
-		checker.FlipRegisterBit(target.Class, target.Index, target.Lane, target.Bit)
-		*landed = true
+		b.rows = append(b.rows, tr)
+		b.mu.Unlock()
+	}
+	return out
+}
+
+// runTrials runs a retained segment's planned trials, each booked in its
+// row, and releases the segment. A contained panic is a failed row, with the
+// panic as its detail; a flip that does not land is the campaign's error.
+func (b *book) runTrials(pr *campaign.Progress, s *core.Retained, trials []planned) {
+	defer func() { s.Release(); b.alive(-1, 0) }()
+	for _, p := range trials {
+		b.alive(0, 1)
+		res := campaign.Contain(pr, p.row, func() (Trial, error) {
+			d, landed := s.Recheck(p.at, func(checker *proc.Process) {
+				checker.FlipRegisterBit(p.Target.Class, p.Target.Index, p.Target.Lane, p.Target.Bit)
+			})
+			if !landed {
+				return p.Trial, fmt.Errorf("inject: segment %d: the flip at %v ns did not land in its replay", p.Segment, p.AtNs)
+			}
+			return classify(p.Trial, d), nil
+		})
+		b.alive(0, -1)
+		var perr *campaign.PanicError
+		b.mu.Lock()
+		switch {
+		case errors.As(res.Err, &perr):
+			b.rows[p.row].Detail = perr.Error()
+		case res.Err != nil:
+			b.err = cmp.Or(b.err, res.Err)
+		default:
+			b.rows[p.row] = res.Value
+		}
+		b.mu.Unlock()
 	}
 }
 
-// judge classifies a trial's run.
-func judge(tr Trial, stats *core.RunStats, err error) Trial {
-	tr.Outcome = OutcomeFailed
-	if err != nil {
-		tr.Detail = err.Error()
-		return tr
-	}
+// classify judges a trial by the detection its segment raised.
+func classify(tr Trial, d *core.DetectedError) Trial {
 	switch {
-	case stats.Detected == nil:
+	case d == nil:
 		tr.Outcome = OutcomeBenign
 		return tr
-	case stats.Detected.IsException():
+	case d.IsException():
 		tr.Outcome = OutcomeException
-	case stats.Detected.IsTimeout():
+	case d.IsTimeout():
 		tr.Outcome = OutcomeTimeout
 	default:
 		tr.Outcome = OutcomeDetected
 	}
-	tr.Detail = stats.Detected.Detail
+	tr.Detail = d.Detail
 	return tr
 }

@@ -198,6 +198,29 @@ func TestCampaignRejectsPhantomConfig(t *testing.T) {
 	}
 }
 
+// trialHook is a run from t=0's Config.ReplicaHook: it flips the target bit
+// in replica 0 of the segment once the checker has run atNs, and reports
+// whether it did through landed.
+func trialHook(segment int, atNs float64, target Target, landed *bool) func(int, int, *proc.Process, float64) {
+	return func(segIdx, rep int, checker *proc.Process, elapsed float64) {
+		if *landed || rep != 0 || segIdx != segment || elapsed < atNs {
+			return
+		}
+		checker.FlipRegisterBit(target.Class, target.Index, target.Lane, target.Bit)
+		*landed = true
+	}
+}
+
+// judge classifies a run from t=0 as a trial; a run that failed is a failed
+// row, with the error as its detail.
+func judge(tr Trial, stats *core.RunStats, err error) Trial {
+	if err != nil {
+		tr.Outcome, tr.Detail = OutcomeFailed, err.Error()
+		return tr
+	}
+	return classify(tr, stats.Detected)
+}
+
 // fromScratch runs a campaign's trials the way they ran before forks: each
 // attempt a fresh runtime from t=0 with the trial's hook, its draws taken in
 // the same order, redrawn while the flip does not land. It returns the
@@ -248,10 +271,12 @@ func TestSharedPrefixTrialsMatchFromScratch(t *testing.T) {
 	one.SlicePeriodCycles = 150_000
 	three := one
 	three.Checkers, three.Diversity = 3, []string{"skid2x", "coldcache"}
+	quantum := one
+	quantum.Checkers, quantum.Diversity = 3, []string{"quantum"}
 	for _, tc := range []struct {
 		name string
 		cfg  core.Config
-	}{{"main+1", one}, {"main+3 skid2x,coldcache", three}} {
+	}{{"main+1", one}, {"main+3 skid2x,coldcache", three}, {"main+3 quantum", quantum}} {
 		t.Run(tc.name, func(t *testing.T) {
 			c := &Campaign{NewEngine: newEngine, Program: testProgram(), Config: tc.cfg,
 				TrialsPerSegment: 2, Seed: 4, Parallel: 2}
@@ -275,22 +300,27 @@ func TestSharedPrefixTrialsMatchFromScratch(t *testing.T) {
 	}
 }
 
-// TestCampaignBoundsForksAlive: however many trials are due at once, no
-// more forks are alive than the campaign has workers.
+// TestCampaignBoundsForksAlive: however many segments retire with trials
+// due, no more retained segments are alive than the campaign has workers,
+// and no more simulations run at once — the timed run and the trials.
 func TestCampaignBoundsForksAlive(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.SlicePeriodCycles = 150_000
 	for _, parallel := range []int{1, 2, 3} {
 		c := &Campaign{NewEngine: newEngine, Program: testProgram(), Config: cfg,
 			TrialsPerSegment: 4, Seed: 4, Parallel: parallel}
-		rep, p, err := c.run()
+		rep, b, err := c.run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if p.peak < 1 || p.peak > parallel || p.forks != 0 {
-			t.Errorf("Parallel %d: at most %d forks alive, %d at the end", parallel, p.peak, p.forks)
+		if b.peakRetained < 1 || b.peakRetained > parallel || b.retained != 0 {
+			t.Errorf("Parallel %d: at most %d retained segments alive, %d at the end", parallel, b.peakRetained, b.retained)
 		}
-		t.Logf("Parallel %d: %d trials, at most %d forks alive", parallel, len(rep.Trials), p.peak)
+		if b.peakSims < 1 || b.peakSims > parallel || b.sims != 0 {
+			t.Errorf("Parallel %d: at most %d simulations running, %d at the end", parallel, b.peakSims, b.sims)
+		}
+		t.Logf("Parallel %d: %d trials, at most %d retained segments and %d simulations alive",
+			parallel, len(rep.Trials), b.peakRetained, b.peakSims)
 	}
 }
 
@@ -309,24 +339,25 @@ func TestCampaignRefusesRecovery(t *testing.T) {
 	}
 }
 
-// TestUnlandedFlipIsAnError: a fork whose planned flip does not land is the
-// campaign's error, never a failed trial row.
+// TestUnlandedFlipIsAnError: a planned flip the replay of its retained
+// segment never reaches is the campaign's error, never a trial row.
 func TestUnlandedFlipIsAnError(t *testing.T) {
 	cfg := core.DefaultConfig()
 	cfg.SlicePeriodCycles = 150_000
-	src := core.NewRuntime(newEngine(), cfg)
-	var err error
-	if _, runErr := src.RunForking(testProgram(), func(seg int, _ float64) bool {
-		var landed bool
-		tr := Trial{Segment: seg, AtNs: math.Inf(1)}
-		rt := src.Fork(trialHook(seg, tr.AtNs, tr.Target, &landed))
-		rt.Focus(seg)
-		_, err = runTrial(rt, tr, &landed)
-		return false
-	}, nil); runErr != nil {
-		t.Fatal(runErr)
+	b := &book{rows: []Trial{{Segment: 0, AtNs: math.Inf(1), Outcome: OutcomeFailed}}}
+	pr := campaign.NewProgressWith(nil, "", 0, nil)
+	if _, err := core.NewRuntime(newEngine(), cfg).RunRetaining(testProgram(), func(stat core.SegmentStat, retain func() *core.Retained) {
+		if stat.Index == 0 {
+			b.alive(1, 0)
+			b.runTrials(pr, retain(), []planned{{b.rows[0], 0, core.Turn{Instrs: math.MaxUint64}}})
+		}
+	}); err != nil {
+		t.Fatal(err)
 	}
-	if err == nil {
-		t.Error("a fork whose flip never landed was judged as a trial")
+	if b.err == nil {
+		t.Error("a flip the replay never reached was not the campaign's error")
+	}
+	if b.rows[0].Outcome != OutcomeFailed || b.rows[0].Detail != "" {
+		t.Errorf("the trial whose flip never landed was judged: %+v", b.rows[0])
 	}
 }

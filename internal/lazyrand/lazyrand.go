@@ -1,7 +1,8 @@
 // Package lazyrand is the simulation's random stream, one per process (PMU
 // noise) and per kernel (ASLR, getrandom): math/rand's sequence for a seed,
 // seeded on the first draw — seeding costs more than a fork, and checkpoints
-// never draw — and copyable mid-stream for a fork of a run.
+// never draw — and copyable mid-stream, so that a copied process draws on
+// as its original would.
 package lazyrand
 
 import "math/rand"

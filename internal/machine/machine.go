@@ -194,13 +194,11 @@ type Machine struct {
 
 	dramAccesses uint64
 	acts         [NumActivities]ActivityTotals // machine-wide, in charge order
-	cfg          Config                        // what New built it from
 }
 
 // New assembles a machine from a configuration.
 func New(cfg Config) *Machine {
 	m := &Machine{
-		cfg:                 cfg,
 		Name:                cfg.Name,
 		Cost:                cfg.Cost,
 		Power:               cfg.Power,
@@ -245,27 +243,6 @@ func (m *Machine) CountDRAMAccess() { m.dramAccesses++ }
 
 // DRAMAccesses returns the DRAM transfer count so far.
 func (m *Machine) DRAMAccesses() uint64 { return m.dramAccesses }
-
-// CopyFrom puts m in src's exact state: every core's operating point, active
-// time books and activity class, the per-class books, the cache hierarchy
-// and the DRAM count. m must be built from src's configuration. It only
-// reads src.
-func (m *Machine) CopyFrom(src *Machine) {
-	for i, c := range m.Cores {
-		s := src.Cores[i]
-		c.freqIdx, c.act = s.freqIdx, s.act
-		copy(c.activeNs, s.activeNs)
-	}
-	m.Caches.CopyFrom(src.Caches)
-	m.dramAccesses, m.acts = src.dramAccesses, src.acts
-}
-
-// Clone returns an independent machine in m's exact state.
-func (m *Machine) Clone() *Machine {
-	c := New(m.cfg)
-	c.CopyFrom(m)
-	return c
-}
 
 // EnergyJ integrates total energy over a run of wallNs nanoseconds: dynamic
 // core energy at each operating point, idle core power, SoC and DRAM static

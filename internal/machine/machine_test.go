@@ -198,60 +198,3 @@ func TestMachineString(t *testing.T) {
 		t.Error("empty machine description")
 	}
 }
-
-// TestCopyFromEqualsSource: a machine that has run at scaled-down
-// frequencies, booked time under several activity classes and DRAM traffic
-// and warmed its caches, copied from a captured machine, must keep the
-// captured machine's books for the next run — bit for bit.
-func TestCopyFromEqualsSource(t *testing.T) {
-	run := func(m *Machine, salt uint64) {
-		for i, c := range m.Cores {
-			c.SetActivity(Activity(1 + (i+int(salt))%int(NumActivities-1)))
-			c.AccountActive(1000 + float64(salt) + float64(i)/3)
-			for a := uint64(0); a < 4096; a++ {
-				if m.Caches.Access(c.ID, 1+salt, a*64*(1+salt)) == cache.DRAM {
-					m.CountDRAMAccess()
-				}
-			}
-		}
-	}
-	src := New(BigOnly())
-	src.Cores[1].SetFreqIndex(2)
-	run(src, 1)
-	captured := src.Clone()
-
-	used := New(BigOnly())
-	for _, c := range used.Cores {
-		c.SetFreqIndex(1)
-	}
-	run(used, 3)
-	used.CopyFrom(captured)
-
-	run(used, 0)
-	run(captured, 0)
-	const wallNs = 1e6
-	if g, w := used.EnergyJ(wallNs), captured.EnergyJ(wallNs); math.Float64bits(g) != math.Float64bits(w) {
-		t.Errorf("EnergyJ %v on the copy, %v on the captured machine", g, w)
-	}
-	if g, w := used.DRAMAccesses(), captured.DRAMAccesses(); g != w {
-		t.Errorf("DRAMAccesses %d on the copy, %d on the captured machine", g, w)
-	}
-	for a := Activity(0); a < NumActivities; a++ {
-		g, w := used.Charged(a), captured.Charged(a)
-		if math.Float64bits(g.Ns) != math.Float64bits(w.Ns) || math.Float64bits(g.J) != math.Float64bits(w.J) || g.Charges != w.Charges {
-			t.Errorf("%s: %+v on the copy, %+v on the captured machine", a, g, w)
-		}
-	}
-	for i, c := range used.Cores {
-		if c.FreqIndex() != captured.Cores[i].FreqIndex() {
-			t.Errorf("core %d at ladder point %d on the copy, %d on the captured machine", i, c.FreqIndex(), captured.Cores[i].FreqIndex())
-		}
-		if g, w := math.Float64bits(c.ActiveNs()), math.Float64bits(captured.Cores[i].ActiveNs()); g != w {
-			t.Errorf("core %d active time %v on the copy, %v on the captured machine", i, c.ActiveNs(), captured.Cores[i].ActiveNs())
-		}
-	}
-	// The capture is independent of the machine it was taken from.
-	if g, w := src.DRAMAccesses(), captured.DRAMAccesses(); g == w {
-		t.Errorf("the source machine's DRAM count %d moved with its capture's", g)
-	}
-}

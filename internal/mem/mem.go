@@ -566,15 +566,17 @@ func (as *AddressSpace) copyWith(frameOf func(*Frame) *Frame) *AddressSpace {
 	return c
 }
 
-// Cloner copies the address spaces of a whole run for a fork. Its one
-// old→new frame map keeps a frame two of them share one frame, with its
-// reference count, write generation and hash memo, so that copy-on-write,
-// dirty discovery and the comparison's shortcuts decide as before. Source and
-// copy share the pages' bytes, lent, until a store on either side gives that
-// side bytes of its own (lookupWrite), or the side is released. Bytes every
-// other holder has let go of are written in place and recycled again, so a
-// source that outlives its forks stops copying. Copying only reads the
-// source, so the source may run on while the copy runs on another goroutine.
+// Cloner copies address spaces of a run, such as a retired segment's
+// checkpoints, for use on another goroutine. Its one old→new frame map keeps
+// a frame two of them share one frame, with its write generation and hash
+// memo, whose reference count is the copies mapping it: frame identity and
+// map counts among the copies decide copy-on-write, dirty discovery and the
+// comparison's shortcuts as they did among the originals. Source and copy
+// share the pages' bytes, lent, until a store on either side gives that side
+// bytes of its own (lookupWrite), or the side is released. Bytes every other
+// holder has let go of are written in place and recycled again, so a source
+// that outlives its copies stops copying. Copying only reads the source, so
+// the source may run on while the copy runs on another goroutine.
 type Cloner struct{ frames map[*Frame]*Frame }
 
 // NewCloner returns a cloner with an empty frame map.
@@ -595,8 +597,10 @@ func (c *Cloner) Clone(as *AddressSpace) *AddressSpace {
 			f.lent.Add(1)
 			nf = new(Frame)
 			*nf = *f
+			nf.ref = 0
 			c.frames[f] = nf
 		}
+		nf.ref++
 		return nf
 	})
 	if lent {

@@ -198,3 +198,43 @@ func TestLentBytesComeBack(t *testing.T) {
 		t.Error("Map did not take the bytes only the released clone held")
 	}
 }
+
+// TestClonerCountsItsCopies: a frame two cloned address spaces share is one
+// frame among the copies, mapped as many times as copies map it — whatever
+// the source's count — so map-count dirty discovery and copy-on-write decide
+// among the copies as among the originals, and releasing the copies gives
+// the source its bytes back.
+func TestClonerCountsItsCopies(t *testing.T) {
+	const base = 0x10000
+	src := newAS(t)
+	mustMap(t, src, base, pg)
+	keep := src.Fork() // a third holder the cloner does not copy
+	child := src.Fork()
+	cl := NewCloner()
+	a, b := cl.Clone(src), cl.Clone(child)
+	v := src.VPN(base)
+	if src.FrameAt(v).MapCount() != 3 || a.FrameAt(v) != b.FrameAt(v) || a.FrameAt(v).MapCount() != 2 {
+		t.Fatalf("source frame mapped %d times; copies share it: %v, mapped %d times, want 2",
+			src.FrameAt(v).MapCount(), a.FrameAt(v) == b.FrameAt(v), a.FrameAt(v).MapCount())
+	}
+	if d := a.DirtyPages(DirtyMapCount); len(d) != 0 {
+		t.Errorf("a page both copies map is dirty by map count: %v", d)
+	}
+	if cow, f := a.StoreByte(base, 1); f != nil || !cow {
+		t.Errorf("store to a page both copies map: cow=%v fault=%v, want a copy-on-write", cow, f)
+	}
+	if d := a.DirtyPages(DirtyMapCount); len(d) != 1 || d[0] != v {
+		t.Errorf("the written page is not dirty by map count: %v", d)
+	}
+	a.Release()
+	b.Release()
+	child.Release()
+	keep.Release()
+	lent := &src.FrameAt(v).Data()[0]
+	if _, f := src.StoreByte(base, 2); f != nil {
+		t.Fatal(f)
+	}
+	if &src.FrameAt(v).Data()[0] != lent {
+		t.Error("the source copied bytes its released copies had given back")
+	}
+}

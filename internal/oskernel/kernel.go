@@ -15,8 +15,6 @@ package oskernel
 import (
 	"bytes"
 	"fmt"
-	"maps"
-	"slices"
 
 	"parallaft/internal/lazyrand"
 	"parallaft/internal/mem"
@@ -296,34 +294,6 @@ func NewKernel(pageSize uint64, seed int64) *Kernel {
 	k.fs["/dev/null"] = &file{name: "/dev/null", dev: devNull}
 	k.fs["/dev/urandom"] = &file{name: "/dev/urandom", dev: devURandom}
 	return k
-}
-
-// Clone copies the kernel for a fork of a run: files, fds, offsets,
-// stdout, rng and counters. Now is rebuilt by the engine before any syscall.
-func (k *Kernel) Clone() *Kernel {
-	c := *k
-	c.Now = func() float64 { return 0 }
-	c.rng = k.rng.Copy()
-	files := make(map[*file]*file)
-	copyOf := func(f *file) *file {
-		if files[f] == nil {
-			files[f] = &file{name: f.name, data: slices.Clone(f.data), dev: f.dev}
-		}
-		return files[f]
-	}
-	c.fs = make(map[string]*file, len(k.fs))
-	for name, f := range k.fs {
-		c.fs[name] = copyOf(f)
-	}
-	c.procs = make(map[int]*procState, len(k.procs))
-	for pid, st := range k.procs {
-		fds := maps.Clone(st.fds)
-		for fd, e := range fds {
-			fds[fd] = &fdEntry{f: copyOf(e.f), off: e.off}
-		}
-		c.procs[pid] = &procState{fds, st.nextFD, bytes.NewBuffer(slices.Clone(st.stdout.Bytes()))}
-	}
-	return &c
 }
 
 // AddFile installs a regular file in the in-memory file system.

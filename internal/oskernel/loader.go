@@ -24,14 +24,9 @@ func NewLoader(k *Kernel, pageSize uint64, seed int64) *Loader {
 	return &Loader{kernel: k, pageSize: pageSize, nextPID: 100, nextASID: 1, seed: seed}
 }
 
-// Clone copies the loader for a fork of a run, onto k, the kernel's copy.
-func (l *Loader) Clone(k *Kernel) *Loader {
-	c := *l
-	c.kernel = k
-	return &c
-}
-
-// AllocIDs hands out a fresh (pid, asid) pair; used when forking checkers.
+// AllocIDs hands out the next (pid, asid) pair, for every process Exec or
+// Fork creates. ASIDs start at 1: the cache model keeps tag 0 for an empty
+// way.
 func (l *Loader) AllocIDs() (int, uint64) {
 	pid := l.nextPID
 	asid := l.nextASID

@@ -295,8 +295,9 @@ func (p *Process) Fork(pid int, asid uint64, name string, seed int64) *Process {
 	return child
 }
 
-// Clone copies the process, on as, for a fork of its run: registers, PMU
-// state and noise stream, breakpoints, handlers, limits and timing books.
+// Clone copies the process, on as, for use beside its run (a retained
+// checkpoint): registers, PMU state and noise stream, breakpoints, handlers,
+// limits and timing books.
 // Code and predecoded program stay shared; the cost tables are rebuilt.
 func (p *Process) Clone(as *mem.AddressSpace) *Process {
 	c := *p

@@ -38,8 +38,8 @@ type Task struct {
 	retired  bool
 }
 
-// Engine drives the machine. With a nil M (a checker replaying a packet) it
-// runs tasks on no core and charges nothing, and cannot be cloned.
+// Engine drives the machine. With a nil M (a checker replaying a packet or
+// a retained segment) it runs tasks on no core and charges nothing.
 type Engine struct {
 	M *machine.Machine
 	K *oskernel.Kernel
@@ -56,36 +56,6 @@ type Engine struct {
 // kernel's (already set by the caller when constructing them).
 func New(m *machine.Machine, k *oskernel.Kernel, l *oskernel.Loader) *Engine {
 	return &Engine{M: m, K: k, L: l}
-}
-
-// Clone copies the engine for a fork of a run: machine, kernel, loader
-// and the live tasks, in the order the contention sum follows. procOf maps a
-// process to its copy; taskOf maps any task, live or retired, to its one copy.
-func (e *Engine) Clone(procOf func(*proc.Process) *proc.Process) (c *Engine, taskOf func(*Task) *Task) {
-	cp := *e
-	c = &cp
-	c.M = e.M.Clone()
-	c.K = e.K.Clone()
-	c.L = e.L.Clone(c.K)
-	copies := make(map[*Task]*Task)
-	taskOf = func(t *Task) *Task {
-		if t == nil {
-			return nil
-		}
-		n := copies[t]
-		if n == nil {
-			n = new(Task)
-			*n = *t
-			n.P, n.Core = procOf(t.P), c.M.Cores[t.Core.ID]
-			copies[t] = n
-		}
-		return n
-	}
-	c.tasks = make([]*Task, len(e.tasks))
-	for i, t := range e.tasks {
-		c.tasks[i] = taskOf(t)
-	}
-	return c, taskOf
 }
 
 // contentionCoeff scales how much each concurrent DRAM-heavy task inflates

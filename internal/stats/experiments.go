@@ -283,9 +283,10 @@ type InjectionRow struct {
 
 // RunFig10 runs the §5.6 fault-injection campaign over the named workloads
 // (nil = full suite); trials is per segment (paper: 5). Workloads run in
-// sequence, but each workload's trials — the hottest loop of the whole
-// evaluation, each forked at its flip and run to its segment's verdict —
-// fan out over Runner.Parallel workers inside inject.Campaign.
+// sequence. Each workload's campaign is one timed run, and its trials —
+// each a re-check of its segment on no machine, from the segment's start
+// to its verdict — run beside it over Runner.Parallel workers inside
+// inject.Campaign.
 func (r *Runner) RunFig10(names []string, trials int, scale float64) ([]InjectionRow, error) {
 	ws, err := resolveWorkloads(names)
 	if err != nil {
