@@ -131,31 +131,16 @@ func exportStartState(st *packet.StartState, cp *proc.Process, exp *packet.Expor
 	sort.Slice(st.Handlers, func(i, j int) bool { return st.Handlers[i].Sig < st.Handlers[j].Sig })
 }
 
-// packetHost is the replay host of a re-check on no machine, a packet's or
-// a retained segment's: it latches the first divergence. Tracer work costs
-// it nothing — its verdict is the whole product.
-type packetHost struct{ detected *DetectedError }
-
-func (h *packetHost) charge(machine.Activity, float64) {}
-func (h *packetHost) reached()                         {}
-func (h *packetHost) diverged(d *DetectedError) {
-	if h.detected == nil {
-		h.detected = d
-	}
-}
-
 // ReplayPacket drives task — a checker substrate the caller rebuilt from
 // pkt's start state — through the packet's record with the in-process replay
-// engine. It returns nil once the checker stands at the recorded segment end
-// with every event replayed (the end-state comparison is the caller's), or
-// the divergence exactly as the in-process runtime words it. A packet's
-// record is complete by construction, so the engine's wait-for-the-main
-// states are never entered.
+// engine, alone (replayAlone), in quanta of the packet's own. It returns nil
+// once the checker stands at the recorded segment end with every event
+// replayed (the end-state comparison is the caller's), or the divergence
+// exactly as the in-process runtime words it. A packet's record is complete
+// by construction, so the engine's wait-for-the-main states are never
+// entered.
 func ReplayPacket(e *sim.Engine, task *sim.Task, pkt *packet.CheckPacket) *DetectedError {
-	cfg := Config{
-		SkidBuffer:   pkt.Config.SkidBuffer,
-		TimeoutScale: pkt.Config.TimeoutScale,
-	}
+	cfg := Config{TimeoutScale: pkt.Config.TimeoutScale}
 	seg := Segment{
 		Index:      pkt.Segment,
 		End:        pkt.End,
@@ -164,15 +149,7 @@ func ReplayPacket(e *sim.Engine, task *sim.Task, pkt *packet.CheckPacket) *Detec
 		sealed:     true,
 	}
 	seg.Log.Events = pkt.Events
-	var h packetHost
-	en := replayEngine{host: &h, cfg: &cfg, e: e, seg: &seg,
-		Checker: task.P, Task: task, skid: cfg.SkidBuffer}
-	for h.detected == nil && en.phase != phaseReached {
-		if en.begin() {
-			continue
-		}
-		// Same deliberate quantum offset as in-process checkers (stepChecker).
-		en.handleStop(e.Run(task, pkt.Config.Quantum+37))
-	}
-	return h.detected
+	d, _ := replayAlone(&replayEngine{cfg: &cfg, e: e, seg: &seg, Checker: task.P, Task: task,
+		guest: machine.ActGuestChecker, skid: pkt.Config.SkidBuffer}, checkerQuantum(pkt.Config.Quantum, 0), Turn{}, nil)
+	return d
 }

@@ -344,7 +344,7 @@ func (r *Runtime) onSeal(seg *Segment) {
 		rep.ensureTarget()
 	}
 
-	if r.cfg.Trace != nil && !seg.arb {
+	if r.cfg.Trace != nil {
 		// The seal span opens the segment's causal chain: main run from
 		// segment start to the seal, stamped with the seal's sim-clock time.
 		r.cfg.Trace.Record(telemetry.StageSpan{
@@ -359,7 +359,7 @@ func (r *Runtime) onSeal(seg *Segment) {
 			Detail:      fmt.Sprintf("events=%d", len(seg.Log.Events)),
 		})
 	}
-	if r.cfg.Export != nil && !seg.arb {
+	if r.cfg.Export != nil {
 		exportStart := time.Now()
 		err := r.exportSegment(seg)
 		if err != nil && r.exportErr == nil {

@@ -5,9 +5,11 @@ import (
 	"slices"
 
 	"parallaft/internal/compare"
+	"parallaft/internal/machine"
 	"parallaft/internal/oskernel"
 	"parallaft/internal/packet"
 	"parallaft/internal/proc"
+	"parallaft/internal/sim"
 	"parallaft/internal/telemetry"
 )
 
@@ -98,8 +100,8 @@ func (r *Runtime) tryRecover() bool {
 }
 
 // arbitrate re-executes the segment with a clean referee forked from the
-// start checkpoint, replaying the recorded log, and compares the result
-// against the end checkpoint.
+// start checkpoint, replaying the recorded log alone on a big core, and
+// votes it against the end checkpoint as the segment's one replica.
 func (r *Runtime) arbitrate(seg *Segment) arbVerdict {
 	r.stats.Arbitrations++
 	r.tm.arbitrations.Inc()
@@ -113,52 +115,28 @@ func (r *Runtime) arbitrate(seg *Segment) arbVerdict {
 	referee.InstrLimit = limit
 	r.attachSampler(referee, "referee")
 
-	// A private shadow segment shares the record but has fresh replay
-	// state; it never enters r.segments or the scheduler.
-	shadow := &Segment{
-		Index:      seg.Index,
-		StartCP:    seg.StartCP,
-		EndCP:      seg.EndCP,
-		Log:        seg.Log,
-		End:        seg.End,
-		EndIsExit:  seg.EndIsExit,
-		MainInstrs: seg.MainInstrs,
-		sealed:     true,
-		arb:        true,
-		pos:        -1, // never on the live list
-	}
-	ref := r.newReplica(shadow, 0, referee)
-	shadow.Replicas = []*replica{ref}
 	// Run on a big core at the current wall position; arbitration is rare
-	// and latency matters more than energy here.
+	// and latency matters more than energy here. Every charge is recovery
+	// machinery, whatever its mechanism.
 	core := r.mainCore
 	if bigs := r.e.M.BigCores(); len(bigs) > 1 {
 		core = bigs[1]
 	}
-	ref.Task = r.e.NewTask(referee, core, r.mainTask.Clock)
+	task := r.e.NewTask(referee, core, r.mainTask.Clock)
 	defer func() {
-		r.e.Retire(ref.Task)
+		r.e.Retire(task)
 		r.e.L.Reap(referee)
 	}()
-
-	r.arbitrating = true
-	r.arbErr = nil
-	defer func() { r.arbitrating = false }()
-
-	// The instruction limit bounds the referee's execution; the iteration
-	// cap is a belt-and-braces guard against replay-state livelock.
-	for i := 0; r.arbErr == nil && ref.phase != phaseReached; i++ {
-		if i > 1_000_000 {
-			r.arbErr = &DetectedError{Kind: ErrCheckerTimeout, Segment: seg.Index,
-				Detail: "arbitration referee made no progress"}
-			break
-		}
-		r.stepChecker(ref)
-	}
+	ref := &replica{replayEngine: replayEngine{cfg: &r.cfg, e: r.e, seg: seg, Checker: referee,
+		Task: task, guest: machine.ActRecovery, skid: r.cfg.SkidBuffer}}
+	d, _ := replayAlone(&ref.replayEngine, checkerQuantum(sim.DefaultQuantum, 0), Turn{}, nil)
 	// A referee that also diverged from the record or the end point, or
 	// that loses its one-replica vote against the end checkpoint, puts the
-	// fault on the main side.
-	if r.arbErr != nil || r.voter.vote(shadow).Verdict != compare.VerdictUnanimous {
+	// fault on the main side. The vote runs over a copy of the segment
+	// whose one replica is the referee.
+	shadow := *seg
+	shadow.Replicas = []*replica{ref}
+	if d != nil || r.voter.vote(&shadow).Verdict != compare.VerdictUnanimous {
 		return verdictMainFault
 	}
 	return verdictCheckerFault

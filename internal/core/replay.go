@@ -12,10 +12,11 @@ import (
 
 // This file is the replay state machine — the only one. A checker is a pure
 // function of (start checkpoint, record/replay log, config); replayEngine is
-// that function's steering (§4.2.2) and per-event replay (§4.3). It has three
-// drivers: Runtime.stepChecker (in-process replicas, arbitration referees),
-// ReplayPacket in export.go (a checkd daemon's own substrate) and
-// Retained.Recheck in retain.go (a fault-injection trial's).
+// that function's steering (§4.2.2) and per-event replay (§4.3). It has two
+// drivers: Runtime.stepChecker, one turn of a live replica beside the main,
+// and replayAlone, a replica replayed alone against a sealed record — an
+// arbitration referee (recovery.go), a packet on a checkd daemon's own
+// substrate (ReplayPacket) and a fault-injection trial (Retained.Recheck).
 //
 // The engine decides everything about the replay itself: where the checker
 // is steered next, whether a stop matches the record, what a divergence is
@@ -25,8 +26,9 @@ import (
 type replayHost interface {
 	// charge accounts ns of tracer work on the checker's clock under act.
 	charge(act machine.Activity, ns float64)
-	// diverged routes a divergence: global detection, NMR dissent, an
-	// arbitration or packet verdict. The host stops dispatching the engine.
+	// diverged routes a divergence: global detection, NMR dissent, or the
+	// verdict of a replica replayed alone. The host stops dispatching the
+	// engine.
 	diverged(d *DetectedError)
 	// reached: the checker stands at the segment end, record consumed and
 	// steering disarmed. What follows (scheduling, vote, compare) is here.
@@ -385,16 +387,14 @@ func (en *replayEngine) replayFault(sig proc.Signal) {
 	c := en.Checker
 	en.host.charge(machine.ActReplay, en.cfg.tracerStopNs())
 	ev := en.nextEvent()
-	if ev == nil && !en.seg.sealed {
-		// Could be a fault the main will also take; but a fault the main
-		// has not yet reached cannot be distinguished from divergence
-		// without waiting — and the checker cannot be architecturally
-		// ahead of the main (guarded in pickActor), so a fault here with
-		// no record is divergence.
+	if ev == nil {
+		// Divergence whether or not the segment is sealed: the checker
+		// cannot be architecturally ahead of the main (guarded in
+		// pickActor), so a fault the main took would already be recorded.
 		en.failSig(sig, "checker fault %v at pc %d with no recorded event", sig, c.PC)
 		return
 	}
-	if ev == nil || ev.Kind != packet.EvSignalInternal || ev.Signal.Sig != sig || ev.Signal.PC != c.PC {
+	if ev.Kind != packet.EvSignalInternal || ev.Signal.Sig != sig || ev.Signal.PC != c.PC {
 		en.failSig(sig, "checker fault %v at pc %d diverges from record", sig, c.PC)
 		return
 	}
@@ -457,28 +457,24 @@ type replicaHost struct {
 	rep *replica
 }
 
-// charge books tracer work on the replica's clock. An arbitration referee's
-// work is recovery machinery, whatever its mechanism; a replica still
-// queued for a core has no clock to charge.
+// charge books tracer work on the replica's clock; a replica still queued
+// for a core has no clock to charge.
 func (h replicaHost) charge(act machine.Activity, ns float64) {
 	rep := h.rep
 	if rep.Task == nil {
 		return
-	}
-	if rep.seg.arb {
-		act = machine.ActRecovery
 	}
 	prev := rep.Task.Core.SetActivity(act)
 	h.r.e.ChargeRuntime(rep.Task, ns)
 	rep.Task.Core.SetActivity(prev)
 }
 
-// diverged: with a single replica (the paper's design, and arbitration
-// referees) a replay divergence is exactly the global detection path; under
-// NMR the replica becomes a dissenting voter instead — the segment's
-// verdict waits for the majority vote.
+// diverged: with a single replica (the paper's design) a replay divergence
+// is exactly the global detection path; under NMR the replica becomes a
+// dissenting voter instead — the segment's verdict waits for the majority
+// vote.
 func (h replicaHost) diverged(d *DetectedError) {
-	if seg := h.rep.seg; seg.arb || len(seg.Replicas) <= 1 {
+	if len(h.rep.seg.Replicas) <= 1 {
 		h.r.detect(d)
 		return
 	}
@@ -486,14 +482,10 @@ func (h replicaHost) diverged(d *DetectedError) {
 }
 
 // reached: the segment is decided once every replica is terminal (the end
-// checkpoint is always available: sealing created it). Arbitration shadows
-// stop here; their vote belongs to the arbitration driver.
+// checkpoint is always available: sealing created it).
 func (h replicaHost) reached() {
 	r, rep := h.r, h.rep
 	rep.doneNs = rep.Task.Clock
-	if rep.seg.arb {
-		return
-	}
 	r.sched.observeCheckerDone(rep)
 	r.sched.onCheckerDone(rep)
 	r.maybeVote(rep.seg)
@@ -506,9 +498,6 @@ func (r *Runtime) newReplica(seg *Segment, idx int, checker *proc.Process) *repl
 	rep.replayEngine = replayEngine{
 		host: replicaHost{r, rep}, cfg: &r.cfg, e: r.e, seg: seg,
 		Checker: checker, guest: machine.ActGuestChecker, skid: r.cfg.SkidBuffer,
-	}
-	if seg.arb {
-		rep.guest = machine.ActRecovery
 	}
 	return rep
 }
@@ -529,22 +518,17 @@ func (r *Runtime) stepChecker(rep *replica) {
 	if rep.startNs == 0 {
 		rep.startNs = rep.Task.Clock
 	}
-	if r.cfg.ReplicaHook != nil && !seg.arb {
+	if r.cfg.ReplicaHook != nil {
 		r.cfg.ReplicaHook(seg.Index, rep.idx, c, rep.elapsedNs())
 	}
 	if rep.begin() {
 		return
 	}
 
-	// The checker's dispatch quantum is deliberately offset from the
-	// main's: otherwise its budget stops land on exactly the architectural
-	// positions where the main was sliced, the end point is "reached" at a
-	// budget stop, and the counter/skid/breakpoint protocol of §4.2.2
-	// never has to do its job. Real checkers get no such alignment.
 	before := c.UserNs + c.SysNs
 	beforeInstrs := c.Instrs
 	prev := rep.Task.Core.SetActivity(rep.guest)
-	stop := r.e.Run(rep.Task, sim.DefaultQuantum+37+rep.quantumOff)
+	stop := r.e.Run(rep.Task, checkerQuantum(sim.DefaultQuantum, rep.quantumOff))
 	rep.Task.Core.SetActivity(prev)
 	delta := c.UserNs + c.SysNs - before
 	if rep.onBig {
@@ -557,4 +541,81 @@ func (r *Runtime) stepChecker(rep *replica) {
 	rep.checkerInstrs = c.Instrs
 
 	rep.handleStop(stop)
+}
+
+// checkerQuantum is a checker's dispatch budget: the main's quantum plus the
+// replica's diversity offset, and deliberately offset from the main's even
+// without one. Otherwise its budget stops land on exactly the architectural
+// positions where the main was sliced, the end point is "reached" at a
+// budget stop, and the counter/skid/breakpoint protocol of §4.2.2 never has
+// to do its job. Real checkers get no such alignment.
+func checkerQuantum(mainQuantum, off uint64) uint64 { return mainQuantum + 37 + off }
+
+// soloHost is the host of a replica replayed alone (replayAlone). It
+// latches the first divergence, and books tracer work under the engine's
+// one class, guest, only when the replica's task has a core: on no machine
+// there is no clock to charge.
+type soloHost struct {
+	en       *replayEngine
+	detected *DetectedError
+}
+
+func (h *soloHost) charge(_ machine.Activity, ns float64) {
+	if t := h.en.Task; t.Core != nil {
+		prev := t.Core.SetActivity(h.en.guest)
+		h.en.e.ChargeRuntime(t, ns)
+		t.Core.SetActivity(prev)
+	}
+}
+
+func (h *soloHost) reached() {}
+
+func (h *soloHost) diverged(d *DetectedError) {
+	if h.detected == nil {
+		h.detected = d
+	}
+}
+
+// replayAlone drives en — a replica replayed alone on its own task against
+// a sealed record — in dispatches of quantum instructions. It returns nil
+// once the replica stands at the segment end with every event replayed (the
+// end-state comparison is the caller's), else the first divergence. flip,
+// when set, is applied as the first turn that begins where at says starts;
+// landed reports whether it was. Runs are cut at at.Instrs until then, so
+// that a turn begins there whatever the quanta: a cut is a budget stop,
+// which the replay treats as no event.
+func replayAlone(en *replayEngine, quantum uint64, at Turn, flip func(*proc.Process)) (d *DetectedError, landed bool) {
+	h := &soloHost{en: en}
+	en.host = h
+	c, core := en.Checker, en.Task.Core
+	landed = flip == nil
+	// The instruction limit bounds the replay; the turn cap is a
+	// belt-and-braces guard against replay-state livelock.
+	for turn := 0; h.detected == nil && en.phase != phaseReached; turn++ {
+		if turn > 1_000_000 {
+			return &DetectedError{Kind: ErrCheckerTimeout, Segment: en.seg.Index,
+				Detail: "checker made no progress"}, landed
+		}
+		if !landed && c.Instrs == at.Instrs && c.PC == at.PC {
+			flip(c)
+			landed = true
+		}
+		if en.begin() {
+			continue
+		}
+		budget := quantum
+		if !landed && c.Instrs < at.Instrs {
+			budget = min(budget, at.Instrs-c.Instrs)
+		}
+		var prev machine.Activity
+		if core != nil {
+			prev = core.SetActivity(en.guest)
+		}
+		stop := en.e.Run(en.Task, budget)
+		if core != nil {
+			core.SetActivity(prev)
+		}
+		en.handleStop(stop)
+	}
+	return h.detected, landed
 }

@@ -88,21 +88,18 @@ func (r *Runtime) retain(seg *Segment) *Retained {
 	return s
 }
 
-// Recheck replays the segment's replicas from the start checkpoint on an
-// engine with no machine, with the run's replay engine and dispatch quanta,
+// Recheck replays the segment's replicas alone from the start checkpoint on
+// an engine with no machine, with the run's dispatch quanta (replayAlone),
 // and decides the segment with the run's vote. It returns the detection the
 // segment raises, nil when it is verified. flip, when set, is applied to
 // replica 0 as the first of its turns that begins where at says starts;
-// landed reports whether it was. Replica 0's runs are cut at at.Instrs, so
-// that a turn begins there whatever the quanta: a cut is a budget stop,
-// which the replay treats as no event.
+// landed reports whether it was.
 func (s *Retained) Recheck(at Turn, flip func(*proc.Process)) (d *DetectedError, landed bool) {
 	start := s.seg.StartCP.p
 	k := oskernel.NewKernel(start.AS.PageSize(), 0)
 	e := sim.New(nil, k, nil)
 	seg := s.seg
 	seg.Replicas = nil
-	landed = flip == nil
 	defer func() {
 		for _, rep := range seg.Replicas {
 			rep.Checker.AS.Release()
@@ -113,29 +110,19 @@ func (s *Retained) Recheck(at Turn, flip func(*proc.Process)) (d *DetectedError,
 		c.AS.ClearSoftDirty()
 		c.InstrLimit = rr.instrLimit
 		k.Register(c.PID)
-		var h packetHost
-		rep := &replica{idx: i, quantumOff: rr.quantumOff}
-		rep.replayEngine = replayEngine{host: &h, cfg: &s.cfg, e: e, seg: &seg,
+		rep := &replica{idx: i}
+		rep.replayEngine = replayEngine{cfg: &s.cfg, e: e, seg: &seg,
 			Checker: c, Task: e.NewTask(c, nil, 0), skid: rr.skid}
 		seg.Replicas = append(seg.Replicas, rep)
-		for h.detected == nil && rep.phase != phaseReached {
-			if !landed && i == 0 && c.Instrs == at.Instrs && c.PC == at.PC {
-				flip(c)
-				landed = true
-			}
-			if rep.begin() {
-				continue
-			}
-			budget := uint64(sim.DefaultQuantum + 37 + rr.quantumOff) // stepChecker's
-			if !landed && i == 0 && c.Instrs < at.Instrs {
-				budget = min(budget, at.Instrs-c.Instrs)
-			}
-			rep.handleStop(e.Run(rep.Task, budget))
+		q := checkerQuantum(sim.DefaultQuantum, rr.quantumOff)
+		if i == 0 {
+			rep.failed, landed = replayAlone(&rep.replayEngine, q, at, flip)
+		} else {
+			rep.failed, _ = replayAlone(&rep.replayEngine, q, Turn{}, nil)
 		}
-		if h.detected != nil && len(s.replicas) == 1 {
-			return h.detected, landed
+		if rep.failed != nil && len(s.replicas) == 1 {
+			return rep.failed, landed
 		}
-		rep.failed = h.detected
 	}
 	if !s.cfg.CompareStates {
 		return nil, landed

@@ -306,7 +306,6 @@ type Segment struct {
 	sealed            bool
 
 	recoveries int     // recovery attempts consumed (EnableRecovery)
-	arb        bool    // this is an arbitration shadow, not a real segment
 	compareNs  float64 // when the comparison (or vote) completed
 	compared   bool
 	voted      bool // the segment's vote has run
@@ -494,11 +493,6 @@ type Runtime struct {
 	maxCompareNs float64
 	mainStalled  bool // main currently gated on MaxLiveSegments
 
-	// arbitration state: while arbitrating, fail() diverts to arbErr so a
-	// referee divergence is a verdict, not a detection.
-	arbitrating bool
-	arbErr      *DetectedError
-
 	// containWait gates the main at a globally-effectful syscall until all
 	// prior segments verify (Config.ContainSyscalls).
 	containWait bool
@@ -617,15 +611,8 @@ func (r *Runtime) attachSampler(p *proc.Process, name string) {
 	p.SetSampler(r.cfg.Profiler.Actor(name), r.cfg.Profiler.PeriodCycles())
 }
 
-// detect latches d as the run's first detection — or, while arbitrating, as
-// the referee's verdict, which is not a detection.
+// detect latches d as the run's first detection.
 func (r *Runtime) detect(d *DetectedError) {
-	if r.arbitrating {
-		if r.arbErr == nil {
-			r.arbErr = d
-		}
-		return
-	}
 	if r.detected == nil {
 		r.detected = d
 		r.tm.detections.Inc()

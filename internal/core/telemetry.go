@@ -167,9 +167,8 @@ func (r *Runtime) observeLiveSegments() {
 
 // emitSpan closes a segment's lifecycle span. endNs is the simulated time
 // the span closes (comparison end, recovery acceptance, or rollback).
-// Arbitration shadows never get spans: they are referees, not segments.
 func (r *Runtime) emitSpan(seg *Segment, outcome string, endNs float64) {
-	if r.cfg.Spans == nil || seg.arb {
+	if r.cfg.Spans == nil {
 		return
 	}
 	sp := telemetry.Span{

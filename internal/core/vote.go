@@ -40,7 +40,7 @@ import (
 // dissented during replay). Called from every point where one of those
 // conditions can become true.
 func (r *Runtime) maybeVote(seg *Segment) {
-	if seg.compared || seg.voted || seg.arb || !seg.sealed || seg.EndCP == nil {
+	if seg.compared || seg.voted || !seg.sealed || seg.EndCP == nil {
 		return
 	}
 	for _, rep := range seg.Replicas {
@@ -181,8 +181,8 @@ func newSegmentVoter(cfg *Config) *segmentVoter {
 }
 
 // vote runs the vote of seg's replicas against its end checkpoint: a live
-// segment's, an arbitration shadow's, whose one replica is the referee, or a
-// retained segment's re-check.
+// segment's, a retained segment's re-check, or the arbitration verdict, over
+// a copy of the segment whose one replica is the referee.
 func (v *segmentVoter) vote(seg *Segment) compare.VoteResult {
 	v.voting = seg
 	req := &v.req
