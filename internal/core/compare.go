@@ -86,7 +86,7 @@ func (r *Runtime) releaseSegment(seg *Segment, flushASID bool) {
 func (r *Runtime) removeSegment(seg *Segment) {
 	i := seg.pos
 	if i < 0 || i >= len(r.segments) || r.segments[i] != seg {
-		return // not on the live list (e.g. an arbitration shadow)
+		return // not on the live list
 	}
 	copy(r.segments[i:], r.segments[i+1:])
 	r.segments[len(r.segments)-1] = nil

@@ -149,7 +149,8 @@ func ReplayPacket(e *sim.Engine, task *sim.Task, pkt *packet.CheckPacket) *Detec
 		sealed:     true,
 	}
 	seg.Log.Events = pkt.Events
-	d, _ := replayAlone(&replayEngine{cfg: &cfg, e: e, seg: &seg, Checker: task.P, Task: task,
-		guest: machine.ActGuestChecker, skid: pkt.Config.SkidBuffer}, checkerQuantum(pkt.Config.Quantum, 0), Turn{}, nil)
+	en := replayEngine{cfg: &cfg, e: e, seg: &seg, Checker: task.P, Task: task,
+		guest: machine.ActGuestChecker, skid: pkt.Config.SkidBuffer}
+	d, _ := replayAlone(&en, checkerQuantum(pkt.Config.Quantum, 0), Turn{}, nil)
 	return d
 }

@@ -74,7 +74,8 @@ type Config struct {
 	// process, and the checker's elapsed segment time. The fault injector
 	// uses it to flip register bits at a chosen instant (§5.6); a
 	// single-checker injector guards on replica == 0 so that under NMR the
-	// injected SEU lands in one replica. Arbitration referees are exempt.
+	// injected SEU lands in one replica. Arbitration referees are exempt:
+	// they are replayed alone, never dispatched as a live replica.
 	ReplicaHook func(segment, replica int, checker *proc.Process, elapsedNs float64)
 	// MainHook is the main-process counterpart, used to model faults in
 	// the main execution for the recovery experiments.
